@@ -263,28 +263,13 @@ void RunKvCrashRestart(const CheckRunConfig& cfg, TmSystem& sys, KvStore& store,
                        image.begin() + static_cast<size_t>(durable_bytes + torn));
     }
     const WalReadResult parsed = ReadWal(surviving);
-    if (parsed.bad_magic || parsed.crc_mismatch) {
-      result->report.violations.push_back(OracleViolation{
-          "torn-log", "partition " + std::to_string(p) +
-                          ": surviving log image fails to parse cleanly (" +
-                          (parsed.bad_magic ? "bad magic" : "crc mismatch") + ")"});
-    }
+    durable_log[p] = DurableLogFromWal(parsed, p, "surviving log image fails to parse cleanly",
+                                       &result->report);
     if (parsed.valid_bytes != durable_bytes) {
       result->report.violations.push_back(OracleViolation{
           "torn-log", "partition " + std::to_string(p) + ": surviving log replays " +
                           std::to_string(parsed.valid_bytes) + " valid bytes, durable prefix is " +
                           std::to_string(durable_bytes)});
-    }
-    for (const WalRecord& rec : parsed.records) {
-      CommitRecord commit;
-      if (!ParseCommitRecord(rec, &commit)) {
-        result->report.violations.push_back(OracleViolation{
-            "torn-log", "partition " + std::to_string(p) + ": durable record " +
-                            std::to_string(durable_log[p].size()) +
-                            " is not a well-formed commit record"});
-        break;
-      }
-      durable_log[p].push_back(std::move(commit));
     }
   }
 

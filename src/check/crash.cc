@@ -63,6 +63,29 @@ CrashCutReport AnalyzeCrashCut(const History& history, uint64_t cut_seq,
   return cut;
 }
 
+std::vector<CommitRecord> DurableLogFromWal(const WalReadResult& parsed, uint32_t partition,
+                                            const std::string& parse_failure,
+                                            OracleReport* report) {
+  const std::string where = "partition " + std::to_string(partition) + ": ";
+  if (parsed.bad_magic || parsed.crc_mismatch) {
+    report->violations.push_back(OracleViolation{
+        "torn-log", where + parse_failure + " (" +
+                        (parsed.bad_magic ? "bad magic" : "crc mismatch") + ")"});
+  }
+  std::vector<CommitRecord> log;
+  for (const WalRecord& rec : parsed.records) {
+    CommitRecord commit;
+    if (!ParseCommitRecord(rec, &commit)) {
+      report->violations.push_back(OracleViolation{
+          "torn-log", where + "durable record " + std::to_string(log.size()) +
+                          " is not a well-formed commit record"});
+      break;
+    }
+    log.push_back(std::move(commit));
+  }
+  return log;
+}
+
 void CheckCrashRestartHistory(const History& history, const CrashCutReport& cut,
                               const std::vector<std::vector<CommitRecord>>& durable_log,
                               const std::function<uint64_t(uint64_t)>& load_recovered,

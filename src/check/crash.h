@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/check/history.h"
@@ -69,6 +70,15 @@ struct CrashCutReport {
 // with seq <= cut_seq.
 CrashCutReport AnalyzeCrashCut(const History& history, uint64_t cut_seq,
                                uint32_t num_partitions);
+
+// Turns partition `partition`'s parsed WAL into its durable commit-record
+// list. A bad magic or CRC mismatch is a "torn-log" violation reading
+// "partition <p>: <parse_failure> (bad magic|crc mismatch)"; the list stops
+// before the first record that is not a well-formed commit record, also a
+// "torn-log" violation.
+std::vector<CommitRecord> DurableLogFromWal(const WalReadResult& parsed, uint32_t partition,
+                                            const std::string& parse_failure,
+                                            OracleReport* report);
 
 // Runs the crash-restart checks described above. `durable_log[p]` holds
 // the commit records parsed back from partition p's truncated log image;

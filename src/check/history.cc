@@ -15,51 +15,6 @@ History::Tx* History::OpenTx(uint32_t core) {
   return &txs_[it->second];
 }
 
-void History::OnTxBegin(uint32_t core, uint64_t epoch, SimTime now) {
-  // A new attempt may begin while the previous one is still open only if
-  // the previous outcome was never reported (should not happen: AbortSelf
-  // and TxCommit both report). Keep the check strict.
-  TM2C_CHECK_MSG(open_.find(core) == open_.end(), "attempt begun before the previous one ended");
-  Tx tx;
-  tx.core = core;
-  tx.epoch = epoch;
-  tx.begin_time = now;
-  open_[core] = txs_.size();
-  txs_.push_back(std::move(tx));
-}
-
-void History::OnTxRead(uint32_t core, uint64_t addr, uint64_t value) {
-  OpenTx(core)->reads.push_back(Read{addr, value, NextSeq()});
-}
-
-void History::OnTxPersist(uint32_t core, uint64_t addr, uint64_t value) {
-  OpenTx(core)->writes.push_back(Write{addr, value, NextSeq()});
-}
-
-void History::OnTxCommit(uint32_t core, SimTime now) {
-  Tx* tx = OpenTx(core);
-  tx->committed = true;
-  tx->finished = true;
-  tx->end_seq = NextSeq();
-  tx->end_time = now;
-  open_.erase(core);
-}
-
-void History::OnTxAbort(uint32_t core, SimTime now, ConflictKind reason) {
-  Tx* tx = OpenTx(core);
-  tx->committed = false;
-  tx->finished = true;
-  tx->end_seq = NextSeq();
-  tx->abort_reason = reason;
-  tx->end_time = now;
-  open_.erase(core);
-}
-
-void History::OnRevocation(uint32_t service_core, uint32_t victim_core, uint64_t victim_epoch,
-                           ConflictKind kind) {
-  revocations_.push_back(Revocation{NextSeq(), service_core, victim_core, victim_epoch, kind});
-}
-
 namespace {
 // Request ids are per-runtime counters, so the open-acquire key must carry
 // the core too. Ids stay far below 2^48 in any bounded run.
@@ -68,149 +23,142 @@ uint64_t AcquireKey(uint32_t core, uint64_t request_id) {
 }
 }  // namespace
 
-void History::OnAcquireIssue(uint32_t core, uint64_t request_id, uint32_t node, uint32_t n,
-                             bool is_write) {
-  Acquire acq;
-  acq.issue_seq = NextSeq();
-  acq.core = core;
-  acq.request_id = request_id;
-  acq.node = node;
-  acq.n = n;
-  acq.is_write = is_write;
-  const bool inserted = open_acquires_.emplace(AcquireKey(core, request_id), acquires_.size())
-                            .second;
-  TM2C_CHECK_MSG(inserted, "acquire request id reissued while still outstanding");
-  acquires_.push_back(acq);
-}
-
-void History::OnAcquireComplete(uint32_t core, uint64_t request_id, uint32_t granted,
-                                ConflictKind kind) {
-  auto it = open_acquires_.find(AcquireKey(core, request_id));
-  TM2C_CHECK_MSG(it != open_acquires_.end(), "acquire completion without a matching issue");
-  Acquire& acq = acquires_[it->second];
-  acq.complete_seq = NextSeq();
-  acq.granted = granted;
-  acq.kind = kind;
-  open_acquires_.erase(it);
-}
-
-void History::OnWalAppend(uint32_t partition, uint32_t core, uint64_t epoch,
-                          uint64_t record_index,
-                          const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
-  DurabilityEvent ev;
-  ev.kind = DurabilityEvent::Kind::kAppend;
-  ev.seq = NextSeq();
-  ev.partition = partition;
-  ev.core = core;
-  ev.epoch = epoch;
-  ev.record_index = record_index;
-  ev.pairs = pairs;
-  durability_events_.push_back(std::move(ev));
-}
-
-void History::OnCommitLogAck(uint32_t partition, uint32_t core, uint64_t epoch,
-                             uint64_t record_index) {
-  DurabilityEvent ev;
-  ev.kind = DurabilityEvent::Kind::kAck;
-  ev.seq = NextSeq();
-  ev.partition = partition;
-  ev.core = core;
-  ev.epoch = epoch;
-  ev.record_index = record_index;
-  durability_events_.push_back(std::move(ev));
-}
-
-void History::OnWalFlush(uint32_t partition, uint64_t durable_records, uint64_t durable_bytes) {
-  DurabilityEvent ev;
-  ev.kind = DurabilityEvent::Kind::kFlush;
-  ev.seq = NextSeq();
-  ev.partition = partition;
-  ev.durable_records = durable_records;
-  ev.durable_bytes = durable_bytes;
-  durability_events_.push_back(std::move(ev));
-}
-
-void History::OnCheckpoint(uint32_t partition, uint64_t checkpoint_index,
-                           uint64_t records_covered) {
-  DurabilityEvent ev;
-  ev.kind = DurabilityEvent::Kind::kCheckpoint;
-  ev.seq = NextSeq();
-  ev.partition = partition;
-  ev.checkpoint_index = checkpoint_index;
-  ev.records_covered = records_covered;
-  durability_events_.push_back(std::move(ev));
-}
-
-void History::OnWalTruncate(uint32_t partition, uint64_t records_remaining,
-                            uint64_t valid_bytes) {
-  DurabilityEvent ev;
-  ev.kind = DurabilityEvent::Kind::kTruncate;
-  ev.seq = NextSeq();
-  ev.partition = partition;
-  ev.durable_records = records_remaining;
-  ev.durable_bytes = valid_bytes;
-  durability_events_.push_back(std::move(ev));
-}
-
-void History::OnLockGrant(uint32_t service_core, uint32_t requester_core, uint64_t stripe) {
-  grants_.push_back(GrantEvent{NextSeq(), service_core, requester_core, stripe});
-}
-
-void History::OnMigrationBegin(uint32_t from_core, uint32_t to_core, uint64_t base,
-                               uint64_t bytes) {
-  MigrationEvent ev;
-  ev.kind = MigrationEvent::Kind::kBegin;
-  ev.seq = NextSeq();
-  ev.from_core = from_core;
-  ev.to_core = to_core;
-  ev.base = base;
-  ev.bytes = bytes;
-  migrations_.push_back(ev);
-}
-
-void History::OnMigrationComplete(uint32_t from_core, uint32_t to_core, uint64_t base,
-                                  uint64_t bytes, uint64_t version) {
-  MigrationEvent ev;
-  ev.kind = MigrationEvent::Kind::kComplete;
-  ev.seq = NextSeq();
-  ev.from_core = from_core;
-  ev.to_core = to_core;
-  ev.base = base;
-  ev.bytes = bytes;
-  ev.version = version;
-  migrations_.push_back(ev);
-}
-
-namespace {
-const char* DurabilityEventKindName(History::DurabilityEvent::Kind kind) {
-  switch (kind) {
-    case History::DurabilityEvent::Kind::kAppend:
-      return "append";
-    case History::DurabilityEvent::Kind::kAck:
-      return "ack";
-    case History::DurabilityEvent::Kind::kFlush:
-      return "flush";
-    case History::DurabilityEvent::Kind::kCheckpoint:
-      return "checkpoint";
-    case History::DurabilityEvent::Kind::kTruncate:
-      return "truncate";
+void History::OnEvent(const TraceEvent& e) {
+  switch (e.kind) {
+    case TraceKind::kTxBegin: {
+      // A new attempt may begin while the previous one is still open only
+      // if the previous outcome was never reported (should not happen:
+      // AbortSelf and TxCommit both report). Keep the check strict.
+      TM2C_CHECK_MSG(open_.find(e.core) == open_.end(),
+                     "attempt begun before the previous one ended");
+      open_[e.core] = txs_.size();
+      Tx& tx = txs_.emplace_back();
+      tx.core = e.core;
+      tx.epoch = e.w0;
+      tx.begin_time = e.w1;
+      return;
+    }
+    case TraceKind::kTxRead:
+      OpenTx(e.core)->reads.push_back(Read{e.w0, e.w1, NextSeq()});
+      return;
+    case TraceKind::kTxPersist:
+      OpenTx(e.core)->writes.push_back(Write{e.w0, e.w1, NextSeq()});
+      return;
+    case TraceKind::kTxCommit:
+    case TraceKind::kTxAbort: {
+      Tx* tx = OpenTx(e.core);
+      tx->committed = e.kind == TraceKind::kTxCommit;
+      tx->finished = true;
+      tx->end_seq = NextSeq();
+      tx->abort_reason = static_cast<ConflictKind>(e.w1);  // kNone on commit
+      tx->end_time = e.w0;
+      open_.erase(e.core);
+      return;
+    }
+    case TraceKind::kRevocation:
+      revocations_.push_back(Revocation{NextSeq(), e.core, static_cast<uint32_t>(e.w0), e.w1,
+                                        static_cast<ConflictKind>(e.w2)});
+      return;
+    case TraceKind::kAcquireIssue: {
+      Acquire acq;
+      acq.issue_seq = NextSeq();
+      acq.core = e.core;
+      acq.request_id = e.w0;
+      acq.node = static_cast<uint32_t>(e.w1);
+      acq.n = static_cast<uint32_t>(e.w2);
+      acq.is_write = e.w3 != 0;
+      const bool inserted =
+          open_acquires_.emplace(AcquireKey(e.core, e.w0), acquires_.size()).second;
+      TM2C_CHECK_MSG(inserted, "acquire request id reissued while still outstanding");
+      acquires_.push_back(acq);
+      return;
+    }
+    case TraceKind::kAcquireComplete: {
+      auto it = open_acquires_.find(AcquireKey(e.core, e.w0));
+      TM2C_CHECK_MSG(it != open_acquires_.end(), "acquire completion without a matching issue");
+      Acquire& acq = acquires_[it->second];
+      acq.complete_seq = NextSeq();
+      acq.granted = static_cast<uint32_t>(e.w1);
+      acq.kind = static_cast<ConflictKind>(e.w2);
+      open_acquires_.erase(it);
+      return;
+    }
+    case TraceKind::kWalAppend:
+    case TraceKind::kCommitLogAck:
+    case TraceKind::kWalFlush:
+    case TraceKind::kCheckpoint:
+    case TraceKind::kWalTruncate: {
+      DurabilityEvent& ev = durability_events_.emplace_back();
+      ev.seq = NextSeq();
+      ev.partition = e.core;
+      if (e.kind == TraceKind::kWalAppend || e.kind == TraceKind::kCommitLogAck) {
+        ev.kind = e.kind == TraceKind::kWalAppend ? DurabilityEvent::Kind::kAppend
+                                                  : DurabilityEvent::Kind::kAck;
+        ev.core = static_cast<uint32_t>(e.w0);
+        ev.epoch = e.w1;
+        ev.record_index = e.w2;
+        ev.pairs = e.pairs;
+      } else if (e.kind == TraceKind::kCheckpoint) {
+        ev.kind = DurabilityEvent::Kind::kCheckpoint;
+        ev.checkpoint_index = e.w0;
+        ev.records_covered = e.w1;
+      } else {
+        ev.kind = e.kind == TraceKind::kWalFlush ? DurabilityEvent::Kind::kFlush
+                                                 : DurabilityEvent::Kind::kTruncate;
+        ev.durable_records = e.w0;
+        ev.durable_bytes = e.w1;
+      }
+      return;
+    }
+    case TraceKind::kLockGrant:
+      grants_.push_back(GrantEvent{NextSeq(), e.core, static_cast<uint32_t>(e.w0), e.w1});
+      return;
+    case TraceKind::kMigrationBegin:
+    case TraceKind::kMigrationComplete: {
+      MigrationEvent& m = migrations_.emplace_back();
+      m.kind = e.kind == TraceKind::kMigrationBegin ? MigrationEvent::Kind::kBegin
+                                                    : MigrationEvent::Kind::kComplete;
+      m.seq = NextSeq();
+      m.from_core = e.core;
+      m.to_core = static_cast<uint32_t>(e.w0);
+      m.base = e.w1;
+      m.bytes = e.w2;
+      m.version = e.w3;  // 0 on begin
+      return;
+    }
   }
-  return "?";
+  TM2C_FATAL("unknown trace event kind");
 }
-}  // namespace
 
 std::string History::ToJson() const {
   JsonWriter w;
+  // `key`: [{"addr", "value"}, ...] over (addr, value) pairs.
+  auto pair_list = [&w](const char* key, const auto& pairs) {
+    w.Key(key);
+    w.BeginArray();
+    for (const auto& [addr, value] : pairs) {
+      w.BeginObject();
+      w.KV("addr", addr);
+      w.KV("value", value);
+      w.EndObject();
+    }
+    w.EndArray();
+  };
+  // `key`: [{"addr", "value", "seq"}, ...] over a Read or Write list.
+  auto access_list = [&w](const char* key, const auto& accesses) {
+    w.Key(key);
+    w.BeginArray();
+    for (const auto& [addr, value, seq] : accesses) {
+      w.BeginObject();
+      w.KV("addr", addr);
+      w.KV("value", value);
+      w.KV("seq", seq);
+      w.EndObject();
+    }
+    w.EndArray();
+  };
   w.BeginObject();
-  w.Key("initial");
-  w.BeginArray();
-  for (const auto& [addr, value] : initial_) {
-    w.BeginObject();
-    w.KV("addr", addr);
-    w.KV("value", value);
-    w.EndObject();
-  }
-  w.EndArray();
+  pair_list("initial", initial_);
   w.Key("transactions");
   w.BeginArray();
   for (const Tx& tx : txs_) {
@@ -224,26 +172,8 @@ std::string History::ToJson() const {
     if (tx.finished && !tx.committed) {
       w.KV("abort_reason", ConflictKindName(tx.abort_reason));
     }
-    w.Key("reads");
-    w.BeginArray();
-    for (const Read& r : tx.reads) {
-      w.BeginObject();
-      w.KV("addr", r.addr);
-      w.KV("value", r.value);
-      w.KV("seq", r.seq);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.Key("writes");
-    w.BeginArray();
-    for (const Write& wr : tx.writes) {
-      w.BeginObject();
-      w.KV("addr", wr.addr);
-      w.KV("value", wr.value);
-      w.KV("seq", wr.seq);
-      w.EndObject();
-    }
-    w.EndArray();
+    access_list("reads", tx.reads);
+    access_list("writes", tx.writes);
     w.EndObject();
   }
   w.EndArray();
@@ -281,29 +211,19 @@ std::string History::ToJson() const {
   w.BeginArray();
   for (const DurabilityEvent& ev : durability_events_) {
     w.BeginObject();
-    w.KV("kind", DurabilityEventKindName(ev.kind));
+    static const char* const kKindNames[] = {"append", "ack", "flush", "checkpoint", "truncate"};
+    w.KV("kind", kKindNames[static_cast<int>(ev.kind)]);
     w.KV("seq", ev.seq);
     w.KV("partition", static_cast<uint64_t>(ev.partition));
     switch (ev.kind) {
-      case DurabilityEvent::Kind::kAppend: {
-        w.KV("core", static_cast<uint64_t>(ev.core));
-        w.KV("epoch", ev.epoch);
-        w.KV("record_index", ev.record_index);
-        w.Key("pairs");
-        w.BeginArray();
-        for (const auto& [addr, value] : ev.pairs) {
-          w.BeginObject();
-          w.KV("addr", addr);
-          w.KV("value", value);
-          w.EndObject();
-        }
-        w.EndArray();
-        break;
-      }
+      case DurabilityEvent::Kind::kAppend:
       case DurabilityEvent::Kind::kAck:
         w.KV("core", static_cast<uint64_t>(ev.core));
         w.KV("epoch", ev.epoch);
         w.KV("record_index", ev.record_index);
+        if (ev.kind == DurabilityEvent::Kind::kAppend) {
+          pair_list("pairs", ev.pairs);
+        }
         break;
       case DurabilityEvent::Kind::kFlush:
         w.KV("durable_records", ev.durable_records);

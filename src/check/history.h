@@ -122,32 +122,8 @@ class History : public TxTraceSink {
   // event instead of a definition.
   void RecordInitial(uint64_t addr, uint64_t value) { initial_[addr] = value; }
 
-  // TxTraceSink implementation (called by TxRuntime / DtmService).
-  void OnTxBegin(uint32_t core, uint64_t epoch, SimTime now) override;
-  void OnTxRead(uint32_t core, uint64_t addr, uint64_t value) override;
-  void OnTxPersist(uint32_t core, uint64_t addr, uint64_t value) override;
-  void OnTxCommit(uint32_t core, SimTime now) override;
-  void OnTxAbort(uint32_t core, SimTime now, ConflictKind reason) override;
-  void OnRevocation(uint32_t service_core, uint32_t victim_core, uint64_t victim_epoch,
-                    ConflictKind kind) override;
-  void OnAcquireIssue(uint32_t core, uint64_t request_id, uint32_t node, uint32_t n,
-                      bool is_write) override;
-  void OnAcquireComplete(uint32_t core, uint64_t request_id, uint32_t granted,
-                         ConflictKind kind) override;
-  void OnWalAppend(uint32_t partition, uint32_t core, uint64_t epoch, uint64_t record_index,
-                   const std::vector<std::pair<uint64_t, uint64_t>>& pairs) override;
-  void OnCommitLogAck(uint32_t partition, uint32_t core, uint64_t epoch,
-                      uint64_t record_index) override;
-  void OnWalFlush(uint32_t partition, uint64_t durable_records, uint64_t durable_bytes) override;
-  void OnCheckpoint(uint32_t partition, uint64_t checkpoint_index,
-                    uint64_t records_covered) override;
-  void OnWalTruncate(uint32_t partition, uint64_t records_remaining,
-                     uint64_t valid_bytes) override;
-  void OnLockGrant(uint32_t service_core, uint32_t requester_core, uint64_t stripe) override;
-  void OnMigrationBegin(uint32_t from_core, uint32_t to_core, uint64_t base,
-                        uint64_t bytes) override;
-  void OnMigrationComplete(uint32_t from_core, uint32_t to_core, uint64_t base, uint64_t bytes,
-                           uint64_t version) override;
+  // TxTraceSink implementation: files each event into its kind's vector.
+  void OnEvent(const TraceEvent& event) override;
 
   const std::vector<Tx>& transactions() const { return txs_; }
   const std::vector<Revocation>& revocations() const { return revocations_; }

@@ -1,6 +1,5 @@
 #include "src/check/process_kill.h"
 
-#include <utility>
 #include <vector>
 
 #include "src/check/crash.h"
@@ -148,24 +147,9 @@ ProcessKillResult RunProcessKillWorkload(const ProcessKillConfig& cfg) {
       AnalyzeCrashCut(result.history, result.history.num_events(), cfg.num_service);
   std::vector<std::vector<CommitRecord>> durable_log(cfg.num_service);
   for (uint32_t p = 0; p < cfg.num_service; ++p) {
-    const WalReadResult parsed =
-        ReadWalFile(cfg.run_dir + "/part" + std::to_string(p) + ".wal");
-    if (parsed.bad_magic || parsed.crc_mismatch) {
-      result.report.violations.push_back(OracleViolation{
-          "torn-log", "partition " + std::to_string(p) + ": on-disk WAL fails to parse (" +
-                          (parsed.bad_magic ? "bad magic" : "crc mismatch") + ")"});
-    }
-    for (const WalRecord& rec : parsed.records) {
-      CommitRecord commit;
-      if (!ParseCommitRecord(rec, &commit)) {
-        result.report.violations.push_back(OracleViolation{
-            "torn-log", "partition " + std::to_string(p) + ": durable record " +
-                            std::to_string(durable_log[p].size()) +
-                            " is not a well-formed commit record"});
-        break;
-      }
-      durable_log[p].push_back(std::move(commit));
-    }
+    durable_log[p] =
+        DurableLogFromWal(ReadWalFile(cfg.run_dir + "/part" + std::to_string(p) + ".wal"), p,
+                          "on-disk WAL fails to parse", &result.report);
   }
   CheckCrashRestartHistory(
       result.history, cut, durable_log,

@@ -3,7 +3,8 @@
 // The SCC exchanges small MPB-resident messages; TM2C's protocol needs only
 // a type tag, the sender, a few word-sized arguments, and (for multi-address
 // batching and bulk releases) a variable-length list of addresses. The same
-// struct is used by the simulator backend and the std::thread backend.
+// struct is used by every backend; the process backend serializes it with
+// src/runtime/wire.h.
 #ifndef TM2C_SRC_RUNTIME_MESSAGE_H_
 #define TM2C_SRC_RUNTIME_MESSAGE_H_
 
@@ -62,21 +63,11 @@ enum class MsgType : uint8_t {
   kShutdown,  // tells a service core to exit its loop
   kApp,       // application-defined payload
 
-  // Process-backend host frames (src/runtime/process_system.cc). A forked
-  // partition server cannot call into a parent-side TxTraceSink, so its
-  // DtmService trace and stats events are serialized over its socket as
-  // ordinary messages addressed to the host (wire.h's kWireHostDst) and
-  // replayed into the sink by the parent. They never appear in a CoreEnv
-  // inbox on any backend.
-  kTraceWalAppend,      // w0=record index, w1=tx epoch, w2=committing core,
-                        // extra=[addr0, val0, addr1, val1, ...]
-  kTraceCommitLogAck,   // w0=record index, w1=tx epoch, w2=committing core
-  kTraceWalFlush,       // w0=durable records, w1=durable bytes
-  kTraceCheckpoint,     // w0=checkpoint index, w1=records covered
-  kTraceWalTruncate,    // restart recovery: w0=records remaining,
-                        // w1=valid bytes of the reopened log
-  kHostStats,           // partition exit report: extra=[lock table entries,
-                        // DtmServiceStats fields...] (see process_system.cc)
+  // Process-backend host frames (src/runtime/process_system.cc): messages a
+  // partition server addresses to the host itself (wire.h's kWireHostDst).
+  // They never appear in a CoreEnv inbox on any backend.
+  kTraceEvent,  // one TraceEvent, see src/tm/wire_trace.h for the layout
+  kHostStats,   // exit report, see ServiceExitReport in src/tm/dtm_service.h
 };
 
 // Batch protocol (one request/response round trip per responsible node):

@@ -6,6 +6,24 @@
 
 namespace tm2c {
 
+std::vector<uint64_t> ServiceExitReport::Encode() const {
+  std::vector<uint64_t> words{lock_entries};
+  DtmServiceStats::ForEachField(
+      [&](const char*, auto member, FieldMerge) { words.push_back(stats.*member); });
+  return words;
+}
+
+ServiceExitReport ServiceExitReport::Decode(const std::vector<uint64_t>& words) {
+  ServiceExitReport report;
+  TM2C_CHECK_MSG(words.size() == report.Encode().size(),
+                 "partition server exit report missing or malformed");
+  report.lock_entries = words[0];
+  size_t next = 1;
+  DtmServiceStats::ForEachField(
+      [&](const char*, auto member, FieldMerge) { report.stats.*member = words[next++]; });
+  return report;
+}
+
 DtmService::DtmService(CoreEnv& env, const TmConfig& config, const AddressMap* map)
     : env_(env), config_(config), map_(map), cm_(MakeContentionManager(config.cm)) {}
 

@@ -20,28 +20,55 @@
 #include "src/runtime/core_env.h"
 #include "src/tm/address_map.h"
 #include "src/tm/config.h"
+#include "src/tm/stats.h"
 #include "src/tm/trace.h"
 
 namespace tm2c {
 
 class PartitionDurability;
 
+// The DtmServiceStats table (see src/tm/stats.h): X(name), every field a
+// summed uint64_t counter.
+#define TM2C_DTM_SERVICE_STATS_FIELDS(X)                                \
+  X(requests)                                                           \
+  X(releases)                                                           \
+  X(notifications_sent)                                                 \
+  X(stale_requests_refused)                                             \
+  X(batch_requests)          /* kBatchAcquire messages served */        \
+  X(batch_entries)           /* addresses across those batches */       \
+  X(misrouted_refused)       /* batch entries outside this partition */ \
+  X(local_direct_requests)   /* owner-local fast-path span calls */     \
+  X(local_direct_entries)    /* stripes across those spans */           \
+  X(commit_records)          /* kCommitLog records appended */          \
+  X(log_flushes)             /* group-commit flushes performed */       \
+  X(migrations_started)      /* drain windows opened on this core */    \
+  X(migrations_completed)    /* directory flips performed */            \
+  X(migrating_refused)       /* acquires refused: range draining */     \
+  X(overload_refused)        /* acquires refused: inbox high water */
+
 struct DtmServiceStats {
-  uint64_t requests = 0;
-  uint64_t releases = 0;
-  uint64_t notifications_sent = 0;
-  uint64_t stale_requests_refused = 0;
-  uint64_t batch_requests = 0;       // kBatchAcquire messages served
-  uint64_t batch_entries = 0;        // addresses across those batches
-  uint64_t misrouted_refused = 0;    // batch entries outside this partition
-  uint64_t local_direct_requests = 0;  // owner-local fast-path span calls
-  uint64_t local_direct_entries = 0;   // stripes across those spans
-  uint64_t commit_records = 0;         // kCommitLog records appended
-  uint64_t log_flushes = 0;            // group-commit flushes performed
-  uint64_t migrations_started = 0;     // drain windows opened on this core
-  uint64_t migrations_completed = 0;   // directory flips performed
-  uint64_t migrating_refused = 0;      // acquires refused: range draining
-  uint64_t overload_refused = 0;       // acquires refused: inbox high water
+#define TM2C_DECLARE_FIELD(name) uint64_t name = 0;
+  TM2C_DTM_SERVICE_STATS_FIELDS(TM2C_DECLARE_FIELD)
+#undef TM2C_DECLARE_FIELD
+
+  template <typename F>
+  static void ForEachField(F&& f) {
+#define TM2C_VISIT_FIELD(name) f(#name, &DtmServiceStats::name, FieldMerge::kSum);
+    TM2C_DTM_SERVICE_STATS_FIELDS(TM2C_VISIT_FIELD)
+#undef TM2C_VISIT_FIELD
+  }
+};
+
+// A partition server's parting report on the process backend, carried as
+// the extra words of a kHostStats frame: the lock table's final occupancy,
+// then every DtmServiceStats field in table order.
+struct ServiceExitReport {
+  uint64_t lock_entries = 0;
+  DtmServiceStats stats;
+
+  std::vector<uint64_t> Encode() const;
+  // CHECK-fails unless `words` holds exactly one encoded report.
+  static ServiceExitReport Decode(const std::vector<uint64_t>& words);
 };
 
 class DtmService {

@@ -171,66 +171,22 @@ void TmSystem::WireProcessBackend() {
     }
   });
 
-  // The child's parting report: lock-table occupancy first (the host-side
-  // AllLockTablesEmpty source of truth), then every DtmServiceStats field
-  // in declaration order (see ServiceStats for the mirror decode).
+  // The child's parting report (the host-side ServiceStats and
+  // AllLockTablesEmpty source of truth).
   proc->SetChildExitReport([this](uint32_t partition) {
     const DtmService& svc = *services_[partition];
-    const DtmServiceStats& s = svc.stats();
     Message msg;
     msg.type = MsgType::kHostStats;
-    msg.extra = {static_cast<uint64_t>(svc.lock_table().NumEntries()),
-                 s.requests,
-                 s.releases,
-                 s.notifications_sent,
-                 s.stale_requests_refused,
-                 s.batch_requests,
-                 s.batch_entries,
-                 s.misrouted_refused,
-                 s.local_direct_requests,
-                 s.local_direct_entries,
-                 s.commit_records,
-                 s.log_flushes,
-                 s.migrations_started,
-                 s.migrations_completed,
-                 s.migrating_refused,
-                 s.overload_refused};
+    msg.extra = ServiceExitReport{svc.lock_table().NumEntries(), svc.stats()}.Encode();
     return msg;
   });
 
-  // Server-side durability events arriving as kTrace* frames, replayed
+  // Server-side durability events arriving as kTraceEvent frames, replayed
   // into the attached sink on the partition's router thread (AttachTrace
   // requires a MutexTraceSink here for exactly this reason).
-  proc->SetHostFrameHandler([this](uint32_t partition, const Message& msg) {
-    TxTraceSink* sink = attached_trace_;
-    if (sink == nullptr) {
-      return;
-    }
-    switch (msg.type) {
-      case MsgType::kTraceWalAppend: {
-        TM2C_CHECK(msg.extra.size() % 2 == 0);
-        std::vector<std::pair<uint64_t, uint64_t>> pairs;
-        pairs.reserve(msg.extra.size() / 2);
-        for (size_t i = 0; i + 1 < msg.extra.size(); i += 2) {
-          pairs.emplace_back(msg.extra[i], msg.extra[i + 1]);
-        }
-        sink->OnWalAppend(partition, static_cast<uint32_t>(msg.w2), msg.w1, msg.w0, pairs);
-        break;
-      }
-      case MsgType::kTraceCommitLogAck:
-        sink->OnCommitLogAck(partition, static_cast<uint32_t>(msg.w2), msg.w1, msg.w0);
-        break;
-      case MsgType::kTraceWalFlush:
-        sink->OnWalFlush(partition, msg.w0, msg.w1);
-        break;
-      case MsgType::kTraceCheckpoint:
-        sink->OnCheckpoint(partition, msg.w0, msg.w1);
-        break;
-      case MsgType::kTraceWalTruncate:
-        sink->OnWalTruncate(partition, msg.w0, msg.w1);
-        break;
-      default:
-        TM2C_FATAL("unexpected host-bound frame type");
+  proc->SetHostFrameHandler([this](uint32_t, const Message& msg) {
+    if (attached_trace_ != nullptr) {
+      attached_trace_->OnEvent(TraceEventFromMessage(msg));
     }
   });
 }
@@ -280,7 +236,7 @@ void TmSystem::AttachTrace(TxTraceSink* trace) {
   }
   // Under processes this reaches only the host's pre-fork service images;
   // the child-start hook replaces each child's sink with a WireTraceSink
-  // whose events come back as kTrace* frames (see WireProcessBackend).
+  // whose events come back as kTraceEvent frames (see WireProcessBackend).
   for (auto& service : services_) {
     service->set_trace(trace);
   }
@@ -341,27 +297,7 @@ DtmServiceStats TmSystem::ServiceStats(uint32_t partition) const {
     return services_[partition]->stats();
   }
   auto* proc = static_cast<ProcessSystem*>(system_.get());
-  const std::vector<uint64_t> report = proc->host_stats(partition);
-  // Layout built by the child-exit-report hook: [lock-table entries,
-  // then DtmServiceStats fields in declaration order].
-  TM2C_CHECK_MSG(report.size() == 16, "partition server exit report missing or malformed");
-  DtmServiceStats s;
-  s.requests = report[1];
-  s.releases = report[2];
-  s.notifications_sent = report[3];
-  s.stale_requests_refused = report[4];
-  s.batch_requests = report[5];
-  s.batch_entries = report[6];
-  s.misrouted_refused = report[7];
-  s.local_direct_requests = report[8];
-  s.local_direct_entries = report[9];
-  s.commit_records = report[10];
-  s.log_flushes = report[11];
-  s.migrations_started = report[12];
-  s.migrations_completed = report[13];
-  s.migrating_refused = report[14];
-  s.overload_refused = report[15];
-  return s;
+  return ServiceExitReport::Decode(proc->host_stats(partition)).stats;
 }
 
 const TxStats& TmSystem::AppStats(uint32_t app_index) const {
@@ -390,7 +326,7 @@ bool TmSystem::AllLockTablesEmpty() const {
     auto* proc = static_cast<ProcessSystem*>(system_.get());
     for (uint32_t p = 0; p < system_->deployment().num_service(); ++p) {
       const std::vector<uint64_t> report = proc->host_stats(p);
-      if (report.empty() || report[0] != 0) {
+      if (report.empty() || ServiceExitReport::Decode(report).lock_entries != 0) {
         return false;
       }
     }

@@ -1,12 +1,13 @@
 // Top-level convenience wiring: a many-core running TM2C.
 //
 // TmSystem builds the selected runtime backend — the deterministic
-// simulator (BackendKind::kSim, the default) or real OS threads over
-// lock-free SPSC channels (BackendKind::kThreads) — installs a DtmService
-// on every service core (dedicated deployment) or on every core
+// simulator (BackendKind::kSim, the default), real OS threads over
+// lock-free SPSC channels (BackendKind::kThreads), or partition-server
+// processes over Unix sockets (BackendKind::kProcesses) — installs a
+// DtmService on every service core (dedicated deployment) or on every core
 // (multitasked), and gives each application core a TxRuntime. Benchmarks
 // and examples only provide per-app-core bodies; the same body code runs
-// unmodified on either backend.
+// unmodified on every backend.
 #ifndef TM2C_SRC_TM_TM_SYSTEM_H_
 #define TM2C_SRC_TM_TM_SYSTEM_H_
 
@@ -28,9 +29,9 @@
 namespace tm2c {
 
 struct TmSystemConfig {
-  // Topology, platform, deployment and sizing — shared by both backends
-  // (the thread backend uses platform/num_cores/num_service/strategy/
-  // shmem_bytes and ignores the simulation-only knobs).
+  // Topology, platform, deployment and sizing — shared by every backend
+  // (threads and processes use platform/num_cores/num_service/strategy/
+  // shmem_bytes and ignore the simulation-only knobs).
   SimSystemConfig sim;
   TmConfig tm;
 
@@ -81,7 +82,7 @@ class TmSystem {
   // Simulator: any sink. Process backend: the sink MUST be wrapped in a
   // MutexTraceSink (app threads and partition routers feed it
   // concurrently); partition-server durability events arrive over the
-  // sockets as kTrace* frames and are replayed into it here. Thread
+  // sockets as kTraceEvent frames and are replayed into it here. Thread
   // backend: unsupported (no per-event ordering to preserve them with).
   void AttachTrace(TxTraceSink* trace);
 

@@ -1,13 +1,13 @@
-// Execution-trace hook for the verification subsystem (src/check/).
+// Execution-trace stream for the verification subsystem (src/check/).
 //
-// TxRuntime and DtmService call into an optional TxTraceSink at the
-// semantically meaningful instants of the protocol: attempt begin, each
-// shared-memory read with the observed value, each commit-time persist,
-// the commit/abort outcome, and service-side revocations. The sink is
-// defined here (tm layer) so the tm code does not depend on src/check/;
-// the concrete recorder (check::History) implements this interface.
+// TxRuntime, DtmService and PartitionDurability report each semantically
+// meaningful instant of the protocol as one TraceEvent record (see
+// TraceKind). A sink implements the single OnEvent; the typed OnTxBegin(...)
+// … OnMigrationComplete(...) emitters only build the record. The sink lives
+// here (tm layer) so the tm code does not depend on src/check/, whose
+// History implements it.
 //
-// The hooks are fully ordered only under the deterministic single-threaded
+// The events are fully ordered only under the deterministic single-threaded
 // simulator backend: the recorder relies on call order being the real
 // execution order. Do not attach a bare sink under the std::thread
 // backend. The process backend records *durability* events through a
@@ -27,196 +27,144 @@
 
 namespace tm2c {
 
+// What happened, and how TraceEvent's `core` and w0..w3 carry its fields.
+// Times are SimTime; ConflictKinds travel as their integer value.
+enum class TraceKind : uint8_t {
+  // Transaction attempts on `core`.
+  kTxBegin,    // w0 epoch, w1 start time
+  kTxRead,     // w0 addr read from shared memory, w1 value observed. Buffered
+               // (read-own-write) and cached re-reads carry no new
+               // information about the shared state and are not reported.
+  kTxPersist,  // w0 addr, w1 value stored at commit: per word, in store
+               // order, at the instant of the actual store
+  kTxCommit,   // w0 end time
+  kTxAbort,    // w0 end time, w1 ConflictKind reason
+  // The DTM service on `core` revoked the locks of (w0 victim core, w1
+  // victim epoch) on w2 ConflictKind. Recorded even when a planted fault
+  // suppresses the delivery of the revocation to the victim.
+  kRevocation,
+  // Pipelined acquisition by the attempt on `core`: issue and completion
+  // are separate events because pipelining (TmConfig::pipeline_depth > 1)
+  // keeps several requests outstanding at once, and the oracle must see
+  // that window. Owner-local fast-path spans complete at their issue instant.
+  kAcquireIssue,     // w0 request id, w1 node, w2 stripes, w3 1 for write locks
+  kAcquireComplete,  // w0 request id, w1 stripes granted, w2 refusal's
+                     // ConflictKind (kNone when fully granted)
+  // Durability (src/durability/), `core` = partition: the crash-restart
+  // oracle rebuilds per-partition durable watermarks from these.
+  kWalAppend,     // w0 core, w1 epoch, w2 record index; `pairs` = write set
+  kCommitLogAck,  // w0 core, w1 epoch, w2 record index acked to the
+                  // committer: after the covering flush, unless the planted
+                  // FaultMode::kAckBeforeLogFlush inverts the order
+  kWalFlush,      // w0 durable records, w1 durable bytes after the flush
+  kCheckpoint,    // w0 checkpoint index, w1 records covered
+  kWalTruncate,   // restart recovery kept w0 records / w1 bytes; appends
+                  // beyond them were lost with the dead process
+  // Migration oracle inputs, `core` = reporting service. A grant by a core
+  // draining the stripe's range, or no longer owning it, is the violation
+  // the planted kGrantDuringMigration fault manufactures.
+  kLockGrant,          // w0 requester core, w1 stripe (one per granted stripe)
+  kMigrationBegin,     // drain of [w1, w1 + w2) towards w0 target core began
+  kMigrationComplete,  // as kMigrationBegin, w3 directory version after the flip
+};
+
+// The five kinds a partition server forwards to the host over its socket.
+inline bool IsDurabilityEvent(TraceKind kind) {
+  return kind >= TraceKind::kWalAppend && kind <= TraceKind::kWalTruncate;
+}
+
+struct TraceEvent {
+  TraceKind kind = TraceKind::kTxBegin;
+  uint32_t core = 0;  // reporting core; the partition for durability kinds
+  uint64_t w0 = 0;
+  uint64_t w1 = 0;
+  uint64_t w2 = 0;
+  uint64_t w3 = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;  // kWalAppend: [addr, value]
+};
+
 class TxTraceSink {
  public:
   virtual ~TxTraceSink() = default;
 
-  // A transaction attempt started on `core` with the given epoch.
-  virtual void OnTxBegin(uint32_t core, uint64_t epoch, SimTime now) = 0;
+  virtual void OnEvent(const TraceEvent& event) = 0;
 
-  // The running attempt on `core` read `addr` from shared memory and
-  // observed `value`. Buffered (read-own-write) and cached re-reads are not
-  // reported: they carry no new information about the shared state.
-  virtual void OnTxRead(uint32_t core, uint64_t addr, uint64_t value) = 0;
-
-  // The committing attempt on `core` persisted `value` to `addr`. Reported
-  // per word, in store order, at the instant of the actual store.
-  virtual void OnTxPersist(uint32_t core, uint64_t addr, uint64_t value) = 0;
-
-  // Outcome of the attempt on `core`.
-  virtual void OnTxCommit(uint32_t core, SimTime now) = 0;
-  virtual void OnTxAbort(uint32_t core, SimTime now, ConflictKind reason) = 0;
-
-  // The DTM service on `service_core` revoked the locks of the attempt
-  // (victim_core, victim_epoch). Recorded even when a planted fault
-  // suppresses the delivery of the revocation to the victim.
-  virtual void OnRevocation(uint32_t service_core, uint32_t victim_core, uint64_t victim_epoch,
-                            ConflictKind kind) = 0;
-
-  // Pipelined acquisition visibility: the attempt on `core` issued a batch
-  // acquisition of `n` stripes (request `request_id`) towards `node`, and
-  // later completed it with `granted` stripes (refusal kind `kind`, kNone
-  // when fully granted). Issue and completion are separate events because
-  // pipelining (TmConfig::pipeline_depth > 1) widens the schedule space
-  // between them — the oracle must see requests outstanding concurrently.
-  // Owner-local fast-path spans complete at their issue instant. Default
-  // no-ops so existing sinks observe the protocol unchanged.
-  virtual void OnAcquireIssue(uint32_t core, uint64_t request_id, uint32_t node, uint32_t n,
-                              bool is_write) {
-    (void)core, (void)request_id, (void)node, (void)n, (void)is_write;
+  // Typed emitters, one per TraceKind (see there for the meaning).
+  void OnTxBegin(uint32_t core, uint64_t epoch, SimTime now) {
+    Emit(TraceKind::kTxBegin, core, epoch, now);
   }
-  virtual void OnAcquireComplete(uint32_t core, uint64_t request_id, uint32_t granted,
-                                 ConflictKind kind) {
-    (void)core, (void)request_id, (void)granted, (void)kind;
+  void OnTxRead(uint32_t core, uint64_t addr, uint64_t value) {
+    Emit(TraceKind::kTxRead, core, addr, value);
   }
-
-  // Durability visibility (src/durability/): the crash-restart oracle
-  // reconstructs per-partition durable watermarks from these events.
-  // Default no-ops so durability-off runs record identical histories.
-  //
-  // The service appended (core, epoch)'s write set as log record
-  // `record_index` of `partition`.
-  virtual void OnWalAppend(uint32_t partition, uint32_t core, uint64_t epoch,
-                           uint64_t record_index,
-                           const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
-    (void)partition, (void)core, (void)epoch, (void)record_index, (void)pairs;
+  void OnTxPersist(uint32_t core, uint64_t addr, uint64_t value) {
+    Emit(TraceKind::kTxPersist, core, addr, value);
   }
-  // The service acknowledged record `record_index` back to the committer.
-  // With a correct protocol this happens only after the covering flush;
-  // FaultMode::kAckBeforeLogFlush inverts the order.
-  virtual void OnCommitLogAck(uint32_t partition, uint32_t core, uint64_t epoch,
-                              uint64_t record_index) {
-    (void)partition, (void)core, (void)epoch, (void)record_index;
+  void OnTxCommit(uint32_t core, SimTime now) { Emit(TraceKind::kTxCommit, core, now); }
+  void OnTxAbort(uint32_t core, SimTime now, ConflictKind reason) {
+    Emit(TraceKind::kTxAbort, core, now, static_cast<uint64_t>(reason));
   }
-  // The group-commit flush advanced `partition`'s durable watermark.
-  virtual void OnWalFlush(uint32_t partition, uint64_t durable_records,
-                          uint64_t durable_bytes) {
-    (void)partition, (void)durable_records, (void)durable_bytes;
+  void OnRevocation(uint32_t service_core, uint32_t victim_core, uint64_t victim_epoch,
+                    ConflictKind kind) {
+    Emit(TraceKind::kRevocation, service_core, victim_core, victim_epoch,
+         static_cast<uint64_t>(kind));
   }
-  // A periodic checkpoint covering the first `records_covered` records.
-  virtual void OnCheckpoint(uint32_t partition, uint64_t checkpoint_index,
-                            uint64_t records_covered) {
-    (void)partition, (void)checkpoint_index, (void)records_covered;
+  void OnAcquireIssue(uint32_t core, uint64_t request_id, uint32_t node, uint32_t n,
+                      bool is_write) {
+    Emit(TraceKind::kAcquireIssue, core, request_id, node, n, is_write ? 1 : 0);
   }
-  // A restarted partition server truncated its WAL back to the valid
-  // prefix: `records_remaining` records / `valid_bytes` bytes survive;
-  // appends beyond them were legitimately lost with the dead process.
-  virtual void OnWalTruncate(uint32_t partition, uint64_t records_remaining,
-                             uint64_t valid_bytes) {
-    (void)partition, (void)records_remaining, (void)valid_bytes;
+  void OnAcquireComplete(uint32_t core, uint64_t request_id, uint32_t granted,
+                         ConflictKind kind) {
+    Emit(TraceKind::kAcquireComplete, core, request_id, granted, static_cast<uint64_t>(kind));
+  }
+  void OnWalAppend(uint32_t partition, uint32_t core, uint64_t epoch, uint64_t record_index,
+                   const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
+    OnEvent(TraceEvent{TraceKind::kWalAppend, partition, core, epoch, record_index, 0, pairs});
+  }
+  void OnCommitLogAck(uint32_t partition, uint32_t core, uint64_t epoch, uint64_t record_index) {
+    Emit(TraceKind::kCommitLogAck, partition, core, epoch, record_index);
+  }
+  void OnWalFlush(uint32_t partition, uint64_t durable_records, uint64_t durable_bytes) {
+    Emit(TraceKind::kWalFlush, partition, durable_records, durable_bytes);
+  }
+  void OnCheckpoint(uint32_t partition, uint64_t checkpoint_index, uint64_t records_covered) {
+    Emit(TraceKind::kCheckpoint, partition, checkpoint_index, records_covered);
+  }
+  void OnWalTruncate(uint32_t partition, uint64_t records_remaining, uint64_t valid_bytes) {
+    Emit(TraceKind::kWalTruncate, partition, records_remaining, valid_bytes);
+  }
+  void OnLockGrant(uint32_t service_core, uint32_t requester_core, uint64_t stripe) {
+    Emit(TraceKind::kLockGrant, service_core, requester_core, stripe);
+  }
+  void OnMigrationBegin(uint32_t from_core, uint32_t to_core, uint64_t base, uint64_t bytes) {
+    Emit(TraceKind::kMigrationBegin, from_core, to_core, base, bytes);
+  }
+  void OnMigrationComplete(uint32_t from_core, uint32_t to_core, uint64_t base, uint64_t bytes,
+                           uint64_t version) {
+    Emit(TraceKind::kMigrationComplete, from_core, to_core, base, bytes, version);
   }
 
-  // Migration visibility (the migration oracle's inputs; default no-ops so
-  // migration-free runs record identical histories).
-  //
-  // The service on `service_core` granted `requester_core` a lock on
-  // `stripe` (scalar, batch entry, or local span entry — one event per
-  // granted stripe). The migration oracle cross-checks each grant against
-  // the drain windows and the ownership directory: a grant by a core that
-  // is draining the stripe's range, or by a core that no longer owns it,
-  // is the violation the planted kGrantDuringMigration fault manufactures.
-  virtual void OnLockGrant(uint32_t service_core, uint32_t requester_core, uint64_t stripe) {
-    (void)service_core, (void)requester_core, (void)stripe;
-  }
-  // The service on `from_core` began draining [base, base + bytes) for
-  // migration towards `to_core`'s partition.
-  virtual void OnMigrationBegin(uint32_t from_core, uint32_t to_core, uint64_t base,
-                                uint64_t bytes) {
-    (void)from_core, (void)to_core, (void)base, (void)bytes;
-  }
-  // The drain finished and the ownership directory flipped to `to_core`'s
-  // partition at directory version `version`.
-  virtual void OnMigrationComplete(uint32_t from_core, uint32_t to_core, uint64_t base,
-                                   uint64_t bytes, uint64_t version) {
-    (void)from_core, (void)to_core, (void)base, (void)bytes, (void)version;
+ private:
+  void Emit(TraceKind kind, uint32_t core, uint64_t w0, uint64_t w1 = 0, uint64_t w2 = 0,
+            uint64_t w3 = 0) {
+    OnEvent(TraceEvent{kind, core, w0, w1, w2, w3, {}});
   }
 };
 
-// Serializes concurrent hook calls onto an underlying sink with one mutex.
-// The process backend's app threads and partition-router threads all feed
-// the same History; this wrapper makes each event atomic and assigns it
-// one global sequence position. Cross-thread event order is whatever the
-// lock arbitration yields — fine for the crash-restart oracle (which only
-// needs per-partition durability order and per-core transaction order,
-// both preserved by their single-threaded sources), NOT fine for the
+// Serializes concurrent events onto an underlying sink with one mutex. The
+// process backend's app threads and partition-router threads all feed the
+// same History; this wrapper makes each event atomic and assigns it one
+// global sequence position. Cross-thread event order is whatever the lock
+// arbitration yields — fine for the crash-restart oracle (which only needs
+// per-partition durability order and per-core transaction order, both
+// preserved by their single-threaded sources), NOT fine for the
 // serializability oracle (which needs the simulator's total order).
 class MutexTraceSink : public TxTraceSink {
  public:
   explicit MutexTraceSink(TxTraceSink* wrapped) : wrapped_(wrapped) {}
 
-  void OnTxBegin(uint32_t core, uint64_t epoch, SimTime now) override {
+  void OnEvent(const TraceEvent& event) override {
     std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnTxBegin(core, epoch, now);
-  }
-  void OnTxRead(uint32_t core, uint64_t addr, uint64_t value) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnTxRead(core, addr, value);
-  }
-  void OnTxPersist(uint32_t core, uint64_t addr, uint64_t value) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnTxPersist(core, addr, value);
-  }
-  void OnTxCommit(uint32_t core, SimTime now) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnTxCommit(core, now);
-  }
-  void OnTxAbort(uint32_t core, SimTime now, ConflictKind reason) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnTxAbort(core, now, reason);
-  }
-  void OnRevocation(uint32_t service_core, uint32_t victim_core, uint64_t victim_epoch,
-                    ConflictKind kind) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnRevocation(service_core, victim_core, victim_epoch, kind);
-  }
-  void OnAcquireIssue(uint32_t core, uint64_t request_id, uint32_t node, uint32_t n,
-                      bool is_write) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnAcquireIssue(core, request_id, node, n, is_write);
-  }
-  void OnAcquireComplete(uint32_t core, uint64_t request_id, uint32_t granted,
-                         ConflictKind kind) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnAcquireComplete(core, request_id, granted, kind);
-  }
-  void OnWalAppend(uint32_t partition, uint32_t core, uint64_t epoch, uint64_t record_index,
-                   const std::vector<std::pair<uint64_t, uint64_t>>& pairs) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnWalAppend(partition, core, epoch, record_index, pairs);
-  }
-  void OnCommitLogAck(uint32_t partition, uint32_t core, uint64_t epoch,
-                      uint64_t record_index) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnCommitLogAck(partition, core, epoch, record_index);
-  }
-  void OnWalFlush(uint32_t partition, uint64_t durable_records,
-                  uint64_t durable_bytes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnWalFlush(partition, durable_records, durable_bytes);
-  }
-  void OnCheckpoint(uint32_t partition, uint64_t checkpoint_index,
-                    uint64_t records_covered) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnCheckpoint(partition, checkpoint_index, records_covered);
-  }
-  void OnWalTruncate(uint32_t partition, uint64_t records_remaining,
-                     uint64_t valid_bytes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnWalTruncate(partition, records_remaining, valid_bytes);
-  }
-  void OnLockGrant(uint32_t service_core, uint32_t requester_core, uint64_t stripe) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnLockGrant(service_core, requester_core, stripe);
-  }
-  void OnMigrationBegin(uint32_t from_core, uint32_t to_core, uint64_t base,
-                        uint64_t bytes) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnMigrationBegin(from_core, to_core, base, bytes);
-  }
-  void OnMigrationComplete(uint32_t from_core, uint32_t to_core, uint64_t base, uint64_t bytes,
-                           uint64_t version) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnMigrationComplete(from_core, to_core, base, bytes, version);
+    wrapped_->OnEvent(event);
   }
 
  private:

@@ -537,5 +537,37 @@ TEST(DtmService, EarlyReadReleaseDropsSingleLock) {
   EXPECT_TRUE(h.service().lock_table().HasReader(0x908, 1));
 }
 
+// The process backend's exit report is the only source of a partition
+// server's counters, so every field must come back in its own slot: with a
+// distinct value per field, two swapped slots would fail the comparison.
+ServiceExitReport DistinctReport() {
+  ServiceExitReport report;
+  report.lock_entries = 7;
+  uint64_t value = 100;
+  DtmServiceStats::ForEachField(
+      [&](const char*, auto member, FieldMerge) { report.stats.*member = value++; });
+  return report;
+}
+
+TEST(ServiceExitReport, RoundTripsEveryField) {
+  const ServiceExitReport sent = DistinctReport();
+  const std::vector<uint64_t> words = sent.Encode();
+  size_t fields = 0;
+  DtmServiceStats::ForEachField([&](const char*, auto, FieldMerge) { ++fields; });
+  EXPECT_EQ(fields * sizeof(uint64_t), sizeof(DtmServiceStats));  // no field outside the table
+  ASSERT_EQ(words.size(), 1 + fields);
+  const ServiceExitReport got = ServiceExitReport::Decode(words);
+  EXPECT_EQ(got.lock_entries, sent.lock_entries);
+  const char* differs = FirstDifferingField(got.stats, sent.stats);
+  EXPECT_EQ(differs, nullptr) << "first differing field: " << (differs ? differs : "");
+}
+
+TEST(ServiceExitReportDeathTest, ReportOneWordShortIsMalformed) {
+  std::vector<uint64_t> words = DistinctReport().Encode();
+  words.pop_back();
+  EXPECT_DEATH(ServiceExitReport::Decode(words), "malformed");
+  EXPECT_DEATH(ServiceExitReport::Decode({}), "malformed");
+}
+
 }  // namespace
 }  // namespace tm2c

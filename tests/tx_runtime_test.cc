@@ -1,6 +1,9 @@
 // Behavioural tests of the transaction runtime on top of TmSystem.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "src/tm/tm_system.h"
 
 namespace tm2c {
@@ -273,29 +276,43 @@ TEST(TxRuntime, PrivatizationBarrierReusableAcrossGenerations) {
   }
 }
 
-// Field-by-field equality for the max_batch=1 identity test below.
+// Whole-value equality for the max_batch=1 identity test below, through the
+// table-generated operator==, naming the first differing field.
 void ExpectStatsIdentical(const TxStats& a, const TxStats& b) {
-  EXPECT_EQ(a.commits, b.commits);
-  EXPECT_EQ(a.aborts, b.aborts);
-  EXPECT_EQ(a.raw_conflicts, b.raw_conflicts);
-  EXPECT_EQ(a.waw_conflicts, b.waw_conflicts);
-  EXPECT_EQ(a.war_conflicts, b.war_conflicts);
-  EXPECT_EQ(a.notify_aborts, b.notify_aborts);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.early_releases, b.early_releases);
-  EXPECT_EQ(a.validation_failures, b.validation_failures);
-  EXPECT_EQ(a.busy_time, b.busy_time);
-  EXPECT_EQ(a.max_attempts_per_tx, b.max_attempts_per_tx);
-  EXPECT_EQ(a.lock_acquires, b.lock_acquires);
-  EXPECT_EQ(a.batch_messages, b.batch_messages);
-  EXPECT_EQ(a.acquire_time, b.acquire_time);
-  EXPECT_EQ(a.local_acquires, b.local_acquires);
-  EXPECT_EQ(a.remote_acquires, b.remote_acquires);
-  for (size_t i = 0; i < a.inflight_depth_hist.size(); ++i) {
-    EXPECT_EQ(a.inflight_depth_hist[i], b.inflight_depth_hist[i]) << "depth bucket " << i;
-  }
+  const char* differs = FirstDifferingField(a, b);
+  EXPECT_TRUE(a == b) << "first differing field: " << (differs ? differs : "");
+}
+
+// Calls `check(name, changed)` once per single-word perturbation of `base`:
+// every scalar field, and every bucket of the histogram, bumped by one.
+template <typename F>
+void ForEachOneWordChange(const TxStats& base, F&& check) {
+  TxStats::ForEachField([&](const char* name, auto member, FieldMerge) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(base.*member)>, uint64_t>) {
+      TxStats changed = base;
+      ++(changed.*member);
+      check(name, changed);
+    } else {
+      for (size_t i = 0; i < (base.*member).size(); ++i) {
+        TxStats changed = base;
+        ++(changed.*member)[i];
+        check(name, changed);
+      }
+    }
+  });
+}
+
+// Every word of every table field set to `value`.
+TxStats EveryWord(uint64_t value) {
+  TxStats s;
+  TxStats::ForEachField([&](const char*, auto member, FieldMerge) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(s.*member)>, uint64_t>) {
+      s.*member = value;
+    } else {
+      (s.*member).fill(value);
+    }
+  });
+  return s;
 }
 
 // The determinism regressions compare whole TxStats values, so equality and
@@ -324,6 +341,17 @@ TEST(TxStatsValue, EqualityDistinguishesPipelineFields) {
   hist_differs.inflight_depth_hist[0] = 9;
   hist_differs.inflight_depth_hist[3] = 1;
   EXPECT_TRUE(base != hist_differs);
+
+  // Every field of the table, alone, breaks equality and is named.
+  size_t changes = 0;
+  ForEachOneWordChange(base, [&](const char* name, const TxStats& changed) {
+    ++changes;
+    EXPECT_TRUE(base != changed) << name;
+    const char* differs = FirstDifferingField(base, changed);
+    EXPECT_STREQ(differs ? differs : "", name);
+  });
+  // One change per word: no member lives outside the table.
+  EXPECT_EQ(changes * sizeof(uint64_t), sizeof(TxStats));
 }
 
 TEST(TxStatsValue, MergeSumsPipelineFieldsAndKeepsMaxAttempts) {
@@ -352,6 +380,17 @@ TEST(TxStatsValue, MergeSumsPipelineFieldsAndKeepsMaxAttempts) {
   EXPECT_EQ(a.inflight_depth_hist[2], 4u);
   EXPECT_EQ(a.inflight_depth_hist[7], 2u);
   EXPECT_EQ(a.max_attempts_per_tx, 4u);  // max, not sum
+
+  // Every field of the table: merging all-5s into all-3s sums to 8, except
+  // max_attempts_per_tx, which keeps 5.
+  TxStats merged = EveryWord(3);
+  merged.Merge(EveryWord(5));
+  TxStats::ForEachField([&](const char* name, auto member, FieldMerge how) {
+    const bool is_max = std::string(name) == "max_attempts_per_tx";
+    EXPECT_EQ(how == FieldMerge::kMax, is_max) << name;
+    const TxStats want = EveryWord(is_max ? 5 : 8);
+    EXPECT_TRUE(merged.*member == want.*member) << name;
+  });
 }
 
 // Shared multi-address workload: every core runs transactions that touch
