@@ -4,6 +4,55 @@
 
 namespace tm2c {
 
+size_t LockTable::HolderList::LowerBound(uint32_t core) const {
+  size_t pos = 0;
+  while (pos < size_ && Slot(pos).core < core) {
+    ++pos;
+  }
+  return pos;
+}
+
+const TxInfo* LockTable::HolderList::Find(uint32_t core) const {
+  const size_t pos = LowerBound(core);
+  return pos < size_ && Slot(pos).core == core ? &Slot(pos) : nullptr;
+}
+
+void LockTable::HolderList::Put(const TxInfo& info) {
+  const size_t pos = LowerBound(info.core);
+  if (pos < size_ && Slot(pos).core == info.core) {
+    Slot(pos) = info;
+    return;
+  }
+  if (size_ >= kInline) {
+    spill_.emplace_back();
+  }
+  for (size_t i = size_; i > pos; --i) {
+    Slot(i) = Slot(i - 1);
+  }
+  Slot(pos) = info;
+  ++size_;
+}
+
+void LockTable::HolderList::Erase(uint32_t core) {
+  const size_t pos = LowerBound(core);
+  if (pos == size_ || Slot(pos).core != core) {
+    return;
+  }
+  for (size_t i = pos; i + 1 < size_; ++i) {
+    Slot(i) = Slot(i + 1);
+  }
+  if (size_ > kInline) {
+    spill_.pop_back();
+  }
+  --size_;
+}
+
+const TxInfo& LockTable::HolderOf(const Entry& entry, uint32_t core, const char* what) {
+  const TxInfo* info = entry.holders.Find(core);
+  TM2C_CHECK_MSG(info != nullptr, what);
+  return *info;
+}
+
 AcquireResult LockTable::ReadLock(const TxInfo& requester, uint64_t addr,
                                   const ContentionManager& cm) {
   AcquireResult result;
@@ -11,7 +60,7 @@ AcquireResult LockTable::ReadLock(const TxInfo& requester, uint64_t addr,
 
   // Algorithm 1 line 2-7: a foreign writer is a read-after-write conflict.
   if (entry.writer != kNoWriter && entry.writer != requester.core) {
-    const TxInfo writer_info = entry.holder_info[entry.writer];
+    const TxInfo writer_info = HolderOf(entry, entry.writer, "writer without holder TxInfo");
     if (cm.Decide(requester, {writer_info}, ConflictKind::kReadAfterWrite) ==
         CmDecision::kAbortRequester) {
       ++stats_.read_refused;
@@ -29,7 +78,7 @@ AcquireResult LockTable::ReadLock(const TxInfo& requester, uint64_t addr,
     // backend, invisible to the deterministic simulator's schedules).
     result.victims.push_back(Victim{writer_info, ConflictKind::kReadAfterWrite});
     entry.readers.Erase(entry.writer);
-    entry.holder_info.erase(entry.writer);
+    entry.holders.Erase(entry.writer);
     entry.writer = kNoWriter;
     entry.writer_epoch = 0;
     entry.writer_committing = false;
@@ -38,7 +87,7 @@ AcquireResult LockTable::ReadLock(const TxInfo& requester, uint64_t addr,
 
   // Algorithm 1 line 9: add_reader.
   entry.readers.Insert(requester.core);
-  entry.holder_info[requester.core] = requester;
+  entry.holders.Put(requester);
   ++stats_.read_acquires;
   return result;
 }
@@ -50,7 +99,7 @@ AcquireResult LockTable::WriteLock(const TxInfo& requester, uint64_t addr,
 
   // Algorithm 2 lines 2-7: a foreign writer is a write-after-write conflict.
   if (entry.writer != kNoWriter && entry.writer != requester.core) {
-    const TxInfo writer_info = entry.holder_info[entry.writer];
+    const TxInfo writer_info = HolderOf(entry, entry.writer, "writer without holder TxInfo");
     if (cm.Decide(requester, {writer_info}, ConflictKind::kWriteAfterWrite) ==
         CmDecision::kAbortRequester) {
       ++stats_.write_refused;
@@ -62,7 +111,7 @@ AcquireResult LockTable::WriteLock(const TxInfo& requester, uint64_t addr,
     // write lock, or it lingers as a ghost reader with no TxInfo.
     result.victims.push_back(Victim{writer_info, ConflictKind::kWriteAfterWrite});
     entry.readers.Erase(entry.writer);
-    entry.holder_info.erase(entry.writer);
+    entry.holders.Erase(entry.writer);
     entry.writer = kNoWriter;
     entry.writer_epoch = 0;
     entry.writer_committing = false;
@@ -70,21 +119,20 @@ AcquireResult LockTable::WriteLock(const TxInfo& requester, uint64_t addr,
   }
 
   // Algorithm 2 lines 9-14: foreign readers are a write-after-read
-  // conflict; the requester must beat the whole reader set.
+  // conflict; the requester must beat the whole reader set. Any foreign
+  // writer is gone by now, so every other holder is a reader, and the
+  // holder list yields them in reader-set order.
   std::vector<TxInfo> enemies;
-  entry.readers.ForEach([&](uint32_t reader) {
-    if (reader == requester.core) {
-      return;
+  entry.holders.ForEach([&](const TxInfo& holder) {
+    if (holder.core != requester.core) {
+      TM2C_CHECK_MSG(entry.readers.Contains(holder.core), "holder TxInfo without a reader bit");
+      enemies.push_back(holder);
     }
-    // Every reader bit must have its TxInfo: a miss here would silently
-    // default-construct a metric-0 enemy that wins every arbitration (the
-    // ghost-reader livelock the revocation paths above now prevent). Hard
-    // CHECK, not DCHECK: this conflict path is cold, and the Release-build
-    // alternative is undefined behavior feeding garbage into the CM.
-    auto it = entry.holder_info.find(reader);
-    TM2C_CHECK_MSG(it != entry.holder_info.end(), "reader bit without holder TxInfo");
-    enemies.push_back(it->second);
   });
+  // Every reader bit must have its TxInfo, or the CM would never see that
+  // reader and its lock would outlive the arbitration (the ghost reader).
+  TM2C_CHECK_MSG(enemies.size() + entry.readers.Contains(requester.core) == entry.readers.Count(),
+                 "reader bit without holder TxInfo");
   if (!enemies.empty()) {
     if (cm.Decide(requester, enemies, ConflictKind::kWriteAfterRead) ==
         CmDecision::kAbortRequester) {
@@ -95,7 +143,7 @@ AcquireResult LockTable::WriteLock(const TxInfo& requester, uint64_t addr,
     }
     for (const TxInfo& enemy : enemies) {
       entry.readers.Erase(enemy.core);
-      entry.holder_info.erase(enemy.core);
+      entry.holders.Erase(enemy.core);
       result.victims.push_back(Victim{enemy, ConflictKind::kWriteAfterRead});
       ++stats_.revocations;
     }
@@ -107,7 +155,7 @@ AcquireResult LockTable::WriteLock(const TxInfo& requester, uint64_t addr,
   entry.writer = requester.core;
   entry.writer_epoch = requester.epoch;
   entry.writer_committing = entry.writer_committing || committing;
-  entry.holder_info[requester.core] = requester;
+  entry.holders.Put(requester);
   ++stats_.write_acquires;
   return result;
 }
@@ -168,7 +216,7 @@ void LockTable::ReleaseRead(uint32_t core, uint64_t addr) {
   }
   entry.readers.Erase(core);
   if (entry.writer != core) {
-    entry.holder_info.erase(core);
+    entry.holders.Erase(core);
   }
   ++stats_.releases;
   EraseIfEmpty(addr, entry);
@@ -187,7 +235,7 @@ void LockTable::ReleaseWrite(uint32_t core, uint64_t addr) {
   entry.writer_epoch = 0;
   entry.writer_committing = false;
   if (!entry.readers.Contains(core)) {
-    entry.holder_info.erase(core);
+    entry.holders.Erase(core);
   }
   ++stats_.releases;
   EraseIfEmpty(addr, entry);
@@ -199,14 +247,14 @@ void LockTable::ReleaseAllOf(uint32_t core) {
     if (entry.readers.Contains(core)) {
       entry.readers.Erase(core);
       if (entry.writer != core) {
-        entry.holder_info.erase(core);
+        entry.holders.Erase(core);
       }
     }
     if (entry.writer == core) {
       entry.writer = kNoWriter;
       entry.writer_epoch = 0;
       entry.writer_committing = false;
-      entry.holder_info.erase(core);
+      entry.holders.Erase(core);
     }
     if (entry.readers.Empty() && entry.writer == kNoWriter) {
       to_erase.push_back(addr);
@@ -231,24 +279,22 @@ std::vector<Victim> LockTable::DrainRange(uint64_t base, uint64_t bytes, uint64_
       continue;
     }
     if (entry.writer != kNoWriter) {
-      auto it = entry.holder_info.find(entry.writer);
-      TM2C_CHECK_MSG(it != entry.holder_info.end(), "writer without holder TxInfo");
-      victims.push_back(Victim{it->second, ConflictKind::kMigrating});
+      victims.push_back(Victim{HolderOf(entry, entry.writer, "writer without holder TxInfo"),
+                               ConflictKind::kMigrating});
       // The writer's upgrade read bit goes with it, as on the CM paths.
       entry.readers.Erase(entry.writer);
-      entry.holder_info.erase(entry.writer);
+      entry.holders.Erase(entry.writer);
       entry.writer = kNoWriter;
       entry.writer_epoch = 0;
       entry.writer_committing = false;
       ++stats_.revocations;
     }
     entry.readers.ForEach([&](uint32_t reader) {
-      auto it = entry.holder_info.find(reader);
-      TM2C_CHECK_MSG(it != entry.holder_info.end(), "reader bit without holder TxInfo");
-      victims.push_back(Victim{it->second, ConflictKind::kMigrating});
+      victims.push_back(Victim{HolderOf(entry, reader, "reader bit without holder TxInfo"),
+                               ConflictKind::kMigrating});
       ++stats_.revocations;
     });
-    entry.readers.ForEach([&](uint32_t reader) { entry.holder_info.erase(reader); });
+    entry.readers.ForEach([&](uint32_t reader) { entry.holders.Erase(reader); });
     entry.readers = CoreSet();
     if (entry.readers.Empty() && entry.writer == kNoWriter) {
       to_erase.push_back(addr);
@@ -300,15 +346,21 @@ bool LockTable::CheckInvariants() const {
       if (entry.writer != kNoWriter && reader != entry.writer) {
         bad = true;
       }
-      if (entry.holder_info.find(reader) == entry.holder_info.end()) {
+      if (entry.holders.Find(reader) == nullptr) {
         bad = true;
       }
     });
     if (bad) {
       return false;
     }
-    if (entry.writer != kNoWriter &&
-        entry.holder_info.find(entry.writer) == entry.holder_info.end()) {
+    if (entry.writer != kNoWriter && entry.holders.Find(entry.writer) == nullptr) {
+      return false;
+    }
+    // No stale holders: one TxInfo per reader bit, plus one for a writer
+    // that does not also read.
+    const bool writer_reads = entry.writer != kNoWriter && entry.readers.Contains(entry.writer);
+    const size_t holders = entry.readers.Count() + (entry.writer != kNoWriter && !writer_reads);
+    if (entry.holders.size() != holders) {
       return false;
     }
   }

@@ -17,6 +17,7 @@
 #ifndef TM2C_SRC_DSLOCK_LOCK_TABLE_H_
 #define TM2C_SRC_DSLOCK_LOCK_TABLE_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -154,21 +155,55 @@ class LockTable {
     }
   }
 
-  // Invariant check: no entry has both a writer and a non-owner reader, and
-  // no entry is empty (empty entries must be erased). Returns true when
-  // consistent.
+  // Invariant check: no entry has both a writer and a non-owner reader, no
+  // entry is empty (empty entries must be erased), and every entry holds
+  // exactly one TxInfo per holder core. Returns true when consistent.
   bool CheckInvariants() const;
 
  private:
+  // Last-known metadata of each holder of one entry, for CM decisions, in
+  // ascending TxInfo::core order — the reader set's order, so the WAR path
+  // collects its enemies in one pass. A stripe rarely has more than a couple
+  // of holders, so the list scans linearly and lives inline in the entry;
+  // only a crowded stripe spills past kInline slots to the heap.
+  class HolderList {
+   public:
+    const TxInfo* Find(uint32_t core) const;
+    void Put(const TxInfo& info);  // inserts, or overwrites the core's slot
+    void Erase(uint32_t core);     // no-op when absent
+    size_t size() const { return size_; }
+
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      for (size_t i = 0; i < size_; ++i) {
+        fn(Slot(i));
+      }
+    }
+
+   private:
+    static constexpr size_t kInline = 4;
+    size_t LowerBound(uint32_t core) const;  // first slot whose core >= `core`
+    TxInfo& Slot(size_t i) { return i < kInline ? inline_[i] : spill_[i - kInline]; }
+    const TxInfo& Slot(size_t i) const { return i < kInline ? inline_[i] : spill_[i - kInline]; }
+
+    std::array<TxInfo, kInline> inline_;
+    std::vector<TxInfo> spill_;  // slots kInline.. of the list
+    size_t size_ = 0;
+  };
+
   struct Entry {
     CoreSet readers;
     uint32_t writer = kNoWriter;
     uint64_t writer_epoch = 0;
     bool writer_committing = false;
-    // Last-known metadata of each holder, for CM decisions. Readers' info
-    // is keyed by core id; the writer's info is stored explicitly.
-    std::unordered_map<uint32_t, TxInfo> holder_info;
+    HolderList holders;  // one TxInfo per reader bit and per writer
   };
+
+  // The holder's TxInfo, which every reader bit and writer must have: a
+  // miss would let a default metric-0 ghost win every arbitration. Hard
+  // CHECK, not DCHECK: the callers are conflict and drain paths, which are
+  // cold, and the Release-build alternative feeds garbage into the CM.
+  static const TxInfo& HolderOf(const Entry& entry, uint32_t core, const char* what);
 
   void EraseIfEmpty(uint64_t addr, Entry& entry);
 

@@ -4,9 +4,16 @@
 // managers) and all applications are written against CoreEnv, which exposes
 // exactly the primitives the paper's many-core model provides: reliable
 // asynchronous message passing, a local (possibly skewed) clock, local
-// computation, and non-coherent shared memory. Two implementations exist:
-// the deterministic discrete-event simulator backend (SimSystem) and a real
-// std::thread backend (ThreadSystem) demonstrating the Section 7 port.
+// computation, and non-coherent shared memory. Three backends implement it:
+// the deterministic discrete-event simulator (SimSystem), real std::threads
+// (ThreadSystem, the Section 7 port), and forked partition-server processes
+// over Unix sockets (ProcessSystem, which provides two core kinds).
+//
+// Cost model: Compute is time that must pass on every backend (application
+// work, back-offs). ChargeModelled is the simulator's SCC cost model for
+// work the caller has just done on the host — service handling, log
+// appends, coroutine switches — so only the simulator charges it; the
+// native backends have already paid it in real time.
 #ifndef TM2C_SRC_RUNTIME_CORE_ENV_H_
 #define TM2C_SRC_RUNTIME_CORE_ENV_H_
 
@@ -57,8 +64,15 @@ class CoreEnv {
   // it (the paper's system has no global clock).
   virtual SimTime GlobalNow() const = 0;
 
-  // Spends `core_cycles` of local computation.
+  // Spends `core_cycles` of local computation. The time passes on every
+  // backend: the simulator sleeps, native backends busy-wait the modelled
+  // duration.
   virtual void Compute(uint64_t core_cycles) = 0;
+
+  // Charges `core_cycles` of modelled cost for work that has already run on
+  // the host. The simulator sleeps exactly as for Compute; native backends
+  // return at once.
+  virtual void ChargeModelled(uint64_t core_cycles) = 0;
 
   // Word-granularity access to the non-coherent shared memory, paying the
   // memory latency plus memory-controller queueing.

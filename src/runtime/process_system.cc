@@ -25,9 +25,10 @@ SimTime HostNowPs() {
   return static_cast<SimTime>(ns) * kPicosPerNano;
 }
 
-// Same nanosecond-scale busy wait as the thread backend, always in its
-// oversubscribed flavour: app threads, router threads and the partition
-// server processes together far exceed the host CPUs.
+// Compute on both core kinds: the thread backend's wall-clock busy wait for
+// the modelled duration, always in its oversubscribed flavour (yield after a
+// microsecond): app threads, router threads and the partition server
+// processes together far exceed the host CPUs.
 void ComputeSpin(const PlatformDesc& platform, uint64_t core_cycles) {
   const SimTime deadline = HostNowPs() + platform.CoreCyclesToPs(core_cycles);
   const SimTime spin_until = HostNowPs() + kPicosPerMicro;
@@ -145,6 +146,7 @@ class ProcessSystem::AppCore : public CoreEnv {
   SimTime LocalNow() const override { return HostNowPs(); }
   SimTime GlobalNow() const override { return HostNowPs(); }
   void Compute(uint64_t core_cycles) override { ComputeSpin(platform(), core_cycles); }
+  void ChargeModelled(uint64_t /*core_cycles*/) override {}  // already ran on the host
 
   uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
   void ShmemWrite(uint64_t addr, uint64_t value) override {
@@ -246,6 +248,7 @@ class ProcessSystem::ServiceCore : public CoreEnv {
   SimTime LocalNow() const override { return HostNowPs(); }
   SimTime GlobalNow() const override { return HostNowPs(); }
   void Compute(uint64_t core_cycles) override { ComputeSpin(platform(), core_cycles); }
+  void ChargeModelled(uint64_t /*core_cycles*/) override {}  // already ran on the host
 
   uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
   void ShmemWrite(uint64_t addr, uint64_t value) override {
@@ -730,10 +733,11 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
   // second (wakes the ones parked in Recv). Stale epochs are harmless: the
   // status check compares for equality with the current attempt. Committers
   // already past their commit point ignore both; their retransmitted
-  // kCommitLog completes the commit against the successor.
+  // kCommitLog completes the commit against the successor. PublishWord
+  // waits out a committer that has latched its word for the persist.
   for (const auto& [core, epoch] : c.last_epoch) {
     if (abort_status_base_ != ~uint64_t{0}) {
-      shmem_->StoreWord(abort_status_base_ + core * kWordBytes, epoch);
+      shmem_->PublishWord(abort_status_base_ + core * kWordBytes, epoch);
     }
     Message fence;
     fence.type = MsgType::kAbortNotify;

@@ -89,6 +89,8 @@ class SimSystem::Core : public CoreEnv {
     }
   }
 
+  void ChargeModelled(uint64_t core_cycles) override { Compute(core_cycles); }
+
   uint64_t ShmemRead(uint64_t addr) override {
     WaitForMemory(addr);
     return sys_->shmem_->LoadWord(addr);

@@ -186,14 +186,13 @@ class ThreadSystem::Core : public CoreEnv {
   SimTime GlobalNow() const override { return HostNowPs(); }
 
   void Compute(uint64_t core_cycles) override {
-    // Approximate: one spin iteration per cycle at the modelled clock would
-    // be too slow on a loaded host; a nanosecond-scale busy wait preserves
-    // relative costs well enough for functional tests. On an oversubscribed
-    // host the spin yields once it has burned a microsecond: long modelled
-    // computations (contention-manager backoffs especially) must not starve
-    // the peer threads they are implicitly waiting for — two contenders
-    // that busy-wait their backoffs in lock-step on one CPU re-collide
-    // forever.
+    // Wall-clock busy wait for the modelled duration at the platform clock
+    // (533 cycles at 533 MHz = 1 us), read off steady_clock. On an
+    // oversubscribed host the spin yields once it has burned a microsecond:
+    // long computations (contention-manager backoffs especially) must not
+    // starve the peer threads they are implicitly waiting for — two
+    // contenders that busy-wait their backoffs in lock-step on one CPU
+    // re-collide forever.
     const SimTime deadline = HostNowPs() + platform().CoreCyclesToPs(core_cycles);
     const SimTime spin_until =
         sys_->oversubscribed_ ? HostNowPs() + kPicosPerMicro : deadline;
@@ -203,6 +202,9 @@ class ThreadSystem::Core : public CoreEnv {
       }
     }
   }
+
+  // The modelled work already ran on this thread.
+  void ChargeModelled(uint64_t /*core_cycles*/) override {}
 
   uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
   void ShmemWrite(uint64_t addr, uint64_t value) override {

@@ -9,7 +9,7 @@
 // sender. The pre-v2 mutex-and-condvar mailbox is kept as
 // ChannelKind::kMutexMailbox, both as the bench baseline the SPSC path is
 // measured against and as a fallback. Time is the host's steady clock;
-// Compute spins.
+// Compute spins and ChargeModelled is free.
 #ifndef TM2C_SRC_RUNTIME_THREAD_SYSTEM_H_
 #define TM2C_SRC_RUNTIME_THREAD_SYSTEM_H_
 

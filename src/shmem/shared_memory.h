@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/common/check.h"
@@ -87,6 +88,24 @@ class SharedMemory {
   bool CasWord(uint64_t addr, uint64_t expected, uint64_t desired) {
     return words_[WordIndex(addr)].compare_exchange_strong(
         expected, desired, std::memory_order_acq_rel, std::memory_order_acquire);
+  }
+
+  // Latched status words (the abort-status words of TmConfig). The word's
+  // owner latches it with CasWord(addr, seen, kLatchedWord) around a short
+  // section that no publication may interleave with, and unlatches it by
+  // storing `seen` back. PublishWord installs `value` only into an unlatched
+  // word, waiting out a latch, so every publication lands wholly before or
+  // wholly after the section. The simulator never sees a latch: its owner
+  // latches and unlatches within one simulated instant.
+  static constexpr uint64_t kLatchedWord = ~uint64_t{0};
+  void PublishWord(uint64_t addr, uint64_t value) {
+    uint64_t seen = LoadWord(addr);
+    while (seen == kLatchedWord || !CasWord(addr, seen, value)) {
+      if (seen == kLatchedWord) {
+        std::this_thread::yield();
+      }
+      seen = LoadWord(addr);
+    }
   }
 
   uint64_t size_bytes() const { return size_bytes_; }

@@ -158,7 +158,8 @@ struct TmConfig {
   uint64_t backoff_max_cycles = 1 << 20;
 
   // Service-side processing cost per request, in service-core cycles
-  // (drives the service saturation behaviour of Figure 5(b)).
+  // (drives the service saturation behaviour of Figure 5(b)). Simulator
+  // only (CoreEnv::ChargeModelled): native backends pay the real handling.
   uint64_t service_base_cycles = 120;
   uint64_t service_per_item_cycles = 40;
 
@@ -176,7 +177,8 @@ struct TmConfig {
   // Multitasked deployment only: cost of the libtask coroutine switch into
   // and out of the service task, charged per request an application core
   // serves. Dedicated cores never pay it — one reason the dedicated
-  // deployment wins (Figure 4(a)).
+  // deployment wins (Figure 4(a)). Simulator only
+  // (CoreEnv::ChargeModelled).
   uint64_t multitask_switch_cycles = 250;
 
   // Planted protocol mutation (verification only; see FaultMode above).
@@ -200,6 +202,7 @@ struct TmConfig {
   // per payload word appended, and per flush in each mode. Calibrated so
   // the ablation's expected ordering (off >= buffered >= fsync) is the
   // model's behaviour, not an accident: an fsync is ~a disk round trip.
+  // Simulator only: native backends pay the real write and flush.
   uint64_t log_append_cycles_per_word = 30;
   uint64_t log_flush_buffered_cycles = 400;
   uint64_t log_flush_fsync_cycles = 20000;

@@ -147,7 +147,7 @@ TxInfo DtmService::DecodeRequester(const Message& msg) const {
 }
 
 void DtmService::ChargeProcessing(uint64_t items) {
-  env_.Compute(config_.service_base_cycles + config_.service_per_item_cycles * items);
+  env_.ChargeModelled(config_.service_base_cycles + config_.service_per_item_cycles * items);
 }
 
 void DtmService::NotifyVictims(const std::vector<Victim>& victims) {
@@ -173,11 +173,14 @@ void DtmService::NotifyVictims(const std::vector<Victim>& victims) {
     // Publish the abort to the victim's shared status word (the paper's
     // "status atomically switched from pending to aborted"): the victim
     // reads it atomically with its persist, which closes the race between
-    // this revocation and the victim's commit point. The message below
-    // remains the prompt wake-up path.
+    // this revocation and the victim's commit point. PublishWord waits out
+    // a victim that is mid-persist, so the winner's grant, sent after this
+    // returns, cannot reach it before the victim's stores. The message
+    // below remains the prompt wake-up path.
     if (config_.abort_status_base != TmConfig::kNoAbortStatus) {
-      env_.ShmemWrite(config_.abort_status_base + victim.info.core * kWordBytes,
-                      victim.info.epoch);
+      const uint64_t status_addr = config_.abort_status_base + victim.info.core * kWordBytes;
+      (void)env_.ShmemRead(status_addr);  // pay the access latency
+      env_.shmem().PublishWord(status_addr, victim.info.epoch);
     }
     if (victim.info.core == env_.core_id()) {
       // Multitasked deployment: the victim runs on this very core.
@@ -423,7 +426,7 @@ void DtmService::HandleCommitLog(const Message& msg) {
   ++stats_.commit_records;
   const uint64_t record_index = durability_->wal().appended_records() - 1;
   // Append cost: the record's framed payload, word by word.
-  env_.Compute(config_.log_append_cycles_per_word * (3 + msg.extra.size()));
+  env_.ChargeModelled(config_.log_append_cycles_per_word * (3 + msg.extra.size()));
 
   if (config_.fault == FaultMode::kAckBeforeLogFlush) {
     // Planted fault (verification only): acknowledge against the volatile
@@ -459,9 +462,9 @@ void DtmService::FlushCommitLog() {
   }
   if (durability_->Flush() > 0) {
     ++stats_.log_flushes;
-    env_.Compute(durability_->mode() == DurabilityMode::kFsync
-                     ? config_.log_flush_fsync_cycles
-                     : config_.log_flush_buffered_cycles);
+    env_.ChargeModelled(durability_->mode() == DurabilityMode::kFsync
+                            ? config_.log_flush_fsync_cycles
+                            : config_.log_flush_buffered_cycles);
   }
   for (const PendingAck& ack : pending_acks_) {
     SendCommitLogAck(ack.core, ack.epoch, ack.record_index);

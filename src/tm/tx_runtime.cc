@@ -164,7 +164,7 @@ void TxRuntime::ServePending() {
       continue;
     }
     if (local_service_ != nullptr) {
-      env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+      env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
       if (local_service_->HandleMessage(msg)) {
         continue;  // multitasked deployment: served a DTM request
       }
@@ -216,7 +216,7 @@ void TxRuntime::PrivatizationBarrier() {
         break;
       default:
         if (local_service_ != nullptr) {
-          env_.Compute(config_.multitask_switch_cycles);
+          env_.ChargeModelled(config_.multitask_switch_cycles);
           if (local_service_->HandleMessage(msg)) {
             break;
           }
@@ -271,7 +271,7 @@ Message TxRuntime::Rpc(uint32_t dst, Message request) {
     // Multitasked deployment: this core is its own responsible node.
     TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed request without a local service");
     request.src = env_.core_id();
-    env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+    env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
     return local_service_->HandleLocal(request);
   }
   env_.Send(dst, std::move(request));
@@ -301,7 +301,7 @@ Message TxRuntime::Rpc(uint32_t dst, Message request) {
         continue;
       default:
         if (local_service_ != nullptr) {
-          env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+          env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
           if (local_service_->HandleMessage(msg)) {
             continue;  // served a DTM request while waiting (Figure 2)
           }
@@ -352,7 +352,7 @@ void TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is
     // lockstep ordering — so it spends no time in the in-flight table.
     TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed request without a local service");
     req.src = env_.core_id();
-    env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+    env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
     Message rsp = local_service_->HandleLocal(std::move(req));
     inflight_.emplace(request_id, std::move(fl));
     CompleteBatch(rsp);
@@ -431,7 +431,7 @@ void TxRuntime::WaitOneReply() {
         continue;
       default:
         if (local_service_ != nullptr) {
-          env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+          env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
           if (local_service_->HandleMessage(msg)) {
             continue;  // served a DTM request while waiting (Figure 2)
           }
@@ -613,7 +613,7 @@ void TxRuntime::FireAndForget(uint32_t dst, Message msg) {
   if (dst == env_.core_id()) {
     TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed release without a local service");
     msg.src = env_.core_id();
-    env_.Compute(config_.multitask_switch_cycles);  // coroutine switch
+    env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
     local_service_->HandleLocal(std::move(msg));
     return;
   }
@@ -938,18 +938,24 @@ void TxRuntime::TxCommit() {
   // and the whole write-set persist execute at one simulated instant: a
   // revocation either lands before (the status word names our epoch and we
   // abort with no writes applied) or after (we are fully persisted and the
-  // revoker serializes behind us). Without it — standalone harnesses — the
-  // persist is word-at-a-time and relies on notification timing alone.
+  // revoker serializes behind us). Native backends get the same atomicity
+  // from the status word's latch (SharedMemory::PublishWord). Without the
+  // protocol — standalone harnesses — the persist is word-at-a-time and
+  // relies on notification timing alone.
   if (config_.abort_status_base != TmConfig::kNoAbortStatus) {
     const uint64_t status_addr = config_.abort_status_base + env_.core_id() * kWordBytes;
     (void)env_.ShmemRead(status_addr);  // pay the access latency
+    const auto abort_if_revoked = [this](uint64_t status) {
+      if (status == current_epoch_) {
+        ++stats_.notify_aborts;
+        AbortSelf(pending_abort_kind_ != ConflictKind::kNone ? pending_abort_kind_
+                                                             : ConflictKind::kWriteAfterRead);
+      }
+    };
     // Re-read instantly after the timed access: nothing can interleave
     // between this load and the stores below (single simulated instant).
-    if (env_.shmem().LoadWord(status_addr) == current_epoch_) {
-      ++stats_.notify_aborts;
-      AbortSelf(pending_abort_kind_ != ConflictKind::kNone ? pending_abort_kind_
-                                                           : ConflictKind::kWriteAfterRead);
-    }
+    uint64_t status = env_.shmem().LoadWord(status_addr);
+    abort_if_revoked(status);
     // Elastic updates: re-validate at this same instant. The timed
     // validation above paid the cost, but a foreign commit can land
     // between it and this point (unlocked reads leave that window open);
@@ -974,14 +980,24 @@ void TxRuntime::TxCommit() {
         }
       }
     }
+    // Latch the status word for the persist. On real threads a revoker's
+    // publication could otherwise land after the check above and let the
+    // winner read the old values before the stores below; the latch makes it
+    // wait until they are visible. A failed latch means a publication landed
+    // since the check: look again.
+    while (!env_.shmem().CasWord(status_addr, status, SharedMemory::kLatchedWord)) {
+      status = env_.shmem().LoadWord(status_addr);
+      abort_if_revoked(status);
+    }
     for (uint64_t addr : write_order_) {
       env_.shmem().StoreWord(addr, write_buffer_[addr]);
       if (trace_ != nullptr) {
         trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
       }
     }
+    env_.shmem().StoreWord(status_addr, status);  // unlatch
     // Charge the persist time after the fact (idempotence-free: no re-store).
-    env_.Compute(env_.platform().mem_latency_cycles * write_order_.size());
+    env_.ChargeModelled(env_.platform().mem_latency_cycles * write_order_.size());
   } else {
     // Algorithm 3 line 14: persist the write-set to shared memory.
     for (uint64_t addr : write_order_) {

@@ -298,5 +298,71 @@ TEST_F(LockTableTest, WawRevocationClearsLosersReadBit) {
   EXPECT_TRUE(table_.CheckInvariants());
 }
 
+// FairCm's decision, plus a record of every holder list it was handed.
+class RecordingCm : public ContentionManager {
+ public:
+  CmKind kind() const override { return CmKind::kFairCm; }
+  CmDecision Decide(const TxInfo& requester, const std::vector<TxInfo>& holders,
+                    ConflictKind conflict) const override {
+    calls.push_back(holders);
+    return fair_->Decide(requester, holders, conflict);
+  }
+
+  mutable std::vector<std::vector<TxInfo>> calls;
+
+ private:
+  std::unique_ptr<ContentionManager> fair_ = MakeContentionManager(CmKind::kFairCm);
+};
+
+// A stripe with far more holders than the entry's inline holder slots: the
+// holders spill to the heap, releases from either side reshuffle them, and
+// every reader bit must still map to its own TxInfo when the CM arbitrates.
+TEST_F(LockTableTest, CrowdedStripeSpillsHoldersAndKeepsEachTxInfo) {
+  constexpr uint64_t kStripe = 0x700;
+  constexpr uint32_t kReaders = 40;
+  RecordingCm cm;
+  const auto reader = [](uint32_t core) { return Tx1(core, 100 + core); };
+  for (uint32_t core = 1; core <= kReaders; ++core) {
+    ASSERT_EQ(table_.ReadLock(reader(core), kStripe, cm).refused, ConflictKind::kNone);
+    ASSERT_TRUE(table_.CheckInvariants()) << "after reader " << core;
+  }
+
+  // Release readers that sit in the inline slots (the first few acquired)
+  // and in the spill (the last few), then take them back.
+  const std::vector<uint32_t> churn = {2, 39, 1, 40, 3, 25};
+  for (uint32_t core : churn) {
+    table_.ReleaseRead(core, kStripe);
+    EXPECT_FALSE(table_.HasReader(kStripe, core));
+    ASSERT_TRUE(table_.CheckInvariants()) << "after releasing " << core;
+  }
+  for (uint32_t core : churn) {
+    ASSERT_EQ(table_.ReadLock(reader(core), kStripe, cm).refused, ConflictKind::kNone);
+    ASSERT_TRUE(table_.CheckInvariants()) << "after re-acquiring " << core;
+  }
+  EXPECT_TRUE(cm.calls.empty());  // readers never conflict with readers
+
+  // A stronger writer beats the whole reader set in one WAR arbitration.
+  const auto w = table_.WriteLock(Tx1(kReaders + 1, 1), kStripe, cm);
+  EXPECT_EQ(w.refused, ConflictKind::kNone);
+  ASSERT_EQ(cm.calls.size(), 1u);
+  ASSERT_EQ(cm.calls[0].size(), kReaders);
+  ASSERT_EQ(w.victims.size(), kReaders);
+  for (uint32_t i = 0; i < kReaders; ++i) {
+    const uint32_t core = i + 1;
+    EXPECT_EQ(cm.calls[0][i].core, core);
+    EXPECT_EQ(cm.calls[0][i].metric, 100 + core);
+    EXPECT_EQ(cm.calls[0][i].epoch, reader(core).epoch);
+    EXPECT_EQ(w.victims[i].info.core, core);
+    EXPECT_EQ(w.victims[i].kind, ConflictKind::kWriteAfterRead);
+    EXPECT_FALSE(table_.HasReader(kStripe, core));
+  }
+  EXPECT_EQ(table_.stats().revocations, kReaders);
+  EXPECT_TRUE(table_.CheckInvariants());
+
+  table_.ReleaseWrite(kReaders + 1, kStripe);
+  EXPECT_TRUE(table_.CheckInvariants());
+  EXPECT_EQ(table_.NumEntries(), 0u);
+}
+
 }  // namespace
 }  // namespace tm2c

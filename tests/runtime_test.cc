@@ -154,6 +154,27 @@ TEST(SimSystem, ComputeAdvancesLocalTimeOnly) {
   EXPECT_NEAR(SimToMicros(spent), 1.0, 0.01);
 }
 
+// The simulator charges modelled cost exactly like local computation; the
+// native backends' side of this contract is pinned in thread_system_test
+// and process_system_test.
+TEST(SimSystem, ChargeModelledAdvancesLocalTimeLikeCompute) {
+  constexpr uint64_t kCycles = 123'457;
+  SimSystem sys(SmallConfig());
+  SimTime charged = 0;
+  SimTime computed = 0;
+  sys.SetCoreMain(0, [&](CoreEnv& env) {
+    SimTime start = env.LocalNow();
+    env.ChargeModelled(kCycles);
+    charged = env.LocalNow() - start;
+    start = env.LocalNow();
+    env.Compute(kCycles);
+    computed = env.LocalNow() - start;
+  });
+  sys.Run();
+  EXPECT_EQ(charged, sys.env(0).platform().CoreCyclesToPs(kCycles));
+  EXPECT_EQ(charged, computed);
+}
+
 TEST(SimSystem, LocalClockSkewIsStable) {
   SimSystemConfig cfg = SmallConfig();
   cfg.clock_skew_max_us = 100.0;

@@ -247,5 +247,36 @@ TEST(ThreadSystem, TestAndSetIsExclusive) {
   EXPECT_EQ(total_wins, kRounds);
 }
 
+// The cost-model contract on real threads: modelled cost (work that already
+// ran on the host) is free, while Compute still takes its modelled time.
+TEST(ThreadSystem, ChargeModelledIsFreeAndComputeTakesItsTime) {
+  using Clock = std::chrono::steady_clock;
+  const auto nanos_since = [](Clock::time_point start) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count();
+  };
+  constexpr uint64_t kComputeCycles = 533'000;  // 1 ms at 533 MHz
+  ThreadSystem sys(SmallConfig(ChannelKind::kSpscRing, 2));
+  std::atomic<int64_t> charge_ns[2] = {{-1}, {-1}};
+  std::atomic<int64_t> compute_ns[2] = {{-1}, {-1}};
+  for (uint32_t c = 0; c < 2; ++c) {
+    sys.SetCoreMain(c, [&, c](CoreEnv& env) {
+      auto start = Clock::now();
+      env.ChargeModelled(1'000'000'000);  // ~1.9 s at 533 MHz
+      charge_ns[c] = nanos_since(start);
+      start = Clock::now();
+      env.Compute(kComputeCycles);
+      compute_ns[c] = nanos_since(start);
+    });
+  }
+  sys.RunToCompletion();
+  const auto modelled_ns = static_cast<int64_t>(
+      sys.env(0).platform().CoreCyclesToPs(kComputeCycles) / kPicosPerNano);
+  for (uint32_t c = 0; c < 2; ++c) {
+    EXPECT_GE(charge_ns[c].load(), 0) << "core " << c;
+    EXPECT_LT(charge_ns[c].load(), 100'000'000) << "core " << c;
+    EXPECT_GE(compute_ns[c].load(), modelled_ns) << "core " << c;
+  }
+}
+
 }  // namespace
 }  // namespace tm2c
