@@ -147,9 +147,6 @@ int main(int argc, char** argv) {
                  "runtime backend: sim (deterministic simulator, default) | threads "
                  "(real OS threads over SPSC channels, wall-clock timing) | processes "
                  "(forked partition servers over Unix sockets, wall-clock timing)");
-  flags.Register("channel", &opts.channel,
-                 "thread-backend transport: spsc (lock-free rings, default) | mutex "
-                 "(v1 mailbox baseline)");
   flags.Register("pin", &opts.pin, "pin thread-backend threads to host CPUs");
   flags.Register("pipeline-depth", &opts.pipeline_depth,
                  "override the acquisition pipeline depth (1 = lockstep request/reply; "

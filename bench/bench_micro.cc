@@ -10,11 +10,9 @@
 // abort here, so commit_rate is 1 by construction.
 //
 // Under --backend=threads the bench instead measures the native transport
-// itself: the same tiny-transaction workload (per-core counter increments,
-// conflict-free, so every operation is pure protocol messaging) run once
-// over the v1 mutex-and-condvar mailboxes and once over the lock-free SPSC
-// rings, on real OS threads with wall-clock timing. The spsc row carries
-// the channel speedup as extra `speedup_vs_mutex`.
+// itself: a tiny-transaction workload (per-core counter increments,
+// conflict-free, so every operation is pure protocol messaging) over the
+// lock-free SPSC rings, on real OS threads with wall-clock timing.
 #include <chrono>
 
 #include "bench/bench_util.h"
@@ -72,49 +70,41 @@ void Measure(BenchContext& ctx, const char* name, uint64_t batch, uint64_t batch
   ctx.Report(row);
 }
 
-// Native transport comparison (--backend=threads): commit throughput of
-// the TM protocol over mutex mailboxes vs SPSC rings on this host. The
-// workload is message-bound by construction — single-word read-modify-write
-// transactions on per-core counters, no contention, no synthetic compute —
-// so the row ratio is the channel speedup the v2 backend exists for.
-void RunNativeChannels(BenchContext& ctx) {
+// Native transport (--backend=threads): commit throughput of the TM
+// protocol over the SPSC rings on this host. The workload is message-bound
+// by construction — single-word read-modify-write transactions on per-core
+// counters, no contention, no synthetic compute.
+void RunNativeTransport(BenchContext& ctx) {
   const uint32_t cores = ctx.Cores(4);
   const uint32_t service = ctx.ServiceCores(cores >= 2 ? cores / 2 : 1);
-  double mutex_ops_per_ms = 0.0;
-  for (const ChannelKind channel : {ChannelKind::kMutexMailbox, ChannelKind::kSpscRing}) {
-    RunSpec spec = ctx.Spec(200, 21, CmKind::kBackoffRetry);
-    spec.total_cores = cores;
-    spec.service_cores = service;
-    spec.backend = BackendKind::kThreads;
-    spec.channel = channel;  // the sweep dimension; overrides --channel
-    TmSystem sys(MakeConfig(spec));
-    const uint64_t base = sys.allocator().AllocGlobal(uint64_t{cores} * kCacheLineBytes);
-    LatencySampler lat;
-    InstallLoopBodies(sys, spec.duration, spec.seed,
-                      [base](CoreEnv& env, TxRuntime& rt, Rng&) {
-                        const uint64_t addr = base + env.core_id() * kCacheLineBytes;
-                        rt.Execute([addr](Tx& tx) { tx.Write(addr, tx.Read(addr) + 1); });
-                      },
-                      &lat);
-    sys.Run();
-    BenchRow row;
-    row.Param("micro", "tm_counter")
-        .Param("channel", ChannelKindName(channel))
-        .Param("cores", uint64_t{cores})
-        .Param("service_cores", uint64_t{service})
-        .Tx(sys, spec.duration, lat);
-    if (channel == ChannelKind::kMutexMailbox) {
-      mutex_ops_per_ms = row.ops_per_ms;
-    } else if (mutex_ops_per_ms > 0.0) {
-      row.Extra("speedup_vs_mutex", row.ops_per_ms / mutex_ops_per_ms);
-    }
-    ctx.Report(row);
-  }
+  RunSpec spec = ctx.Spec(200, 21, CmKind::kBackoffRetry);
+  spec.total_cores = cores;
+  spec.service_cores = service;
+  spec.backend = BackendKind::kThreads;
+  TmSystem sys(MakeConfig(spec));
+  const uint64_t base = sys.allocator().AllocGlobal(uint64_t{cores} * kCacheLineBytes);
+  LatencySampler lat;
+  InstallLoopBodies(sys, spec.duration, spec.seed,
+                    [base](CoreEnv& env, TxRuntime& rt, Rng&) {
+                      const uint64_t addr = base + env.core_id() * kCacheLineBytes;
+                      rt.Execute([addr](Tx& tx) { tx.Write(addr, tx.Read(addr) + 1); });
+                    },
+                    &lat);
+  sys.Run();
+  BenchRow row;
+  // The channel param names the one transport left; it keeps the row's key
+  // equal to earlier results' spsc row.
+  row.Param("micro", "tm_counter")
+      .Param("channel", "spsc")
+      .Param("cores", uint64_t{cores})
+      .Param("service_cores", uint64_t{service})
+      .Tx(sys, spec.duration, lat);
+  ctx.Report(row);
 }
 
 void Run(BenchContext& ctx) {
   if (ctx.native()) {
-    RunNativeChannels(ctx);
+    RunNativeTransport(ctx);
     return;
   }
   {
@@ -197,9 +187,9 @@ void Run(BenchContext& ctx) {
   }
 }
 
-TM2C_REGISTER_BENCH_THREADS_ONLY(  // sweeps channel kinds: a thread-transport dimension
-    "micro", "host",
-    "host-side micro costs; with --backend=threads, mutex-vs-spsc channel throughput", &Run);
+TM2C_REGISTER_BENCH_THREADS_ONLY(  // the native row measures the thread transport
+    "micro", "host", "host-side micro costs; with --backend=threads, SPSC transport throughput",
+    &Run);
 
 }  // namespace
 }  // namespace tm2c

@@ -57,7 +57,6 @@ struct RunSpec {
   // threads over the SPSC channels; --backend=threads selects the latter,
   // turning the bench's rows into measured native performance.
   BackendKind backend = BackendKind::kSim;
-  ChannelKind channel = ChannelKind::kSpscRing;
   bool pin_threads = false;
 };
 
@@ -92,7 +91,6 @@ inline TmSystemConfig MakeConfig(const RunSpec& spec) {
   cfg.tm.pipeline_depth = spec.pipeline_depth;
   cfg.tm.local_fast_path = spec.local_fast_path;
   cfg.backend = spec.backend;
-  cfg.channel = spec.channel;
   cfg.pin_threads = spec.pin_threads;
   if (spec.backend == BackendKind::kProcesses) {
     cfg.run_dir = FreshProcessRunDir();
@@ -207,7 +205,6 @@ struct BenchOptions {
   bool smoke = false;
   std::string json_path;     // "" = no JSON output
   std::string backend;       // "" = sim; "threads" = native run, wall-clock
-  std::string channel;       // thread transport: "" = spsc; "mutex" = v1 baseline
   bool pin = false;          // pin thread-backend threads to host CPUs
   int pipeline_depth = 0;    // 0 = bench default; >= 1 overrides everywhere
   std::string index;         // store index structure: "" = bench default
@@ -415,7 +412,6 @@ class BenchContext {
   }
 
   BackendKind Backend() const { return BackendKindByName(opts_.backend); }
-  ChannelKind Channel() const { return ChannelKindByName(opts_.channel); }
   // True on any wall-clock backend (threads or processes): rows are host
   // measurements, so the deterministic-run extras the sim rows carry
   // (modelled-time identities, seeded reproducibility checks) don't apply.
@@ -436,7 +432,6 @@ class BenchContext {
     spec.duration = Duration(def_duration_ms);
     spec.seed = Seed(def_seed);
     spec.backend = Backend();
-    spec.channel = Channel();
     spec.pin_threads = opts_.pin;
     if (opts_.pipeline_depth > 0) {
       spec.pipeline_depth = static_cast<uint32_t>(opts_.pipeline_depth);
@@ -528,8 +523,8 @@ struct BenchDef {
   bool native = false;
   // Whether the bench also supports --backend=processes (forked partition
   // servers over sockets). That backend is dedicated-deployment-only and
-  // has no thread-channel dimension, so a native bench that sweeps
-  // multitasked deployments or channel kinds stays threads-only.
+  // has no thread transport, so a native bench that sweeps multitasked
+  // deployments or measures the thread transport stays threads-only.
   bool processes = false;
 };
 

@@ -184,27 +184,6 @@ BatchAcquireResult LockTable::TryAcquireMany(const TxInfo& requester, const uint
   return result;
 }
 
-SpanAcquireResult LockTable::TryAcquireSpan(const TxInfo& requester, const uint64_t* addrs,
-                                            uint32_t n, bool is_write,
-                                            const ContentionManager& cm, bool committing) {
-  SpanAcquireResult result;
-  for (uint32_t i = 0; i < n; ++i) {
-    AcquireResult one = is_write ? WriteLock(requester, addrs[i], cm, committing)
-                                 : ReadLock(requester, addrs[i], cm);
-    for (Victim& victim : one.victims) {
-      result.victims.push_back(std::move(victim));
-    }
-    if (one.refused != ConflictKind::kNone) {
-      // All-or-prefix, exactly like TryAcquireMany: entries [0, i) stay
-      // acquired and the requester's release (or abort) path covers them.
-      result.refused = one.refused;
-      break;
-    }
-    ++result.granted_count;
-  }
-  return result;
-}
-
 void LockTable::ReleaseRead(uint32_t core, uint64_t addr) {
   auto it = entries_.find(addr);
   if (it == entries_.end()) {

@@ -57,15 +57,6 @@ struct BatchAcquireResult {
   std::vector<Victim> victims;                 // across the whole prefix
 };
 
-// Outcome of a homogeneous span acquisition (TryAcquireSpan). Same
-// all-or-prefix contract as BatchAcquireResult, but with no grant bitmap —
-// the caller knows the span order — and therefore no kMaxBatchEntries cap.
-struct SpanAcquireResult {
-  uint32_t granted_count = 0;                  // prefix length
-  ConflictKind refused = ConflictKind::kNone;  // why the prefix stopped
-  std::vector<Victim> victims;                 // across the whole prefix
-};
-
 // Counters for the service-side statistics the benches report.
 struct LockTableStats {
   uint64_t read_acquires = 0;
@@ -95,26 +86,18 @@ class LockTable {
   AcquireResult WriteLock(const TxInfo& requester, uint64_t addr, const ContentionManager& cm,
                           bool committing = false);
 
-  // Vectorized acquisition for the kBatchAcquire protocol: one pass over
-  // `addrs` (bit i of `write_bitmap` selects write vs read lock for entry
-  // i), stopping at the first refusal (all-or-prefix). The requester's
-  // metric has already been decoded once for the whole batch; the CM is
-  // consulted only for the entries that actually conflict. Duplicate
-  // addresses are legal (the second acquisition is a same-core
-  // re-acquisition and always succeeds). `n` must be <= kMaxBatchEntries;
-  // an empty batch is trivially fully granted.
+  // The multi-entry acquisition every service entry goes through: one
+  // pass over `addrs` (bit i of `write_bitmap` selects write vs read lock
+  // for entry i), stopping at the first refusal (all-or-prefix). The
+  // requester's metric has already been decoded once for the whole batch;
+  // the CM is consulted only for the entries that actually conflict.
+  // Duplicate addresses are legal (the second acquisition is a same-core
+  // re-acquisition and always succeeds). `n` must be <= kMaxBatchEntries
+  // (the bitmap's width; longer spans go through in chunks); an empty
+  // batch is trivially fully granted.
   BatchAcquireResult TryAcquireMany(const TxInfo& requester, const uint64_t* addrs, uint32_t n,
                                     uint64_t write_bitmap, const ContentionManager& cm,
                                     bool committing = false);
-
-  // Homogeneous prefix acquisition for the owner-local direct path: one
-  // pass over `addrs`, all read locks or all write locks, stopping at the
-  // first refusal. Unlike TryAcquireMany there is no grant bitmap on the
-  // wire, so the span is not capped at kMaxBatchEntries — a local caller
-  // takes a whole node group in one table pass.
-  SpanAcquireResult TryAcquireSpan(const TxInfo& requester, const uint64_t* addrs, uint32_t n,
-                                   bool is_write, const ContentionManager& cm,
-                                   bool committing = false);
 
   // Releases. Idempotent; wrong-owner write releases are ignored (see the
   // correctness note above).

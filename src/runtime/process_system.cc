@@ -98,10 +98,10 @@ bool CarriesEpoch(MsgType type) {
 
 }  // namespace
 
-// Application core: a host thread with a mutex/condvar mailbox (the thread
-// backend's kMutexMailbox transport). Messages to a service core leave
-// through the partition's socket; messages to another app core (the
-// privatization barrier tokens) land in its mailbox directly.
+// Application core: a host thread with a mutex/condvar mailbox, fed by the
+// partition routers. Messages to a service core leave through the
+// partition's socket; messages to another app core (the privatization
+// barrier tokens) land in its mailbox directly.
 class ProcessSystem::AppCore : public CoreEnv {
  public:
   AppCore(ProcessSystem* sys, uint32_t id) : sys_(sys), id_(id) {}
@@ -779,14 +779,18 @@ int ProcessSystem::ConnectWithRetry(const std::string& path) {
   addr.sun_family = AF_UNIX;
   TM2C_CHECK_MSG(path.size() < sizeof(addr.sun_path), "socket path too long for sun_path");
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  for (uint32_t attempt = 0; attempt < config_.connect_attempts; ++attempt) {
+  // Bounded retry: the child needs a moment between fork/activation and
+  // listen(). 500 attempts 10 ms apart give it five seconds.
+  constexpr uint32_t kConnectAttempts = 500;
+  constexpr auto kConnectRetry = std::chrono::milliseconds(10);
+  for (uint32_t attempt = 0; attempt < kConnectAttempts; ++attempt) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     TM2C_CHECK(fd >= 0);
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0) {
       return fd;
     }
     ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(config_.connect_retry_ms));
+    std::this_thread::sleep_for(kConnectRetry);
   }
   TM2C_FATAL("partition server socket never came up");
 }

@@ -55,10 +55,6 @@ struct ProcessSystemConfig {
   // (part<p>.g<gen>.sock). Created if missing. Required: socket paths must
   // be unique per run, so callers pass a fresh (temp) directory.
   std::string run_dir;
-  // Bounded connect retry towards a (re)started partition server: the
-  // child needs a moment between fork/activation and listen().
-  uint32_t connect_attempts = 500;
-  uint32_t connect_retry_ms = 10;
 };
 
 // The deployment is always dedicated: a partition server process cannot

@@ -56,7 +56,8 @@ class Backoff {
     } else if (rounds_ <= config_.spin_rounds + config_.yield_rounds) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(config_.idle_sleep_us));
+      constexpr auto kIdleSleep = std::chrono::microseconds(50);
+      std::this_thread::sleep_for(kIdleSleep);
     }
   }
 
@@ -68,26 +69,6 @@ class Backoff {
 };
 
 }  // namespace
-
-const char* ChannelKindName(ChannelKind kind) {
-  switch (kind) {
-    case ChannelKind::kSpscRing:
-      return "spsc";
-    case ChannelKind::kMutexMailbox:
-      return "mutex";
-  }
-  return "?";
-}
-
-ChannelKind ChannelKindByName(const std::string& name) {
-  if (name.empty() || name == "spsc") {
-    return ChannelKind::kSpscRing;
-  }
-  if (name == "mutex") {
-    return ChannelKind::kMutexMailbox;
-  }
-  TM2C_FATAL("unknown channel kind (expected spsc|mutex)");
-}
 
 class ThreadSystem::Core : public CoreEnv {
  public:
@@ -101,10 +82,6 @@ class ThreadSystem::Core : public CoreEnv {
     TM2C_CHECK(dst < sys_->plan_.num_cores());
     msg.src = id_;
     Core* receiver = sys_->cores_[dst].get();
-    if (sys_->config_.channel == ChannelKind::kMutexMailbox) {
-      receiver->MailboxPush(std::move(msg));
-      return;
-    }
     // SPSC ring: this thread is the only producer of ring(id_, dst).
     // A full ring back-pressures us until the receiver drains it.
     SpscChannel& ring = sys_->ring(id_, dst);
@@ -118,13 +95,6 @@ class ThreadSystem::Core : public CoreEnv {
 
   Message Recv() override {
     Message msg;
-    if (sys_->config_.channel == ChannelKind::kMutexMailbox) {
-      std::unique_lock<std::mutex> lock(inbox_mu_);
-      inbox_cv_.wait(lock, [this]() { return !inbox_.empty(); });
-      msg = std::move(inbox_.front());
-      inbox_.pop_front();
-      return msg;
-    }
     Backoff backoff(sys_->config_);
     for (;;) {
       if (PollRings(&msg)) {
@@ -156,24 +126,9 @@ class ThreadSystem::Core : public CoreEnv {
     }
   }
 
-  bool TryRecv(Message* out) override {
-    if (sys_->config_.channel == ChannelKind::kMutexMailbox) {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      if (inbox_.empty()) {
-        return false;
-      }
-      *out = std::move(inbox_.front());
-      inbox_.pop_front();
-      return true;
-    }
-    return PollRings(out);
-  }
+  bool TryRecv(Message* out) override { return PollRings(out); }
 
   size_t InboxDepth() const override {
-    if (sys_->config_.channel == ChannelKind::kMutexMailbox) {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      return inbox_.size();
-    }
     size_t depth = 0;
     const uint32_t n = sys_->plan_.num_cores();
     for (uint32_t src = 0; src < n; ++src) {
@@ -269,14 +224,6 @@ class ThreadSystem::Core : public CoreEnv {
     return false;
   }
 
-  void MailboxPush(Message msg) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_.push_back(std::move(msg));
-    }
-    inbox_cv_.notify_one();
-  }
-
   void InjectPush(Message msg) {
     {
       std::lock_guard<std::mutex> lock(inject_mu_);
@@ -305,21 +252,15 @@ class ThreadSystem::Core : public CoreEnv {
   uint32_t id_;
   uint32_t next_poll_ = 0;  // ring scan cursor, receiver thread only
 
-  // Mutex-mailbox transport (ChannelKind::kMutexMailbox).
-  std::deque<Message> inbox_;
-  mutable std::mutex inbox_mu_;  // InboxDepth() is a const observer
-  std::condition_variable inbox_cv_;
-
   // Injection lane for messages produced outside any core thread
-  // (SendShutdown); SPSC transport only.
+  // (SendShutdown).
   std::deque<Message> inject_;
   std::mutex inject_mu_;
   std::atomic<uint32_t> inject_pending_{0};
 
-  // Eventcount the receiver parks on once its spin/yield budget runs out
-  // (SPSC transport only). parked_ is the receiver's announcement; the
-  // mutex/condvar pair only ever sees traffic while the receiver is
-  // parked or about to park.
+  // Eventcount the receiver parks on once its spin/yield budget runs out.
+  // parked_ is the receiver's announcement; the mutex/condvar pair only
+  // ever sees traffic while the receiver is parked or about to park.
   std::mutex park_mu_;
   std::condition_variable park_cv_;
   std::atomic<bool> parked_{false};
@@ -348,12 +289,10 @@ ThreadSystem::ThreadSystem(ThreadSystemConfig config)
   for (uint32_t c = 0; c < config_.num_cores; ++c) {
     cores_.push_back(std::make_unique<Core>(this, c));
   }
-  if (config_.channel == ChannelKind::kSpscRing) {
-    rings_.reserve(static_cast<size_t>(config_.num_cores) * config_.num_cores);
-    for (uint32_t src = 0; src < config_.num_cores; ++src) {
-      for (uint32_t dst = 0; dst < config_.num_cores; ++dst) {
-        rings_.push_back(std::make_unique<SpscChannel>(config_.channel_capacity));
-      }
+  rings_.reserve(static_cast<size_t>(config_.num_cores) * config_.num_cores);
+  for (uint32_t src = 0; src < config_.num_cores; ++src) {
+    for (uint32_t dst = 0; dst < config_.num_cores; ++dst) {
+      rings_.push_back(std::make_unique<SpscChannel>(config_.channel_capacity));
     }
   }
 }
@@ -371,11 +310,7 @@ void ThreadSystem::SendShutdown(uint32_t core) {
   Message msg;
   msg.type = MsgType::kShutdown;
   msg.src = core;
-  if (config_.channel == ChannelKind::kMutexMailbox) {
-    receiver->MailboxPush(std::move(msg));
-  } else {
-    receiver->InjectPush(std::move(msg));
-  }
+  receiver->InjectPush(std::move(msg));
 }
 
 void ThreadSystem::RunToCompletion() {

@@ -1,22 +1,19 @@
 // std::thread backend of the runtime — the Section 7 "port".
 //
 // The same protocol code that runs on the simulated SCC runs here on real
-// OS threads. The default transport is one lock-free SPSC ring per directed
-// core pair (src/runtime/spsc_channel.h) — the port of the paper's
-// cache-line channels: senders publish with a release store, receivers scan
-// their incoming rings with acquire loads under an adaptive
+// OS threads. The transport is one lock-free SPSC ring per directed core
+// pair (src/runtime/spsc_channel.h) — the port of the paper's cache-line
+// channels: senders publish with a release store, receivers scan their
+// incoming rings with acquire loads under an adaptive
 // spin-then-yield-then-park policy, and a full ring back-pressures the
-// sender. The pre-v2 mutex-and-condvar mailbox is kept as
-// ChannelKind::kMutexMailbox, both as the bench baseline the SPSC path is
-// measured against and as a fallback. Time is the host's steady clock;
-// Compute spins and ChargeModelled is free.
+// sender. Time is the host's steady clock; Compute spins and
+// ChargeModelled is free.
 #ifndef TM2C_SRC_RUNTIME_THREAD_SYSTEM_H_
 #define TM2C_SRC_RUNTIME_THREAD_SYSTEM_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,14 +23,12 @@
 
 namespace tm2c {
 
-// Message transport between core threads.
+// Message transport between core threads: lock-free per-pair rings, the
+// only kind. The enum survives solely because TmSystemConfig::channel still
+// carries it for the benchmark harness (bench/e2e), which assigns it.
 enum class ChannelKind : uint8_t {
-  kSpscRing = 0,      // lock-free per-pair rings, spin-then-yield polling
-  kMutexMailbox = 1,  // one mutex/condvar mailbox per core (the v1 backend)
+  kSpscRing = 0,
 };
-
-const char* ChannelKindName(ChannelKind kind);
-ChannelKind ChannelKindByName(const std::string& name);
 
 struct ThreadSystemConfig {
   PlatformDesc platform;  // used for topology/partitioning only
@@ -42,7 +37,6 @@ struct ThreadSystemConfig {
   DeployStrategy strategy = DeployStrategy::kDedicated;
   uint64_t shmem_bytes = 4ull << 20;
 
-  ChannelKind channel = ChannelKind::kSpscRing;
   // Bounded ring depth per directed pair (rounded up to a power of two).
   // A sender that finds the ring full spins/yields until space opens.
   uint32_t channel_capacity = 256;
@@ -58,10 +52,9 @@ struct ThreadSystemConfig {
   // (more core threads than CPUs) both budgets are collapsed at
   // construction, since spinning there only steals cycles from the peer
   // being waited on. Non-parking waits (send backpressure, the barrier)
-  // nap `idle_sleep_us` once their budgets run out.
+  // take short naps once their budgets run out.
   uint32_t spin_rounds = 200;
   uint32_t yield_rounds = 4000;
-  uint32_t idle_sleep_us = 50;
 };
 
 class ThreadSystem : public SystemBackend {
@@ -110,7 +103,7 @@ class ThreadSystem : public SystemBackend {
   std::unique_ptr<SharedMemory> shmem_;
   std::unique_ptr<ShmAllocator> allocator_;
   std::vector<std::unique_ptr<Core>> cores_;
-  // num_cores^2 rings, indexed src * num_cores + dst (SPSC transport only).
+  // num_cores^2 rings, indexed src * num_cores + dst.
   std::vector<std::unique_ptr<SpscChannel>> rings_;
 
   // More core threads than host CPUs: waiters collapse their spin budgets

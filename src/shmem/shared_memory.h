@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -28,41 +27,26 @@ constexpr uint64_t kWordBytes = 8;
 
 class SharedMemory {
  public:
-  // `interprocess` backs the word array with an anonymous MAP_SHARED
-  // mapping instead of heap memory, so forked partition servers (the
+  // The word array is an anonymous mapping, which the kernel hands out
+  // zero-filled, so no word is written (or touched) until it is used.
+  // `interprocess` maps it MAP_SHARED, so forked partition servers (the
   // process backend) address the same physical words as the parent —
-  // exactly the SCC's off-chip DRAM: shared, addressable by everyone,
-  // kept consistent only by the DS-Lock protocol. std::atomic<uint64_t>
-  // is address-free when lock-free, so the atomics work across the
-  // process boundary.
+  // exactly the SCC's off-chip DRAM: shared, addressable by everyone, kept
+  // consistent only by the DS-Lock protocol. std::atomic<uint64_t> is
+  // address-free when lock-free, so the atomics work across the process
+  // boundary. In-process backends map it MAP_PRIVATE: a forked child (a
+  // death test) then gets a copy-on-write view, as it would of the heap.
   explicit SharedMemory(uint64_t bytes, bool interprocess = false)
       : size_bytes_((bytes + kWordBytes - 1) / kWordBytes * kWordBytes) {
     static_assert(std::atomic<uint64_t>::is_always_lock_free,
                   "cross-process shared words need address-free atomics");
-    const uint64_t num_words = size_bytes_ / kWordBytes;
-    if (interprocess) {
-      void* mem = ::mmap(nullptr, size_bytes_, PROT_READ | PROT_WRITE,
-                         MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-      TM2C_CHECK_MSG(mem != MAP_FAILED, "shmem: mmap(MAP_SHARED) failed");
-      mapped_bytes_ = size_bytes_;
-      words_ = static_cast<std::atomic<uint64_t>*>(mem);
-      for (uint64_t i = 0; i < num_words; ++i) {
-        new (&words_[i]) std::atomic<uint64_t>();
-      }
-    } else {
-      owned_.reset(new std::atomic<uint64_t>[num_words]);
-      words_ = owned_.get();
-    }
-    for (uint64_t i = 0; i < num_words; ++i) {
-      words_[i].store(0, std::memory_order_relaxed);
-    }
+    void* mem = ::mmap(nullptr, size_bytes_, PROT_READ | PROT_WRITE,
+                       (interprocess ? MAP_SHARED : MAP_PRIVATE) | MAP_ANONYMOUS, -1, 0);
+    TM2C_CHECK_MSG(mem != MAP_FAILED, "shmem: mmap of the word array failed");
+    words_ = static_cast<std::atomic<uint64_t>*>(mem);
   }
 
-  ~SharedMemory() {
-    if (mapped_bytes_ != 0) {
-      ::munmap(words_, mapped_bytes_);
-    }
-  }
+  ~SharedMemory() { ::munmap(words_, size_bytes_); }
 
   SharedMemory(const SharedMemory&) = delete;
   SharedMemory& operator=(const SharedMemory&) = delete;
@@ -120,11 +104,7 @@ class SharedMemory {
   uint64_t size_bytes_;
   // Atomic words so the std::thread backend can share the array without
   // data races; the simulator backend is single-threaded and unaffected.
-  // Backed by the heap (owned_) or an anonymous shared mapping (mapped_),
-  // depending on the backend's process topology.
   std::atomic<uint64_t>* words_ = nullptr;
-  std::unique_ptr<std::atomic<uint64_t>[]> owned_;
-  uint64_t mapped_bytes_ = 0;
 };
 
 // Queueing model for the platform's memory controllers. Each controller

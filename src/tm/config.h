@@ -152,11 +152,6 @@ struct TmConfig {
   // Elastic window: how many trailing reads stay protected/validated.
   uint32_t elastic_window = 2;
 
-  // Back-off-Retry parameters: wait is uniform in [0, bound) core cycles,
-  // bound doubling per consecutive abort up to the cap.
-  uint64_t backoff_initial_cycles = 2000;
-  uint64_t backoff_max_cycles = 1 << 20;
-
   // Service-side processing cost per request, in service-core cycles
   // (drives the service saturation behaviour of Figure 5(b)). Simulator
   // only (CoreEnv::ChargeModelled): native backends pay the real handling.
@@ -170,7 +165,8 @@ struct TmConfig {
   // switched from pending to aborted" — and the victim reads it atomically
   // with its write-set persist, closing the race between an in-flight
   // abort notification and the commit point. TmSystem sets this up
-  // automatically; standalone harnesses may leave it disabled.
+  // automatically, and TxRuntime requires it; a bare DtmService harness
+  // (no runtime) may leave it disabled.
   uint64_t abort_status_base = kNoAbortStatus;
   static constexpr uint64_t kNoAbortStatus = UINT64_MAX;
 
@@ -217,22 +213,12 @@ struct TmConfig {
   uint32_t migrate_check_every = 0;
   uint32_t migrate_hot_threshold = 0;
 
-  // Cycles a client backs off after a kMigrating refusal before retrying —
-  // long enough for a typical drain to finish, short enough not to idle a
-  // core through the whole migration.
-  uint64_t migrate_backoff_cycles = 4000;
-
   // Admission control: when a service observes more than this many pending
   // inbox messages, it refuses non-committing acquires with kOverload
   // instead of queueing them. 0 disables admission control. Commit-phase
   // acquisitions are always admitted: refusing a committer wastes every
   // lock it already holds.
   uint32_t overload_high_water = 0;
-
-  // Cycles a client backs off after a kOverload refusal. Longer than the
-  // migration backoff: an overloaded service needs its queue drained, not
-  // an instant retry.
-  uint64_t overload_backoff_cycles = 8000;
 };
 
 }  // namespace tm2c

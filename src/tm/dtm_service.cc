@@ -1,5 +1,7 @@
 #include "src/tm/dtm_service.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 #include "src/common/log.h"
 #include "src/durability/partition_log.h"
@@ -138,14 +140,6 @@ Message DtmService::Process(const Message& msg) {
   }
 }
 
-TxInfo DtmService::DecodeRequester(const Message& msg) const {
-  TxInfo info;
-  info.core = msg.src;
-  info.epoch = msg.w1;
-  info.metric = cm_->MetricFromWire(msg.w2, env_.LocalNow());
-  return info;
-}
-
 void DtmService::ChargeProcessing(uint64_t items) {
   env_.ChargeModelled(config_.service_base_cycles + config_.service_per_item_cycles * items);
 }
@@ -197,65 +191,99 @@ void DtmService::NotifyVictims(const std::vector<Victim>& victims) {
   }
 }
 
+DtmService::AcquireOutcome DtmService::Acquire(const AcquireRequest& req) {
+  TM2C_DCHECK(req.n <= kMaxBatchEntries || req.write_bitmap == 0 ||
+              req.write_bitmap == ~uint64_t{0});
+  AcquireOutcome out;
+
+  // A request from an attempt this node already revoked is refused whole;
+  // the refusal races with (and is equivalent to) the in-flight abort
+  // notification. Under the multitasked deployment the revocation may have
+  // been decided by an earlier request this very core served, so the
+  // owner-local path needs the check as much as the wire does.
+  const RemoteCoreState& state = remote_state_[req.core];
+  if (state.aborted_epoch == req.epoch) {
+    ++stats_.stale_requests_refused;
+    out.refused = state.aborted_kind;
+    return out;
+  }
+
+  if (req.admission && Overloaded(req.committing)) {
+    ++stats_.overload_refused;
+    out.refused = ConflictKind::kOverload;
+    return out;
+  }
+
+  NoteAcquiresForPolicy(req.addrs, req.n);
+
+  // Misrouted entries terminate the grant prefix: a stale request routed
+  // before a directory flip can still land here, and granting a stripe
+  // this node no longer owns would split its lock state across two tables.
+  // Entries inside an open drain window cut the prefix the same way (not
+  // under the planted fault). Both cuts are retryable and carry kMigrating:
+  // the requester re-routes, or waits out the window, on retry.
+  uint32_t usable = req.n;
+  for (uint32_t i = 0; i < req.n; ++i) {
+    if (map_ != nullptr && map_->ResponsibleCore(req.addrs[i]) != env_.core_id()) {
+      ++stats_.misrouted_refused;
+      usable = i;
+      break;
+    }
+    if (config_.fault != FaultMode::kGrantDuringMigration && MigratingStripe(req.addrs[i])) {
+      ++stats_.migrating_refused;
+      usable = i;
+      break;
+    }
+  }
+  if (usable < req.n) {
+    out.refused = ConflictKind::kMigrating;
+  }
+
+  // The lock-table pass, in chunks the 64-bit write bitmap can describe.
+  // Grants are all-or-prefix, so a refused chunk ends the pass, and the
+  // victims of every chunk are notified together afterwards.
+  TxInfo requester;
+  requester.core = req.core;
+  requester.epoch = req.epoch;
+  requester.metric = cm_->MetricFromWire(req.metric_wire, env_.LocalNow());
+  std::vector<Victim> victims;
+  for (uint32_t pos = 0; pos < usable; pos += kMaxBatchEntries) {
+    const uint32_t len = std::min(usable - pos, kMaxBatchEntries);
+    const BatchAcquireResult chunk = table_.TryAcquireMany(
+        requester, req.addrs + pos, len, req.write_bitmap, *cm_, req.committing);
+    out.granted += chunk.granted_count;
+    victims.insert(victims.end(), chunk.victims.begin(), chunk.victims.end());
+    if (chunk.refused != ConflictKind::kNone) {
+      out.refused = chunk.refused;
+      break;
+    }
+  }
+  NotifyVictims(victims);
+  if (trace_ != nullptr) {
+    TraceGrants(req.core, req.addrs, out.granted);
+  }
+  return out;
+}
+
 Message DtmService::HandleAcquire(const Message& msg, bool is_write) {
   ++stats_.requests;
   ChargeProcessing(1);
+  AcquireRequest req;
+  req.core = msg.src;
+  req.epoch = msg.w1;
+  req.metric_wire = msg.w2;
+  req.addrs = &msg.w0;
+  req.n = 1;
+  req.write_bitmap = is_write ? 1 : 0;
+  req.committing = is_write && msg.w3 != 0;
+  req.admission = true;
+  const AcquireOutcome out = Acquire(req);
 
   Message rsp;
+  rsp.type = out.granted == 1 ? MsgType::kLockGranted : MsgType::kLockConflict;
   rsp.w0 = msg.w0;
   rsp.w1 = msg.w1;
-
-  // A request from an attempt this node already revoked is refused outright;
-  // the refusal races with (and is equivalent to) the in-flight abort
-  // notification.
-  RemoteCoreState& state = remote_state_[msg.src];
-  if (state.aborted_epoch == msg.w1) {
-    ++stats_.stale_requests_refused;
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(state.aborted_kind);
-    return rsp;
-  }
-
-  const bool committing = is_write && msg.w3 != 0;
-  if (Overloaded(committing)) {
-    ++stats_.overload_refused;
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(ConflictKind::kOverload);
-    return rsp;
-  }
-
-  NoteAcquiresForPolicy(&msg.w0, 1);
-
-  // A stale request routed before a directory flip can still land here;
-  // granting a stripe this node no longer owns would split its lock state
-  // across two tables. kMigrating tells the requester to re-route.
-  if (map_ != nullptr && map_->ResponsibleCore(msg.w0) != env_.core_id()) {
-    ++stats_.misrouted_refused;
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(ConflictKind::kMigrating);
-    return rsp;
-  }
-  if (config_.fault != FaultMode::kGrantDuringMigration && MigratingStripe(msg.w0)) {
-    ++stats_.migrating_refused;
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(ConflictKind::kMigrating);
-    return rsp;
-  }
-
-  const TxInfo requester = DecodeRequester(msg);
-  const AcquireResult result =
-      is_write ? table_.WriteLock(requester, msg.w0, *cm_, /*committing=*/msg.w3 != 0)
-               : table_.ReadLock(requester, msg.w0, *cm_);
-  NotifyVictims(result.victims);
-  if (result.refused != ConflictKind::kNone) {
-    rsp.type = MsgType::kLockConflict;
-    rsp.w2 = static_cast<uint64_t>(result.refused);
-  } else {
-    rsp.type = MsgType::kLockGranted;
-    if (trace_ != nullptr) {
-      TraceGrants(msg.src, &msg.w0, 1);
-    }
-  }
+  rsp.w2 = static_cast<uint64_t>(out.refused);
   return rsp;
 }
 
@@ -265,134 +293,46 @@ Message DtmService::HandleBatchAcquire(const Message& msg) {
   stats_.batch_entries += msg.extra.size();
   ChargeProcessing(msg.extra.size());
   TM2C_CHECK_MSG(msg.extra.size() <= kMaxBatchEntries, "oversized batch request");
+  AcquireRequest req;
+  req.core = msg.src;
+  req.epoch = msg.w1;
+  req.metric_wire = msg.w2;
+  req.addrs = msg.extra.data();
+  req.n = static_cast<uint32_t>(msg.extra.size());
+  req.write_bitmap = msg.w3;
+  req.committing = (msg.w0 & kBatchReqIdMask & kBatchFlagCommit) != 0;
+  req.admission = true;
+  const AcquireOutcome out = Acquire(req);
 
   // The request id in the bits above the flags is opaque to the service:
   // it is echoed in the reply so a pipelining requester can match
-  // interleaved replies to their requests.
-  const uint64_t request_id = msg.w0 >> kBatchReqIdShift;
-
+  // interleaved replies to their requests. The granted count fits below
+  // it (n <= 64).
   Message rsp;
   rsp.type = MsgType::kBatchReply;
+  rsp.w0 = PrefixBitmap(out.granted);
   rsp.w1 = msg.w1;
-  rsp.w3 = request_id << kBatchReqIdShift;
-
-  // A batch from an attempt this node already revoked is refused whole (no
-  // entry granted), exactly like the scalar path.
-  RemoteCoreState& state = remote_state_[msg.src];
-  if (state.aborted_epoch == msg.w1) {
-    ++stats_.stale_requests_refused;
-    rsp.w2 = static_cast<uint64_t>(state.aborted_kind);
-    return rsp;
-  }
-
-  const bool committing = (msg.w0 & kBatchReqIdMask & kBatchFlagCommit) != 0;
-  if (Overloaded(committing)) {
-    ++stats_.overload_refused;
-    rsp.w2 = static_cast<uint64_t>(ConflictKind::kOverload);
-    return rsp;  // refused whole: no entry granted
-  }
-
-  // Decode the requester's CM metric once for the whole batch — with the
-  // scalar protocol this (and the message round trip around it) happened
-  // once per address.
-  const TxInfo requester = DecodeRequester(msg);
-  const uint32_t n = static_cast<uint32_t>(msg.extra.size());
-
-  NoteAcquiresForPolicy(msg.extra.data(), n);
-
-  // Misrouted entries terminate the grant prefix: granting a stripe this
-  // node does not own would split its lock state across two tables. Only
-  // the correctly-routed leading run is attempted. Entries inside an open
-  // drain window cut the prefix the same way. Both cuts are retryable and
-  // carry kMigrating: a misroute here means the requester routed before a
-  // directory flip and will re-route on retry.
-  uint32_t routed = n;
-  ConflictKind route_refusal = ConflictKind::kNone;
-  if (map_ != nullptr) {
-    for (uint32_t i = 0; i < n; ++i) {
-      if (map_->ResponsibleCore(msg.extra[i]) != env_.core_id()) {
-        routed = i;
-        route_refusal = ConflictKind::kMigrating;
-        ++stats_.misrouted_refused;
-        break;
-      }
-      if (config_.fault != FaultMode::kGrantDuringMigration && MigratingStripe(msg.extra[i])) {
-        routed = i;
-        route_refusal = ConflictKind::kMigrating;
-        ++stats_.migrating_refused;
-        break;
-      }
-    }
-  }
-
-  const BatchAcquireResult result = table_.TryAcquireMany(
-      requester, msg.extra.data(), routed, msg.w3, *cm_, committing);
-  NotifyVictims(result.victims);
-  rsp.w0 = result.granted_bitmap;
-  rsp.w3 |= result.granted_count;  // fits below kBatchReqIdShift (n <= 64)
-  if (trace_ != nullptr && result.granted_count > 0) {
-    TraceGrants(msg.src, msg.extra.data(), result.granted_count);
-  }
-  if (result.granted_count < n) {
-    // CM refusals carry their kind; a prefix cut by routing or an open
-    // drain window carries kMigrating.
-    rsp.w2 = static_cast<uint64_t>(
-        result.refused != ConflictKind::kNone ? result.refused : route_refusal);
-  }
+  rsp.w2 = static_cast<uint64_t>(out.refused);
+  rsp.w3 = (msg.w0 & ~kBatchReqIdMask) | out.granted;
   return rsp;
 }
 
-uint32_t DtmService::AcquireSpanDirect(uint64_t epoch, uint64_t metric_wire,
-                                       const uint64_t* addrs, uint32_t n, bool is_write,
-                                       bool committing, ConflictKind* refused) {
+DtmService::AcquireOutcome DtmService::AcquireSpanDirect(uint64_t epoch, uint64_t metric_wire,
+                                                         const uint64_t* addrs, uint32_t n,
+                                                         bool is_write, bool committing) {
   ++stats_.requests;
   ++stats_.local_direct_requests;
   stats_.local_direct_entries += n;
   ChargeProcessing(n);
-  *refused = ConflictKind::kNone;
-
-  // Whole-span stale-epoch refusal: a revocation of this very attempt may
-  // have been decided by an earlier request this core served (multitasked
-  // deployment), so the check is as necessary here as on the wire path.
-  RemoteCoreState& state = remote_state_[env_.core_id()];
-  if (state.aborted_epoch == epoch) {
-    ++stats_.stale_requests_refused;
-    *refused = state.aborted_kind;
-    return 0;
-  }
-
-  NoteAcquiresForPolicy(addrs, n);
-
-  // An open drain window cuts the span exactly like the wire path: grants
-  // stop at the first draining stripe (skipped under the planted fault).
-  // No admission control here — the fast path never queues, so there is no
-  // inbox backlog for it to shed.
-  uint32_t usable = n;
-  if (config_.fault != FaultMode::kGrantDuringMigration && !migrating_out_.empty()) {
-    for (uint32_t i = 0; i < n; ++i) {
-      if (MigratingStripe(addrs[i])) {
-        usable = i;
-        ++stats_.migrating_refused;
-        break;
-      }
-    }
-  }
-
-  TxInfo requester;
-  requester.core = env_.core_id();
-  requester.epoch = epoch;
-  requester.metric = cm_->MetricFromWire(metric_wire, env_.LocalNow());
-  const SpanAcquireResult result = table_.TryAcquireSpan(requester, addrs, usable, is_write, *cm_,
-                                                         committing);
-  NotifyVictims(result.victims);
-  if (trace_ != nullptr && result.granted_count > 0) {
-    TraceGrants(env_.core_id(), addrs, result.granted_count);
-  }
-  *refused = result.refused;
-  if (usable < n && result.granted_count == usable && result.refused == ConflictKind::kNone) {
-    *refused = ConflictKind::kMigrating;
-  }
-  return result.granted_count;
+  AcquireRequest req;
+  req.core = env_.core_id();
+  req.epoch = epoch;
+  req.metric_wire = metric_wire;
+  req.addrs = addrs;
+  req.n = n;
+  req.write_bitmap = is_write ? ~uint64_t{0} : 0;
+  req.committing = committing;
+  return Acquire(req);
 }
 
 void DtmService::HandleCommitLog(const Message& msg) {

@@ -73,9 +73,9 @@ struct ServiceExitReport {
 
 class DtmService {
  public:
-  // `map`, when provided, lets the service refuse batch entries that hash
-  // to a different partition (a misrouted request would otherwise corrupt
-  // two nodes' views of the same stripe). TmSystem always passes it; bare
+  // `map`, when provided, lets the service refuse stripes that belong to a
+  // different partition (a misrouted request would otherwise corrupt two
+  // nodes' views of the same stripe). TmSystem always passes it; bare
   // harnesses may skip the check.
   DtmService(CoreEnv& env, const TmConfig& config, const AddressMap* map = nullptr);
 
@@ -93,18 +93,23 @@ class DtmService {
   // sent; the response is returned directly.
   Message HandleLocal(const Message& request);
 
+  // What one acquisition request got: the granted prefix length and, when
+  // the prefix stops short, the refusal's kind (kNone when fully granted).
+  struct AcquireOutcome {
+    uint32_t granted = 0;
+    ConflictKind refused = ConflictKind::kNone;
+  };
+
   // Owner-local fast path: the requesting runtime runs on this very core
   // and skips the message layer entirely — no Message is built and no
   // coroutine-switch cost is charged; only the service processing cost is.
-  // Semantics match a kBatchAcquire from this core: whole-span stale-epoch
-  // refusal, all-or-prefix grants, victims notified through the normal
-  // paths (including the local abort sink). The caller guarantees every
-  // stripe belongs to this partition (it grouped them with the same
-  // AddressMap the service validates against). Returns the granted prefix
-  // length; `*refused` carries the first refusal's kind (kNone when fully
-  // granted).
-  uint32_t AcquireSpanDirect(uint64_t epoch, uint64_t metric_wire, const uint64_t* addrs,
-                             uint32_t n, bool is_write, bool committing, ConflictKind* refused);
+  // The span (all read or all write locks, any length) takes the same
+  // acquisition sequence as a kBatchAcquire from this core — stale-epoch
+  // refusal, ownership and drain-window cut, all-or-prefix grants, victims
+  // notified through the normal paths (including the local abort sink) —
+  // minus admission control: it never queues, so it has no backlog to shed.
+  AcquireOutcome AcquireSpanDirect(uint64_t epoch, uint64_t metric_wire, const uint64_t* addrs,
+                                   uint32_t n, bool is_write, bool committing);
 
   // Multitasked deployment: a victim of a revocation can be a transaction
   // running on this very core; the sink delivers the abort locally instead
@@ -173,13 +178,33 @@ class DtmService {
   // release-type messages: Message.type stays kInvalid).
   Message Process(const Message& msg);
 
+  // One lock acquisition, whichever entry it came through: `n` stripes for
+  // `core`'s attempt `epoch`. Bit i of `write_bitmap` asks for a write lock
+  // on entry i; a span longer than kMaxBatchEntries is homogeneous (0 or
+  // all ones) and every 64-entry chunk reuses the bitmap. `admission` marks
+  // the wire entries, which admission control may shed.
+  struct AcquireRequest {
+    uint32_t core = 0;
+    uint64_t epoch = 0;
+    uint64_t metric_wire = 0;
+    const uint64_t* addrs = nullptr;
+    uint32_t n = 0;
+    uint64_t write_bitmap = 0;
+    bool committing = false;
+    bool admission = false;
+  };
+  // The acquisition sequence every entry shares (see docs/ARCHITECTURE.md,
+  // "Lock acquisition"): stale-epoch refusal, admission control, policy
+  // tally, ownership and drain-window cut, the lock-table pass, victim
+  // notification, grant tracing. The entries own only their decoding,
+  // request counters, processing charge and reply encoding.
+  AcquireOutcome Acquire(const AcquireRequest& req);
   Message HandleAcquire(const Message& msg, bool is_write);
   Message HandleBatchAcquire(const Message& msg);
   void HandleCommitLog(const Message& msg);
   void SendCommitLogAck(uint32_t core, uint64_t epoch, uint64_t record_index);
   void HandleRelease(const Message& msg);
   void NotifyVictims(const std::vector<Victim>& victims);
-  TxInfo DecodeRequester(const Message& msg) const;
   void ChargeProcessing(uint64_t items);
 
   // True when `stripe` falls inside a range this service is draining.

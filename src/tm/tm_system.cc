@@ -28,9 +28,7 @@ std::unique_ptr<SystemBackend> MakeBackend(const TmSystemConfig& config) {
   tcfg.num_service = config.sim.num_service;
   tcfg.strategy = config.sim.strategy;
   tcfg.shmem_bytes = config.sim.shmem_bytes;
-  tcfg.channel = config.channel;
   tcfg.pin_threads = config.pin_threads;
-  tcfg.channel_capacity = config.channel_capacity;
   return std::make_unique<ThreadSystem>(tcfg);
 }
 

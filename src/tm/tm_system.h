@@ -36,10 +36,11 @@ struct TmSystemConfig {
   TmConfig tm;
 
   BackendKind backend = BackendKind::kSim;
-  // Thread-backend tuning; ignored under the simulator.
+  // Thread-backend tuning; ignored under the simulator. `channel` has one
+  // value and selects nothing: it stays only because the frozen benchmark
+  // harness (bench/e2e/workloads.cc) assigns it.
   ChannelKind channel = ChannelKind::kSpscRing;
   bool pin_threads = false;
-  uint32_t channel_capacity = 256;
   // Process backend only: directory for the partition sockets and (when
   // durability is on) the per-partition WAL backing files. Required there,
   // ignored elsewhere. Pass a fresh per-run (temp) directory.

@@ -15,6 +15,8 @@ TxRuntime::TxRuntime(CoreEnv& env, const TmConfig& config, const AddressMap& map
       map_(map),
       local_service_(local_service),
       backoff_rng_(0x5bd1e995u * (env.core_id() + 1)) {
+  TM2C_CHECK_MSG(config_.abort_status_base != TmConfig::kNoAbortStatus,
+                 "TxRuntime needs the abort-status words (TmSystem allocates them)");
   if (local_service_ != nullptr) {
     local_service_->SetLocalAbortSink([this](uint64_t epoch, ConflictKind kind) {
       if (in_tx_ && epoch == current_epoch_) {
@@ -68,23 +70,27 @@ bool TxRuntime::TryExecute(const std::function<void(Tx&)>& body, uint64_t max_at
       if (attempts >= max_attempts) {
         return false;
       }
-      if (abort.reason == ConflictKind::kMigrating && config_.migrate_backoff_cycles > 0) {
+      if (abort.reason == ConflictKind::kMigrating) {
         // A drain window or a stale route refused us: back off past the
         // expected drain latency regardless of the CM — an instant retry
-        // would only be refused again by the same window.
-        env_.Compute(backoff_rng_.NextBelow(config_.migrate_backoff_cycles) + 1);
-      } else if (abort.reason == ConflictKind::kOverload &&
-                 config_.overload_backoff_cycles > 0) {
+        // would only be refused again by the same window, and a longer
+        // wait would idle the core through the whole migration.
+        constexpr uint64_t kMigrateBackoffCycles = 4000;
+        env_.Compute(backoff_rng_.NextBelow(kMigrateBackoffCycles) + 1);
+      } else if (abort.reason == ConflictKind::kOverload) {
         // Admission control shed us: give the service's inbox time to
-        // drain below the high-water mark before offering the load again.
-        env_.Compute(backoff_rng_.NextBelow(config_.overload_backoff_cycles) + 1);
+        // drain below the high-water mark before offering the load again
+        // (longer than the migration back-off: the queue must drain).
+        constexpr uint64_t kOverloadBackoffCycles = 8000;
+        env_.Compute(backoff_rng_.NextBelow(kOverloadBackoffCycles) + 1);
       } else if (config_.cm == CmKind::kBackoffRetry) {
-        // Randomized exponential back-off before the retry (Section 4.2).
+        // Randomized exponential back-off before the retry (Section 4.2):
+        // uniform in [0, bound) cycles, the bound doubling per consecutive
+        // abort up to the cap.
+        constexpr uint64_t kBackoffInitialCycles = 2000;
+        constexpr uint64_t kBackoffMaxCycles = 1 << 20;
         const uint64_t shift = std::min<uint64_t>(consecutive_aborts_ - 1, 16);
-        uint64_t bound = config_.backoff_initial_cycles << shift;
-        if (bound > config_.backoff_max_cycles) {
-          bound = config_.backoff_max_cycles;
-        }
+        const uint64_t bound = std::min(kBackoffInitialCycles << shift, kBackoffMaxCycles);
         env_.Compute(backoff_rng_.NextBelow(bound) + 1);
       }
     }
@@ -138,39 +144,45 @@ void TxRuntime::ServePending() {
   Message msg;
   int budget = 128;
   while (budget-- > 0 && env_.TryRecv(&msg)) {
-    if (msg.type == MsgType::kAbortNotify) {
+    HandleInboxMessage(msg);
+  }
+}
+
+void TxRuntime::HandleInboxMessage(const Message& msg) {
+  switch (msg.type) {
+    case MsgType::kAbortNotify:
+      // Only the running attempt's notification counts; anything else is
+      // stale (a finished attempt).
       if (in_tx_ && msg.w1 == current_epoch_) {
         pending_abort_ = true;
         pending_abort_kind_ = static_cast<ConflictKind>(msg.w2);
       }
-      continue;  // stale notification for a finished attempt
-    }
-    if (msg.type == MsgType::kBarrier) {
-      // A peer already reached a privatization barrier we have not entered
-      // yet; remember its token for when we do.
+      return;
+    case MsgType::kBarrier:
+      // A peer reached a privatization barrier, perhaps one this core has
+      // not entered yet; remember its token for when it does.
       ++barrier_arrivals_[msg.w0];
-      continue;
-    }
-    if (msg.type == MsgType::kOwnershipUpdate) {
+      return;
+    case MsgType::kOwnershipUpdate:
       // A stripe range changed owner. The directory is shared, so the next
       // routing lookup already sees the flip; just count the notification.
       ++stats_.ownership_updates;
-      continue;
-    }
-    if (msg.type == MsgType::kBatchReply) {
-      // A pipelined prefetch reply landing while this core does local
-      // work: record the grants (or the refusal) right away.
+      return;
+    case MsgType::kBatchReply:
+      // A pipelined batch resolving while this core waits for something
+      // else or does local work: record the grants (or the refusal) now.
       CompleteBatch(msg);
-      continue;
-    }
-    if (local_service_ != nullptr) {
-      env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
-      if (local_service_->HandleMessage(msg)) {
-        continue;  // multitasked deployment: served a DTM request
-      }
-    }
-    TM2C_FATAL("unexpected message in application inbox");
+      return;
+    default:
+      break;
   }
+  if (local_service_ != nullptr) {
+    env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
+    if (local_service_->HandleMessage(msg)) {
+      return;  // multitasked deployment: served a DTM request (Figure 2)
+    }
+  }
+  TM2C_FATAL("unexpected message in application inbox");
 }
 
 void TxRuntime::RequestMigration(uint64_t base, uint64_t bytes, uint32_t target_partition) {
@@ -204,25 +216,7 @@ void TxRuntime::PrivatizationBarrier() {
   // g+1 tokens while we still collect g; those are buffered, never lost.
   const uint32_t needed = plan.num_app() - 1;
   while (barrier_arrivals_[generation] < needed) {
-    Message msg = env_.Recv();
-    switch (msg.type) {
-      case MsgType::kBarrier:
-        ++barrier_arrivals_[msg.w0];
-        break;
-      case MsgType::kAbortNotify:
-        break;  // stale: we are not in a transaction
-      case MsgType::kOwnershipUpdate:
-        ++stats_.ownership_updates;  // directory is shared; nothing to apply
-        break;
-      default:
-        if (local_service_ != nullptr) {
-          env_.ChargeModelled(config_.multitask_switch_cycles);
-          if (local_service_->HandleMessage(msg)) {
-            break;
-          }
-        }
-        TM2C_FATAL("unexpected message while in the privatization barrier");
-    }
+    HandleInboxMessage(env_.Recv());
   }
   barrier_arrivals_.erase(generation);
 }
@@ -277,47 +271,11 @@ Message TxRuntime::Rpc(uint32_t dst, Message request) {
   env_.Send(dst, std::move(request));
   for (;;) {
     Message msg = env_.Recv();
-    switch (msg.type) {
-      case MsgType::kLockGranted:
-      case MsgType::kLockConflict:
-        return msg;
-      case MsgType::kBatchReply:
-        // A still-outstanding pipelined batch (prefetch) resolving while a
-        // scalar request waits: record it and keep waiting for the scalar
-        // response.
-        CompleteBatch(msg);
-        continue;
-      case MsgType::kAbortNotify:
-        if (in_tx_ && msg.w1 == current_epoch_) {
-          pending_abort_ = true;
-          pending_abort_kind_ = static_cast<ConflictKind>(msg.w2);
-        }
-        continue;
-      case MsgType::kBarrier:
-        ++barrier_arrivals_[msg.w0];  // peer reached a privatization barrier
-        continue;
-      case MsgType::kOwnershipUpdate:
-        ++stats_.ownership_updates;  // directory is shared; nothing to apply
-        continue;
-      default:
-        if (local_service_ != nullptr) {
-          env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
-          if (local_service_->HandleMessage(msg)) {
-            continue;  // served a DTM request while waiting (Figure 2)
-          }
-        }
-        TM2C_FATAL("unexpected message while awaiting a DTM response");
+    if (msg.type == MsgType::kLockGranted || msg.type == MsgType::kLockConflict) {
+      return msg;
     }
+    HandleInboxMessage(msg);
   }
-}
-
-Message TxRuntime::AcquireRpc(uint32_t dst, Message request, uint64_t stripes) {
-  const SimTime start = env_.LocalNow();
-  Message rsp = Rpc(dst, std::move(request));
-  stats_.acquire_time += env_.LocalNow() - start;
-  stats_.lock_acquires += stripes;
-  stats_.remote_acquires += stripes;
-  return rsp;
 }
 
 void TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write,
@@ -371,14 +329,7 @@ void TxRuntime::CompleteBatch(const Message& rsp) {
   const size_t len = fl.stripes.size();
   const auto granted = static_cast<size_t>(rsp.w3 & kBatchReqIdMask);
   TM2C_DCHECK(granted <= len);
-  for (size_t i = 0; i < granted; ++i) {
-    const uint64_t stripe = fl.stripes[i];
-    if (fl.is_write) {
-      write_locks_.insert(stripe);
-    } else if (read_locks_.insert(stripe).second) {
-      read_lock_order_.push_back(stripe);
-    }
-  }
+  NoteGranted(fl.stripes.data(), granted, fl.is_write);
   // Per-request acquire latency: overlapped requests each charge their full
   // issue-to-completion interval (the per-request mean is the pipelining
   // metric; wall time is tracked by busy_time).
@@ -412,31 +363,10 @@ void TxRuntime::CompleteBatch(const Message& rsp) {
 void TxRuntime::WaitOneReply() {
   TM2C_CHECK_MSG(!inflight_.empty(), "waiting for a batch reply with none outstanding");
   for (;;) {
-    Message msg = env_.Recv();
-    switch (msg.type) {
-      case MsgType::kBatchReply:
-        CompleteBatch(msg);
-        return;
-      case MsgType::kAbortNotify:
-        if (in_tx_ && msg.w1 == current_epoch_) {
-          pending_abort_ = true;
-          pending_abort_kind_ = static_cast<ConflictKind>(msg.w2);
-        }
-        continue;
-      case MsgType::kBarrier:
-        ++barrier_arrivals_[msg.w0];  // peer reached a privatization barrier
-        continue;
-      case MsgType::kOwnershipUpdate:
-        ++stats_.ownership_updates;  // directory is shared; nothing to apply
-        continue;
-      default:
-        if (local_service_ != nullptr) {
-          env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
-          if (local_service_->HandleMessage(msg)) {
-            continue;  // served a DTM request while waiting (Figure 2)
-          }
-        }
-        TM2C_FATAL("unexpected message while awaiting a batch reply");
+    const Message msg = env_.Recv();
+    HandleInboxMessage(msg);  // a kBatchReply goes to CompleteBatch there
+    if (msg.type == MsgType::kBatchReply) {
+      return;
     }
   }
 }
@@ -457,48 +387,40 @@ bool TxRuntime::LocalFastPathEligible(uint32_t node) const {
   return config_.local_fast_path && local_service_ != nullptr && node == env_.core_id();
 }
 
-void TxRuntime::LocalAcquireSpanOrAbort(const std::vector<uint64_t>& stripes, bool is_write,
+void TxRuntime::LocalAcquireSpanOrAbort(const uint64_t* stripes, uint32_t n, bool is_write,
                                         bool committing) {
   const SimTime start = env_.LocalNow();
   const uint64_t request_id = next_request_id_++;
-  const auto n = static_cast<uint32_t>(stripes.size());
   if (trace_ != nullptr) {
     trace_->OnAcquireIssue(env_.core_id(), request_id, env_.core_id(), n, is_write);
   }
-  ConflictKind refused = ConflictKind::kNone;
-  const uint32_t granted = local_service_->AcquireSpanDirect(
-      current_epoch_, WireMetric(), stripes.data(), n, is_write, committing, &refused);
-  for (uint32_t i = 0; i < granted; ++i) {
-    const uint64_t stripe = stripes[i];
-    if (is_write) {
-      write_locks_.insert(stripe);
-    } else if (read_locks_.insert(stripe).second) {
-      read_lock_order_.push_back(stripe);
-    }
-  }
+  const DtmService::AcquireOutcome out = local_service_->AcquireSpanDirect(
+      current_epoch_, WireMetric(), stripes, n, is_write, committing);
+  NoteGranted(stripes, out.granted, is_write);
   stats_.acquire_time += env_.LocalNow() - start;
   stats_.lock_acquires += n;
   stats_.local_acquires += n;
   if (trace_ != nullptr) {
-    trace_->OnAcquireComplete(env_.core_id(), request_id, granted,
-                              granted < n ? refused : ConflictKind::kNone);
+    trace_->OnAcquireComplete(env_.core_id(), request_id, out.granted,
+                              out.granted < n ? out.refused : ConflictKind::kNone);
   }
-  if (granted < n) {
-    TM2C_CHECK_MSG(refused != ConflictKind::kNone,
+  if (out.granted < n) {
+    TM2C_CHECK_MSG(out.refused != ConflictKind::kNone,
                    "local span refused without a conflict kind");
-    AbortSelf(refused);
+    AbortSelf(out.refused);
   }
 }
 
-void TxRuntime::AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
-                                     bool is_write, bool committing) {
+void TxRuntime::IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
+                            bool is_write, bool committing, bool prefetch) {
   for (const auto& [node, stripes] : by_node) {
     if (pending_refusal_ != ConflictKind::kNone) {
-      break;  // doomed: stop issuing, drain, abort below
+      break;  // doomed: stop issuing
     }
     if (LocalFastPathEligible(node)) {
-      // Zero-message span acquisition: no 64-entry cap, one table pass.
-      LocalAcquireSpanOrAbort(stripes, is_write, committing);
+      // Zero-message span acquisition: no 64-entry cap, one service call.
+      LocalAcquireSpanOrAbort(stripes.data(), static_cast<uint32_t>(stripes.size()), is_write,
+                              committing);
       continue;
     }
     for (size_t pos = 0; pos < stripes.size(); pos += config_.max_batch) {
@@ -510,12 +432,24 @@ void TxRuntime::AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64
         break;
       }
       const size_t len = std::min<size_t>(config_.max_batch, stripes.size() - pos);
-      IssueBatch(node,
-                 std::vector<uint64_t>(stripes.begin() + static_cast<ptrdiff_t>(pos),
-                                       stripes.begin() + static_cast<ptrdiff_t>(pos + len)),
-                 is_write, committing);
+      std::vector<uint64_t> chunk(stripes.begin() + static_cast<ptrdiff_t>(pos),
+                                  stripes.begin() + static_cast<ptrdiff_t>(pos + len));
+      if (prefetch) {
+        // Register before issuing: a self-addressed chunk resolves inside
+        // IssueBatch and its CompleteBatch must find (and clear) the
+        // entries. IssueBatch consumes next_request_id_.
+        for (uint64_t stripe : chunk) {
+          prefetch_pending_[stripe] = next_request_id_;
+        }
+      }
+      IssueBatch(node, std::move(chunk), is_write, committing);
     }
   }
+}
+
+void TxRuntime::AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
+                                     bool is_write, bool committing) {
+  IssueGroups(by_node, is_write, committing, /*prefetch=*/false);
   // Every reply must land before the refusal takes effect: a late grant
   // belongs to the held-lock sets so the abort (or commit) path releases it.
   DrainInFlight();
@@ -526,23 +460,36 @@ void TxRuntime::AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64
   }
 }
 
-void TxRuntime::AcquireReadLockOrAbort(uint64_t stripe) {
+void TxRuntime::AcquireOneOrAbort(uint64_t stripe, bool is_write, bool committing) {
   const uint32_t node = map_.ResponsibleCore(stripe);
   if (LocalFastPathEligible(node)) {
-    LocalAcquireSpanOrAbort({stripe}, /*is_write=*/false, /*committing=*/false);
+    LocalAcquireSpanOrAbort(&stripe, 1, is_write, committing);
     return;
   }
   Message req;
-  req.type = MsgType::kReadLockReq;
+  req.type = is_write ? MsgType::kWriteLockReq : MsgType::kReadLockReq;
   req.w0 = stripe;
   req.w1 = current_epoch_;
   req.w2 = WireMetric();
-  Message rsp = AcquireRpc(node, std::move(req), 1);
+  req.w3 = committing ? 1 : 0;
+  const SimTime start = env_.LocalNow();
+  const Message rsp = Rpc(node, std::move(req));
+  stats_.acquire_time += env_.LocalNow() - start;
+  ++stats_.lock_acquires;
+  ++stats_.remote_acquires;
   if (rsp.type == MsgType::kLockConflict) {
     AbortSelf(static_cast<ConflictKind>(rsp.w2));
   }
-  if (read_locks_.insert(stripe).second) {
-    read_lock_order_.push_back(stripe);
+  NoteGranted(&stripe, 1, is_write);
+}
+
+void TxRuntime::NoteGranted(const uint64_t* stripes, size_t n, bool is_write) {
+  for (size_t i = 0; i < n; ++i) {
+    if (is_write) {
+      write_locks_.insert(stripes[i]);
+    } else if (read_locks_.insert(stripes[i]).second) {
+      read_lock_order_.push_back(stripes[i]);
+    }
   }
 }
 
@@ -573,34 +520,9 @@ void TxRuntime::TxPrefetch(const std::vector<uint64_t>& addrs) {
     }
     by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
   }
-  for (const auto& [node, stripes] : by_node) {
-    if (pending_refusal_ != ConflictKind::kNone) {
-      break;  // already doomed; the next transactional op aborts
-    }
-    if (LocalFastPathEligible(node)) {
-      LocalAcquireSpanOrAbort(stripes, /*is_write=*/false, /*committing=*/false);
-      continue;
-    }
-    for (size_t pos = 0; pos < stripes.size(); pos += config_.max_batch) {
-      while (inflight_.size() >= config_.pipeline_depth &&
-             pending_refusal_ == ConflictKind::kNone) {
-        WaitOneReply();
-      }
-      if (pending_refusal_ != ConflictKind::kNone) {
-        break;
-      }
-      const size_t len = std::min<size_t>(config_.max_batch, stripes.size() - pos);
-      std::vector<uint64_t> chunk(stripes.begin() + static_cast<ptrdiff_t>(pos),
-                                  stripes.begin() + static_cast<ptrdiff_t>(pos + len));
-      // Register before issuing: a self-addressed chunk resolves inside
-      // IssueBatch and its CompleteBatch must find (and clear) the entries.
-      const uint64_t request_id = next_request_id_;  // IssueBatch consumes it
-      for (uint64_t stripe : chunk) {
-        prefetch_pending_[stripe] = request_id;
-      }
-      IssueBatch(node, std::move(chunk), /*is_write=*/false, /*committing=*/false);
-    }
-  }
+  // A refusal (or an already doomed attempt) surfaces at the next
+  // transactional op.
+  IssueGroups(by_node, /*is_write=*/false, /*committing=*/false, /*prefetch=*/true);
   // Lockstep configurations get the synchronous ReadMany-style acquisition
   // without the reads; a refusal surfaces at the next transactional op.
   if (config_.pipeline_depth == 1) {
@@ -705,7 +627,7 @@ uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
   if (config_.fault != FaultMode::kSkipReadLock &&
       read_locks_.find(stripe) == read_locks_.end() &&
       write_locks_.find(stripe) == write_locks_.end()) {
-    AcquireReadLockOrAbort(stripe);
+    AcquireOneOrAbort(stripe, /*is_write=*/false, /*committing=*/false);
 
     if (elastic_early) {
       // Elastic-early (Section 6.1): keep only the trailing window of read
@@ -790,7 +712,7 @@ void TxRuntime::TxWrite(uint64_t addr, uint64_t value) {
     const uint64_t stripe = map_.StripeOf(addr);
     if (auto it = early_released_values_.find(stripe); it != early_released_values_.end()) {
       const uint64_t expected = it->second;
-      AcquireReadLockOrAbort(stripe);
+      AcquireOneOrAbort(stripe, /*is_write=*/false, /*committing=*/false);
       early_released_values_.erase(stripe);
       if (env_.ShmemRead(addr) != expected) {
         ++stats_.validation_failures;
@@ -802,7 +724,7 @@ void TxRuntime::TxWrite(uint64_t addr, uint64_t value) {
   if (config_.write_acquire == WriteAcquire::kEager) {
     const uint64_t stripe = map_.StripeOf(addr);
     if (write_locks_.find(stripe) == write_locks_.end()) {
-      AcquireWriteLockOrAbort(stripe);
+      AcquireOneOrAbort(stripe, /*is_write=*/true, /*committing=*/false);
     }
   }
   // Deferred write (write-back): buffer locally, persist at commit.
@@ -811,25 +733,6 @@ void TxRuntime::TxWrite(uint64_t addr, uint64_t value) {
   } else {
     write_buffer_[addr] = value;
   }
-}
-
-void TxRuntime::AcquireWriteLockOrAbort(uint64_t stripe, bool committing) {
-  const uint32_t node = map_.ResponsibleCore(stripe);
-  if (LocalFastPathEligible(node)) {
-    LocalAcquireSpanOrAbort({stripe}, /*is_write=*/true, committing);
-    return;
-  }
-  Message req;
-  req.type = MsgType::kWriteLockReq;
-  req.w0 = stripe;
-  req.w1 = current_epoch_;
-  req.w2 = WireMetric();
-  req.w3 = committing ? 1 : 0;
-  Message rsp = AcquireRpc(node, std::move(req), 1);
-  if (rsp.type == MsgType::kLockConflict) {
-    AbortSelf(static_cast<ConflictKind>(rsp.w2));
-  }
-  write_locks_.insert(stripe);
 }
 
 void TxRuntime::TxCommit() {
@@ -857,7 +760,7 @@ void TxRuntime::TxCommit() {
       for (const auto& [node, stripes] : by_node) {
         (void)node;
         for (uint64_t stripe : stripes) {
-          AcquireWriteLockOrAbort(stripe, /*committing=*/true);
+          AcquireOneOrAbort(stripe, /*is_write=*/true, /*committing=*/true);
         }
       }
     } else {
@@ -934,79 +837,67 @@ void TxRuntime::TxCommit() {
     return;
   }
 
-  // Commit point. With the abort-status protocol enabled, the status read
-  // and the whole write-set persist execute at one simulated instant: a
-  // revocation either lands before (the status word names our epoch and we
-  // abort with no writes applied) or after (we are fully persisted and the
-  // revoker serializes behind us). Native backends get the same atomicity
-  // from the status word's latch (SharedMemory::PublishWord). Without the
-  // protocol — standalone harnesses — the persist is word-at-a-time and
-  // relies on notification timing alone.
-  if (config_.abort_status_base != TmConfig::kNoAbortStatus) {
-    const uint64_t status_addr = config_.abort_status_base + env_.core_id() * kWordBytes;
-    (void)env_.ShmemRead(status_addr);  // pay the access latency
-    const auto abort_if_revoked = [this](uint64_t status) {
-      if (status == current_epoch_) {
-        ++stats_.notify_aborts;
-        AbortSelf(pending_abort_kind_ != ConflictKind::kNone ? pending_abort_kind_
-                                                             : ConflictKind::kWriteAfterRead);
-      }
-    };
-    // Re-read instantly after the timed access: nothing can interleave
-    // between this load and the stores below (single simulated instant).
-    uint64_t status = env_.shmem().LoadWord(status_addr);
-    abort_if_revoked(status);
-    // Elastic updates: re-validate at this same instant. The timed
-    // validation above paid the cost, but a foreign commit can land
-    // between it and this point (unlocked reads leave that window open);
-    // the instant recheck makes validation and persist atomic. Written
-    // locations are exempt: their write locks have been held since before
-    // the timed validation, so nothing can have changed them since it
-    // passed.
-    if (config_.tx_mode == TxMode::kElasticRead && !write_buffer_.empty()) {
-      for (const auto& [addr, value] : elastic_read_values_) {
-        if (write_buffer_.find(addr) == write_buffer_.end() &&
-            env_.shmem().LoadWord(addr) != value) {
-          ++stats_.validation_failures;
-          AbortSelf(ConflictKind::kReadAfterWrite);
-        }
-      }
+  // Commit point. The status read and the whole write-set persist execute
+  // at one simulated instant: a revocation either lands before (the status
+  // word names our epoch and we abort with no writes applied) or after (we
+  // are fully persisted and the revoker serializes behind us). Native
+  // backends get the same atomicity from the status word's latch
+  // (SharedMemory::PublishWord).
+  const uint64_t status_addr = config_.abort_status_base + env_.core_id() * kWordBytes;
+  (void)env_.ShmemRead(status_addr);  // pay the access latency
+  const auto abort_if_revoked = [this](uint64_t status) {
+    if (status == current_epoch_) {
+      ++stats_.notify_aborts;
+      AbortSelf(pending_abort_kind_ != ConflictKind::kNone ? pending_abort_kind_
+                                                           : ConflictKind::kWriteAfterRead);
     }
-    if (config_.tx_mode == TxMode::kElasticEarly && !write_buffer_.empty()) {
-      for (const auto& [stripe, value] : early_released_values_) {
-        if (env_.shmem().LoadWord(stripe) != value) {
-          ++stats_.validation_failures;
-          AbortSelf(ConflictKind::kReadAfterWrite);
-        }
-      }
-    }
-    // Latch the status word for the persist. On real threads a revoker's
-    // publication could otherwise land after the check above and let the
-    // winner read the old values before the stores below; the latch makes it
-    // wait until they are visible. A failed latch means a publication landed
-    // since the check: look again.
-    while (!env_.shmem().CasWord(status_addr, status, SharedMemory::kLatchedWord)) {
-      status = env_.shmem().LoadWord(status_addr);
-      abort_if_revoked(status);
-    }
-    for (uint64_t addr : write_order_) {
-      env_.shmem().StoreWord(addr, write_buffer_[addr]);
-      if (trace_ != nullptr) {
-        trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
-      }
-    }
-    env_.shmem().StoreWord(status_addr, status);  // unlatch
-    // Charge the persist time after the fact (idempotence-free: no re-store).
-    env_.ChargeModelled(env_.platform().mem_latency_cycles * write_order_.size());
-  } else {
-    // Algorithm 3 line 14: persist the write-set to shared memory.
-    for (uint64_t addr : write_order_) {
-      env_.ShmemWrite(addr, write_buffer_[addr]);
-      if (trace_ != nullptr) {
-        trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
+  };
+  // Re-read instantly after the timed access: nothing can interleave
+  // between this load and the stores below (single simulated instant).
+  uint64_t status = env_.shmem().LoadWord(status_addr);
+  abort_if_revoked(status);
+  // Elastic updates: re-validate at this same instant. The timed
+  // validation above paid the cost, but a foreign commit can land
+  // between it and this point (unlocked reads leave that window open);
+  // the instant recheck makes validation and persist atomic. Written
+  // locations are exempt: their write locks have been held since before
+  // the timed validation, so nothing can have changed them since it
+  // passed.
+  if (config_.tx_mode == TxMode::kElasticRead && !write_buffer_.empty()) {
+    for (const auto& [addr, value] : elastic_read_values_) {
+      if (write_buffer_.find(addr) == write_buffer_.end() &&
+          env_.shmem().LoadWord(addr) != value) {
+        ++stats_.validation_failures;
+        AbortSelf(ConflictKind::kReadAfterWrite);
       }
     }
   }
+  if (config_.tx_mode == TxMode::kElasticEarly && !write_buffer_.empty()) {
+    for (const auto& [stripe, value] : early_released_values_) {
+      if (env_.shmem().LoadWord(stripe) != value) {
+        ++stats_.validation_failures;
+        AbortSelf(ConflictKind::kReadAfterWrite);
+      }
+    }
+  }
+  // Latch the status word for the persist. On real threads a revoker's
+  // publication could otherwise land after the check above and let the
+  // winner read the old values before the stores below; the latch makes it
+  // wait until they are visible. A failed latch means a publication landed
+  // since the check: look again.
+  while (!env_.shmem().CasWord(status_addr, status, SharedMemory::kLatchedWord)) {
+    status = env_.shmem().LoadWord(status_addr);
+    abort_if_revoked(status);
+  }
+  for (uint64_t addr : write_order_) {
+    env_.shmem().StoreWord(addr, write_buffer_[addr]);
+    if (trace_ != nullptr) {
+      trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
+    }
+  }
+  env_.shmem().StoreWord(status_addr, status);  // unlatch
+  // Charge the persist time after the fact (idempotence-free: no re-store).
+  env_.ChargeModelled(env_.platform().mem_latency_cycles * write_order_.size());
 
   // Durability: the persisted write set becomes a commit-log record on
   // every owner partition BEFORE any lock is released. The acks gate the
@@ -1057,25 +948,15 @@ void TxRuntime::LogCommitDurable() {
     ++awaiting;
   }
   while (awaiting > 0) {
-    Message msg = env_.Recv();
-    switch (msg.type) {
-      case MsgType::kCommitLogAck:
-        TM2C_CHECK(msg.w1 == current_epoch_);
-        --awaiting;
-        break;
-      case MsgType::kAbortNotify:
-        // Too late: the write set is already persisted and logged — this
-        // commit wins; the revoker's refusal bounced it already.
-        break;
-      case MsgType::kBarrier:
-        ++barrier_arrivals_[msg.w0];
-        break;
-      case MsgType::kOwnershipUpdate:
-        ++stats_.ownership_updates;  // directory is shared; nothing to apply
-        break;
-      default:
-        TM2C_FATAL("unexpected message while awaiting kCommitLogAck");
+    const Message msg = env_.Recv();
+    if (msg.type == MsgType::kCommitLogAck) {
+      TM2C_CHECK(msg.w1 == current_epoch_);
+      --awaiting;
+      continue;
     }
+    // A kAbortNotify here is too late to matter: the write set is already
+    // persisted and logged, so this commit wins.
+    HandleInboxMessage(msg);
   }
   stats_.commit_log_wait += env_.LocalNow() - wait_start;
 }

@@ -171,17 +171,18 @@ class TxRuntime {
   // catch(...).
   void CheckBodyContract() const;
 
-  // Sends a lock request and waits for the matching response, serving the
-  // local DTM partition (multitasked) and recording abort notifications in
-  // the meantime. Returns the response message.
+  // Every message a wait loop is not waiting for: abort notifications,
+  // barrier tokens, ownership updates, pipelined batch replies and (in the
+  // multitasked deployment) requests for the local DTM partition. The five
+  // receive loops (ServePending, PrivatizationBarrier, Rpc, WaitOneReply,
+  // LogCommitDurable) each keep only the message they wait for.
+  void HandleInboxMessage(const Message& msg);
+
+  // Sends a scalar lock request and waits for the kLockGranted or
+  // kLockConflict response, handling everything else meanwhile.
   Message Rpc(uint32_t dst, Message request);
   void FireAndForget(uint32_t dst, Message msg);
   uint64_t WireMetric();
-  void AcquireWriteLockOrAbort(uint64_t stripe, bool committing = false);
-
-  // Like Rpc but accounts the waiting time and the `stripes` addresses the
-  // request carries into the acquire-latency statistics.
-  Message AcquireRpc(uint32_t dst, Message request, uint64_t stripes);
 
   // Pipelined batch acquisition. A kBatchAcquire is issued without waiting
   // for its reply; the in-flight table keyed by a per-runtime request id
@@ -211,23 +212,31 @@ class TxRuntime {
   void DrainInFlight();
   // Blocks until the prefetch covering `stripe` (if any) has resolved.
   void WaitForStripe(uint64_t stripe);
+  // Issues every per-node group in chunks of max_batch, up to
+  // pipeline_depth in flight, stopping once a refusal is pending.
+  // Owner-local groups take the fast path (LocalAcquireSpanOrAbort)
+  // instead of the wire. `prefetch` registers each chunk's stripes in
+  // prefetch_pending_ first.
+  void IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_node, bool is_write,
+                   bool committing, bool prefetch);
   // Acquires every per-node group: all chunks are issued before any reply
-  // is awaited (up to pipeline_depth in flight), then the in-flight table
-  // is drained and the first refusal aborts. Owner-local groups take the
-  // fast path (LocalAcquireSpanOrAbort) instead of the wire.
+  // is awaited, then the in-flight table is drained and the first refusal
+  // aborts.
   void AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
                             bool is_write, bool committing);
 
   // Owner-local fast path: this core is the responsible node for the
-  // stripe and TmConfig::local_fast_path is on — call the local LockTable
-  // directly (same CM arbitration and revocation semantics, zero
-  // messages).
+  // stripe and TmConfig::local_fast_path is on — call the local service
+  // directly (DtmService::AcquireSpanDirect: the wire entries' acquisition
+  // sequence, zero messages).
   bool LocalFastPathEligible(uint32_t node) const;
-  void LocalAcquireSpanOrAbort(const std::vector<uint64_t>& stripes, bool is_write,
+  void LocalAcquireSpanOrAbort(const uint64_t* stripes, uint32_t n, bool is_write,
                                bool committing);
-  // Scalar read-lock acquisition (fast path or kReadLockReq round trip);
-  // records the stripe in the held-read-lock sets or aborts.
-  void AcquireReadLockOrAbort(uint64_t stripe);
+  // Scalar acquisition (fast path, or a kReadLockReq/kWriteLockReq round
+  // trip); records the stripe in the held-lock sets or aborts.
+  void AcquireOneOrAbort(uint64_t stripe, bool is_write, bool committing);
+  // The one place granted stripes enter the held-lock sets.
+  void NoteGranted(const uint64_t* stripes, size_t n, bool is_write);
 
   CoreEnv& env_;
   TmConfig config_;

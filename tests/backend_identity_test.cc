@@ -1,7 +1,7 @@
 // Backend identity: the same TmSystem workload, run on the simulator, on
-// real threads (both channel kinds), AND on the multi-process backend
-// (partition servers as forked processes over sockets), must commit
-// exactly the same transactions and leave identical shared-memory state.
+// real threads, AND on the multi-process backend (partition servers as
+// forked processes over sockets), must commit exactly the same
+// transactions and leave identical shared-memory state.
 // This is the contract that makes native bench rows comparable to
 // simulated ones — the backend changes the clock and the transport, never
 // the protocol outcome of a fixed-work workload.
@@ -88,14 +88,11 @@ TEST(BackendIdentity, SimAndThreadsCommitTheSameWorkload) {
   EXPECT_EQ(sim.counter_sum, expected_commits);
   EXPECT_TRUE(sim.tables_empty);
 
-  for (const ChannelKind channel : {ChannelKind::kSpscRing, ChannelKind::kMutexMailbox}) {
-    TmSystemConfig thr_cfg = BaseConfig();
-    thr_cfg.backend = BackendKind::kThreads;
-    thr_cfg.channel = channel;
-    const RunResult thr = RunCounterWorkload(thr_cfg);
-    EXPECT_EQ(thr.commits, sim.commits) << ChannelKindName(channel);
-    EXPECT_EQ(thr.counter_sum, sim.counter_sum) << ChannelKindName(channel);
-  }
+  TmSystemConfig thr_cfg = BaseConfig();
+  thr_cfg.backend = BackendKind::kThreads;
+  const RunResult thr = RunCounterWorkload(thr_cfg);
+  EXPECT_EQ(thr.commits, sim.commits);
+  EXPECT_EQ(thr.counter_sum, sim.counter_sum);
 
   // Third side of the triangle: partition servers as forked processes.
   const RunResult proc = RunCounterWorkload(ProcessConfig("counter"));
@@ -181,14 +178,11 @@ TEST(BackendIdentity, KvStoreCommitsIdenticalFinalContents) {
   EXPECT_EQ(sim.commits, 2ull * 120);
   EXPECT_FALSE(sim.contents.empty());
 
-  for (const ChannelKind channel : {ChannelKind::kSpscRing, ChannelKind::kMutexMailbox}) {
-    TmSystemConfig thr_cfg = BaseConfig();
-    thr_cfg.backend = BackendKind::kThreads;
-    thr_cfg.channel = channel;
-    const KvRunResult thr = RunKvWorkload(thr_cfg);
-    EXPECT_EQ(thr.commits, sim.commits) << ChannelKindName(channel);
-    EXPECT_EQ(thr.contents, sim.contents) << ChannelKindName(channel);
-  }
+  TmSystemConfig thr_cfg = BaseConfig();
+  thr_cfg.backend = BackendKind::kThreads;
+  const KvRunResult thr = RunKvWorkload(thr_cfg);
+  EXPECT_EQ(thr.commits, sim.commits);
+  EXPECT_EQ(thr.contents, sim.contents);
 
   const KvRunResult proc = RunKvWorkload(ProcessConfig("kv"));
   EXPECT_EQ(proc.commits, sim.commits);
@@ -211,19 +205,16 @@ TEST(BackendIdentity, KvStoreContentsIdenticalAcrossMidRunMigration) {
   EXPECT_EQ(sim.migrations_completed, 1u);
   EXPECT_EQ(sim.slab0_partition, 1u);
 
-  for (const ChannelKind channel : {ChannelKind::kSpscRing, ChannelKind::kMutexMailbox}) {
-    TmSystemConfig thr_cfg = BaseConfig();
-    thr_cfg.backend = BackendKind::kThreads;
-    thr_cfg.channel = channel;
-    const KvRunResult thr = RunKvWorkload(thr_cfg, /*migrate=*/true);
-    EXPECT_EQ(thr.commits, sim.commits) << ChannelKindName(channel);
-    EXPECT_EQ(thr.contents, sim.contents) << ChannelKindName(channel);
-    // Wall-clock timing decides how fast the drain closes on threads, but
-    // a requested handoff of a quiescing slab must still complete by the
-    // end of a fixed-work run.
-    EXPECT_EQ(thr.migrations_completed, 1u) << ChannelKindName(channel);
-    EXPECT_EQ(thr.slab0_partition, 1u) << ChannelKindName(channel);
-  }
+  TmSystemConfig thr_cfg = BaseConfig();
+  thr_cfg.backend = BackendKind::kThreads;
+  const KvRunResult thr = RunKvWorkload(thr_cfg, /*migrate=*/true);
+  EXPECT_EQ(thr.commits, sim.commits);
+  EXPECT_EQ(thr.contents, sim.contents);
+  // Wall-clock timing decides how fast the drain closes on threads, but
+  // a requested handoff of a quiescing slab must still complete by the
+  // end of a fixed-work run.
+  EXPECT_EQ(thr.migrations_completed, 1u);
+  EXPECT_EQ(thr.slab0_partition, 1u);
 }
 
 // Ordered-index identity: the same fixed B+-tree workload — inserts,
@@ -296,15 +287,12 @@ TEST(BackendIdentity, OrderedIndexIdenticalContentsAcrossAllThreeBackends) {
   EXPECT_TRUE(sim.tables_empty);
   EXPECT_TRUE(sim.structure_problems.empty());
 
-  for (const ChannelKind channel : {ChannelKind::kSpscRing, ChannelKind::kMutexMailbox}) {
-    TmSystemConfig thr_cfg = BaseConfig();
-    thr_cfg.backend = BackendKind::kThreads;
-    thr_cfg.channel = channel;
-    const IndexRunResult thr = RunIndexWorkload(thr_cfg);
-    EXPECT_EQ(thr.commits, sim.commits) << ChannelKindName(channel);
-    EXPECT_EQ(thr.contents, sim.contents) << ChannelKindName(channel);
-    EXPECT_TRUE(thr.structure_problems.empty()) << ChannelKindName(channel);
-  }
+  TmSystemConfig thr_cfg = BaseConfig();
+  thr_cfg.backend = BackendKind::kThreads;
+  const IndexRunResult thr = RunIndexWorkload(thr_cfg);
+  EXPECT_EQ(thr.commits, sim.commits);
+  EXPECT_EQ(thr.contents, sim.contents);
+  EXPECT_TRUE(thr.structure_problems.empty());
 
   const IndexRunResult proc = RunIndexWorkload(ProcessConfig("index"));
   EXPECT_EQ(proc.commits, sim.commits);

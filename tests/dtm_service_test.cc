@@ -2,6 +2,10 @@
 // a raw-message client core on the simulator.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <tuple>
+#include <vector>
+
 #include "src/tm/dtm_service.h"
 
 #include "src/runtime/sim_system.h"
@@ -535,6 +539,265 @@ TEST(DtmService, EarlyReadReleaseDropsSingleLock) {
   });
   EXPECT_FALSE(h.service().lock_table().HasReader(0x900, 1));
   EXPECT_TRUE(h.service().lock_table().HasReader(0x908, 1));
+}
+
+// --- One acquisition sequence behind three entries -------------------------
+//
+// The scalar kReadLockReq/kWriteLockReq, the kBatchAcquire and the
+// owner-local AcquireSpanDirect entries share one acquisition sequence. The
+// harness below drives each entry from the service's own core (core 0 of
+// two partitions, with [0x1000, +0x100) owned by partition 0): setup
+// requests from other cores go through HandleLocal under their own `src`,
+// then one probe from core 0 goes through the chosen entry.
+
+enum class Entry { kScalar, kBatchOfOne, kOwnerLocal };
+
+const char* EntryName(Entry entry) {
+  switch (entry) {
+    case Entry::kScalar:
+      return "scalar";
+    case Entry::kBatchOfOne:
+      return "batch-of-one";
+    case Entry::kOwnerLocal:
+      return "owner-local";
+  }
+  return "?";
+}
+
+constexpr uint64_t kRange = 0x1000;
+constexpr uint64_t kRangeBytes = 0x100;
+constexpr uint64_t kProbeEpoch = 5;
+
+struct Probe {
+  uint64_t stripe = 0;
+  bool is_write = false;
+  uint64_t metric = 0;
+};
+
+struct ProbeOutcome {
+  uint32_t granted = 0;
+  ConflictKind refused = ConflictKind::kNone;
+  // Revocations and grants traced while the probe ran: (kind, w0, w1, w2).
+  std::vector<std::tuple<TraceKind, uint64_t, uint64_t, uint64_t>> events;
+  DtmServiceStats delta;  // without the entry's own request counters
+};
+
+class RecordingSink : public TxTraceSink {
+ public:
+  void OnEvent(const TraceEvent& e) override {
+    if (recording) {
+      events.emplace_back(e.kind, e.w0, e.w1, e.w2);
+    }
+  }
+  bool recording = false;
+  std::vector<std::tuple<TraceKind, uint64_t, uint64_t, uint64_t>> events;
+};
+
+Message LockReq(uint32_t src, uint64_t stripe, uint64_t epoch, uint64_t metric, bool is_write,
+                bool committing = false) {
+  Message m = is_write ? ServiceHarness::WriteReq(stripe, epoch, metric)
+                       : ServiceHarness::ReadReq(stripe, epoch, metric);
+  m.src = src;
+  m.w3 = committing ? 1 : 0;
+  return m;
+}
+
+using ProbeSetup = std::function<void(DtmService&, AddressMap&)>;
+
+// Fresh system per call: the setup, then the probe through `entry`.
+// `queued` peer messages wait in core 0's inbox during the probe
+// (admission control reads the inbox depth).
+ProbeOutcome RunThroughEntry(Entry entry, const ProbeSetup& setup, const Probe& probe,
+                             TmConfig tm = TmConfig{}, uint32_t queued = 0) {
+  SimSystemConfig cfg;
+  cfg.platform = MakeSccPlatform(0);
+  cfg.num_cores = 4;
+  cfg.num_service = 2;  // service cores 0 and 2
+  cfg.shmem_bytes = 1 << 20;
+  cfg.seed = 3;
+  SimSystem sys(cfg);
+  AddressMap map(sys.deployment(), tm.stripe_bytes);
+  map.AddOwnedRange(kRange, kRangeBytes, 0);
+  DtmService service(sys.env(0), tm, &map);
+  RecordingSink sink;
+  service.set_trace(&sink);
+  service.SetLocalAbortSink([](uint64_t, ConflictKind) {});
+  sys.SetCoreMain(1, [queued](CoreEnv& env) {
+    for (uint32_t k = 0; k < queued; ++k) {
+      Message echo;
+      echo.type = MsgType::kEcho;
+      env.Send(0, std::move(echo));
+    }
+  });
+  ProbeOutcome out;
+  sys.SetCoreMain(0, [&](CoreEnv& env) {
+    setup(service, map);
+    if (queued > 0) {
+      env.Compute(1000000);  // let the peer's messages land
+      EXPECT_EQ(env.InboxDepth(), queued);
+    }
+    const DtmServiceStats before = service.stats();
+    sink.recording = true;
+    switch (entry) {
+      case Entry::kScalar: {
+        const Message rsp = service.HandleLocal(
+            LockReq(0, probe.stripe, kProbeEpoch, probe.metric, probe.is_write));
+        out.granted = rsp.type == MsgType::kLockGranted ? 1 : 0;
+        out.refused = static_cast<ConflictKind>(rsp.w2);
+        break;
+      }
+      case Entry::kBatchOfOne: {
+        Message batch;
+        batch.type = MsgType::kBatchAcquire;
+        batch.src = 0;
+        batch.w1 = kProbeEpoch;
+        batch.w2 = probe.metric;
+        batch.w3 = probe.is_write ? PrefixBitmap(1) : 0;
+        batch.extra = {probe.stripe};
+        const Message rsp = service.HandleLocal(batch);
+        out.granted = static_cast<uint32_t>(rsp.w3 & kBatchReqIdMask);
+        out.refused = static_cast<ConflictKind>(rsp.w2);
+        EXPECT_EQ(rsp.w0, PrefixBitmap(out.granted));
+        break;
+      }
+      case Entry::kOwnerLocal: {
+        const DtmService::AcquireOutcome r = service.AcquireSpanDirect(
+            kProbeEpoch, probe.metric, &probe.stripe, 1, probe.is_write, /*committing=*/false);
+        out.granted = r.granted;
+        out.refused = r.refused;
+        break;
+      }
+    }
+    sink.recording = false;
+    out.events = sink.events;
+    const DtmServiceStats& after = service.stats();
+    DtmServiceStats::ForEachField([&](const char*, auto member, FieldMerge) {
+      out.delta.*member = after.*member - before.*member;
+    });
+  });
+  sys.Run(MillisToSim(1000));
+  // Each entry bumps its own request counters, and only those.
+  const DtmServiceStats& d = out.delta;
+  EXPECT_EQ(d.requests, 1u) << EntryName(entry);
+  EXPECT_EQ(d.batch_requests, entry == Entry::kBatchOfOne ? 1u : 0u) << EntryName(entry);
+  EXPECT_EQ(d.batch_entries, entry == Entry::kBatchOfOne ? 1u : 0u) << EntryName(entry);
+  EXPECT_EQ(d.local_direct_requests, entry == Entry::kOwnerLocal ? 1u : 0u) << EntryName(entry);
+  EXPECT_EQ(d.local_direct_entries, entry == Entry::kOwnerLocal ? 1u : 0u) << EntryName(entry);
+  out.delta.requests = out.delta.batch_requests = out.delta.batch_entries = 0;
+  out.delta.local_direct_requests = out.delta.local_direct_entries = 0;
+  return out;
+}
+
+void ExpectGranted(DtmService& s, const Message& req) {
+  ASSERT_EQ(s.HandleLocal(req).type, MsgType::kLockGranted);
+}
+
+// Probe setups, run on core 0 before the probe.
+void RevokeTheProbedAttempt(DtmService& s, AddressMap&) {
+  ExpectGranted(s, LockReq(0, kRange, kProbeEpoch, 100, false));
+  ExpectGranted(s, LockReq(1, kRange, 7, 1, true));  // the better metric revokes core 0
+}
+
+void OpenADrainWindow(DtmService& s, AddressMap&) {
+  // A commit-phase writer is not revocable, so the drain stays open.
+  ExpectGranted(s, LockReq(1, kRange, 7, 1, true, /*committing=*/true));
+  s.BeginMigration(kRange, kRangeBytes, 1);
+  ASSERT_TRUE(s.migrating());
+}
+
+void MoveTheRangeAway(DtmService&, AddressMap& map) {
+  map.MoveOwnedRange(kRange, kRangeBytes, 1);
+}
+
+void WriteLockOnCore1(DtmService& s, AddressMap&) {
+  ExpectGranted(s, LockReq(1, kRange, 7, 1, true));
+}
+
+void ReadLockOnCore1(DtmService& s, AddressMap&) {
+  ExpectGranted(s, LockReq(1, kRange, 7, 100, false));
+}
+
+TEST(DtmServiceAcquire, OwnerLocalRefusesAStripeItNoLongerOwns) {
+  // A directory flip (here applied directly, as MaybeCompleteMigrations
+  // does) moves the range to partition 1. A multitasked runtime that
+  // grouped a span under this core before the flip — it can serve the
+  // emptying release while waiting on a remote batch — must be refused
+  // retryably, as the wire entries are, not granted a stripe whose lock
+  // state now lives in partition 1's table.
+  const ProbeOutcome out =
+      RunThroughEntry(Entry::kOwnerLocal, MoveTheRangeAway, Probe{kRange + 0x40, false, 0});
+  EXPECT_EQ(out.granted, 0u);
+  EXPECT_EQ(out.refused, ConflictKind::kMigrating);
+  EXPECT_EQ(out.delta.misrouted_refused, 1u);
+}
+
+TEST(DtmServiceAcquire, EveryEntryGivesTheSameAnswer) {
+  TmConfig tm;
+  tm.cm = CmKind::kFairCm;  // the lower metric wins an arbitration
+  struct Situation {
+    const char* name;
+    ProbeSetup setup;
+    Probe probe;
+    uint32_t granted;
+    ConflictKind refused;
+    uint64_t DtmServiceStats::*bumped;  // the counter the outcome bumps
+  };
+  const Situation situations[] = {
+      {"stale epoch", RevokeTheProbedAttempt, {kRange + 8, false, 100}, 0,
+       ConflictKind::kWriteAfterRead, &DtmServiceStats::stale_requests_refused},
+      {"open drain window", OpenADrainWindow, {kRange + 0x40, false, 0}, 0,
+       ConflictKind::kMigrating, &DtmServiceStats::migrating_refused},
+      {"misrouted stripe", MoveTheRangeAway, {kRange + 0x40, false, 0}, 0,
+       ConflictKind::kMigrating, &DtmServiceStats::misrouted_refused},
+      {"contention-manager refusal", WriteLockOnCore1, {kRange, false, 100}, 0,
+       ConflictKind::kReadAfterWrite, nullptr},
+      {"grant revoking a reader", ReadLockOnCore1, {kRange, true, 1}, 1, ConflictKind::kNone,
+       &DtmServiceStats::notifications_sent},
+  };
+  for (const Situation& sit : situations) {
+    const ProbeOutcome scalar = RunThroughEntry(Entry::kScalar, sit.setup, sit.probe, tm);
+    EXPECT_EQ(scalar.granted, sit.granted) << sit.name;
+    EXPECT_EQ(scalar.refused, sit.refused) << sit.name;
+    if (sit.bumped != nullptr) {
+      EXPECT_EQ(scalar.delta.*sit.bumped, 1u) << sit.name;
+    }
+    for (const Entry entry : {Entry::kBatchOfOne, Entry::kOwnerLocal}) {
+      const ProbeOutcome other = RunThroughEntry(entry, sit.setup, sit.probe, tm);
+      EXPECT_EQ(other.granted, scalar.granted) << sit.name << " via " << EntryName(entry);
+      EXPECT_EQ(other.refused, scalar.refused) << sit.name << " via " << EntryName(entry);
+      EXPECT_EQ(other.events, scalar.events) << sit.name << " via " << EntryName(entry);
+      const char* differs = FirstDifferingField(other.delta, scalar.delta);
+      EXPECT_EQ(differs, nullptr) << sit.name << " via " << EntryName(entry) << ": " << differs;
+    }
+  }
+  // The revoking grant notified exactly its victim, and traced its grant.
+  const ProbeOutcome grant =
+      RunThroughEntry(Entry::kOwnerLocal, situations[4].setup, situations[4].probe, tm);
+  ASSERT_EQ(grant.events.size(), 2u);
+  EXPECT_EQ(grant.events[0], std::make_tuple(TraceKind::kRevocation, uint64_t{1}, uint64_t{7},
+                                             static_cast<uint64_t>(ConflictKind::kWriteAfterRead)));
+  EXPECT_EQ(grant.events[1],
+            std::make_tuple(TraceKind::kLockGrant, uint64_t{0}, kRange, uint64_t{0}));
+}
+
+TEST(DtmServiceAcquire, AdmissionControlShedsOnlyTheWireEntries) {
+  // Three peer messages queued above a high-water mark of one: both wire
+  // entries are shed with kOverload, the owner-local entry (which never
+  // queues) is granted.
+  TmConfig tm;
+  tm.overload_high_water = 1;
+  const ProbeSetup none = [](DtmService&, AddressMap&) {};
+  const Probe probe{kRange, false, 0};
+  for (const Entry entry : {Entry::kScalar, Entry::kBatchOfOne}) {
+    const ProbeOutcome out = RunThroughEntry(entry, none, probe, tm, /*queued=*/3);
+    EXPECT_EQ(out.granted, 0u) << EntryName(entry);
+    EXPECT_EQ(out.refused, ConflictKind::kOverload) << EntryName(entry);
+    EXPECT_EQ(out.delta.overload_refused, 1u) << EntryName(entry);
+  }
+  const ProbeOutcome local = RunThroughEntry(Entry::kOwnerLocal, none, probe, tm, /*queued=*/3);
+  EXPECT_EQ(local.granted, 1u);
+  EXPECT_EQ(local.refused, ConflictKind::kNone);
+  EXPECT_EQ(local.delta.overload_refused, 0u);
 }
 
 // The process backend's exit report is the only source of a partition

@@ -1,8 +1,8 @@
-// ThreadSystem transport semantics on real OS threads, exercised over both
-// channel kinds (lock-free SPSC rings and the v1 mutex mailboxes):
-// delivery, per-pair FIFO, shutdown delivered to a receiver blocked in
-// Recv, and a barrier stress. No simulator, no fibers — this suite (plus
-// spsc_channel_test and tm_thread_test) is what the TSan CI job runs.
+// ThreadSystem transport semantics on real OS threads over the lock-free
+// SPSC rings: delivery, per-pair FIFO, shutdown delivered to a receiver
+// blocked in Recv, and a barrier stress. No simulator, no fibers — this
+// suite (plus spsc_channel_test and tm_thread_test) is what the TSan CI job
+// runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,119 +15,110 @@
 namespace tm2c {
 namespace {
 
-constexpr ChannelKind kBothChannels[] = {ChannelKind::kSpscRing, ChannelKind::kMutexMailbox};
-
-ThreadSystemConfig SmallConfig(ChannelKind channel, uint32_t cores = 4, uint32_t service = 1) {
+ThreadSystemConfig SmallConfig(uint32_t cores = 4, uint32_t service = 1) {
   ThreadSystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = cores;
   cfg.num_service = service;
   cfg.shmem_bytes = 1 << 16;
-  cfg.channel = channel;
   return cfg;
 }
 
 TEST(ThreadSystem, PingPongAcrossRealThreads) {
-  for (const ChannelKind channel : kBothChannels) {
-    ThreadSystem sys(SmallConfig(channel, 2));
-    std::atomic<uint64_t> answer{0};
-    sys.SetCoreMain(0, [](CoreEnv& env) {
-      Message m = env.Recv();
-      if (m.type == MsgType::kShutdown) {
-        return;
-      }
-      Message rsp;
-      rsp.type = MsgType::kEchoRsp;
-      rsp.w0 = m.w0 + 1;
-      env.Send(m.src, std::move(rsp));
-    });
-    sys.SetCoreMain(1, [&answer](CoreEnv& env) {
-      Message m;
-      m.type = MsgType::kEcho;
-      m.w0 = 41;
-      env.Send(0, std::move(m));
-      answer = env.Recv().w0;
-    });
-    sys.RunToCompletion();
-    EXPECT_EQ(answer.load(), 42u) << ChannelKindName(channel);
-  }
+  ThreadSystem sys(SmallConfig(2));
+  std::atomic<uint64_t> answer{0};
+  sys.SetCoreMain(0, [](CoreEnv& env) {
+    Message m = env.Recv();
+    if (m.type == MsgType::kShutdown) {
+      return;
+    }
+    Message rsp;
+    rsp.type = MsgType::kEchoRsp;
+    rsp.w0 = m.w0 + 1;
+    env.Send(m.src, std::move(rsp));
+  });
+  sys.SetCoreMain(1, [&answer](CoreEnv& env) {
+    Message m;
+    m.type = MsgType::kEcho;
+    m.w0 = 41;
+    env.Send(0, std::move(m));
+    answer = env.Recv().w0;
+  });
+  sys.RunToCompletion();
+  EXPECT_EQ(answer.load(), 42u);
 }
 
 TEST(ThreadSystem, FifoPerSenderReceiverPairUnderLoad) {
   // Three producers blast one consumer; per-source sequence numbers must
   // arrive monotonically even though the sources interleave arbitrarily.
   constexpr uint64_t kPerSource = 20000;
-  for (const ChannelKind channel : kBothChannels) {
-    ThreadSystemConfig cfg = SmallConfig(channel, 4);
-    cfg.channel_capacity = 8;  // tiny rings: constant wraparound + backpressure
-    ThreadSystem sys(cfg);
-    for (uint32_t src = 1; src < 4; ++src) {
-      sys.SetCoreMain(src, [](CoreEnv& env) {
-        for (uint64_t i = 0; i < kPerSource; ++i) {
-          Message m;
-          m.type = MsgType::kApp;
-          m.w0 = i;
-          env.Send(0, std::move(m));
-        }
-      });
-    }
-    std::atomic<uint64_t> violations{0};
-    sys.SetCoreMain(0, [&violations](CoreEnv& env) {
-      uint64_t next_from[4] = {0, 0, 0, 0};
-      for (uint64_t received = 0; received < 3 * kPerSource; ++received) {
-        Message m = env.Recv();
-        if (m.w0 != next_from[m.src]) {
-          violations.fetch_add(1);
-        }
-        next_from[m.src] = m.w0 + 1;
+  ThreadSystemConfig cfg = SmallConfig(4);
+  cfg.channel_capacity = 8;  // tiny rings: constant wraparound + backpressure
+  ThreadSystem sys(cfg);
+  for (uint32_t src = 1; src < 4; ++src) {
+    sys.SetCoreMain(src, [](CoreEnv& env) {
+      for (uint64_t i = 0; i < kPerSource; ++i) {
+        Message m;
+        m.type = MsgType::kApp;
+        m.w0 = i;
+        env.Send(0, std::move(m));
       }
     });
-    sys.RunToCompletion();
-    EXPECT_EQ(violations.load(), 0u) << ChannelKindName(channel);
   }
+  std::atomic<uint64_t> violations{0};
+  sys.SetCoreMain(0, [&violations](CoreEnv& env) {
+    uint64_t next_from[4] = {0, 0, 0, 0};
+    for (uint64_t received = 0; received < 3 * kPerSource; ++received) {
+      Message m = env.Recv();
+      if (m.w0 != next_from[m.src]) {
+        violations.fetch_add(1);
+      }
+      next_from[m.src] = m.w0 + 1;
+    }
+  });
+  sys.RunToCompletion();
+  EXPECT_EQ(violations.load(), 0u);
 }
 
 TEST(ThreadSystem, ShutdownWakesReceiverBlockedInRecv) {
   // The receiver parks in Recv with nothing in flight; SendShutdown from
   // the harness thread (outside any core) must wake it. Covers the SPSC
   // injection lane and its eventcount wake.
-  for (const ChannelKind channel : kBothChannels) {
-    ThreadSystemConfig cfg = SmallConfig(channel, 2);
-    cfg.spin_rounds = 0;  // park almost immediately: the worst case
-    cfg.yield_rounds = 1;
-    ThreadSystem sys(cfg);
-    std::atomic<bool> got_shutdown{false};
-    std::atomic<bool> receiver_entered{false};
-    sys.SetCoreMain(0, [&](CoreEnv& env) {
-      receiver_entered = true;
-      Message m = env.Recv();
-      got_shutdown = m.type == MsgType::kShutdown;
-    });
-    sys.SetCoreMain(1, [&](CoreEnv&) {
-      while (!receiver_entered.load()) {
-        std::this_thread::yield();
-      }
-      // Give the receiver time to actually park before the shutdown.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    });
-    std::thread harness([&sys, &receiver_entered]() {
-      while (!receiver_entered.load()) {
-        std::this_thread::yield();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      sys.SendShutdown(0);
-    });
-    sys.RunToCompletion();
-    harness.join();
-    EXPECT_TRUE(got_shutdown.load()) << ChannelKindName(channel);
-  }
+  ThreadSystemConfig cfg = SmallConfig(2);
+  cfg.spin_rounds = 0;  // park almost immediately: the worst case
+  cfg.yield_rounds = 1;
+  ThreadSystem sys(cfg);
+  std::atomic<bool> got_shutdown{false};
+  std::atomic<bool> receiver_entered{false};
+  sys.SetCoreMain(0, [&](CoreEnv& env) {
+    receiver_entered = true;
+    Message m = env.Recv();
+    got_shutdown = m.type == MsgType::kShutdown;
+  });
+  sys.SetCoreMain(1, [&](CoreEnv&) {
+    while (!receiver_entered.load()) {
+      std::this_thread::yield();
+    }
+    // Give the receiver time to actually park before the shutdown.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  std::thread harness([&sys, &receiver_entered]() {
+    while (!receiver_entered.load()) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    sys.SendShutdown(0);
+  });
+  sys.RunToCompletion();
+  harness.join();
+  EXPECT_TRUE(got_shutdown.load());
 }
 
 TEST(ThreadSystem, ShutdownArrivesAfterPendingRingTraffic) {
   // The injection lane is polled only when the rings are empty, so a
   // shutdown never overtakes protocol messages already queued for the
   // receiver.
-  ThreadSystem sys(SmallConfig(ChannelKind::kSpscRing, 2));
+  ThreadSystem sys(SmallConfig(2));
   std::atomic<uint64_t> drained{0};
   std::atomic<bool> sender_done{false};
   sys.SetCoreMain(1, [&](CoreEnv& env) {
@@ -167,24 +158,22 @@ TEST(ThreadSystem, ShutdownArrivesAfterPendingRingTraffic) {
 }
 
 TEST(ThreadSystem, BarrierAndShmem) {
-  for (const ChannelKind channel : kBothChannels) {
-    ThreadSystem sys(SmallConfig(channel, 4));
-    for (uint32_t c = 0; c < 4; ++c) {
-      sys.SetCoreMain(c, [c](CoreEnv& env) {
-        env.ShmemWrite(c * 8, c + 1);
-        env.Barrier();
-        // After the barrier every core sees every write.
-        uint64_t sum = 0;
-        for (uint32_t i = 0; i < 4; ++i) {
-          sum += env.ShmemRead(i * 8);
-        }
-        env.ShmemWrite((4 + c) * 8, sum);
-      });
-    }
-    sys.RunToCompletion();
-    for (uint32_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(sys.shmem().LoadWord((4 + c) * 8), 10u) << ChannelKindName(channel);
-    }
+  ThreadSystem sys(SmallConfig(4));
+  for (uint32_t c = 0; c < 4; ++c) {
+    sys.SetCoreMain(c, [c](CoreEnv& env) {
+      env.ShmemWrite(c * 8, c + 1);
+      env.Barrier();
+      // After the barrier every core sees every write.
+      uint64_t sum = 0;
+      for (uint32_t i = 0; i < 4; ++i) {
+        sum += env.ShmemRead(i * 8);
+      }
+      env.ShmemWrite((4 + c) * 8, sum);
+    });
+  }
+  sys.RunToCompletion();
+  for (uint32_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(sys.shmem().LoadWord((4 + c) * 8), 10u);
   }
 }
 
@@ -194,7 +183,7 @@ TEST(ThreadSystem, BarrierStressManyGenerations) {
   // ever lets a thread slip through early trips the assertion.
   constexpr uint32_t kCores = 8;
   constexpr uint64_t kGenerations = 500;
-  ThreadSystem sys(SmallConfig(ChannelKind::kSpscRing, kCores, 2));
+  ThreadSystem sys(SmallConfig(kCores, 2));
   std::atomic<uint64_t> violations{0};
   for (uint32_t c = 0; c < kCores; ++c) {
     sys.SetCoreMain(c, [c, &violations](CoreEnv& env) {
@@ -219,7 +208,7 @@ TEST(ThreadSystem, TestAndSetIsExclusive) {
   // per round, counted exactly.
   constexpr uint32_t kCores = 4;
   constexpr uint64_t kRounds = 2000;
-  ThreadSystem sys(SmallConfig(ChannelKind::kSpscRing, kCores, 1));
+  ThreadSystem sys(SmallConfig(kCores, 1));
   const uint64_t tas_addr = 0;
   const uint64_t wins_base = 64;
   for (uint32_t c = 0; c < kCores; ++c) {
@@ -255,7 +244,7 @@ TEST(ThreadSystem, ChargeModelledIsFreeAndComputeTakesItsTime) {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start).count();
   };
   constexpr uint64_t kComputeCycles = 533'000;  // 1 ms at 533 MHz
-  ThreadSystem sys(SmallConfig(ChannelKind::kSpscRing, 2));
+  ThreadSystem sys(SmallConfig(2));
   std::atomic<int64_t> charge_ns[2] = {{-1}, {-1}};
   std::atomic<int64_t> compute_ns[2] = {{-1}, {-1}};
   for (uint32_t c = 0; c < 2; ++c) {

@@ -1,130 +1,84 @@
 // TM2C protocol on the std::thread backend: the same DtmService/TxRuntime
-// code under real OS concurrency (the Section 7 port), over both the
-// lock-free SPSC rings and the mutex-mailbox baseline. These tests are
-// nondeterministic by nature and assert only safety and completion.
+// code under real OS concurrency (the Section 7 port), wired by TmSystem
+// exactly as every bench runs it — abort-status words and the write-back
+// latch included. No simulator, no fibers, so the TSan CI job runs this
+// suite. These tests are nondeterministic by nature and assert only safety
+// and completion.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
-#include "src/runtime/thread_system.h"
-#include "src/tm/dtm_service.h"
-#include "src/tm/tx_runtime.h"
+#include "src/tm/tm_system.h"
 
 namespace tm2c {
 namespace {
 
-constexpr ChannelKind kBothChannels[] = {ChannelKind::kSpscRing, ChannelKind::kMutexMailbox};
-
-struct ThreadTmHarness {
-  ThreadTmHarness(uint32_t cores, uint32_t service, TmConfig tm_config,
-                  ChannelKind channel = ChannelKind::kSpscRing)
-      : tm(tm_config) {
-    ThreadSystemConfig cfg;
-    cfg.platform = MakeOpteronPlatform();
-    cfg.num_cores = cores;
-    cfg.num_service = service;
-    cfg.shmem_bytes = 1 << 20;
-    cfg.channel = channel;
-    sys = std::make_unique<ThreadSystem>(cfg);
-    map = std::make_unique<AddressMap>(sys->deployment(), tm.stripe_bytes);
-    for (uint32_t core : sys->deployment().service_cores()) {
-      sys->SetCoreMain(core, [this](CoreEnv& env) {
-        DtmService service_loop(env, tm);
-        service_loop.RunLoop();
-      });
-    }
-    running.store(sys->deployment().num_app());
-  }
-
-  // Installs `body` on every app thread; the last to finish shuts the
-  // services down.
-  void SetAppBodies(const std::function<void(CoreEnv&, TxRuntime&)>& body) {
-    const auto& plan = sys->deployment();
-    for (uint32_t i = 0; i < plan.num_app(); ++i) {
-      const uint32_t core = plan.app_cores()[i];
-      sys->SetCoreMain(core, [this, body](CoreEnv& env) {
-        TxRuntime rt(env, tm, *map);
-        body(env, rt);
-        if (running.fetch_sub(1) == 1) {
-          for (uint32_t sc : sys->deployment().service_cores()) {
-            sys->SendShutdown(sc);
-          }
-        }
-      });
-    }
-  }
-
-  TmConfig tm;
-  std::unique_ptr<ThreadSystem> sys;
-  std::unique_ptr<AddressMap> map;
-  std::atomic<uint32_t> running{0};
-};
+TmSystemConfig ThreadConfig(uint32_t cores, uint32_t service, CmKind cm) {
+  TmSystemConfig cfg;
+  cfg.backend = BackendKind::kThreads;
+  cfg.sim.platform = MakeOpteronPlatform();
+  cfg.sim.num_cores = cores;
+  cfg.sim.num_service = service;
+  cfg.sim.shmem_bytes = 1 << 20;
+  cfg.tm.cm = cm;
+  return cfg;
+}
 
 TEST(ThreadTm, ConcurrentIncrementsExact) {
-  for (const ChannelKind channel : kBothChannels) {
-    for (CmKind cm : {CmKind::kBackoffRetry, CmKind::kFairCm}) {
-      TmConfig tm;
-      tm.cm = cm;
-      ThreadTmHarness h(4, 2, tm, channel);
-      const uint64_t counter = h.sys->allocator().AllocGlobal(8);
-      constexpr int kIncs = 500;
-      h.SetAppBodies([counter](CoreEnv&, TxRuntime& rt) {
-        for (int k = 0; k < kIncs; ++k) {
-          rt.Execute([counter](Tx& tx) { tx.Write(counter, tx.Read(counter) + 1); });
-        }
-      });
-      h.sys->RunToCompletion();
-      EXPECT_EQ(h.sys->shmem().LoadWord(counter),
-                static_cast<uint64_t>(h.sys->deployment().num_app()) * kIncs)
-          << "cm=" << CmKindName(cm) << " channel=" << ChannelKindName(channel);
-    }
+  for (CmKind cm : {CmKind::kBackoffRetry, CmKind::kFairCm}) {
+    TmSystem sys(ThreadConfig(4, 2, cm));
+    const uint64_t counter = sys.allocator().AllocGlobal(8);
+    constexpr int kIncs = 500;
+    sys.SetAllAppBodies([counter](CoreEnv&, TxRuntime& rt) {
+      for (int k = 0; k < kIncs; ++k) {
+        rt.Execute([counter](Tx& tx) { tx.Write(counter, tx.Read(counter) + 1); });
+      }
+    });
+    sys.Run();
+    EXPECT_EQ(sys.shmem().LoadWord(counter),
+              static_cast<uint64_t>(sys.num_app_cores()) * kIncs)
+        << "cm=" << CmKindName(cm);
   }
 }
 
 TEST(ThreadTm, BankTransfersConserveTotal) {
-  for (const ChannelKind channel : kBothChannels) {
-    TmConfig tm;
-    tm.cm = CmKind::kFairCm;
-    ThreadTmHarness h(4, 1, tm, channel);
-    constexpr uint32_t kAccounts = 32;
-    const uint64_t base = h.sys->allocator().AllocGlobal(kAccounts * 8);
-    for (uint32_t a = 0; a < kAccounts; ++a) {
-      h.sys->shmem().StoreWord(base + a * 8, 100);
-    }
-    std::atomic<uint32_t> next_seed{1};
-    h.SetAppBodies([base, &next_seed](CoreEnv&, TxRuntime& rt) {
-      Rng rng(next_seed.fetch_add(1));
-      for (int k = 0; k < 300; ++k) {
-        const uint64_t from = base + rng.NextBelow(kAccounts) * 8;
-        uint64_t to = base + rng.NextBelow(kAccounts) * 8;
-        if (to == from) {
-          to = base + ((to - base) / 8 + 1) % kAccounts * 8;
-        }
-        rt.Execute([from, to](Tx& tx) {
-          tx.Write(from, tx.Read(from) - 1);
-          tx.Write(to, tx.Read(to) + 1);
-        });
-      }
-    });
-    h.sys->RunToCompletion();
-    uint64_t total = 0;
-    for (uint32_t a = 0; a < kAccounts; ++a) {
-      total += h.sys->shmem().LoadWord(base + a * 8);
-    }
-    EXPECT_EQ(total, static_cast<uint64_t>(kAccounts) * 100) << ChannelKindName(channel);
+  TmSystem sys(ThreadConfig(4, 1, CmKind::kFairCm));
+  constexpr uint32_t kAccounts = 32;
+  const uint64_t base = sys.allocator().AllocGlobal(kAccounts * 8);
+  for (uint32_t a = 0; a < kAccounts; ++a) {
+    sys.shmem().StoreWord(base + a * 8, 100);
   }
+  std::atomic<uint32_t> next_seed{1};
+  sys.SetAllAppBodies([base, &next_seed](CoreEnv&, TxRuntime& rt) {
+    Rng rng(next_seed.fetch_add(1));
+    for (int k = 0; k < 300; ++k) {
+      const uint64_t from = base + rng.NextBelow(kAccounts) * 8;
+      uint64_t to = base + rng.NextBelow(kAccounts) * 8;
+      if (to == from) {
+        to = base + ((to - base) / 8 + 1) % kAccounts * 8;
+      }
+      rt.Execute([from, to](Tx& tx) {
+        tx.Write(from, tx.Read(from) - 1);
+        tx.Write(to, tx.Read(to) + 1);
+      });
+    }
+  });
+  sys.Run();
+  uint64_t total = 0;
+  for (uint32_t a = 0; a < kAccounts; ++a) {
+    total += sys.shmem().LoadWord(base + a * 8);
+  }
+  EXPECT_EQ(total, static_cast<uint64_t>(kAccounts) * 100);
 }
 
 TEST(ThreadTm, ScansSeeConsistentPairs) {
-  TmConfig tm;
-  tm.cm = CmKind::kFairCm;
-  ThreadTmHarness h(4, 2, tm);
-  const uint64_t base = h.sys->allocator().AllocGlobal(16);
-  h.sys->shmem().StoreWord(base, 500);
-  h.sys->shmem().StoreWord(base + 8, 500);
+  TmSystem sys(ThreadConfig(4, 2, CmKind::kFairCm));
+  const uint64_t base = sys.allocator().AllocGlobal(16);
+  sys.shmem().StoreWord(base, 500);
+  sys.shmem().StoreWord(base + 8, 500);
   std::atomic<bool> violation{false};
   std::atomic<uint32_t> role{0};
-  h.SetAppBodies([base, &violation, &role](CoreEnv&, TxRuntime& rt) {
+  sys.SetAllAppBodies([base, &violation, &role](CoreEnv&, TxRuntime& rt) {
     const uint32_t my_role = role.fetch_add(1);
     if (my_role % 2 == 0) {
       Rng rng(my_role + 10);
@@ -149,7 +103,7 @@ TEST(ThreadTm, ScansSeeConsistentPairs) {
       }
     }
   });
-  h.sys->RunToCompletion();
+  sys.Run();
   EXPECT_FALSE(violation.load());
 }
 
