@@ -13,8 +13,8 @@ constexpr uint32_t kUpdatePct = 20;
 
 // Averaged over seeds: the multitasked deployment is prone to metastable
 // congestion collapse (a committing core serves requests while holding its
-// write locks, stretching hold times and triggering retry storms); single
-// snapshots are bimodal, see EXPERIMENTS.md.
+// write locks, stretching hold times and triggering retry storms), so
+// single snapshots are bimodal.
 BenchRow RunOne(BenchContext& ctx, DeployStrategy strategy, uint32_t cores,
                 uint32_t load_factor) {
   const std::vector<uint64_t> seeds = ctx.SeedSweep({5, 6, 7});

@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
   flags.Register("backend", &opts.backend,
                  "runtime backend: sim (deterministic simulator, default) | threads "
                  "(real OS threads over SPSC channels, wall-clock timing) | processes "
-                 "(forked partition servers over Unix sockets, wall-clock timing)");
+                 "(forked partition servers over shared-memory rings, wall-clock timing)");
   flags.Register("pin", &opts.pin, "pin thread-backend threads to host CPUs");
   flags.Register("pipeline-depth", &opts.pipeline_depth,
                  "override the acquisition pipeline depth (1 = lockstep request/reply; "

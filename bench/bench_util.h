@@ -60,9 +60,9 @@ struct RunSpec {
   bool pin_threads = false;
 };
 
-// Fresh socket/WAL directory for one process-backend TmSystem. Each system
-// needs its own: the partition servers bind their Unix sockets in it, and
-// sequential sweep points must not inherit a predecessor's files. Respects
+// Fresh WAL directory for one process-backend TmSystem. Each system needs
+// its own: the partition servers keep their logs in it, and sequential
+// sweep points must not inherit a predecessor's files. Respects
 // TMPDIR so run_all.sh can point the dirs at its own cleanup-scoped scratch
 // space; otherwise they land under /tmp.
 inline std::string FreshProcessRunDir() {
@@ -522,7 +522,7 @@ struct BenchDef {
   // as native.
   bool native = false;
   // Whether the bench also supports --backend=processes (forked partition
-  // servers over sockets). That backend is dedicated-deployment-only and
+  // servers over shared-memory rings). That backend is dedicated-deployment-only and
   // has no thread transport, so a native bench that sweeps multitasked
   // deployments or measures the thread transport stays threads-only.
   bool processes = false;

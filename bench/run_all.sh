@@ -11,9 +11,9 @@
 #                   --backend=threads (real OS threads, wall-clock rows);
 #                   both row kinds land side by side in the merged file
 #   --with-processes additionally run the processes-capable benches with
-#                   --backend=processes (forked partition servers over Unix
-#                   sockets, wall-clock rows); their socket/WAL scratch dirs
-#                   land in this script's temp dir and vanish with it
+#                   --backend=processes (forked partition servers over
+#                   shared-memory rings, wall-clock rows); their WAL scratch
+#                   dirs land in this script's temp dir and vanish with it
 #   --native-cores  pin --cores for the native and processes passes only
 #                   (both spawn one OS thread or process per core — size
 #                   them to the host)
@@ -102,7 +102,7 @@ if [[ -n "$with_processes" ]]; then
       continue
     fi
     echo "=== $bench (processes) ==="
-    # TMPDIR points the per-system socket/WAL run dirs into our scratch
+    # TMPDIR points the per-system WAL run dirs into our scratch
     # space so the EXIT trap cleans them up with the JSON fragments.
     TMPDIR="$json_dir" "$build_dir/$bench" $smoke --backend=processes \
       --json "$json_dir/$bench.processes.json" ${extra[@]+"${extra[@]}"} \

@@ -1,8 +1,8 @@
 // The master-less MapReduce letter-count application (Section 5.4).
 //
 // A synthetic text lives in shared memory (the paper used 256MB-2GB files;
-// we generate seeded random text at a configurable, smaller scale and note
-// the scale factor in EXPERIMENTS.md). Worker cores repeatedly claim the
+// we generate seeded random text at a configurable, smaller scale, and
+// bench_fig6_mapreduce states its factor). Worker cores repeatedly claim the
 // next chunk through a small transaction on a shared chunk counter — TM2C
 // replaces the master node — stream the chunk from memory, count letter
 // occurrences locally, and finally merge their local histogram into the

@@ -285,13 +285,13 @@ void RunKvCrashRestart(const CheckRunConfig& cfg, TmSystem& sys, KvStore& store,
     const PartitionCut& pcut = cut.partitions[p];
     const PartitionDurability& dur = sys.DurabilityAt(p);
     TM2C_CHECK(pcut.checkpoint_index < dur.checkpoints().size());
-    const CheckpointImage& ckpt = dur.checkpoints()[pcut.checkpoint_index];
-    TM2C_CHECK(ckpt.records_covered == pcut.checkpoint_records);
+    TM2C_CHECK(dur.checkpoints()[pcut.checkpoint_index].records_covered ==
+               pcut.checkpoint_records);
     std::vector<std::pair<uint64_t, uint64_t>> replay;
     for (uint64_t i = pcut.checkpoint_records; i < durable_log[p].size(); ++i) {
       replay.insert(replay.end(), durable_log[p][i].pairs.begin(), durable_log[p][i].pairs.end());
     }
-    store.RecoverPartition(p, ckpt.pairs, replay);
+    store.RecoverPartition(p, dur.ImageAt(pcut.checkpoint_index), replay);
   }
 
   CheckCrashRestartHistory(

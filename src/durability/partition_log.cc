@@ -1,7 +1,5 @@
 #include "src/durability/partition_log.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 
 namespace tm2c {
@@ -34,17 +32,13 @@ PartitionDurability::PartitionDurability(uint32_t partition, Options options)
 
 void PartitionDurability::CaptureInitial(uint64_t addr, uint64_t value) {
   TM2C_CHECK_MSG(checkpoints_.empty(), "CaptureInitial after SealInitialCheckpoint");
-  shadow_[addr] = value;
+  initial_.insert_or_assign(initial_.end(), addr, value);  // ascending: O(1)
 }
 
 void PartitionDurability::SealInitialCheckpoint() {
   TM2C_CHECK(checkpoints_.empty() && wal_.appended_records() == 0);
-  CheckpointImage image;
-  image.index = 0;
-  image.records_covered = 0;
-  image.pairs.assign(shadow_.begin(), shadow_.end());
-  std::sort(image.pairs.begin(), image.pairs.end());
-  checkpoints_.push_back(std::move(image));
+  checkpoints_.push_back(CheckpointImage{0, 0, {initial_.begin(), initial_.end()}});
+  initial_.clear();
 }
 
 bool PartitionDurability::LogCommit(uint32_t core, uint64_t epoch,
@@ -58,7 +52,6 @@ bool PartitionDurability::LogCommit(uint32_t core, uint64_t epoch,
   for (const auto& [addr, value] : pairs) {
     payload.push_back(addr);
     payload.push_back(value);
-    shadow_[addr] = value;
   }
   const uint64_t record_index = wal_.Append(payload.data(), payload.size());
   if (trace_ != nullptr) {
@@ -81,18 +74,15 @@ uint64_t PartitionDurability::Flush() {
 }
 
 PartitionDurability::RecoveredCommits PartitionDurability::RecoverFromBackingFile() {
-  wal_.RecoverBackingFile();
-  RecoveredCommits recovered;
-  const WalReadResult kept = ReadWal(wal_.image());
+  const WalReadResult kept = wal_.RecoverBackingFile();
   TM2C_CHECK(kept.clean() && !kept.torn_tail);
-  for (uint64_t i = 0; i < kept.records.size(); ++i) {
+  RecoveredCommits recovered;
+  uint64_t index = 0;
+  for (const WalRecord& kept_record : kept.records) {
     CommitRecord record;
-    TM2C_CHECK_MSG(ParseCommitRecord(kept.records[i], &record),
+    TM2C_CHECK_MSG(ParseCommitRecord(kept_record, &record),
                    "wal recovery: malformed commit record in the valid prefix");
-    for (const auto& [addr, value] : record.pairs) {
-      shadow_[addr] = value;
-    }
-    recovered[{record.core, record.epoch}] = i;
+    recovered[{record.core, record.epoch}] = index++;
   }
   if (trace_ != nullptr) {
     trace_->OnWalTruncate(partition_, wal_.durable_records(), wal_.durable_bytes());
@@ -107,12 +97,26 @@ void PartitionDurability::TakeCheckpoint() {
   CheckpointImage image;
   image.index = checkpoints_.size();
   image.records_covered = wal_.appended_records();
-  image.pairs.assign(shadow_.begin(), shadow_.end());
-  std::sort(image.pairs.begin(), image.pairs.end());
   if (trace_ != nullptr) {
     trace_->OnCheckpoint(partition_, image.index, image.records_covered);
   }
   checkpoints_.push_back(std::move(image));
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> PartitionDurability::ImageAt(uint64_t index) const {
+  TM2C_CHECK(index < checkpoints_.size());
+  const std::vector<std::pair<uint64_t, uint64_t>>& initial = checkpoints_[0].pairs;
+  std::map<uint64_t, uint64_t> image(initial.begin(), initial.end());
+  const WalReadResult log = ReadWal(wal_.image());
+  TM2C_CHECK(checkpoints_[index].records_covered <= log.records.size());
+  for (uint64_t i = 0; i < checkpoints_[index].records_covered; ++i) {
+    CommitRecord record;
+    TM2C_CHECK_MSG(ParseCommitRecord(log.records[i], &record), "malformed commit record");
+    for (const auto& [addr, value] : record.pairs) {
+      image[addr] = value;
+    }
+  }
+  return {image.begin(), image.end()};
 }
 
 }  // namespace tm2c

@@ -8,11 +8,11 @@
 //
 // — in lock order (the committer holds its write locks until the append
 // is acknowledged, so per-address record order equals persist order), and
-// flushes in groups (see TmConfig::group_commit_txs). A checkpoint is a
-// sorted (addr, value) snapshot of every partition-owned word, maintained
-// incrementally as a shadow map so taking one never reads the live slab;
-// checkpoint 0 is the post-load initial image, later ones are cut every
-// checkpoint_every_records appends. LogCommit() only *reports* that a
+// flushes in groups (see TmConfig::group_commit_txs). Checkpoint 0 is the
+// post-load image, a sorted (addr, value) snapshot of every owned word;
+// later ones, cut every checkpoint_every_records appends, keep only the
+// log prefix they cover, which replayed over checkpoint 0 is their image
+// (ImageAt). LogCommit() only *reports* that a
 // checkpoint is due: the service flushes first and then calls
 // TakeCheckpoint(), so a checkpoint never covers unflushed records and
 // the durable watermark stays monotone.
@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,11 +46,12 @@ struct CommitRecord {
 // Decodes a WAL record payload; false on a malformed layout.
 bool ParseCommitRecord(const WalRecord& record, CommitRecord* out);
 
-// A sorted (addr, value) snapshot of the partition's owned words.
+// A checkpoint: the log prefix it subsumes and, for checkpoint 0 only, the
+// sorted (addr, value) image of the partition's owned words.
 struct CheckpointImage {
   uint64_t index = 0;            // 0 = post-load initial image
   uint64_t records_covered = 0;  // log records the image subsumes
-  std::vector<std::pair<uint64_t, uint64_t>> pairs;  // sorted by addr
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;  // checkpoint 0: sorted by addr
 };
 
 class PartitionDurability {
@@ -84,9 +84,14 @@ class PartitionDurability {
   // records made durable by this call.
   uint64_t Flush();
 
-  // Snapshots the shadow map as the next checkpoint (emits OnCheckpoint).
-  // Pre-condition: no unflushed records (the caller flushed first).
+  // Cuts the next checkpoint at the current log length (emits
+  // OnCheckpoint). Pre-condition: no unflushed records (the caller flushed
+  // first).
   void TakeCheckpoint();
+
+  // Checkpoint `index`'s image, sorted by addr: checkpoint 0's pairs with
+  // the log records it covers replayed over them.
+  std::vector<std::pair<uint64_t, uint64_t>> ImageAt(uint64_t index) const;
 
   // Flushes the WAL backing file's stdio buffer without advancing the
   // durable watermark (see Wal::FlushFile — the pre-fork hazard).
@@ -99,8 +104,7 @@ class PartitionDurability {
   // Restart recovery for the process backend: a freshly activated standby
   // server calls this on the PartitionDurability it inherited at fork
   // time, after its predecessor was killed mid-run. Rebuilds the Wal from
-  // the backing file's valid prefix (truncating any torn tail), replays
-  // the kept records over the inherited shadow image, and emits
+  // the backing file's valid prefix (truncating any torn tail) and emits
   // OnWalTruncate with the surviving record count — the oracle's signal
   // that appends beyond it were legitimately lost. Returns each kept
   // commit's (core, epoch) -> record index so a retransmitted kCommitLog
@@ -118,9 +122,8 @@ class PartitionDurability {
   Options options_;
   Wal wal_;
   TxTraceSink* trace_ = nullptr;
-  // Live image of the partition's owned words, updated on every append so
-  // checkpoints are O(shadow) with no slab access.
-  std::unordered_map<uint64_t, uint64_t> shadow_;
+  // Load-phase captures, sealed into checkpoint 0.
+  std::map<uint64_t, uint64_t> initial_;
   std::vector<CheckpointImage> checkpoints_;
 };
 

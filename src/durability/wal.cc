@@ -1,7 +1,11 @@
 #include "src/durability/wal.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "src/common/check.h"
@@ -60,23 +64,54 @@ uint32_t Crc32(const uint8_t* data, uint64_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-WalReadResult ReadWal(const std::vector<uint8_t>& bytes) {
+void WalRecords::ReadAt(uint64_t offset, uint64_t n, uint8_t* out) const {
+  if (image_ != nullptr) {
+    std::memcpy(out, image_->data() + offset, n);
+    return;
+  }
+  for (uint64_t done = 0; done < n;) {
+    const ssize_t got = ::pread(*fd_, out + done, n - done, static_cast<off_t>(offset + done));
+    TM2C_CHECK_MSG(got > 0 || (got < 0 && errno == EINTR), "wal: log file read failed");
+    done += got > 0 ? static_cast<uint64_t>(got) : 0;
+  }
+}
+
+WalRecord WalRecords::operator[](size_t i) const {
+  const uint64_t begin = starts_[i] + kWalFrameOverheadBytes;
+  std::vector<uint8_t> bytes((i + 1 < starts_.size() ? starts_[i + 1] : end_) - begin);
+  ReadAt(begin, bytes.size(), bytes.data());
+  WalRecord record;
+  record.payload.resize(bytes.size() / sizeof(uint64_t));
+  for (uint64_t w = 0; w < record.payload.size(); ++w) {
+    record.payload[w] = LoadU64(bytes.data() + w * sizeof(uint64_t));
+  }
+  return record;
+}
+
+WalReadResult WalRecords::Scan(WalRecords source, uint64_t size) {
   WalReadResult result;
-  if (bytes.size() < kWalHeaderBytes ||
-      std::memcmp(bytes.data(), kWalMagic, kWalHeaderBytes) != 0) {
+  uint8_t header[kWalFrameOverheadBytes];
+  static_assert(kWalHeaderBytes == kWalFrameOverheadBytes, "one buffer reads both");
+  if (size < kWalHeaderBytes) {
+    result.bad_magic = true;
+    return result;
+  }
+  source.ReadAt(0, kWalHeaderBytes, header);
+  if (std::memcmp(header, kWalMagic, kWalHeaderBytes) != 0) {
     result.bad_magic = true;
     return result;
   }
   uint64_t offset = kWalHeaderBytes;
   result.valid_bytes = offset;
-  while (offset < bytes.size()) {
-    const uint64_t remaining = bytes.size() - offset;
+  std::vector<uint8_t> payload;
+  while (offset < size) {
+    const uint64_t remaining = size - offset;
     if (remaining < kWalFrameOverheadBytes) {
       result.torn_tail = true;
       break;
     }
-    const uint64_t len = LoadU32(bytes.data() + offset);
-    const uint32_t crc = LoadU32(bytes.data() + offset + 4);
+    source.ReadAt(offset, kWalFrameOverheadBytes, header);
+    const uint64_t len = LoadU32(header);
     if (len == 0 || len % sizeof(uint64_t) != 0) {
       // A complete header with an impossible length: corruption, not a
       // torn append (the writer never frames such a payload).
@@ -87,39 +122,47 @@ WalReadResult ReadWal(const std::vector<uint8_t>& bytes) {
       result.torn_tail = true;
       break;
     }
-    const uint8_t* payload = bytes.data() + offset + kWalFrameOverheadBytes;
-    if (Crc32(payload, len) != crc) {
+    payload.resize(len);
+    source.ReadAt(offset + kWalFrameOverheadBytes, len, payload.data());
+    if (Crc32(payload.data(), len) != LoadU32(header + 4)) {
       result.crc_mismatch = true;
       break;
     }
-    WalRecord record;
-    record.payload.reserve(len / sizeof(uint64_t));
-    for (uint64_t w = 0; w < len / sizeof(uint64_t); ++w) {
-      record.payload.push_back(LoadU64(payload + w * sizeof(uint64_t)));
-    }
-    result.records.push_back(std::move(record));
+    source.starts_.push_back(offset);
     offset += kWalFrameOverheadBytes + len;
     result.valid_bytes = offset;
   }
+  source.end_ = result.valid_bytes;
+  result.records = std::move(source);
   return result;
 }
 
-WalReadResult ReadWalFile(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    uint8_t buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  return ReadWal(bytes);
+WalReadResult ReadWal(const std::vector<uint8_t>& bytes) {
+  WalRecords source;
+  source.image_ = std::make_shared<const std::vector<uint8_t>>(bytes);
+  return WalRecords::Scan(std::move(source), bytes.size());
 }
 
-Wal::Wal(Options options) : options_(std::move(options)) { Init(); }
+WalReadResult ReadWalFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st {};
+  if (fd < 0 || ::fstat(fd, &st) != 0) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    return ReadWal({});
+  }
+  WalRecords source;
+  source.fd_ = std::shared_ptr<const int>(new int(fd), [](const int* p) {
+    ::close(*p);
+    delete p;
+  });
+  return WalRecords::Scan(std::move(source), static_cast<uint64_t>(st.st_size));
+}
 
-void Wal::RecoverBackingFile() {
+Wal::Wal(Options options) : options_(std::move(options)) { (void)Init(); }
+
+WalReadResult Wal::RecoverBackingFile() {
   TM2C_CHECK_MSG(!options_.path.empty(), "wal: recovery needs a backing file");
   if (file_ != nullptr) {
     // A restarted server's inherited handle: its stdio buffer is empty
@@ -129,47 +172,46 @@ void Wal::RecoverBackingFile() {
     file_ = nullptr;
   }
   options_.recover_existing = true;
-  image_.clear();
   appended_records_ = 0;
   durable_records_ = 0;
   durable_bytes_ = kWalHeaderBytes;
-  recovered_records_ = 0;
-  Init();
+  return Init();
 }
 
-void Wal::Init() {
+WalReadResult Wal::Init() {
   if (options_.recover_existing && !options_.path.empty()) {
-    const WalReadResult existing = ReadWalFile(options_.path);
+    WalReadResult existing = ReadWalFile(options_.path);
     if (!existing.bad_magic) {
       TM2C_CHECK_MSG(!existing.crc_mismatch,
                      "wal: refusing to recover over a corrupt (non-torn) log");
-      // Keep exactly the valid prefix: rebuild the in-memory image from it
-      // and cut any torn tail off the file before appending after it.
-      image_.resize(kWalHeaderBytes);
-      std::memcpy(image_.data(), kWalMagic, kWalHeaderBytes);
-      for (const WalRecord& record : existing.records) {
-        Append(record.payload.data(), record.payload.size());
-      }
-      TM2C_CHECK(image_.size() == existing.valid_bytes);
+      // Keep exactly the valid prefix: cut any torn tail off the file
+      // before appending after it.
       TM2C_CHECK(::truncate(options_.path.c_str(),
                             static_cast<off_t>(existing.valid_bytes)) == 0);
       file_ = std::fopen(options_.path.c_str(), "ab");
       TM2C_CHECK_MSG(file_ != nullptr, "wal: could not reopen backing file");
-      recovered_records_ = existing.records.size();
+      appended_records_ = existing.records.size();
       durable_records_ = appended_records_;
-      durable_bytes_ = image_.size();
-      return;
+      bytes_ = existing.valid_bytes;
+      durable_bytes_ = bytes_;
+      existing.torn_tail = false;
+      return existing;
     }
   }
-  // resize+memcpy rather than insert: GCC 12's -Wstringop-overflow misfires
-  // on range-inserting a constant array into a fresh vector.
-  image_.resize(kWalHeaderBytes);
-  std::memcpy(image_.data(), kWalMagic, kWalHeaderBytes);
-  if (!options_.path.empty()) {
-    file_ = std::fopen(options_.path.c_str(), "wb");
-    TM2C_CHECK_MSG(file_ != nullptr, "wal: could not open backing file");
-    TM2C_CHECK(std::fwrite(kWalMagic, 1, kWalHeaderBytes, file_) == kWalHeaderBytes);
+  bytes_ = kWalHeaderBytes;
+  if (options_.path.empty()) {
+    // resize+memcpy rather than insert: GCC 12's -Wstringop-overflow
+    // misfires on range-inserting a constant array into a fresh vector.
+    image_.resize(kWalHeaderBytes);
+    std::memcpy(image_.data(), kWalMagic, kWalHeaderBytes);
+    return ReadWal(image_);
   }
+  file_ = std::fopen(options_.path.c_str(), "wb");
+  TM2C_CHECK_MSG(file_ != nullptr, "wal: could not open backing file");
+  TM2C_CHECK(std::fwrite(kWalMagic, 1, kWalHeaderBytes, file_) == kWalHeaderBytes);
+  WalReadResult fresh;
+  fresh.valid_bytes = kWalHeaderBytes;
+  return fresh;
 }
 
 Wal::~Wal() {
@@ -193,10 +235,12 @@ uint64_t Wal::Append(const uint64_t* payload, uint64_t words) {
   frame[5] = static_cast<uint8_t>(crc >> 8);
   frame[6] = static_cast<uint8_t>(crc >> 16);
   frame[7] = static_cast<uint8_t>(crc >> 24);
-  image_.insert(image_.end(), frame.begin(), frame.end());
   if (file_ != nullptr) {
     TM2C_CHECK(std::fwrite(frame.data(), 1, frame.size(), file_) == frame.size());
+  } else {
+    image_.insert(image_.end(), frame.begin(), frame.end());
   }
+  bytes_ += frame.size();
   return appended_records_++;
 }
 
@@ -208,7 +252,7 @@ void Wal::Flush() {
     }
   }
   durable_records_ = appended_records_;
-  durable_bytes_ = image_.size();
+  durable_bytes_ = bytes_;
 }
 
 void Wal::FlushFile() {

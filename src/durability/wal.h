@@ -5,8 +5,8 @@
 //
 //   [u32 payload_len_bytes][u32 crc32(payload)][payload: len/8 u64 words]
 //
-// The writer (Wal) always maintains the image in memory; an optional file
-// sink mirrors every append so the fsync path can be exercised for real.
+// The writer (Wal) keeps the image in memory, or, given a backing file,
+// only in that file: a file-backed log's memory does not grow with it.
 // Flush() advances the durable watermark (durable_records / durable_bytes):
 // everything at or below the watermark is what a crash is allowed to keep,
 // everything above it is what a crash may lose. In fsync mode Flush() also
@@ -16,14 +16,19 @@
 // and classifies it: an incomplete header or payload at the end of the
 // image is a torn tail (the expected shape after a crash mid-append); a
 // CRC or length-field mismatch on a complete frame is corruption. Both
-// stop the scan — recovery replays exactly the valid prefix.
+// stop the scan — recovery replays exactly the valid prefix. Records are
+// decoded on demand, so reading a long log back keeps only its offsets.
 #ifndef TM2C_SRC_DURABILITY_WAL_H_
 #define TM2C_SRC_DURABILITY_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "src/common/check.h"
 
 namespace tm2c {
 
@@ -40,8 +45,50 @@ struct WalRecord {
   std::vector<uint64_t> payload;
 };
 
+struct WalReadResult;
+
+// The valid records of a scanned log, decoded one at a time when read.
+class WalRecords {
+ public:
+  // Decodes the record it points at when dereferenced.
+  class Iterator {
+   public:
+    Iterator(const WalRecords* records, size_t index) : records_(records), index_(index) {}
+    WalRecord operator*() const { return (*records_)[index_]; }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const { return index_ != other.index_; }
+
+   private:
+    const WalRecords* records_;
+    size_t index_;
+  };
+
+  size_t size() const { return starts_.size(); }
+  bool empty() const { return starts_.empty(); }
+  WalRecord operator[](size_t i) const;
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size()); }
+
+ private:
+  friend WalReadResult ReadWal(const std::vector<uint8_t>& bytes);
+  friend WalReadResult ReadWalFile(const std::string& path);
+
+  // Scans the source's `size` bytes into a result that owns the source.
+  static WalReadResult Scan(WalRecords source, uint64_t size);
+  // Copies the source's bytes [offset, offset + n) to `out`.
+  void ReadAt(uint64_t offset, uint64_t n, uint8_t* out) const;
+
+  std::vector<uint64_t> starts_;  // where each record's frame starts
+  uint64_t end_ = 0;              // where the last one ends
+  std::shared_ptr<const std::vector<uint8_t>> image_;  // ReadWal's copy of the image
+  std::shared_ptr<const int> fd_;                      // ReadWalFile's open file
+};
+
 struct WalReadResult {
-  std::vector<WalRecord> records;
+  WalRecords records;
   // Bytes of the valid prefix: magic header plus every complete,
   // CRC-clean frame before the first problem.
   uint64_t valid_bytes = 0;
@@ -56,11 +103,11 @@ struct WalReadResult {
 };
 
 // Scans a log image (see the framing above). Stops at the first torn or
-// corrupt frame; the records vector holds the valid prefix.
+// corrupt frame; the records hold the valid prefix.
 WalReadResult ReadWal(const std::vector<uint8_t>& bytes);
 
-// Reads `path` fully and scans it. A missing/unreadable file reads as an
-// empty image (bad_magic = true).
+// Scans the file at `path` the same way; records are read from the file.
+// A missing/unreadable file reads as an empty image (bad_magic = true).
 WalReadResult ReadWalFile(const std::string& path);
 
 class Wal {
@@ -99,36 +146,36 @@ class Wal {
   // would otherwise be duplicated into the file by every child's exit.
   void FlushFile();
 
-  // Records recovered from an existing backing file (recover_existing);
-  // zero for a fresh log.
-  uint64_t recovered_records() const { return recovered_records_; }
-
   // Reinitializes this log from its backing file (recover_existing
   // semantics): closes the current handle, keeps the file's valid prefix,
   // truncates any torn tail off the file, and continues appending after
-  // it. A restarted partition server calls this on the Wal it inherited
-  // at fork time, after its predecessor died mid-run.
-  void RecoverBackingFile();
+  // it. Returns the kept prefix. A restarted partition server calls this
+  // on the Wal it inherited at fork time, after its predecessor died
+  // mid-run.
+  WalReadResult RecoverBackingFile();
 
   uint64_t appended_records() const { return appended_records_; }
   uint64_t durable_records() const { return durable_records_; }
   uint64_t durable_bytes() const { return durable_bytes_; }
   uint64_t unflushed_records() const { return appended_records_ - durable_records_; }
 
-  // The full appended image, including not-yet-flushed frames. A crash at
-  // the current moment keeps only the first durable_bytes() of it.
-  const std::vector<uint8_t>& image() const { return image_; }
+  // The full appended image of a log without a backing file, including
+  // not-yet-flushed frames. A crash at the current moment keeps only the
+  // first durable_bytes() of it.
+  const std::vector<uint8_t>& image() const {
+    TM2C_CHECK_MSG(options_.path.empty(), "wal: a file-backed log's image is its file");
+    return image_;
+  }
 
  private:
-  void Init();
-
+  WalReadResult Init();
   Options options_;
   std::vector<uint8_t> image_;
   std::FILE* file_ = nullptr;
+  uint64_t bytes_ = kWalHeaderBytes;  // appended, header included
   uint64_t appended_records_ = 0;
   uint64_t durable_records_ = 0;
   uint64_t durable_bytes_ = kWalHeaderBytes;
-  uint64_t recovered_records_ = 0;
 };
 
 }  // namespace tm2c

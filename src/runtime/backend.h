@@ -22,7 +22,7 @@ namespace tm2c {
 enum class BackendKind : uint8_t {
   kSim = 0,        // discrete-event simulator: deterministic, modelled time
   kThreads = 1,    // one OS thread per core: real concurrency, wall-clock time
-  kProcesses = 2,  // partition servers as forked processes over sockets
+  kProcesses = 2,  // partition servers as forked processes, same rings
 };
 
 inline const char* BackendKindName(BackendKind kind) {

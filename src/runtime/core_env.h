@@ -7,7 +7,7 @@
 // computation, and non-coherent shared memory. Three backends implement it:
 // the deterministic discrete-event simulator (SimSystem), real std::threads
 // (ThreadSystem, the Section 7 port), and forked partition-server processes
-// over Unix sockets (ProcessSystem, which provides two core kinds).
+// over the same rings in shared memory (ProcessSystem).
 //
 // Cost model: Compute is time that must pass on every backend (application
 // work, back-offs). ChargeModelled is the simulator's SCC cost model for

@@ -1,69 +1,26 @@
 #include "src/runtime/process_system.h"
 
+#include <sys/mman.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
-#include <cstdio>
-#include <cstring>
 
 #include "src/common/check.h"
+#include "src/runtime/wire.h"
 
 namespace tm2c {
 namespace {
 
-SimTime HostNowPs() {
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now().time_since_epoch())
-                      .count();
-  return static_cast<SimTime>(ns) * kPicosPerNano;
-}
+// Host lane depth per partition server, in messages: app cores drain it
+// whenever they poll the partition, so it only absorbs bursts.
+constexpr uint32_t kLaneCapacity = 8192;
 
-// Compute on both core kinds: the thread backend's wall-clock busy wait for
-// the modelled duration, always in its oversubscribed flavour (yield after a
-// microsecond): app threads, router threads and the partition server
-// processes together far exceed the host CPUs.
-void ComputeSpin(const PlatformDesc& platform, uint64_t core_cycles) {
-  const SimTime deadline = HostNowPs() + platform.CoreCyclesToPs(core_cycles);
-  const SimTime spin_until = HostNowPs() + kPicosPerMicro;
-  while (HostNowPs() < deadline) {
-    if (HostNowPs() >= spin_until) {
-      std::this_thread::yield();
-    }
-  }
-}
-
-// Streams a whole buffer into a socket. Failures (EPIPE against a killed
-// server) are deliberately swallowed: every message that must survive a
-// server death is tracked in the connection's outstanding queue, and the
-// router's death protocol re-issues or refuses it explicitly.
-void WriteAll(int fd, const std::vector<uint8_t>& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;
-    }
-    off += static_cast<size_t>(n);
-  }
-}
-
-void WriteFrame(int fd, uint32_t dst, const Message& msg) {
-  std::vector<uint8_t> frame;
-  EncodeFrame(dst, msg, &frame);
-  WriteAll(fd, frame);
-}
-
-// True for request types the server answers with exactly one reply frame.
+// True for request types the server answers with exactly one reply.
 bool ExpectsReply(MsgType type) {
   switch (type) {
     case MsgType::kReadLockReq:
@@ -96,334 +53,165 @@ bool CarriesEpoch(MsgType type) {
   }
 }
 
+// True when `reply` from a partition server answers `req`.
+bool Answers(const Message& req, const Message& reply) {
+  switch (reply.type) {
+    case MsgType::kLockGranted:
+    case MsgType::kLockConflict:
+      return (req.type == MsgType::kReadLockReq || req.type == MsgType::kWriteLockReq) &&
+             req.w0 == reply.w0;
+    case MsgType::kBatchReply:
+      return req.type == MsgType::kBatchAcquire &&
+             (req.w0 >> kBatchReqIdShift) == (reply.w3 >> kBatchReqIdShift);
+    case MsgType::kCommitLogAck:
+      return req.type == MsgType::kCommitLog && req.w1 == reply.w1;
+    case MsgType::kEchoRsp:
+      return req.type == MsgType::kEcho && req.w0 == reply.w0;
+    default:
+      return false;
+  }
+}
+
+// Retires the oldest of `core`'s requests in `ledger` that `reply` answers.
+// Returns false for an answer that matches none; unsolicited notifications
+// answer nothing and always return true.
+template <typename Ledger>
+bool Retire(Ledger* ledger, uint32_t core, const Message& reply) {
+  if (reply.type == MsgType::kAbortNotify || reply.type == MsgType::kOwnershipUpdate) {
+    return true;
+  }
+  for (auto it = ledger->begin(); it != ledger->end(); ++it) {
+    if (it->src == core && Answers(it->request, reply)) {
+      ledger->erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
+// The thread backend's ring depth and wait budgets: app threads and
+// partition servers are all busy cores.
+ThreadSystemConfig RingConfig(const ProcessSystemConfig& config) {
+  ThreadSystemConfig ring;
+  ring.platform = config.platform;
+  ring.num_cores = config.num_cores;
+  ring.num_service = config.num_service;
+  ring.shmem_bytes = config.shmem_bytes;
+  return ring;
+}
+
 }  // namespace
-
-// Application core: a host thread with a mutex/condvar mailbox, fed by the
-// partition routers. Messages to a service core leave through the
-// partition's socket; messages to another app core (the privatization
-// barrier tokens) land in its mailbox directly.
-class ProcessSystem::AppCore : public CoreEnv {
- public:
-  AppCore(ProcessSystem* sys, uint32_t id) : sys_(sys), id_(id) {}
-
-  uint32_t core_id() const override { return id_; }
-  const DeploymentPlan& plan() const override { return sys_->plan_; }
-  const PlatformDesc& platform() const override { return sys_->config_.platform; }
-
-  void Send(uint32_t dst, Message msg) override {
-    TM2C_CHECK(dst < sys_->plan_.num_cores());
-    msg.src = id_;
-    if (sys_->plan_.IsService(dst)) {
-      sys_->SendToPartition(id_, dst, std::move(msg));
-      return;
-    }
-    sys_->DeliverToApp(dst, std::move(msg));
-  }
-
-  Message Recv() override {
-    std::unique_lock<std::mutex> lock(inbox_mu_);
-    inbox_cv_.wait(lock, [this]() { return !inbox_.empty(); });
-    Message msg = std::move(inbox_.front());
-    inbox_.pop_front();
-    return msg;
-  }
-
-  bool TryRecv(Message* out) override {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    if (inbox_.empty()) {
-      return false;
-    }
-    *out = std::move(inbox_.front());
-    inbox_.pop_front();
-    return true;
-  }
-
-  size_t InboxDepth() const override {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    return inbox_.size();
-  }
-
-  SimTime LocalNow() const override { return HostNowPs(); }
-  SimTime GlobalNow() const override { return HostNowPs(); }
-  void Compute(uint64_t core_cycles) override { ComputeSpin(platform(), core_cycles); }
-  void ChargeModelled(uint64_t /*core_cycles*/) override {}  // already ran on the host
-
-  uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
-  void ShmemWrite(uint64_t addr, uint64_t value) override {
-    sys_->shmem_->StoreWord(addr, value);
-  }
-  bool ShmemTestAndSet(uint64_t addr) override { return sys_->shmem_->CasWord(addr, 0, 1); }
-  void ShmemBulkAccess(uint64_t /*addr*/, uint64_t /*bytes*/) override {}
-
-  void Barrier() override {
-    // Sense-reversing barrier over the app cores only: partition servers
-    // never rendezvous (their loops are pure request/response), and the
-    // dedicated deployment is the only one this backend supports.
-    const uint64_t generation = sys_->barrier_generation_.load(std::memory_order_acquire);
-    if (sys_->barrier_waiting_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        sys_->plan_.num_app()) {
-      sys_->barrier_waiting_.store(0, std::memory_order_relaxed);
-      sys_->barrier_generation_.fetch_add(1, std::memory_order_release);
-      return;
-    }
-    uint32_t rounds = 0;
-    while (sys_->barrier_generation_.load(std::memory_order_acquire) == generation) {
-      if (++rounds < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
-  }
-
-  SharedMemory& shmem() override { return *sys_->shmem_; }
-  ShmAllocator& allocator() override { return *sys_->allocator_; }
-
-  void MailboxPush(Message msg) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_.push_back(std::move(msg));
-    }
-    inbox_cv_.notify_one();
-  }
-
- private:
-  ProcessSystem* sys_;
-  uint32_t id_;
-  std::deque<Message> inbox_;
-  mutable std::mutex inbox_mu_;  // InboxDepth() is a const observer
-  std::condition_variable inbox_cv_;
-};
-
-// Service core: lives in the forked partition server. Its inbox is the
-// socket — frames are decoded on demand, replies and host-addressed trace
-// frames are encoded straight back onto it. Constructed host-side before
-// the fork so DtmService can bind its CoreEnv reference; only the child
-// ever calls its methods.
-class ProcessSystem::ServiceCore : public CoreEnv {
- public:
-  ServiceCore(ProcessSystem* sys, uint32_t id) : sys_(sys), id_(id) {}
-
-  void Activate(int fd) { fd_ = fd; }
-
-  uint32_t core_id() const override { return id_; }
-  const DeploymentPlan& plan() const override { return sys_->plan_; }
-  const PlatformDesc& platform() const override { return sys_->config_.platform; }
-
-  void Send(uint32_t dst, Message msg) override {
-    if (dst != kWireHostDst) {
-      TM2C_CHECK(dst < sys_->plan_.num_cores());
-    }
-    msg.src = id_;
-    WriteFrame(fd_, dst, msg);
-  }
-
-  Message Recv() override {
-    for (;;) {
-      if (!inbox_.empty()) {
-        Message msg = std::move(inbox_.front());
-        inbox_.pop_front();
-        return msg;
-      }
-      ReadMore(/*blocking=*/true);
-    }
-  }
-
-  bool TryRecv(Message* out) override {
-    if (inbox_.empty()) {
-      ReadMore(/*blocking=*/false);
-    }
-    if (inbox_.empty()) {
-      return false;
-    }
-    *out = std::move(inbox_.front());
-    inbox_.pop_front();
-    return true;
-  }
-
-  // Decoded-but-unprocessed backlog. Advisory (like the thread backend's
-  // racy ring snapshot): bytes still in the socket buffer are not counted.
-  size_t InboxDepth() const override { return inbox_.size(); }
-
-  SimTime LocalNow() const override { return HostNowPs(); }
-  SimTime GlobalNow() const override { return HostNowPs(); }
-  void Compute(uint64_t core_cycles) override { ComputeSpin(platform(), core_cycles); }
-  void ChargeModelled(uint64_t /*core_cycles*/) override {}  // already ran on the host
-
-  uint64_t ShmemRead(uint64_t addr) override { return sys_->shmem_->LoadWord(addr); }
-  void ShmemWrite(uint64_t addr, uint64_t value) override {
-    sys_->shmem_->StoreWord(addr, value);
-  }
-  bool ShmemTestAndSet(uint64_t addr) override { return sys_->shmem_->CasWord(addr, 0, 1); }
-  void ShmemBulkAccess(uint64_t /*addr*/, uint64_t /*bytes*/) override {}
-
-  void Barrier() override { TM2C_FATAL("partition servers have no barrier"); }
-
-  SharedMemory& shmem() override { return *sys_->shmem_; }
-  ShmAllocator& allocator() override { return *sys_->allocator_; }
-
- private:
-  void ReadMore(bool blocking) {
-    uint8_t buf[1 << 16];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), blocking ? 0 : MSG_DONTWAIT);
-      if (n > 0) {
-        decoder_.Feed(buf, static_cast<uint64_t>(n));
-        break;
-      }
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) && !blocking) {
-        return;
-      }
-      // EOF or a hard error: the host is gone; an orphaned server has
-      // nothing left to serve.
-      ::_exit(0);
-    }
-    for (;;) {
-      uint32_t dst = 0;
-      Message msg;
-      const WireDecodeStatus status = decoder_.TryNext(&dst, &msg);
-      if (status == WireDecodeStatus::kNeedMore) {
-        return;
-      }
-      TM2C_CHECK_MSG(status == WireDecodeStatus::kOk, "corrupt frame from the host");
-      TM2C_CHECK_MSG(dst == id_, "frame routed to the wrong partition server");
-      inbox_.push_back(std::move(msg));
-    }
-  }
-
-  ProcessSystem* sys_;
-  uint32_t id_;
-  int fd_ = -1;
-  WireDecoder decoder_;
-  std::deque<Message> inbox_;
-};
 
 ProcessSystem::ProcessSystem(ProcessSystemConfig config)
     : config_(std::move(config)),
-      plan_(config_.num_cores, config_.num_service, DeployStrategy::kDedicated) {
-  TM2C_CHECK_MSG(!config_.run_dir.empty(), "the process backend needs run_dir for its sockets");
-  shmem_ = std::make_unique<SharedMemory>(config_.shmem_bytes, /*interprocess=*/true);
-  allocator_ = std::make_unique<ShmAllocator>(shmem_.get(), Topology(config_.platform));
-  mains_.resize(config_.num_cores);
-  app_cores_.resize(config_.num_cores);
-  service_cores_.resize(config_.num_cores);
-  for (uint32_t c = 0; c < config_.num_cores; ++c) {
-    if (plan_.IsService(c)) {
-      service_cores_[c] = std::make_unique<ServiceCore>(this, c);
-    } else {
-      app_cores_[c] = std::make_unique<AppCore>(this, c);
-    }
+      shared_(RingConfig(config_), kGenerations, /*interprocess=*/true) {
+  shared_.barrier_parties = shared_.plan.num_app();
+  const size_t lane_bytes = SpscChannel::PlacedBytes(kLaneCapacity);
+  lanes_bytes_ = lane_bytes * config_.num_service * kGenerations;
+  lanes_mem_ = ::mmap(nullptr, lanes_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                      -1, 0);
+  TM2C_CHECK_MSG(lanes_mem_ != MAP_FAILED, "host lanes: mmap failed");
+  lanes_.reserve(config_.num_service * kGenerations);
+  for (uint32_t i = 0; i < config_.num_service * kGenerations; ++i) {
+    lanes_.emplace_back(static_cast<char*>(lanes_mem_) + i * lane_bytes, kLaneCapacity);
   }
+  for (uint32_t c = 0; c < config_.num_cores; ++c) {
+    ServiceLinks* links = shared_.plan.IsApp(c) ? this : nullptr;
+    cores_.push_back(std::make_unique<NativeCore>(&shared_, c, links));
+  }
+  gen_view_.assign(static_cast<size_t>(config_.num_cores) * config_.num_service, 0);
   for (uint32_t p = 0; p < config_.num_service; ++p) {
-    conns_.push_back(std::make_unique<Connection>());
+    parts_.push_back(std::make_unique<Partition>());
   }
 }
 
 ProcessSystem::~ProcessSystem() {
   // Normal runs finish everything inside Run(); this is the abandoned-run
   // path (a fatal test failure between construction and Run).
-  for (auto& conn : conns_) {
-    if (conn->router.joinable()) {
-      conn->router.join();
-    }
-    for (Server& s : conn->servers) {
-      if (s.control_wr >= 0) {
-        const char quit = 'q';
-        (void)!::write(s.control_wr, &quit, 1);
-        ::close(s.control_wr);
-        s.control_wr = -1;
-      }
-      Reap(&s);
-    }
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
+  for (auto& part : parts_) {
+    if (part->router.joinable()) {
+      part->router.join();
     }
   }
+  DismissServers();
+  ::munmap(lanes_mem_, lanes_bytes_);
 }
 
 void ProcessSystem::SetCoreMain(uint32_t core, CoreMain main) {
-  TM2C_CHECK(core < mains_.size());
-  mains_[core] = std::move(main);
+  TM2C_CHECK(core < cores_.size());
+  cores_[core]->main = std::move(main);
 }
 
 CoreEnv& ProcessSystem::env(uint32_t core) {
-  TM2C_CHECK(core < config_.num_cores);
-  if (app_cores_[core] != nullptr) {
-    return *app_cores_[core];
-  }
-  return *service_cores_[core];
-}
-
-std::string ProcessSystem::SocketPath(uint32_t partition, uint32_t generation) const {
-  return config_.run_dir + "/part" + std::to_string(partition) + ".g" +
-         std::to_string(generation) + ".sock";
+  TM2C_CHECK(core < cores_.size());
+  return *cores_[core];
 }
 
 ProcessSystem::Server ProcessSystem::ForkServer(uint32_t partition, uint32_t generation) {
-  int pipe_fds[2];
-  TM2C_CHECK(::pipe(pipe_fds) == 0);
+  int fds[2];
+  TM2C_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
   const pid_t pid = ::fork();
   TM2C_CHECK_MSG(pid >= 0, "fork failed");
   if (pid == 0) {
-    ::close(pipe_fds[1]);
-    ChildMain(partition, generation, pipe_fds[0]);
+    ::close(fds[0]);
+    ChildMain(partition, generation, fds[1]);
   }
-  ::close(pipe_fds[0]);
+  // Closed before the next fork, so the server holds the only copy of its
+  // end: its death is this end's EOF.
+  ::close(fds[1]);
   Server server;
   server.pid = pid;
-  server.control_wr = pipe_fds[1];
+  server.fd = fds[0];
   return server;
 }
 
-void ProcessSystem::ChildMain(uint32_t partition, uint32_t generation, int control_rd) {
-  // In the forked server. Only the forking thread exists here; the parent's
-  // mutexes, threads and mailboxes are inert copy-on-write state. The
-  // shared-memory words are the one real bridge back to the host.
-  ::signal(SIGPIPE, SIG_IGN);
+void ProcessSystem::Command(const Server& server, char cmd) {
+  // A server that is already gone just refuses the byte.
+  (void)::send(server.fd, &cmd, 1, MSG_NOSIGNAL);
+}
+
+void ProcessSystem::DismissServers() {
+  // Standbys never activated quit; every child is reaped.
+  for (auto& part : parts_) {
+    for (Server& s : part->servers) {
+      if (s.fd >= 0) {
+        Command(s, 'q');
+        ::close(s.fd);
+        s.fd = -1;
+      }
+      Reap(&s);
+    }
+  }
+}
+
+void ProcessSystem::ChildMain(uint32_t partition, uint32_t generation, int fd) {
+  // In the forked server: the parent's mutexes, threads and ledgers are
+  // inert copies; shared memory and the rings are the bridges back. A
+  // server parked on its doorbell would not notice the host's death, so
+  // the kernel kills it with the forking thread.
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != host_pid_) {
+    ::_exit(0);
+  }
   char cmd = 0;
   ssize_t n;
   do {
-    n = ::read(control_rd, &cmd, 1);
+    n = ::read(fd, &cmd, 1);
   } while (n < 0 && errno == EINTR);
   if (n <= 0 || cmd == 'q') {
     ::_exit(0);  // unused standby: the run ended without needing us
   }
-  ::close(control_rd);
+  // `fd` stays open, unused, until _exit closes it: that close is the
+  // host's death signal.
 
-  const std::string path = SocketPath(partition, generation);
-  ::unlink(path.c_str());
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (listen_fd < 0 || path.size() >= sizeof(addr.sun_path)) {
-    ::_exit(3);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listen_fd, 1) != 0) {
-    ::_exit(3);
-  }
-  int conn_fd;
-  do {
-    conn_fd = ::accept(listen_fd, nullptr, nullptr);
-  } while (conn_fd < 0 && errno == EINTR);
-  if (conn_fd < 0) {
-    ::_exit(3);
-  }
-  ::close(listen_fd);
-
-  const uint32_t core = plan_.ServiceCore(partition);
-  ServiceCore& env = *service_cores_[core];
-  env.Activate(conn_fd);
+  const uint32_t core = shared_.plan.ServiceCore(partition);
+  NativeCore& env = *cores_[core];
+  env.BindServer(generation, &lane(partition, generation));
   if (child_start_) {
     child_start_(partition, /*is_restart=*/cmd == 'r', env);
   }
-  if (mains_[core]) {
-    mains_[core](env);
+  if (env.main) {
+    env.main(env);
   }
   if (child_exit_report_) {
     env.Send(kWireHostDst, child_exit_report_(partition));
@@ -435,10 +223,6 @@ SimTime ProcessSystem::Run(SimTime /*until*/) {
   TM2C_CHECK_MSG(!started_, "a ProcessSystem runs once");
   started_ = true;
   const SimTime start = HostNowPs();
-  // The parent writes into sockets whose server may be freshly killed;
-  // losing those bytes is handled explicitly, dying on SIGPIPE is not.
-  ::signal(SIGPIPE, SIG_IGN);
-  ::mkdir(config_.run_dir.c_str(), 0755);  // EEXIST is fine
 
   if (pre_fork_) {
     pre_fork_();
@@ -446,230 +230,207 @@ SimTime ProcessSystem::Run(SimTime /*until*/) {
   // Fork every server — one primary plus one cold standby per partition —
   // while the host is still single-threaded, so the children inherit a
   // quiescent copy of the pre-run state.
+  host_pid_ = ::getpid();
   for (uint32_t p = 0; p < config_.num_service; ++p) {
-    conns_[p]->servers.push_back(ForkServer(p, 0));
-    conns_[p]->servers.push_back(ForkServer(p, 1));
+    for (uint32_t g = 0; g < kGenerations; ++g) {
+      parts_[p]->servers.push_back(ForkServer(p, g));
+    }
   }
   for (uint32_t p = 0; p < config_.num_service; ++p) {
-    const char go = 'p';
-    ssize_t n;
-    do {
-      n = ::write(conns_[p]->servers[0].control_wr, &go, 1);
-    } while (n < 0 && errno == EINTR);
-    TM2C_CHECK(n == 1);
-  }
-  for (uint32_t p = 0; p < config_.num_service; ++p) {
-    conns_[p]->fd = ConnectWithRetry(SocketPath(p, 0));
-    conns_[p]->up = true;
-  }
-  for (uint32_t p = 0; p < config_.num_service; ++p) {
-    conns_[p]->router = std::thread([this, p]() { RouterLoop(p); });
+    Command(parts_[p]->servers[0], 'p');
+    parts_[p]->up = true;
+    parts_[p]->router = std::thread([this, p]() { RouterLoop(p); });
   }
 
   std::vector<std::thread> app_threads;
-  app_threads.reserve(plan_.num_app());
-  for (uint32_t core : plan_.app_cores()) {
-    app_threads.emplace_back([this, core]() {
-      if (mains_[core]) {
-        mains_[core](*app_cores_[core]);
+  app_threads.reserve(shared_.plan.num_app());
+  for (uint32_t core : shared_.plan.app_cores()) {
+    NativeCore* c = cores_[core].get();
+    app_threads.emplace_back([c]() {
+      if (c->main) {
+        c->main(*c);
       }
     });
   }
   for (auto& t : app_threads) {
     t.join();
   }
-  // The last app main's completion hook sent the shutdowns; each router
-  // exits at its server's clean EOF.
-  for (auto& conn : conns_) {
-    conn->router.join();
+  // The last app main's completion hook requested the shutdowns; each
+  // router exits at its server's clean EOF.
+  for (auto& part : parts_) {
+    part->router.join();
   }
-  // Dismiss the standbys that were never activated, reap every child.
-  for (auto& conn : conns_) {
-    for (Server& s : conn->servers) {
-      if (s.control_wr >= 0) {
-        const char quit = 'q';
-        (void)!::write(s.control_wr, &quit, 1);
-        ::close(s.control_wr);
-        s.control_wr = -1;
-      }
-      Reap(&s);
-    }
-  }
+  DismissServers();
   return HostNowPs() - start;
 }
 
 void ProcessSystem::RequestShutdown(uint32_t core) {
   TM2C_CHECK(core < config_.num_cores);
-  Message msg;
-  msg.type = MsgType::kShutdown;
-  msg.src = core;
-  if (plan_.IsApp(core)) {
-    DeliverToApp(core, std::move(msg));
-    return;
+  if (shared_.plan.IsService(core)) {
+    Partition& c = *parts_[shared_.plan.PartitionOf(core)];
+    std::unique_lock<std::mutex> lock(c.mu);
+    while (!c.up) {
+      c.cv.wait(lock);  // a restart in flight finishes first
+    }
+    c.shutdown_sent = true;
   }
-  Connection& c = *conns_[plan_.PartitionOf(core)];
-  std::unique_lock<std::mutex> lock(c.mu);
-  while (!c.up) {
-    c.cv.wait(lock);  // a restart in flight finishes first
-  }
-  c.shutdown_sent = true;
-  WriteFrame(c.fd, core, msg);
+  shared_.bell(core).RaiseShutdown();
 }
 
 void ProcessSystem::KillPartition(uint32_t partition) {
-  TM2C_CHECK(partition < conns_.size());
-  Connection& c = *conns_[partition];
+  TM2C_CHECK(partition < parts_.size());
+  Partition& c = *parts_[partition];
   std::unique_lock<std::mutex> lock(c.mu);
   while (!c.up) {
     c.cv.wait(lock);  // serialize with an in-flight restart
   }
   TM2C_CHECK_MSG(!c.shutdown_sent, "KillPartition after shutdown");
-  const Server& server = c.servers[c.generation];
+  const Server& server = c.servers[c.generation.load(std::memory_order_relaxed)];
   TM2C_CHECK(!server.reaped);
   ::kill(server.pid, SIGKILL);
-  // The router owns the rest: it sees EOF after draining everything the
-  // server managed to write, then runs the death protocol.
+  // The router owns the rest: it sees the server's EOF, then runs the
+  // death protocol.
 }
 
 uint32_t ProcessSystem::restarts(uint32_t partition) {
-  Connection& c = *conns_[partition];
-  std::lock_guard<std::mutex> lock(c.mu);
-  return c.restarts;
+  return parts_[partition]->generation.load(std::memory_order_acquire);
 }
 
 std::vector<uint64_t> ProcessSystem::host_stats(uint32_t partition) {
-  Connection& c = *conns_[partition];
+  Partition& c = *parts_[partition];
   std::lock_guard<std::mutex> lock(c.mu);
   return c.host_stats;
 }
 
-void ProcessSystem::SendToPartition(uint32_t src_core, uint32_t dst_core, Message msg) {
-  Connection& c = *conns_[plan_.PartitionOf(dst_core)];
-  std::unique_lock<std::mutex> lock(c.mu);
-  if (CarriesEpoch(msg.type)) {
-    uint64_t& last = c.last_epoch[src_core];
-    last = std::max(last, msg.w1);
+void ProcessSystem::Send(uint32_t src, uint32_t service, const Message& msg) {
+  Partition& c = *parts_[shared_.plan.PartitionOf(service)];
+  uint32_t generation;
+  {
+    std::unique_lock<std::mutex> lock(c.mu);
+    if (CarriesEpoch(msg.type)) {
+      uint64_t& last = c.last_epoch[src];
+      last = std::max(last, msg.w1);
+    }
+    while (!c.up) {
+      c.cv.wait(lock);  // the partition is restarting; all traffic stalls
+    }
+    if (ExpectsReply(msg.type)) {
+      c.outstanding.push_back(Outstanding{src, msg});
+    }
+    generation = c.generation.load(std::memory_order_relaxed);
   }
-  while (!c.up) {
-    c.cv.wait(lock);  // the partition is restarting; all traffic stalls
-  }
-  if (ExpectsReply(msg.type)) {
-    c.outstanding.push_back(Outstanding{src_core, msg});
-  }
-  WriteFrame(c.fd, dst_core, msg);
+  // A server that dies meanwhile leaves this push to a ring nobody reads;
+  // the ledger entry above makes the router answer or resend it.
+  const auto alive = [&c, generation] {
+    return c.dead.load(std::memory_order_acquire) <= generation;
+  };
+  cores_[src]->Deliver(shared_.ring(generation, src, service), service, msg, alive);
 }
 
-void ProcessSystem::DeliverToApp(uint32_t core, Message msg) {
-  TM2C_CHECK(core < app_cores_.size() && app_cores_[core] != nullptr);
-  app_cores_[core]->MailboxPush(std::move(msg));
+bool ProcessSystem::TryRecv(uint32_t core, uint32_t service, Message* out) {
+  const uint32_t partition = shared_.plan.PartitionOf(service);
+  Partition& c = *parts_[partition];
+  uint32_t& generation = gen_view_[core * config_.num_service + partition];
+  for (;;) {
+    SpscChannel& ring = shared_.ring(generation, service, core);
+    if (!ring.EmptyHint()) {
+      {
+        // Pop and retire in one critical section, so the router can tell
+        // answered requests from unanswered ones once the server dies.
+        std::lock_guard<std::mutex> lock(c.mu);
+        TM2C_CHECK(ring.TryPop(out));
+        TM2C_CHECK_MSG(Retire(&c.outstanding, core, *out),
+                       "partition server reply matches no outstanding request");
+      }
+      // Host records the server wrote before this reply reach the sink
+      // before the caller acts on it.
+      DrainLane(partition, generation);
+      return true;
+    }
+    DrainLane(partition, generation);  // keeps a full lane moving
+    if (c.generation.load(std::memory_order_acquire) == generation) {
+      return false;
+    }
+    // The server died, and the router appended all it owes this core to
+    // the dead ring before advancing the generation: once that ring is
+    // empty, the successor's take over.
+    std::lock_guard<std::mutex> lock(c.mu);
+    if (ring.EmptyHint()) {
+      ++generation;
+    }
+  }
+}
+
+void ProcessSystem::DrainLane(uint32_t partition, uint32_t generation) {
+  SpscChannel& host_lane = lane(partition, generation);
+  if (host_lane.EmptyHint()) {
+    return;
+  }
+  Partition& c = *parts_[partition];
+  std::lock_guard<std::mutex> lock(c.lane_mu[generation]);
+  // A record streamed by a server that died midway is abandoned.
+  const auto wait = [&c, generation] {
+    std::this_thread::yield();
+    return c.dead.load(std::memory_order_acquire) <= generation;
+  };
+  Message msg;
+  while (host_lane.TryPeek(&msg, wait)) {
+    if (msg.type == MsgType::kHostStats) {
+      std::lock_guard<std::mutex> stats_lock(c.mu);
+      c.host_stats = msg.extra;
+    } else if (host_frame_) {
+      host_frame_(partition, msg);
+    }
+    // Released only now: a drainer that finds the lane empty knows every
+    // record in it has reached the sink.
+    host_lane.Drop();
+  }
 }
 
 void ProcessSystem::RouterLoop(uint32_t partition) {
-  Connection& c = *conns_[partition];
-  WireDecoder decoder;
-  std::vector<uint8_t> buf(1 << 16);
+  Partition& c = *parts_[partition];
   for (;;) {
-    const ssize_t n = ::recv(c.fd, buf.data(), buf.size(), 0);
-    if (n > 0) {
-      decoder.Feed(buf.data(), static_cast<uint64_t>(n));
-      DrainFrames(partition, &decoder);
-      continue;
+    char byte;
+    const uint32_t live = c.generation.load(std::memory_order_relaxed);
+    const ssize_t n = ::recv(c.servers[live].fd, &byte, 1, 0);
+    if (n > 0 || (n < 0 && errno == EINTR)) {
+      continue;  // the server writes nothing; only its EOF matters
     }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    // EOF: the server process is gone, and everything it wrote before
-    // dying has been drained above (a Unix socket delivers queued bytes
-    // before reporting the close).
+    // EOF: the server process is gone.
     bool clean;
     {
       std::lock_guard<std::mutex> lock(c.mu);
+      Reap(&c.servers[live]);
       clean = c.shutdown_sent;
     }
-    if (clean) {
-      std::lock_guard<std::mutex> lock(c.mu);
-      TM2C_CHECK_MSG(c.outstanding.empty(), "partition server exited with requests pending");
-      ::close(c.fd);
-      c.fd = -1;
-      c.up = false;
-      Reap(&c.servers[c.generation]);
-      return;
+    if (!clean) {
+      RestartPartition(partition);
+      continue;
     }
-    RestartPartition(partition);
-    decoder = WireDecoder();  // the dead stream's partial tail dies with it
+    DrainLane(partition, live);  // its exit report
+    std::lock_guard<std::mutex> lock(c.mu);
+    TM2C_CHECK_MSG(Unanswered(partition).empty(),
+                   "partition server exited with requests pending");
+    c.up = false;
+    return;
   }
 }
 
-void ProcessSystem::DrainFrames(uint32_t partition, WireDecoder* decoder) {
-  Connection& c = *conns_[partition];
-  for (;;) {
-    uint32_t dst = 0;
-    Message msg;
-    const WireDecodeStatus status = decoder->TryNext(&dst, &msg);
-    if (status == WireDecodeStatus::kNeedMore) {
-      return;
-    }
-    TM2C_CHECK_MSG(status == WireDecodeStatus::kOk, "corrupt frame from partition server");
-    if (dst == kWireHostDst) {
-      if (msg.type == MsgType::kHostStats) {
-        std::lock_guard<std::mutex> lock(c.mu);
-        c.host_stats = msg.extra;
-      } else if (host_frame_) {
-        host_frame_(partition, msg);
-      }
-      continue;
-    }
-    RetireOutstanding(&c, dst, msg);
-    DeliverToApp(dst, std::move(msg));
-  }
-}
-
-void ProcessSystem::RetireOutstanding(Connection* c, uint32_t dst, const Message& msg) {
-  switch (msg.type) {
-    case MsgType::kLockGranted:
-    case MsgType::kLockConflict:
-    case MsgType::kBatchReply:
-    case MsgType::kCommitLogAck:
-    case MsgType::kEchoRsp:
-      break;
-    case MsgType::kAbortNotify:
-    case MsgType::kOwnershipUpdate:
-      return;  // unsolicited notifications answer nothing
-    default:
-      TM2C_FATAL("unexpected message type from a partition server");
-  }
-  std::lock_guard<std::mutex> lock(c->mu);
-  for (auto it = c->outstanding.begin(); it != c->outstanding.end(); ++it) {
-    if (it->src != dst) {
-      continue;
-    }
-    const Message& req = it->request;
-    bool match = false;
-    switch (msg.type) {
-      case MsgType::kLockGranted:
-      case MsgType::kLockConflict:
-        match = (req.type == MsgType::kReadLockReq || req.type == MsgType::kWriteLockReq) &&
-                req.w0 == msg.w0;
-        break;
-      case MsgType::kBatchReply:
-        match = req.type == MsgType::kBatchAcquire &&
-                (req.w0 >> kBatchReqIdShift) == (msg.w3 >> kBatchReqIdShift);
-        break;
-      case MsgType::kCommitLogAck:
-        match = req.type == MsgType::kCommitLog && req.w1 == msg.w1;
-        break;
-      case MsgType::kEchoRsp:
-        match = req.type == MsgType::kEcho && req.w0 == msg.w0;
-        break;
-      default:
-        break;
-    }
-    if (match) {
-      c->outstanding.erase(it);
-      return;
+std::deque<ProcessSystem::Outstanding> ProcessSystem::Unanswered(uint32_t partition) {
+  // Under the partition mutex: nobody pops meanwhile. A reply still
+  // unconsumed in any generation's rings answers its request.
+  const Partition& c = *parts_[partition];
+  std::deque<Outstanding> left = c.outstanding;
+  const uint32_t service = shared_.plan.ServiceCore(partition);
+  for (uint32_t g = 0; g <= c.generation.load(std::memory_order_relaxed); ++g) {
+    for (uint32_t core : shared_.plan.app_cores()) {
+      shared_.ring(g, service, core).ForEachUnread([&](const Message& reply) {
+        TM2C_CHECK_MSG(Retire(&left, core, reply),
+                       "partition server reply matches no outstanding request");
+      });
     }
   }
-  TM2C_FATAL("partition server reply matches no outstanding request");
+  return left;
 }
 
 Message ProcessSystem::SynthesizeRefusal(uint32_t service_core, const Message& req) {
@@ -700,30 +461,39 @@ Message ProcessSystem::SynthesizeRefusal(uint32_t service_core, const Message& r
   return rsp;
 }
 
+void ProcessSystem::DeliverAfterDeath(uint32_t generation, uint32_t service, uint32_t core,
+                                      const Message& msg) {
+  // Never waits: the core may be blocked at the closed gate. The ring has
+  // room: the dead server left at most a reply per outstanding request (64
+  // pipelined batches at most) and a notification per attempt.
+  TM2C_CHECK_MSG(shared_.ring(generation, service, core).TryPush(msg),
+                 "no room for a dead partition server's refusals");
+  shared_.bell(core).Ring();
+}
+
 void ProcessSystem::RestartPartition(uint32_t partition) {
-  Connection& c = *conns_[partition];
-  const uint32_t service_core = plan_.ServiceCore(partition);
+  Partition& c = *parts_[partition];
+  const uint32_t service = shared_.plan.ServiceCore(partition);
+  const uint32_t dead = c.generation.load(std::memory_order_relaxed);
+  // Pushes into the dead server's rings give up, and every host record it
+  // wrote reaches the sink before anything its death causes.
+  c.dead.store(dead + 1, std::memory_order_release);
+  DrainLane(partition, dead);
+
   std::unique_lock<std::mutex> lock(c.mu);
   c.up = false;
-  ::close(c.fd);
-  c.fd = -1;
-  Reap(&c.servers[c.generation]);
-  ++c.restarts;
-  TM2C_CHECK_MSG(c.generation + 1 < c.servers.size(),
+  TM2C_CHECK_MSG(dead + 1 < kGenerations,
                  "partition server died twice (one cold standby per partition)");
 
-  // The dead server's unanswered requests: commit records are retransmitted
-  // to the successor below (they are the durability contract); acquisitions
-  // are refused as kOverload — the runtime's uniform back-off-and-retry
-  // path — because any lock they might have been granted died with the
-  // server's lock table anyway.
-  for (auto it = c.outstanding.begin(); it != c.outstanding.end();) {
-    if (it->request.type == MsgType::kCommitLog) {
-      ++it;
-      continue;
+  // The router is now the dead rings' only producer. Unanswered commit
+  // records are retransmitted to the successor below (the durability
+  // contract); the rest are refused as kOverload, since any lock they got
+  // died with the lock table. A refusal retires its entry when popped.
+  const std::deque<Outstanding> unanswered = Unanswered(partition);
+  for (const Outstanding& o : unanswered) {
+    if (o.request.type != MsgType::kCommitLog) {
+      DeliverAfterDeath(dead, service, o.src, SynthesizeRefusal(service, o.request));
     }
-    DeliverToApp(it->src, SynthesizeRefusal(service_core, it->request));
-    it = c.outstanding.erase(it);
   }
 
   // Death fence: every lock the dead server had granted is implicitly
@@ -737,62 +507,47 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
   // waits out a committer that has latched its word for the persist.
   for (const auto& [core, epoch] : c.last_epoch) {
     if (abort_status_base_ != ~uint64_t{0}) {
-      shmem_->PublishWord(abort_status_base_ + core * kWordBytes, epoch);
+      shared_.shmem->PublishWord(abort_status_base_ + core * kWordBytes, epoch);
     }
     Message fence;
     fence.type = MsgType::kAbortNotify;
-    fence.src = service_core;
+    fence.src = service;
     fence.w1 = epoch;
     fence.w2 = static_cast<uint64_t>(ConflictKind::kOverload);
-    DeliverToApp(core, std::move(fence));
+    DeliverAfterDeath(dead, service, core, fence);
   }
+  const uint32_t successor = dead + 1;
+  c.generation.store(successor, std::memory_order_release);
 
   // Activate the cold standby: it recovers the partition's WAL from the
-  // backing file (truncating the torn tail) and serves a fresh socket
-  // generation.
-  ++c.generation;
-  Server& standby = c.servers[c.generation];
-  const char restart = 'r';
-  ssize_t n;
-  do {
-    n = ::write(standby.control_wr, &restart, 1);
-  } while (n < 0 && errno == EINTR);
-  TM2C_CHECK(n == 1);
-  c.fd = ConnectWithRetry(SocketPath(partition, c.generation));
+  // backing file (truncating the torn tail) and serves its own rings.
+  Command(c.servers[successor], 'r');
 
-  // Retransmit the in-doubt commit records, oldest first, before opening
-  // the gate to new traffic: the successor re-logs each one (or acks it
-  // straight from the recovered prefix if the record survived the crash).
-  for (const Outstanding& o : c.outstanding) {
-    Message req = o.request;
-    req.src = o.src;
-    WriteFrame(c.fd, service_core, req);
+  // Retransmit the in-doubt commit records, oldest first, and wait until
+  // the successor (which re-logs each, or acks it from the recovered
+  // prefix) has taken them: it serves its rings round-robin, so only then
+  // can no new request overtake them into its WAL.
+  const auto always = [] { return true; };
+  for (const Outstanding& o : unanswered) {
+    if (o.request.type == MsgType::kCommitLog) {
+      cores_[o.src]->Deliver(shared_.ring(successor, o.src, service), service, o.request,
+                             always);
+    }
+  }
+  Backoff backoff(shared_.spin_rounds, shared_.yield_rounds);
+  for (const Outstanding& o : unanswered) {
+    while (shared_.ring(successor, o.src, service).ApproxSize() != 0) {
+      backoff.Pause();
+    }
   }
   c.up = true;
   lock.unlock();
   c.cv.notify_all();
-}
-
-int ProcessSystem::ConnectWithRetry(const std::string& path) {
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  TM2C_CHECK_MSG(path.size() < sizeof(addr.sun_path), "socket path too long for sun_path");
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  // Bounded retry: the child needs a moment between fork/activation and
-  // listen(). 500 attempts 10 ms apart give it five seconds.
-  constexpr uint32_t kConnectAttempts = 500;
-  constexpr auto kConnectRetry = std::chrono::milliseconds(10);
-  for (uint32_t attempt = 0; attempt < kConnectAttempts; ++attempt) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    TM2C_CHECK(fd >= 0);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0) {
-      return fd;
-    }
-    ::close(fd);
-    std::this_thread::sleep_for(kConnectRetry);
+  // App cores parked on a reply from the dead server find it (or its
+  // refusal) in the dead ring, then step to the successor.
+  for (uint32_t core : shared_.plan.app_cores()) {
+    shared_.bell(core).Ring();
   }
-  TM2C_FATAL("partition server socket never came up");
 }
 
 void ProcessSystem::Reap(Server* server) {

@@ -1,28 +1,42 @@
 // Multi-process backend of the runtime — partitions as server processes.
 //
-// Each DTM partition's service loop runs in a forked child process, talking
-// to the host over one Unix-domain stream socket with the explicit wire
-// serialization of src/runtime/wire.h. Application cores stay host-side as
-// threads (they share the transaction data through a MAP_SHARED memory
-// region, exactly the paper's non-coherent shared memory); everything a
-// partition owns privately — its lock table, its WAL tail, its counters —
-// lives only in the server process and dies with it.
+// Each DTM partition's service loop runs in a forked child process. App
+// cores stay host-side as threads and share the transaction data with the
+// servers through a MAP_SHARED region, the paper's non-coherent shared
+// memory; what a partition owns privately (lock table, WAL tail, counters)
+// dies with its server.
 //
-// That asymmetry is the point: a partition server can be SIGKILLed mid-run
-// (KillPartition) and the backend restarts it from a pre-forked cold
-// standby. The standby recovers the partition's state from the on-disk WAL
-// (truncating the torn tail), the host retransmits the in-doubt commit
-// records, refuses the dead server's other unanswered requests with
-// ConflictKind::kOverload (the runtime's uniform back-off-and-retry path),
-// and publishes a revocation fence for every transaction that had quoted an
-// epoch at the dead partition — its granted locks died with the lock table.
-// Committers already past their commit point ignore the fence, mirroring
-// the abort-status semantics of contention-manager revocations.
+// Messages travel the thread backend's ring transport (thread_system.h),
+// mapped MAP_SHARED before the fork: app cores are its NativeCore, the
+// server's service core runs the same ring and doorbell code, and a lock
+// round trip enters the kernel only to wake a parked peer. Each server
+// generation (a partition's primary, then its cold standby) has rings of
+// its own plus a host lane, a ring carrying what the server addresses to
+// the host (wire.h's kWireHostDst: trace events, the exit report). Each
+// server also holds one end of a socket pair that carries no frames: the
+// host sends one command byte down it, and its EOF tells the host the
+// server died.
 //
-// Per-core message FIFO order survives the topology: one socket per
-// partition carries all of its traffic, a parent-side router thread
-// demultiplexes replies into per-app-core mailboxes, and server-side trace
-// and stats events ride the same socket addressed to kWireHostDst.
+// Ordering rule: an app core drains partition p's host lane into the host
+// handler before it acts on anything it popped from p, and drainers
+// release a lane record only after the handler returns. A server writes a
+// trace event before the reply it precedes, so the event reaches the sink
+// first, as the crash-restart oracle's commit-before-ack check requires.
+//
+// KillPartition SIGKILLs a server mid-run. The partition's router thread
+// sees the EOF and, holding the partition mutex (under which every pop
+// from the partition's rings retires its ledger entry), tells answered
+// requests from unanswered ones exactly: a reply still unconsumed in the
+// dead rings answers its request. After those replies it appends a
+// ConflictKind::kOverload refusal (the runtime's back-off-and-retry path)
+// for each unanswered request, then the revocation fence for every
+// transaction that quoted an epoch at the partition: its locks died with
+// the lock table. Committers past their commit point ignore the fence, as
+// with contention-manager revocations. The standby then recovers the WAL
+// from disk (truncating the torn tail); the router pushes the in-doubt
+// commit records into its rings and reopens the partition's gate only once
+// it has taken them, so they reach its WAL before any new write. App cores
+// move to the successor's rings once they have drained the dead ones.
 #ifndef TM2C_SRC_RUNTIME_PROCESS_SYSTEM_H_
 #define TM2C_SRC_RUNTIME_PROCESS_SYSTEM_H_
 
@@ -42,7 +56,7 @@
 
 #include "src/runtime/backend.h"
 #include "src/runtime/core_env.h"
-#include "src/runtime/wire.h"
+#include "src/runtime/thread_system.h"
 
 namespace tm2c {
 
@@ -51,15 +65,14 @@ struct ProcessSystemConfig {
   uint32_t num_cores = 4;
   uint32_t num_service = 2;
   uint64_t shmem_bytes = 4ull << 20;
-  // Directory holding the per-partition, per-generation socket files
-  // (part<p>.g<gen>.sock). Created if missing. Required: socket paths must
-  // be unique per run, so callers pass a fresh (temp) directory.
+  // Unused: the servers' sockets are anonymous pairs. The field stays only
+  // because the benchmark harness (bench/e2e) still assigns it.
   std::string run_dir;
 };
 
 // The deployment is always dedicated: a partition server process cannot
 // interleave an application main the way the multitasked simulator does.
-class ProcessSystem : public SystemBackend {
+class ProcessSystem : public SystemBackend, private ServiceLinks {
  public:
   explicit ProcessSystem(ProcessSystemConfig config);
   ~ProcessSystem() override;
@@ -75,15 +88,14 @@ class ProcessSystem : public SystemBackend {
   // kShutdown. Returns wall-clock picoseconds. Runs once.
   SimTime Run(SimTime until) override;
 
-  // Service core: ships a kShutdown frame to its partition server (the
-  // server flushes its commit log, reports stats, and exits). App core:
-  // drops kShutdown into its mailbox.
+  // Raises the core's shutdown word. A partition server then flushes its
+  // commit log, reports its stats, and exits.
   void RequestShutdown(uint32_t core) override;
 
   CoreEnv& env(uint32_t core) override;
-  const DeploymentPlan& deployment() const override { return plan_; }
-  SharedMemory& shmem() override { return *shmem_; }
-  ShmAllocator& allocator() override { return *allocator_; }
+  const DeploymentPlan& deployment() const override { return shared_.plan; }
+  SharedMemory& shmem() override { return *shared_.shmem; }
+  ShmAllocator& allocator() override { return *shared_.allocator; }
   bool is_simulated() const override { return false; }
   const ProcessSystemConfig& config() const { return config_; }
 
@@ -97,8 +109,8 @@ class ProcessSystem : public SystemBackend {
   // Runs in the child process after its socket is connected and before its
   // service main. `is_restart` marks a standby activated to replace a
   // killed primary: the hook recovers the partition's WAL and primes the
-  // service's recovered-commit table. It must also attach the child's
-  // wire trace sink — `env` is the only conduit back to the host.
+  // service's recovered-commit table. `env` is the only conduit back to
+  // the host: its kWireHostDst sends go to the partition's host lane.
   void SetChildStart(std::function<void(uint32_t partition, bool is_restart, CoreEnv& env)> hook) {
     child_start_ = std::move(hook);
   }
@@ -109,9 +121,9 @@ class ProcessSystem : public SystemBackend {
     child_exit_report_ = std::move(hook);
   }
 
-  // Receives every kWireHostDst frame except kHostStats (trace events), on
-  // the partition's router thread. The handler must be thread-safe across
-  // partitions — TmSystem feeds a MutexTraceSink.
+  // Receives every host-lane record except kHostStats (trace events), on
+  // whichever host thread drains the lane. The handler must be thread-safe
+  // — TmSystem feeds a MutexTraceSink.
   void SetHostFrameHandler(std::function<void(uint32_t partition, const Message&)> handler) {
     host_frame_ = std::move(handler);
   }
@@ -126,25 +138,23 @@ class ProcessSystem : public SystemBackend {
   // second kill of the same partition is fatal (one standby each).
   void KillPartition(uint32_t partition);
 
-  // Times the partition's server was killed and replaced so far.
+  // Times the partition's server was killed and replaced so far (its
+  // generation: one standby each).
   uint32_t restarts(uint32_t partition);
 
   // The partition's exit report (kHostStats extra words), empty until its
   // server exited cleanly.
   std::vector<uint64_t> host_stats(uint32_t partition);
 
-  std::string SocketPath(uint32_t partition, uint32_t generation) const;
-
  private:
-  class AppCore;
-  class ServiceCore;
-  friend class AppCore;
-  friend class ServiceCore;
+  // Server generations per partition: the primary and one cold standby.
+  static constexpr uint32_t kGenerations = 2;
 
   struct Server {
     pid_t pid = -1;
-    int control_wr = -1;  // one-byte command pipe: 'p' serve, 'r' serve as
-                          // restart (recover first), 'q' quit unused
+    // Host end of the server's socket pair: it carries one command byte
+    // ('p' serve, 'r' recover then serve, 'q' quit unused); EOF is death.
+    int fd = -1;
     bool reaped = false;
   };
   // A request the server has not answered yet. Kept host-side so a killed
@@ -154,59 +164,67 @@ class ProcessSystem : public SystemBackend {
     uint32_t src = 0;
     Message request;
   };
-  // Host end of one partition's socket, plus the bookkeeping the death
-  // protocol needs. Senders block on `cv` while the partition is down.
-  struct Connection {
+  // One partition's gate, ledger and server generations. Senders block on
+  // `cv` while the partition is down.
+  struct Partition {
     std::mutex mu;
     std::condition_variable cv;
-    int fd = -1;
     bool up = false;
     bool shutdown_sent = false;
-    uint32_t generation = 0;  // index into servers of the live process
-    uint32_t restarts = 0;
+    // The live server's generation; the router advances it under `mu`.
+    std::atomic<uint32_t> generation{0};
+    // Generations below this one died: pushes into their rings give up.
+    std::atomic<uint32_t> dead{0};
     std::vector<Server> servers;
     std::deque<Outstanding> outstanding;
     // Newest epoch each app core quoted at this partition — the revocation
     // fence published when the server dies.
     std::unordered_map<uint32_t, uint64_t> last_epoch;
     std::vector<uint64_t> host_stats;
+    // Serializes each generation's host-lane drainers.
+    std::mutex lane_mu[kGenerations];
     std::thread router;
   };
 
+  // ServiceLinks: an app core's traffic with a partition server.
+  void Send(uint32_t src, uint32_t service, const Message& msg) override;
+  bool TryRecv(uint32_t core, uint32_t service, Message* out) override;
+
+  SpscChannel& lane(uint32_t partition, uint32_t generation) {
+    return lanes_[partition * kGenerations + generation];
+  }
   Server ForkServer(uint32_t partition, uint32_t generation);
-  [[noreturn]] void ChildMain(uint32_t partition, uint32_t generation, int control_rd);
+  [[noreturn]] void ChildMain(uint32_t partition, uint32_t generation, int fd);
+  static void Command(const Server& server, char cmd);
+  void DismissServers();
   void RouterLoop(uint32_t partition);
-  void DrainFrames(uint32_t partition, WireDecoder* decoder);
-  void RetireOutstanding(Connection* c, uint32_t dst, const Message& msg);
+  void DrainLane(uint32_t partition, uint32_t generation);
+  std::deque<Outstanding> Unanswered(uint32_t partition);
   void RestartPartition(uint32_t partition);
+  void DeliverAfterDeath(uint32_t generation, uint32_t service, uint32_t core, const Message& msg);
   static Message SynthesizeRefusal(uint32_t service_core, const Message& req);
-  void SendToPartition(uint32_t src_core, uint32_t dst_core, Message msg);
-  void DeliverToApp(uint32_t core, Message msg);
-  int ConnectWithRetry(const std::string& path);
   static void Reap(Server* server);
 
   ProcessSystemConfig config_;
-  DeploymentPlan plan_;
-  std::unique_ptr<SharedMemory> shmem_;  // MAP_SHARED: real cross-process words
-  std::unique_ptr<ShmAllocator> allocator_;
-  std::vector<CoreMain> mains_;
-  // Indexed by core id; exactly one of the two is non-null per core.
-  std::vector<std::unique_ptr<AppCore>> app_cores_;
-  std::vector<std::unique_ptr<ServiceCore>> service_cores_;
-  std::vector<std::unique_ptr<Connection>> conns_;  // per partition
+  // Shared memory (MAP_SHARED: real cross-process words) and the ring
+  // transport, both mapped before the fork.
+  NativeShared shared_;
+  void* lanes_mem_ = nullptr;
+  size_t lanes_bytes_ = 0;
+  std::vector<SpscChannel> lanes_;  // per partition and generation
+  std::vector<std::unique_ptr<NativeCore>> cores_;
+  // Each app core's view of each partition's generation, indexed
+  // core * num_service + partition; touched only by that core's thread.
+  std::vector<uint32_t> gen_view_;
+  std::vector<std::unique_ptr<Partition>> parts_;
 
   std::function<void()> pre_fork_;
   std::function<void(uint32_t, bool, CoreEnv&)> child_start_;
   std::function<Message(uint32_t)> child_exit_report_;
   std::function<void(uint32_t, const Message&)> host_frame_;
   uint64_t abort_status_base_ = ~uint64_t{0};
-
+  pid_t host_pid_ = -1;
   bool started_ = false;
-
-  // Sense-reversing rendezvous of the app cores only (partition servers
-  // never reach a barrier; their loops are pure request/response).
-  std::atomic<uint32_t> barrier_waiting_{0};
-  std::atomic<uint64_t> barrier_generation_{0};
 };
 
 }  // namespace tm2c

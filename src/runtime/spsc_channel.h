@@ -1,23 +1,32 @@
-// Lock-free single-producer/single-consumer message ring.
+// Single-producer/single-consumer ring of encoded messages.
 //
-// The native thread backend's port of the paper's cache-line channels: one
-// bounded ring per directed core pair, so every ring has exactly one writer
-// thread and one reader thread and needs no locks — a producer-side release
-// store publishes a slot, a consumer-side acquire load picks it up, exactly
-// like flipping the ownership flag of an MPB cache line on the SCC (or a
-// Barrelfish UMP channel line on the Opteron). Head and tail live on their
-// own cache lines, and each side caches the opposing index so the common
-// case touches no shared line at all.
+// The native backends' port of the paper's cache-line channels: one bounded
+// ring per directed core pair, so a release store publishes and an acquire
+// load picks up, like flipping the ownership flag of an MPB line on the
+// SCC. A record is wire.h's payload (the 7-word prologue, then the extra
+// words) in a power-of-two word array. The two word indexes, each on its
+// own cache line beside that side's stale view of the other, and the words
+// sit in memory the caller places and hold no pointers, so a ring formatted
+// in a MAP_SHARED mapping before fork() works across the processes.
+//
+// A record that fits becomes visible only at the tail's release store: a
+// producer killed midway leaves nothing visible. A longer record is
+// streamed in pieces as the consumer frees room. Records are counted too,
+// so ApproxSize reports messages.
 #ifndef TM2C_SRC_RUNTIME_SPSC_CHANNEL_H_
 #define TM2C_SRC_RUNTIME_SPSC_CHANNEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
-#include <utility>
+#include <new>
+#include <thread>
 
 #include "src/common/check.h"
 #include "src/runtime/message.h"
+#include "src/runtime/wire.h"
 
 namespace tm2c {
 
@@ -28,84 +37,230 @@ constexpr size_t kCacheLineBytes = 64;
 
 class SpscChannel {
  public:
-  // `capacity` is rounded up to a power of two; the ring holds at most
-  // `capacity` messages before TryPush reports full (sender backpressure).
-  explicit SpscChannel(uint32_t capacity) {
+  // Sanity bound on the capacity in messages; larger values are a
+  // configuration bug and would overflow the power-of-two rounding.
+  static constexpr uint32_t kMaxCapacity = 1u << 24;
+  // Ring words per message of capacity: kWireFixedPayloadWords rounded up.
+  static constexpr uint64_t kWordsPerMessage = 8;
+
+  // Bytes of placed memory a ring of `capacity` messages needs (a multiple
+  // of kCacheLineBytes).
+  static size_t PlacedBytes(uint32_t capacity) {
+    return sizeof(Indexes) + RoundUpCapacity(capacity) * kWordsPerMessage * sizeof(uint64_t);
+  }
+
+  // Formats `mem` (cache-line aligned, PlacedBytes(capacity) long) as an
+  // empty ring holding at least `capacity`, rounded up to a power of two,
+  // messages without extra words.
+  SpscChannel(void* mem, uint32_t capacity) { Place(mem, capacity); }
+
+  // A ring in memory of its own.
+  explicit SpscChannel(uint32_t capacity)
+      : owned_(std::aligned_alloc(kCacheLineBytes, PlacedBytes(capacity)), &std::free) {
+    TM2C_CHECK_MSG(owned_ != nullptr, "SpscChannel: allocation failed");
+    Place(owned_.get(), capacity);
+  }
+
+  // Producer side. Appends `msg` as one record and returns true, or returns
+  // false — leaving the ring untouched — when the record does not fit in
+  // the free space (one longer than the ring never does: see Push).
+  bool TryPush(const Message& msg) {
+    return msg.extra.size() + kWireFixedPayloadWords <= mask_ + 1 &&
+           Push(msg, [] { return false; });
+  }
+
+  // Producer side. Appends `msg`, calling `wait()` whenever the ring lacks
+  // room, and returns true; returns false as soon as wait() does. A record
+  // that fits is published whole; a longer one is streamed in pieces, so
+  // giving up midway leaves it half published (the ring is then unusable).
+  template <typename Wait>
+  bool Push(const Message& msg, Wait&& wait) {
+    const uint64_t len = kWireFixedPayloadWords + msg.extra.size();
+    const uint64_t need = len <= mask_ + 1 ? len : 1;
+    uint64_t prologue[kWireFixedPayloadWords];
+    EncodeWirePrologue(0, msg, prologue);
+    uint64_t tail = ix_->tail.load(std::memory_order_relaxed);
+    for (uint64_t done = 0; done < len;) {
+      const uint64_t room = std::min(Room(tail, need), len - done);
+      if (room < std::min(need, len - done)) {
+        if (!wait()) {
+          return false;
+        }
+        continue;
+      }
+      for (uint64_t i = done; i < done + room; ++i) {
+        words_[tail++ & mask_] =
+            i < kWireFixedPayloadWords ? prologue[i] : msg.extra[i - kWireFixedPayloadWords];
+      }
+      done += room;
+      if (done == len) {
+        ix_->pushed.store(ix_->pushed.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
+      }
+      ix_->tail.store(tail, std::memory_order_release);
+    }
+    return true;
+  }
+
+  // Consumer side. Moves the oldest record into `out` and returns true, or
+  // returns false when the ring is empty.
+  bool TryPop(Message* out) {
+    const auto yield = [] {
+      std::this_thread::yield();
+      return true;
+    };
+    if (!TryPeek(out, yield)) {
+      return false;
+    }
+    Drop();
+    return true;
+  }
+
+  // Consumer side. Decodes the oldest record into `out`, keeping it in the
+  // ring (EmptyHint() stays false) until Drop(). A streamed record's
+  // earlier pieces go back as they are read, and `wait()` runs while the
+  // rest is unpublished; if it returns false, so does TryPeek, leaving the
+  // ring mid-record.
+  template <typename Wait>
+  bool TryPeek(Message* out, Wait&& wait) {
+    uint64_t pos = ix_->head.load(std::memory_order_relaxed);
+    if (Available(pos) == 0) {
+      return false;
+    }
+    uint64_t prologue[kWireFixedPayloadWords];
+    if (!ReadWords(&pos, prologue, kWireFixedPayloadWords, wait)) {
+      return false;
+    }
+    out->extra.resize(DecodeWirePrologue(prologue, out));
+    if (!ReadWords(&pos, out->extra.data(), out->extra.size(), wait)) {
+      return false;
+    }
+    ix_->peeked_end = pos;
+    return true;
+  }
+
+  // Consumer side: releases the record TryPeek decoded.
+  void Drop() {
+    ix_->popped.store(ix_->popped.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_release);
+    ix_->head.store(ix_->peeked_end, std::memory_order_release);
+  }
+
+  // Decodes every published record in order without consuming any: for a
+  // reader that excludes the consumer, on a ring whose records all fit.
+  template <typename F>
+  void ForEachUnread(F&& f) const {
+    const uint64_t tail = ix_->tail.load(std::memory_order_acquire);
+    Message msg;
+    for (uint64_t pos = ix_->head.load(std::memory_order_acquire); pos < tail;) {
+      uint64_t prologue[kWireFixedPayloadWords];
+      for (uint64_t& w : prologue) {
+        w = words_[pos++ & mask_];
+      }
+      msg.extra.resize(DecodeWirePrologue(prologue, &msg));
+      for (uint64_t& w : msg.extra) {
+        w = words_[pos++ & mask_];
+      }
+      f(msg);
+    }
+  }
+
+  // Cheap emptiness probe. From the consumer a false result is final; a
+  // concurrent producer may make a true result stale immediately.
+  bool EmptyHint() const {
+    return ix_->head.load(std::memory_order_relaxed) == ix_->tail.load(std::memory_order_acquire);
+  }
+
+  // Records pushed but not yet dropped (either side). A racy snapshot while
+  // both sides run: the admission controller's load signal.
+  size_t ApproxSize() const {
+    const uint64_t popped = ix_->popped.load(std::memory_order_acquire);
+    const uint64_t pushed = ix_->pushed.load(std::memory_order_acquire);
+    return pushed >= popped ? static_cast<size_t>(pushed - popped) : 0;
+  }
+
+  // Capacity in messages without extra words.
+  uint32_t capacity() const { return static_cast<uint32_t>((mask_ + 1) / kWordsPerMessage); }
+
+ private:
+  struct Indexes {
+    // Producer line: the publish index in words, the records published,
+    // and the producer's stale view of head.
+    alignas(kCacheLineBytes) std::atomic<uint64_t> tail{0};
+    std::atomic<uint64_t> pushed{0};
+    uint64_t head_cache = 0;
+    // Consumer line: the release index in words, the records dropped, the
+    // consumer's stale view of tail and the end of the peeked record.
+    alignas(kCacheLineBytes) std::atomic<uint64_t> head{0};
+    std::atomic<uint64_t> popped{0};
+    uint64_t tail_cache = 0;
+    uint64_t peeked_end = 0;
+  };
+  static_assert(sizeof(Indexes) == 2 * kCacheLineBytes, "one cache line per side");
+  static_assert(std::atomic<uint64_t>::is_always_lock_free,
+                "cross-process rings need address-free atomics");
+
+  static uint64_t RoundUpCapacity(uint32_t capacity) {
     TM2C_CHECK_MSG(capacity >= 1 && capacity <= kMaxCapacity,
                    "SpscChannel capacity must be in [1, 2^24]");
-    uint32_t cap = 1;
+    uint64_t cap = 1;
     while (cap < capacity) {
       cap <<= 1;
     }
-    mask_ = cap - 1;
-    slots_ = std::make_unique<Message[]>(cap);
+    return cap;
   }
 
-  // Sanity bound: 2^24 slots is already ~1 GB of Message headers per ring;
-  // anything larger is a configuration bug, and unbounded values would
-  // overflow the power-of-two rounding.
-  static constexpr uint32_t kMaxCapacity = 1u << 24;
+  void Place(void* mem, uint32_t capacity) {
+    TM2C_CHECK_MSG(reinterpret_cast<uintptr_t>(mem) % kCacheLineBytes == 0,
+                   "SpscChannel memory must be cache-line aligned");
+    ix_ = new (mem) Indexes();
+    words_ = reinterpret_cast<uint64_t*>(static_cast<char*>(mem) + sizeof(Indexes));
+    mask_ = RoundUpCapacity(capacity) * kWordsPerMessage - 1;
+  }
 
-  SpscChannel(const SpscChannel&) = delete;
-  SpscChannel& operator=(const SpscChannel&) = delete;
+  // Free words at `tail`, refreshing the stale head view when short of
+  // `need`.
+  uint64_t Room(uint64_t tail, uint64_t need) {
+    uint64_t room = mask_ + 1 - (tail - ix_->head_cache);
+    if (room < need) {
+      ix_->head_cache = ix_->head.load(std::memory_order_acquire);
+      room = mask_ + 1 - (tail - ix_->head_cache);
+    }
+    return room;
+  }
 
-  // Producer side. Moves `msg` into the ring and returns true, or returns
-  // false (leaving `msg` intact) when the ring is full.
-  bool TryPush(Message& msg) {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_cache_ > mask_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ > mask_) {
-        return false;  // genuinely full
+  // Published words at `pos`, refreshing the stale tail view when none.
+  uint64_t Available(uint64_t pos) {
+    if (ix_->tail_cache == pos) {
+      ix_->tail_cache = ix_->tail.load(std::memory_order_acquire);
+    }
+    return ix_->tail_cache - pos;
+  }
+
+  // Copies `n` words from *pos on. Only a streamed record runs dry midway;
+  // the words read so far then go back to the producer before waiting.
+  template <typename Wait>
+  bool ReadWords(uint64_t* pos, uint64_t* out, uint64_t n, Wait& wait) {
+    for (uint64_t i = 0; i < n;) {
+      const uint64_t avail = std::min(Available(*pos), n - i);
+      if (avail == 0) {
+        ix_->head.store(*pos, std::memory_order_release);
+        if (!wait()) {
+          return false;
+        }
+        continue;
+      }
+      for (const uint64_t end = i + avail; i < end; ++i, ++*pos) {
+        out[i] = words_[*pos & mask_];
       }
     }
-    slots_[tail & mask_] = std::move(msg);
-    tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
 
-  // Consumer side. Moves the oldest message into `out` and returns true,
-  // or returns false when the ring is empty.
-  bool TryPop(Message* out) {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) {
-        return false;  // genuinely empty
-      }
-    }
-    *out = std::move(slots_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Consumer-side cheap emptiness probe: false positives are impossible,
-  // a concurrent producer may make a true result stale immediately.
-  bool EmptyHint() const {
-    return head_.load(std::memory_order_relaxed) == tail_.load(std::memory_order_acquire);
-  }
-
-  // Racy occupancy snapshot (either side). Only advisory — the admission
-  // controller sums it across a core's incoming rings as a load signal; a
-  // concurrent push/pop skews it by at most the in-flight operations.
-  size_t ApproxSize() const {
-    const uint64_t tail = tail_.load(std::memory_order_acquire);
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    return tail >= head ? static_cast<size_t>(tail - head) : 0;
-  }
-
-  uint32_t capacity() const { return mask_ + 1; }
-
- private:
-  // Producer line: the push index plus the producer's stale view of head.
-  alignas(kCacheLineBytes) std::atomic<uint64_t> tail_{0};
-  uint64_t head_cache_ = 0;
-  // Consumer line: the pop index plus the consumer's stale view of tail.
-  alignas(kCacheLineBytes) std::atomic<uint64_t> head_{0};
-  uint64_t tail_cache_ = 0;
-
-  alignas(kCacheLineBytes) uint32_t mask_ = 0;
-  std::unique_ptr<Message[]> slots_;
+  std::unique_ptr<void, decltype(&std::free)> owned_{nullptr, &std::free};
+  Indexes* ix_ = nullptr;
+  uint64_t* words_ = nullptr;
+  uint64_t mask_ = 0;
 };
 
 }  // namespace tm2c

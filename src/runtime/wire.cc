@@ -42,31 +42,19 @@ bool DecodePayload(const uint8_t* frame, uint64_t payload_len, uint32_t* dst,
   if (Crc32(payload, payload_len) != LoadU32(frame + 4)) {
     return false;
   }
-  const uint64_t words = payload_len / 8;
-  const uint64_t w0 = LoadU64(payload);
-  const uint64_t type_word = w0 & 0xFFFFFFFFull;
-  if (type_word > kWireMaxMsgType) {
+  uint64_t prologue[kWireFixedPayloadWords];
+  for (uint64_t i = 0; i < kWireFixedPayloadWords; ++i) {
+    prologue[i] = LoadU64(payload + i * 8);
+  }
+  if ((prologue[0] & 0xFFFFFFFFull) > kWireMaxMsgType || prologue[1] > 0xFFFFFFFFull ||
+      prologue[6] != payload_len / 8 - kWireFixedPayloadWords) {
     return false;
   }
-  const uint64_t n = LoadU64(payload + 6 * 8);
-  if (n != words - kWireFixedPayloadWords) {
-    return false;
-  }
-  const uint64_t src = LoadU64(payload + 8);
-  if (src > 0xFFFFFFFFull) {
-    return false;
-  }
-  *dst = static_cast<uint32_t>(w0 >> 32);
-  msg->type = static_cast<MsgType>(type_word);
-  msg->src = static_cast<uint32_t>(src);
-  msg->w0 = LoadU64(payload + 2 * 8);
-  msg->w1 = LoadU64(payload + 3 * 8);
-  msg->w2 = LoadU64(payload + 4 * 8);
-  msg->w3 = LoadU64(payload + 5 * 8);
-  msg->extra.clear();
-  msg->extra.reserve(n);
+  *dst = static_cast<uint32_t>(prologue[0] >> 32);
+  const uint64_t n = DecodeWirePrologue(prologue, msg);
+  msg->extra.resize(n);
   for (uint64_t i = 0; i < n; ++i) {
-    msg->extra.push_back(LoadU64(payload + (kWireFixedPayloadWords + i) * 8));
+    msg->extra[i] = LoadU64(payload + (kWireFixedPayloadWords + i) * 8);
   }
   return true;
 }
@@ -82,14 +70,11 @@ void EncodeFrame(uint32_t dst, const Message& msg, std::vector<uint8_t>* out) {
   out->reserve(start + kWireFrameOverheadBytes + payload_len);
   AppendU32(out, static_cast<uint32_t>(payload_len));
   AppendU32(out, 0);  // CRC patched below
-  AppendU64(out, static_cast<uint64_t>(dst) << 32 |
-                     static_cast<uint64_t>(static_cast<uint8_t>(msg.type)));
-  AppendU64(out, msg.src);
-  AppendU64(out, msg.w0);
-  AppendU64(out, msg.w1);
-  AppendU64(out, msg.w2);
-  AppendU64(out, msg.w3);
-  AppendU64(out, msg.extra.size());
+  uint64_t prologue[kWireFixedPayloadWords];
+  EncodeWirePrologue(dst, msg, prologue);
+  for (const uint64_t w : prologue) {
+    AppendU64(out, w);
+  }
   for (const uint64_t w : msg.extra) {
     AppendU64(out, w);
   }
@@ -135,34 +120,15 @@ WireDecodeStatus WireDecoder::TryNext(uint32_t* dst, Message* msg) {
   if (corrupt_) {
     return WireDecodeStatus::kCorrupt;
   }
-  if (buffer_.size() < kWireFrameOverheadBytes) {
-    return WireDecodeStatus::kNeedMore;
-  }
-  // The deque is contiguous per use here only via copy: frames are small,
-  // and correctness beats zero-copy for a test-anchored transport.
-  uint8_t header[kWireFrameOverheadBytes];
-  for (uint64_t i = 0; i < kWireFrameOverheadBytes; ++i) {
-    header[i] = buffer_[i];
-  }
-  const uint64_t payload_len = LoadU32(header);
-  if (payload_len < kWireFixedPayloadWords * 8 || payload_len % 8 != 0 ||
-      payload_len / 8 > kWireFixedPayloadWords + kWireMaxExtraWords) {
+  uint64_t consumed = 0;
+  const WireDecodeStatus status = DecodeFrame(buffer_, dst, msg, &consumed);
+  if (status == WireDecodeStatus::kCorrupt) {
     corrupt_ = true;
-    return WireDecodeStatus::kCorrupt;
+  } else if (status == WireDecodeStatus::kOk) {
+    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(consumed));
+    ++frames_decoded_;
   }
-  const uint64_t frame_bytes = kWireFrameOverheadBytes + payload_len;
-  if (buffer_.size() < frame_bytes) {
-    return WireDecodeStatus::kNeedMore;
-  }
-  std::vector<uint8_t> frame(buffer_.begin(),
-                             buffer_.begin() + static_cast<long>(frame_bytes));
-  if (!DecodePayload(frame.data(), payload_len, dst, msg)) {
-    corrupt_ = true;
-    return WireDecodeStatus::kCorrupt;
-  }
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(frame_bytes));
-  ++frames_decoded_;
-  return WireDecodeStatus::kOk;
+  return status;
 }
 
 }  // namespace tm2c

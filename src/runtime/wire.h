@@ -1,12 +1,6 @@
-// Wire serialization for the process backend.
+// Wire serialization of Message: one payload layout, two carriers.
 //
-// The in-memory Message struct crosses a socket as one length-prefixed,
-// CRC-framed byte frame, reusing the WAL framing discipline (and its CRC-32)
-// from src/durability/wal.cc:
-//
-//   [u32 payload_len_bytes][u32 crc32(payload)][payload: len/8 u64 words]
-//
-// The payload encodes the message as little-endian words:
+// The payload encodes a message as words:
 //
 //   word 0   (destination core << 32) | message type
 //   word 1   source core
@@ -14,23 +8,28 @@
 //   word 6   extra word count n
 //   word 7.. the n extra words
 //
-// so every frame is self-describing and at least kWireMinFrameBytes long.
-// The destination rides inside the payload because one socket carries
-// traffic for many cores: the parent-side router demultiplexes replies to
-// per-core inboxes, and the child-side server uses kWireHostDst to address
-// frames at the host itself (trace + stats events, never a core inbox).
+// The shared-memory rings of the native backends (src/runtime/
+// spsc_channel.h) store exactly these words: shared memory neither tears
+// nor reorders them, so a ring record needs no framing. The byte-stream
+// frame codec below wraps the same payload, as little-endian bytes, in the
+// WAL framing discipline (and its CRC-32) from src/durability/wal.cc:
 //
-// Decoding is strict: a frame is either accepted whole or rejected whole
-// (no partial apply). A short read is kNeedMore (wait for more bytes); a
-// CRC mismatch, impossible length, unknown message type or inconsistent
-// extra count is kCorrupt and poisons the stream — after real corruption
-// frame boundaries can no longer be trusted, so the connection must be
-// dropped, exactly like a WAL scan stopping at its first bad frame.
+//   [u32 payload_len_bytes][u32 crc32(payload)][payload: len/8 u64 words]
+//
+// so every frame is self-describing and at least kWireMinFrameBytes long.
+// kWireHostDst in the destination addresses the host itself rather than a
+// core (a partition server's trace events and exit report).
+//
+// Frame decoding is strict: a frame is either accepted whole or rejected
+// whole (no partial apply). A short read is kNeedMore (wait for more
+// bytes); a CRC mismatch, impossible length, unknown message type or
+// inconsistent extra count is kCorrupt and poisons the stream — after real
+// corruption frame boundaries can no longer be trusted, so the connection
+// must be dropped, exactly like a WAL scan stopping at its first bad frame.
 #ifndef TM2C_SRC_RUNTIME_WIRE_H_
 #define TM2C_SRC_RUNTIME_WIRE_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/runtime/message.h"
@@ -54,6 +53,30 @@ constexpr uint64_t kWireMaxExtraWords = 1 << 20;
 
 // Last MsgType value a frame may carry; anything above is corruption.
 constexpr uint8_t kWireMaxMsgType = static_cast<uint8_t>(MsgType::kHostStats);
+
+// The payload's fixed prologue (words 0-6) for (dst, msg).
+inline void EncodeWirePrologue(uint32_t dst, const Message& msg,
+                               uint64_t out[kWireFixedPayloadWords]) {
+  out[0] = static_cast<uint64_t>(dst) << 32 | static_cast<uint8_t>(msg.type);
+  out[1] = msg.src;
+  out[2] = msg.w0;
+  out[3] = msg.w1;
+  out[4] = msg.w2;
+  out[5] = msg.w3;
+  out[6] = msg.extra.size();
+}
+
+// Inverse of EncodeWirePrologue for a trusted prologue: fills every field
+// of *msg but `extra`, whose length (word 6) it returns.
+inline uint64_t DecodeWirePrologue(const uint64_t in[kWireFixedPayloadWords], Message* msg) {
+  msg->type = static_cast<MsgType>(in[0] & 0xFF);
+  msg->src = static_cast<uint32_t>(in[1]);
+  msg->w0 = in[2];
+  msg->w1 = in[3];
+  msg->w2 = in[4];
+  msg->w3 = in[5];
+  return in[6];
+}
 
 // Appends the encoded frame for (dst, msg) to `out`.
 void EncodeFrame(uint32_t dst, const Message& msg, std::vector<uint8_t>* out);
@@ -85,7 +108,7 @@ class WireDecoder {
   uint64_t frames_decoded() const { return frames_decoded_; }
 
  private:
-  std::deque<uint8_t> buffer_;
+  std::vector<uint8_t> buffer_;
   bool corrupt_ = false;
   uint64_t frames_decoded_ = 0;
 };

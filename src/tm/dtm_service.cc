@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/common/log.h"
 #include "src/durability/partition_log.h"
 
 namespace tm2c {

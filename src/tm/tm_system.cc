@@ -19,7 +19,6 @@ std::unique_ptr<SystemBackend> MakeBackend(const TmSystemConfig& config) {
     pcfg.num_cores = config.sim.num_cores;
     pcfg.num_service = config.sim.num_service;
     pcfg.shmem_bytes = config.sim.shmem_bytes;
-    pcfg.run_dir = config.run_dir;
     return std::make_unique<ProcessSystem>(pcfg);
   }
   ThreadSystemConfig tcfg;
@@ -71,6 +70,7 @@ TmSystem::TmSystem(TmSystemConfig config)
         if (config_.backend == BackendKind::kProcesses) {
           // The log must survive the server process: back it with a file
           // in the run directory so a restarted standby can recover it.
+          TM2C_CHECK_MSG(!config_.run_dir.empty(), "durable processes need run_dir");
           opts.path = config_.run_dir + "/part" + std::to_string(p) + ".wal";
         }
         durability_.push_back(std::make_unique<PartitionDurability>(p, opts));
@@ -157,13 +157,16 @@ void TmSystem::WireProcessBackend() {
     }
   });
 
-  // Runs inside the freshly forked (or restarted) partition server. The
+  // Runs inside the freshly forked (or restarted) partition server, which
+  // inherited attached_trace_ from the host: with no trace attached before
+  // Run the server emits nothing, and a trace event costs one branch. The
   // sink is leaked deliberately: the child _exits, it never unwinds.
   proc->SetChildStart([this](uint32_t partition, bool is_restart, CoreEnv& env) {
-    auto* sink = new WireTraceSink(&env);
-    services_[partition]->set_trace(sink);
+    if (attached_trace_ != nullptr) {
+      services_[partition]->set_trace(new WireTraceSink(&env));
+    }
     if (is_restart && !durability_.empty()) {
-      // Attach the sink first so the recovery's OnWalTruncate reaches the
+      // The sink comes first so the recovery's OnWalTruncate reaches the
       // host — the oracle's only evidence that the torn tail was dropped.
       services_[partition]->SetRecoveredCommits(durability_[partition]->RecoverFromBackingFile());
     }
@@ -179,9 +182,10 @@ void TmSystem::WireProcessBackend() {
     return msg;
   });
 
-  // Server-side durability events arriving as kTraceEvent frames, replayed
-  // into the attached sink on the partition's router thread (AttachTrace
-  // requires a MutexTraceSink here for exactly this reason).
+  // Server-side durability events arriving as kTraceEvent records on the
+  // partitions' host lanes, replayed into the attached sink by whichever
+  // host thread drains the lane (AttachTrace requires a MutexTraceSink
+  // here for exactly this reason).
   proc->SetHostFrameHandler([this](uint32_t, const Message& msg) {
     if (attached_trace_ != nullptr) {
       attached_trace_->OnEvent(TraceEventFromMessage(msg));
@@ -228,13 +232,16 @@ void TmSystem::AttachTrace(TxTraceSink* trace) {
                  "execution traces: simulator (any sink) or process backend "
                  "(MutexTraceSink only) — the thread backend has no ordered "
                  "event stream to trace");
+  TM2C_CHECK_MSG(config_.backend != BackendKind::kProcesses || !ran_,
+                 "AttachTrace after Run on the process backend: the partition servers "
+                 "forked without a trace sink");
   attached_trace_ = trace;
   for (auto& rt : runtimes_) {
     rt->set_trace(trace);
   }
   // Under processes this reaches only the host's pre-fork service images;
   // the child-start hook replaces each child's sink with a WireTraceSink
-  // whose events come back as kTraceEvent frames (see WireProcessBackend).
+  // whose events come back over the host lane (see WireProcessBackend).
   for (auto& service : services_) {
     service->set_trace(trace);
   }
@@ -262,6 +269,7 @@ void TmSystem::CaptureDurableCheckpoint0() {
 }
 
 SimTime TmSystem::Run(SimTime until) {
+  ran_ = true;
   const SimTime elapsed = system_->Run(until);
   // Horizon/shutdown quiesce: a service fiber can be frozen between a
   // record append and its group-commit flush. The records are in the log;

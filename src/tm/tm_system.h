@@ -2,8 +2,9 @@
 //
 // TmSystem builds the selected runtime backend — the deterministic
 // simulator (BackendKind::kSim, the default), real OS threads over
-// lock-free SPSC channels (BackendKind::kThreads), or partition-server
-// processes over Unix sockets (BackendKind::kProcesses) — installs a
+// lock-free SPSC rings (BackendKind::kThreads), or partition-server
+// processes over the same rings in shared memory (BackendKind::kProcesses)
+// — installs a
 // DtmService on every service core (dedicated deployment) or on every core
 // (multitasked), and gives each application core a TxRuntime. Benchmarks
 // and examples only provide per-app-core bodies; the same body code runs
@@ -41,9 +42,9 @@ struct TmSystemConfig {
   // harness (bench/e2e/workloads.cc) assigns it.
   ChannelKind channel = ChannelKind::kSpscRing;
   bool pin_threads = false;
-  // Process backend only: directory for the partition sockets and (when
-  // durability is on) the per-partition WAL backing files. Required there,
-  // ignored elsewhere. Pass a fresh per-run (temp) directory.
+  // Process backend with durability on: directory for the per-partition
+  // WAL backing files. Required there, ignored elsewhere. Pass a fresh
+  // per-run (temp) directory.
   std::string run_dir;
 };
 
@@ -83,8 +84,10 @@ class TmSystem {
   // Simulator: any sink. Process backend: the sink MUST be wrapped in a
   // MutexTraceSink (app threads and partition routers feed it
   // concurrently); partition-server durability events arrive over the
-  // sockets as kTraceEvent frames and are replayed into it here. Thread
-  // backend: unsupported (no per-event ordering to preserve them with).
+  // partitions' host lanes as kTraceEvent records and are replayed into it
+  // here, and attaching after Run is a CHECK failure (the servers forked
+  // without a sink). Thread backend: unsupported (no per-event ordering to
+  // preserve them with).
   void AttachTrace(TxTraceSink* trace);
 
   // Backend-agnostic handles (work under sim and threads alike).
@@ -148,9 +151,11 @@ class TmSystem {
   std::vector<std::unique_ptr<TxRuntime>> runtimes_;    // per app core
   std::vector<AppBody> bodies_;                         // per app core
   std::atomic<uint32_t> apps_running_{0};
-  // Sink from AttachTrace, consulted by the process backend's host-frame
-  // replay (set before Run, read by router threads during it).
+  // Sink from AttachTrace, consulted by the process backend's host-lane
+  // replay and, through the fork, by its partition servers (set before
+  // Run, read by host threads during it).
   TxTraceSink* attached_trace_ = nullptr;
+  bool ran_ = false;
 };
 
 }  // namespace tm2c

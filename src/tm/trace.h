@@ -11,9 +11,11 @@
 // simulator backend: the recorder relies on call order being the real
 // execution order. Do not attach a bare sink under the std::thread
 // backend. The process backend records *durability* events through a
-// MutexTraceSink (below): per-partition durability call order is preserved
-// by the partition's socket FIFO, which is all the crash-restart oracle
-// needs — the serializability oracle still requires the simulator.
+// MutexTraceSink (below): a partition server's events reach it through
+// the partition's host lane in call order, and each ahead of any reply the
+// server sent after it (see src/runtime/process_system.h), which is what
+// the crash-restart oracle needs — the serializability oracle still
+// requires the simulator.
 #ifndef TM2C_SRC_TM_TRACE_H_
 #define TM2C_SRC_TM_TRACE_H_
 

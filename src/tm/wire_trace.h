@@ -2,12 +2,16 @@
 //
 // A forked partition server cannot call into the host's TxTraceSink — the
 // sink object in its address space is an inert copy-on-write duplicate. Its
-// durability events instead ride the partition's socket as kTraceEvent
-// frames addressed to wire.h's kWireHostDst, and the host-side router
-// replays them into the real sink. The socket FIFO preserves per-partition
-// order, which is all the crash-restart oracle needs. Every other kind is
-// dropped: a partition server runs no application transactions, and its
-// revocation, grant and migration events feed no process-backend oracle.
+// durability events instead travel as kTraceEvent records addressed to
+// wire.h's kWireHostDst, down the partition's host lane, and the host
+// thread that drains the lane replays them into the real sink. The lane
+// keeps their order, and an app core drains it before acting on any reply
+// it popped from the partition, so each event reaches the sink ahead of
+// the replies the server sent after it: the crash-restart oracle's
+// commit-before-ack check depends on that. Every other kind is dropped: a
+// partition server runs no application transactions, and its revocation,
+// grant and migration events feed no process-backend oracle. The server
+// installs this sink only when a trace was attached before Run.
 #ifndef TM2C_SRC_TM_WIRE_TRACE_H_
 #define TM2C_SRC_TM_WIRE_TRACE_H_
 

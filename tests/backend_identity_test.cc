@@ -1,6 +1,6 @@
 // Backend identity: the same TmSystem workload, run on the simulator, on
 // real threads, AND on the multi-process backend (partition servers as
-// forked processes over sockets), must commit exactly the same
+// forked processes over shared-memory rings), must commit exactly the same
 // transactions and leave identical shared-memory state.
 // This is the contract that makes native bench rows comparable to
 // simulated ones — the backend changes the clock and the transport, never

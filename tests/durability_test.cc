@@ -177,7 +177,8 @@ TEST(PartitionLog, CheckpointCadenceAndShadowContents) {
   const CheckpointImage& ck = dur.checkpoints()[1];
   EXPECT_EQ(ck.index, 1u);
   EXPECT_EQ(ck.records_covered, 2u);
-  EXPECT_EQ(ck.pairs, (std::vector<std::pair<uint64_t, uint64_t>>{{0x100, 70}, {0x108, 80}}));
+  EXPECT_EQ(dur.ImageAt(1),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{0x100, 70}, {0x108, 80}}));
   EXPECT_EQ(dur.Flush(), 0u);  // nothing new: no event, no progress
 }
 

@@ -12,9 +12,9 @@
 // paper's own analysis (Section 4.3) and this adversarial mix reliably
 // triggers it. The multitasked deployment runs without the full-array
 // scans: long read-lock footprints combined with zero-pause retries tip
-// cooperative multitasking into the congestion-collapse regime documented
-// in EXPERIMENTS.md (one of the reasons the paper adopted dedicated
-// service cores); the dedicated rows keep the scans.
+// cooperative multitasking into congestion collapse (one of the reasons
+// the paper adopted dedicated service cores); the dedicated rows keep the
+// scans.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

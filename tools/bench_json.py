@@ -4,8 +4,8 @@
 Every bench binary emits one document under the shared schema (see
 bench/bench_main.cc); the `backend` field says whether its rows were
 measured on the deterministic simulator ("sim"), on real OS threads
-("threads") or on forked partition-server processes over Unix sockets
-("processes"), so one merged file carries every kind side by side. `merge`
+("threads") or on forked partition-server processes over shared-memory
+rings ("processes"), so one merged file carries every kind side by side. `merge`
 combines documents into BENCH_results.json; `validate` checks either a
 per-bench document or a merged file, so CI can gate on the schema staying
 intact; `compare` diffs mean throughput per (bench, backend, platform,
