@@ -28,11 +28,11 @@ TxRun RunOne(BenchContext& ctx, TxMode mode, uint32_t cores) {
   spec.total_cores = cores;
   spec.tx_mode = mode;
   TmSystem sys(MakeConfig(spec));
-  ShmSortedList list(sys.allocator(), sys.shmem());
+  ShmHashTable list(sys.allocator(), sys.shmem(), 1);
   Rng fill_rng(83);
-  const uint64_t key_range = FillList(list, sys.allocator(), fill_rng, kElements);
+  const uint64_t key_range = FillHashTable(list, sys.allocator(), fill_rng, kElements);
   TxRun run;
-  InstallLoopBodies(sys, spec.duration, spec.seed, ListMix(&list, kUpdatePct, key_range),
+  InstallLoopBodies(sys, spec.duration, spec.seed, HashTableMix(&list, kUpdatePct, key_range),
                     &run.lat);
   sys.Run(spec.duration);
   run.result = Summarize(sys, spec.duration);

@@ -42,11 +42,11 @@ BenchRow RunList(BenchContext& ctx, const std::string& platform, uint32_t cores)
   RunSpec spec = PortSpec(ctx, platform, cores);
   spec.duration = ctx.Duration(50);
   TmSystem sys(MakeConfig(spec));
-  ShmSortedList list(sys.allocator(), sys.shmem());
+  ShmHashTable list(sys.allocator(), sys.shmem(), 1);
   Rng fill_rng(93);
-  const uint64_t key_range = FillList(list, sys.allocator(), fill_rng, 512);
+  const uint64_t key_range = FillHashTable(list, sys.allocator(), fill_rng, 512);
   LatencySampler lat;
-  InstallLoopBodies(sys, spec.duration, spec.seed, ListMix(&list, 10, key_range), &lat);
+  InstallLoopBodies(sys, spec.duration, spec.seed, HashTableMix(&list, 10, key_range), &lat);
   sys.Run(spec.duration);
   BenchRow row;
   row.Param("part", "8c-list").Param("platform", platform).Param("cores", uint64_t{cores});

@@ -10,7 +10,6 @@
 #include "src/apps/bank.h"
 #include "src/apps/hash_table.h"
 #include "src/apps/kvstore.h"
-#include "src/apps/linked_list.h"
 
 namespace tm2c {
 
@@ -27,7 +26,8 @@ constexpr uint64_t kOpOverheadCycles = 10000;
 // Synchrobench-style hash table mix: `update_pct` of operations try to
 // modify (half add, half remove — a failed update counts as a read-only
 // transaction, as in the paper); the rest are contains. Keys are uniform in
-// [1, key_range].
+// [1, key_range]. On a one-bucket table this is the linked-list mix
+// (Sections 6.2, 7.2).
 inline OpFn HashTableMix(const ShmHashTable* table, uint32_t update_pct, uint64_t key_range) {
   return [table, update_pct, key_range](CoreEnv& env, TxRuntime& rt, Rng& rng) {
     env.Compute(kOpOverheadCycles);
@@ -122,35 +122,6 @@ inline OpFn BankLockMix(const Bank* bank, uint32_t balance_pct, uint64_t* ops) {
     bank->LockTransfer(env, from, to, 1);
     ++*ops;
   };
-}
-
-// Linked-list mix (Sections 6.2, 7.2).
-inline OpFn ListMix(const ShmSortedList* list, uint32_t update_pct, uint64_t key_range) {
-  return [list, update_pct, key_range](CoreEnv& env, TxRuntime& rt, Rng& rng) {
-    env.Compute(kOpOverheadCycles);
-    const uint64_t key = 1 + rng.NextBelow(key_range);
-    if (rng.NextPercent(update_pct)) {
-      if (rng.NextPercent(50)) {
-        list->Add(rt, env.allocator(), key);
-      } else {
-        list->Remove(rt, key);
-      }
-    } else {
-      list->Contains(rt, key);
-    }
-  };
-}
-
-inline uint64_t FillList(ShmSortedList& list, ShmAllocator& allocator, Rng& rng,
-                         uint64_t elements) {
-  const uint64_t key_range = 2 * elements;
-  uint64_t added = 0;
-  while (added < elements) {
-    if (list.HostAdd(allocator, 1 + rng.NextBelow(key_range))) {
-      ++added;
-    }
-  }
-  return key_range;
 }
 
 // ---------------------------------------------------------------------------

@@ -64,21 +64,6 @@ uint64_t Bank::LockBalance(CoreEnv& env) const {
   return total;
 }
 
-void Bank::SeqTransfer(CoreEnv& env, uint32_t from, uint32_t to, uint64_t amount) const {
-  const uint64_t from_balance = env.ShmemRead(AccountAddr(from));
-  const uint64_t to_balance = env.ShmemRead(AccountAddr(to));
-  env.ShmemWrite(AccountAddr(from), from_balance - amount);
-  env.ShmemWrite(AccountAddr(to), to_balance + amount);
-}
-
-uint64_t Bank::SeqBalance(CoreEnv& env) const {
-  uint64_t total = 0;
-  for (uint32_t a = 0; a < num_accounts_; ++a) {
-    total += env.ShmemRead(AccountAddr(a));
-  }
-  return total;
-}
-
 uint64_t Bank::HostTotal() const {
   uint64_t total = 0;
   for (uint32_t a = 0; a < num_accounts_; ++a) {

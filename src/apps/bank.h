@@ -38,10 +38,6 @@ class Bank {
   void LockTransfer(CoreEnv& env, uint32_t from, uint32_t to, uint64_t amount) const;
   uint64_t LockBalance(CoreEnv& env) const;
 
-  // -- Sequential operations (single core, no synchronization) -----------
-  void SeqTransfer(CoreEnv& env, uint32_t from, uint32_t to, uint64_t amount) const;
-  uint64_t SeqBalance(CoreEnv& env) const;
-
   // Host-side verification: total across all accounts at zero cost.
   uint64_t HostTotal() const;
 

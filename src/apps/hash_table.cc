@@ -1,8 +1,47 @@
 #include "src/apps/hash_table.h"
 
+#include "src/apps/access.h"
 #include "src/common/check.h"
 
 namespace tm2c {
+namespace {
+
+// The three set operations on one bucket's chain, for every accessor.
+template <typename Acc>
+bool ChainContains(const Acc& acc, uint64_t head, uint64_t key) {
+  TM2C_DCHECK(key != 0);
+  return LocateInChain(acc, head, key).found;
+}
+
+// Links a node from `new_node()` in front of the first larger key. The
+// callback runs only when the key is missing.
+template <typename Acc, typename NewNode>
+bool ChainAdd(const Acc& acc, uint64_t head, uint64_t key, NewNode new_node) {
+  TM2C_DCHECK(key != 0);
+  const ChainPos pos = LocateInChain(acc, head, key);
+  if (pos.found) {
+    return false;
+  }
+  const uint64_t node = new_node();
+  TM2C_DCHECK(node != 0);
+  acc.Store(ChainKeyAddr(node), key);
+  acc.Store(ChainNextAddr(node), pos.at);
+  acc.Store(pos.prev_link, node);
+  return true;
+}
+
+template <typename Acc>
+bool ChainRemove(const Acc& acc, uint64_t head, uint64_t key) {
+  TM2C_DCHECK(key != 0);
+  const ChainPos pos = LocateInChain(acc, head, key);
+  if (!pos.found) {
+    return false;
+  }
+  acc.Store(pos.prev_link, acc.Load(ChainNextAddr(pos.at)));
+  return true;  // the node itself is leaked (see header)
+}
+
+}  // namespace
 
 ShmHashTable::ShmHashTable(ShmAllocator& allocator, SharedMemory& mem, uint32_t num_buckets)
     : mem_(&mem), num_buckets_(num_buckets) {
@@ -14,59 +53,15 @@ ShmHashTable::ShmHashTable(ShmAllocator& allocator, SharedMemory& mem, uint32_t 
 }
 
 bool ShmHashTable::TxContains(Tx& tx, uint64_t key) const {
-  TM2C_DCHECK(key != 0);
-  uint64_t node = tx.Read(BucketAddr(key));
-  while (node != 0) {
-    const uint64_t node_key = tx.Read(KeyAddr(node));
-    if (node_key == key) {
-      return true;
-    }
-    if (node_key > key) {
-      return false;  // sorted bucket: passed the insertion point
-    }
-    node = tx.Read(NextAddr(node));
-  }
-  return false;
+  return ChainContains(TxAccess{&tx}, BucketAddr(key), key);
 }
 
 bool ShmHashTable::TxAdd(Tx& tx, uint64_t key, uint64_t node_addr) const {
-  TM2C_DCHECK(key != 0 && node_addr != 0);
-  uint64_t prev_link = BucketAddr(key);
-  uint64_t node = tx.Read(prev_link);
-  while (node != 0) {
-    const uint64_t node_key = tx.Read(KeyAddr(node));
-    if (node_key == key) {
-      return false;
-    }
-    if (node_key > key) {
-      break;
-    }
-    prev_link = NextAddr(node);
-    node = tx.Read(prev_link);
-  }
-  tx.Write(KeyAddr(node_addr), key);
-  tx.Write(NextAddr(node_addr), node);
-  tx.Write(prev_link, node_addr);
-  return true;
+  return ChainAdd(TxAccess{&tx}, BucketAddr(key), key, [node_addr] { return node_addr; });
 }
 
 bool ShmHashTable::TxRemove(Tx& tx, uint64_t key) const {
-  TM2C_DCHECK(key != 0);
-  uint64_t prev_link = BucketAddr(key);
-  uint64_t node = tx.Read(prev_link);
-  while (node != 0) {
-    const uint64_t node_key = tx.Read(KeyAddr(node));
-    if (node_key == key) {
-      tx.Write(prev_link, tx.Read(NextAddr(node)));
-      return true;  // node itself is leaked (see header)
-    }
-    if (node_key > key) {
-      return false;
-    }
-    prev_link = NextAddr(node);
-    node = tx.Read(prev_link);
-  }
-  return false;
+  return ChainRemove(TxAccess{&tx}, BucketAddr(key), key);
 }
 
 bool ShmHashTable::Contains(TxRuntime& rt, uint64_t key) const {
@@ -138,103 +133,32 @@ bool ShmHashTable::Move(TxRuntime& rt, ShmAllocator& allocator, uint64_t from_ke
 }
 
 bool ShmHashTable::SeqContains(CoreEnv& env, uint64_t key) const {
-  uint64_t node = env.ShmemRead(BucketAddr(key));
-  while (node != 0) {
-    const uint64_t node_key = env.ShmemRead(KeyAddr(node));
-    if (node_key == key) {
-      return true;
-    }
-    if (node_key > key) {
-      return false;
-    }
-    node = env.ShmemRead(NextAddr(node));
-  }
-  return false;
+  return ChainContains(EnvAccess{&env}, BucketAddr(key), key);
 }
 
 bool ShmHashTable::SeqAdd(CoreEnv& env, ShmAllocator& allocator, uint64_t key) const {
-  uint64_t prev_link = BucketAddr(key);
-  uint64_t node = env.ShmemRead(prev_link);
-  while (node != 0) {
-    const uint64_t node_key = env.ShmemRead(KeyAddr(node));
-    if (node_key == key) {
-      return false;
-    }
-    if (node_key > key) {
-      break;
-    }
-    prev_link = NextAddr(node);
-    node = env.ShmemRead(prev_link);
-  }
-  const uint64_t fresh = allocator.Alloc(kNodeBytes, env.core_id());
-  env.ShmemWrite(KeyAddr(fresh), key);
-  env.ShmemWrite(NextAddr(fresh), node);
-  env.ShmemWrite(prev_link, fresh);
-  return true;
+  return ChainAdd(EnvAccess{&env}, BucketAddr(key), key,
+                  [&] { return allocator.Alloc(kNodeBytes, env.core_id()); });
 }
 
 bool ShmHashTable::SeqRemove(CoreEnv& env, uint64_t key) const {
-  uint64_t prev_link = BucketAddr(key);
-  uint64_t node = env.ShmemRead(prev_link);
-  while (node != 0) {
-    const uint64_t node_key = env.ShmemRead(KeyAddr(node));
-    if (node_key == key) {
-      env.ShmemWrite(prev_link, env.ShmemRead(NextAddr(node)));
-      return true;
-    }
-    if (node_key > key) {
-      return false;
-    }
-    prev_link = NextAddr(node);
-    node = env.ShmemRead(prev_link);
-  }
-  return false;
+  return ChainRemove(EnvAccess{&env}, BucketAddr(key), key);
 }
 
 bool ShmHashTable::HostAdd(ShmAllocator& allocator, uint64_t key) const {
-  uint64_t prev_link = BucketAddr(key);
-  uint64_t node = mem_->LoadWord(prev_link);
-  while (node != 0) {
-    const uint64_t node_key = mem_->LoadWord(KeyAddr(node));
-    if (node_key == key) {
-      return false;
-    }
-    if (node_key > key) {
-      break;
-    }
-    prev_link = NextAddr(node);
-    node = mem_->LoadWord(prev_link);
-  }
-  const uint64_t fresh = allocator.AllocGlobal(kNodeBytes);
-  mem_->StoreWord(KeyAddr(fresh), key);
-  mem_->StoreWord(NextAddr(fresh), node);
-  mem_->StoreWord(prev_link, fresh);
-  return true;
+  return ChainAdd(HostAccess{mem_}, BucketAddr(key), key,
+                  [&] { return allocator.AllocGlobal(kNodeBytes); });
 }
 
 bool ShmHashTable::HostContains(uint64_t key) const {
-  uint64_t node = mem_->LoadWord(BucketAddr(key));
-  while (node != 0) {
-    const uint64_t node_key = mem_->LoadWord(KeyAddr(node));
-    if (node_key == key) {
-      return true;
-    }
-    if (node_key > key) {
-      return false;
-    }
-    node = mem_->LoadWord(NextAddr(node));
-  }
-  return false;
+  return ChainContains(HostAccess{mem_}, BucketAddr(key), key);
 }
 
 uint64_t ShmHashTable::HostSize() const {
   uint64_t count = 0;
   for (uint32_t b = 0; b < num_buckets_; ++b) {
-    uint64_t node = mem_->LoadWord(base_ + b * kWordBytes);
-    while (node != 0) {
-      ++count;
-      node = mem_->LoadWord(NextAddr(node));
-    }
+    ForEachInChain(HostAccess{mem_}, base_ + b * kWordBytes, UINT64_MAX,
+                   [&](uint64_t) { ++count; });
   }
   return count;
 }

@@ -1,12 +1,21 @@
-// The synchrobench-style hash table benchmark structure (Section 5.2).
+// The synchrobench-style hash table and sorted linked list benchmark
+// structures (Sections 5.2, 6.2 and 7.2).
 //
-// A fixed bucket array in shared memory; each bucket is a sorted singly
-// linked list of nodes [key, next]. Keys are non-zero 64-bit integers; 0 is
-// the null pointer. Operations: contains / add / remove, plus the move
-// operation (remove one key, insert another, atomically) introduced for the
-// eager-vs-lazy write acquisition experiment (Figure 4(c)).
+// A fixed bucket array in shared memory; each bucket is a sorted chain of
+// nodes [key, next] (src/apps/access.h). Keys are non-zero 64-bit
+// integers; 0 is the null pointer. Operations: contains / add / remove,
+// plus the move operation (remove one key, insert another, atomically)
+// introduced for the eager-vs-lazy write acquisition experiment (Figure
+// 4(c)).
 //
-// Three access modes share the layout:
+// The sorted linked list is the table with one bucket: every key maps to
+// the single head word, so the structure is one global sorted list. That
+// is the structure the elastic transaction evaluation uses: run the Tx*
+// operations under TxMode::kElasticEarly or kElasticRead to relax the
+// read-prefix atomicity, exactly as Section 6 describes (node i no longer
+// matters once the search passed node i+1).
+//
+// Three access modes share one implementation of each operation:
 //  - Tx* methods compose inside a caller-provided transaction,
 //  - wrapper methods (Add/Remove/Contains/Move) run their own transaction
 //    via a TxRuntime, handling node allocation across retries,
@@ -30,7 +39,8 @@ namespace tm2c {
 class ShmHashTable {
  public:
   // Allocates the bucket array host-side (region 0, like the paper's
-  // initial table living in a single memory controller).
+  // initial table living in a single memory controller). One bucket makes
+  // the table a sorted linked list.
   ShmHashTable(ShmAllocator& allocator, SharedMemory& mem, uint32_t num_buckets);
 
   // -- Composable transactional operations --------------------------------
@@ -66,8 +76,6 @@ class ShmHashTable {
     const uint64_t h = key * 0xff51afd7ed558ccdull;
     return base_ + (h >> 32) % num_buckets_ * kWordBytes;
   }
-  static uint64_t KeyAddr(uint64_t node) { return node; }
-  static uint64_t NextAddr(uint64_t node) { return node + kWordBytes; }
 
   SharedMemory* mem_;
   uint32_t num_buckets_;

@@ -8,37 +8,13 @@ namespace tm2c {
 
 KvStore::KvStore(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
                  const DeploymentPlan& plan, KvStoreConfig cfg)
-    : mem_(&mem), cfg_(cfg), plan_(&plan) {
+    : mem_(&mem),
+      cfg_(cfg),
+      plan_(&plan),
+      pool_(allocator, mem, map, plan, cfg.buckets_per_partition, 2 + uint64_t{cfg.value_words},
+            cfg.capacity_per_partition) {
   TM2C_CHECK(cfg_.buckets_per_partition >= 1);
   TM2C_CHECK(cfg_.value_words >= 1);
-  TM2C_CHECK(cfg_.capacity_per_partition >= 1);
-  const uint32_t num_parts = plan.num_service();
-  TM2C_CHECK(num_parts >= 1);
-
-  const uint64_t stripe = map.stripe_bytes();
-  const uint64_t raw_bytes =
-      (cfg_.buckets_per_partition + uint64_t{cfg_.capacity_per_partition} * node_words()) *
-      kWordBytes;
-  const uint64_t slab_bytes = (raw_bytes + stripe - 1) / stripe * stripe;
-  parts_.reserve(num_parts);
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    auto part = std::make_unique<Partition>();
-    // Over-allocate by one stripe so the slab can be aligned to a stripe
-    // boundary (AddOwnedRange requires it; a stripe must not straddle
-    // partitions). Placed near the owning service core: the partition that
-    // serves the locks also sits next to the memory.
-    const uint64_t raw = allocator.Alloc(slab_bytes + stripe, plan.ServiceCore(p));
-    part->slab_base = (raw + stripe - 1) / stripe * stripe;
-    part->slab_bytes = slab_bytes;
-    part->pool_base = part->slab_base + uint64_t{cfg_.buckets_per_partition} * kWordBytes;
-    map.AddOwnedRange(part->slab_base, part->slab_bytes, p);
-    // The allocator may hand back recycled memory; the store's invariants
-    // (0 = null pointer / empty bucket) need a clean slab.
-    for (uint64_t off = 0; off < slab_bytes; off += kWordBytes) {
-      mem_->StoreWord(part->slab_base + off, 0);
-    }
-    parts_.push_back(std::move(part));
-  }
 }
 
 uint64_t KvStore::Hash(uint64_t key) {
@@ -66,48 +42,27 @@ uint32_t KvStore::BucketIndexOf(uint64_t key) const {
 }
 
 uint64_t KvStore::BucketAddrAt(uint32_t partition, uint32_t bucket) const {
-  return parts_[partition]->slab_base + uint64_t{bucket} * kWordBytes;
+  return pool_.Slab(partition).first + uint64_t{bucket} * kWordBytes;
 }
 
 uint64_t KvStore::BucketAddr(uint64_t key) const {
   return BucketAddrAt(PartitionOfKey(key), BucketIndexOf(key));
 }
 
+std::vector<uint64_t> KvStore::ValueAddrs(uint64_t node) const {
+  std::vector<uint64_t> addrs(cfg_.value_words);
+  for (uint32_t w = 0; w < cfg_.value_words; ++w) {
+    addrs[w] = ValueAddr(node) + uint64_t{w} * kWordBytes;
+  }
+  return addrs;
+}
+
 std::pair<uint64_t, uint64_t> KvStore::SlabRange(uint32_t partition) const {
-  TM2C_CHECK(partition < parts_.size());
-  return {parts_[partition]->slab_base, parts_[partition]->slab_bytes};
+  TM2C_CHECK(partition < num_partitions());
+  return pool_.Slab(partition);
 }
 
-uint64_t KvStore::NodesInUse(uint32_t partition) const {
-  TM2C_CHECK(partition < parts_.size());
-  std::lock_guard<std::mutex> lock(parts_[partition]->mu);
-  return parts_[partition]->in_use;
-}
-
-uint64_t KvStore::AllocNode(uint32_t partition) {
-  Partition& part = *parts_[partition];
-  std::lock_guard<std::mutex> lock(part.mu);
-  uint64_t node = 0;
-  if (!part.free_nodes.empty()) {
-    node = part.free_nodes.back();
-    part.free_nodes.pop_back();
-  } else if (part.next_unused < cfg_.capacity_per_partition) {
-    node = part.pool_base + uint64_t{part.next_unused} * node_bytes();
-    ++part.next_unused;
-  }
-  if (node != 0) {
-    ++part.in_use;
-  }
-  return node;
-}
-
-void KvStore::FreeNode(uint32_t partition, uint64_t node) {
-  Partition& part = *parts_[partition];
-  std::lock_guard<std::mutex> lock(part.mu);
-  TM2C_DCHECK(part.in_use > 0);
-  --part.in_use;
-  part.free_nodes.push_back(node);
-}
+uint64_t KvStore::NodesInUse(uint32_t partition) const { return pool_.InUse(partition); }
 
 // ---------------------------------------------------------------------------
 // Composable transactional operations
@@ -121,104 +76,80 @@ void KvStore::FreeNode(uint32_t partition, uint64_t node) {
 // a chain, and an unbounded traversal would wedge the checked run instead
 // of letting the oracle flag the corruption. Past the bound the walk gives
 // up (not-found / partial scan): a bounded wrong answer the invariants see.
-uint64_t KvStore::TxLocate(Tx& tx, uint64_t key, uint64_t* prev_link) const {
+template <typename Acc>
+ChainPos KvStore::Locate(const Acc& acc, uint64_t key) const {
   TM2C_DCHECK(key != 0);
-  uint64_t prev = BucketAddr(key);
-  uint64_t node = tx.Read(prev);
-  uint32_t steps = 0;
-  while (node != 0 && ++steps <= cfg_.capacity_per_partition) {
-    const uint64_t node_key = tx.Read(KeyAddr(node));
-    if (node_key == key) {
-      *prev_link = prev;
-      return node;
+  return LocateInChain(acc, BucketAddr(key), key, cfg_.capacity_per_partition);
+}
+
+template <typename Acc, typename NewNode>
+bool KvStore::Upsert(const Acc& acc, uint64_t key, const uint64_t* value, bool insert_only,
+                     NewNode new_node) const {
+  const auto store_value = [&](uint64_t node) {
+    for (uint32_t w = 0; w < cfg_.value_words; ++w) {
+      acc.Store(ValueAddr(node) + uint64_t{w} * kWordBytes, value[w]);
     }
-    if (node_key > key) {
-      break;  // sorted chain: passed the insertion point
+  };
+  const ChainPos pos = Locate(acc, key);
+  if (pos.found) {
+    if (!insert_only) {
+      store_value(pos.at);
     }
-    prev = NextAddr(node);
-    node = tx.Read(prev);
+    return false;
   }
-  *prev_link = prev;
-  return 0;
+  const uint64_t node = new_node();
+  TM2C_CHECK_MSG(node != 0, "KvStore insert needs a node (partition pool exhausted?)");
+  // The successor is the node the walk stopped at: re-read the link
+  // (served from the attempt's read cache, no extra round trip). The link
+  // word is written last — the node is fully initialized before it is
+  // reachable.
+  const uint64_t succ = acc.Load(pos.prev_link);
+  acc.Store(ChainKeyAddr(node), key);
+  acc.Store(ChainNextAddr(node), succ);
+  store_value(node);
+  acc.Store(pos.prev_link, node);
+  return true;
 }
 
 bool KvStore::TxGet(Tx& tx, uint64_t key, uint64_t* value) const {
-  uint64_t prev_link = 0;
-  const uint64_t node = TxLocate(tx, key, &prev_link);
-  if (node == 0) {
+  const ChainPos pos = Locate(TxAccess{&tx}, key);
+  if (!pos.found) {
     return false;
   }
-  std::vector<uint64_t> addrs(cfg_.value_words);
-  for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-    addrs[w] = ValueAddr(node) + uint64_t{w} * kWordBytes;
-  }
-  const std::vector<uint64_t> vals = tx.ReadMany(addrs);
+  const std::vector<uint64_t> vals = tx.ReadMany(ValueAddrs(pos.at));
   std::copy(vals.begin(), vals.end(), value);
   return true;
 }
 
-void KvStore::TxLinkNew(Tx& tx, uint64_t prev_link, uint64_t node, uint64_t key,
-                        const uint64_t* value) const {
-  // The successor is the node the locate loop stopped at: re-read the link
-  // (served from the attempt's read cache, no extra round trip). The link
-  // word is written last — the node is fully initialized before it is
-  // reachable.
-  const uint64_t succ = tx.Read(prev_link);
-  tx.Write(KeyAddr(node), key);
-  tx.Write(NextAddr(node), succ);
-  for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-    tx.Write(ValueAddr(node) + uint64_t{w} * kWordBytes, value[w]);
-  }
-  tx.Write(prev_link, node);
-}
-
 bool KvStore::TxPut(Tx& tx, uint64_t key, const uint64_t* value, uint64_t node_addr) const {
-  uint64_t prev_link = 0;
-  const uint64_t node = TxLocate(tx, key, &prev_link);
-  if (node != 0) {
-    for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-      tx.Write(ValueAddr(node) + uint64_t{w} * kWordBytes, value[w]);
-    }
-    return false;
-  }
-  TM2C_CHECK_MSG(node_addr != 0, "KvStore insert needs a node (partition pool exhausted?)");
-  TxLinkNew(tx, prev_link, node_addr, key, value);
-  return true;
+  return Upsert(TxAccess{&tx}, key, value, /*insert_only=*/false,
+                [node_addr] { return node_addr; });
 }
 
 bool KvStore::TxDelete(Tx& tx, uint64_t key, uint64_t* old_value,
                        uint64_t* removed_node) const {
-  uint64_t prev_link = 0;
-  const uint64_t node = TxLocate(tx, key, &prev_link);
-  if (node == 0) {
+  const ChainPos pos = Locate(TxAccess{&tx}, key);
+  if (!pos.found) {
     return false;
   }
   if (old_value != nullptr) {
-    std::vector<uint64_t> addrs(cfg_.value_words);
-    for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-      addrs[w] = ValueAddr(node) + uint64_t{w} * kWordBytes;
-    }
-    const std::vector<uint64_t> vals = tx.ReadMany(addrs);
+    const std::vector<uint64_t> vals = tx.ReadMany(ValueAddrs(pos.at));
     std::copy(vals.begin(), vals.end(), old_value);
   }
-  tx.Write(prev_link, tx.Read(NextAddr(node)));
+  tx.Write(pos.prev_link, tx.Read(ChainNextAddr(pos.at)));
   if (removed_node != nullptr) {
-    *removed_node = node;
+    *removed_node = pos.at;
   }
   return true;
 }
 
 bool KvStore::TxReadModifyWrite(Tx& tx, uint64_t key,
                                 const std::function<void(uint64_t*)>& fn) const {
-  uint64_t prev_link = 0;
-  const uint64_t node = TxLocate(tx, key, &prev_link);
-  if (node == 0) {
+  const ChainPos pos = Locate(TxAccess{&tx}, key);
+  if (!pos.found) {
     return false;
   }
-  std::vector<uint64_t> addrs(cfg_.value_words);
-  for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-    addrs[w] = ValueAddr(node) + uint64_t{w} * kWordBytes;
-  }
+  const std::vector<uint64_t> addrs = ValueAddrs(pos.at);
   std::vector<uint64_t> vals = tx.ReadMany(addrs);
   fn(vals.data());
   for (uint32_t w = 0; w < cfg_.value_words; ++w) {
@@ -245,22 +176,20 @@ uint32_t KvStore::TxHashScan(Tx& tx, uint64_t start_key, uint32_t limit,
     const std::vector<uint64_t> heads = tx.ReadMany(head_addrs);
     for (uint32_t i = 0; i < window && appended < limit; ++i) {
       uint64_t node = heads[i];
-      uint32_t steps = 0;  // corruption bound, see TxLocate
+      uint32_t steps = 0;  // corruption bound, see Locate
+      // Not ForEachInChain: the walk stops at `limit`, and the next word of
+      // the limit-th node is still read (and locked) before it does.
       while (node != 0 && appended < limit && ++steps <= cfg_.capacity_per_partition) {
-        const uint64_t node_key = tx.Read(KeyAddr(node));
+        const uint64_t node_key = tx.Read(ChainKeyAddr(node));
         // In the start bucket, skip the sorted prefix below start_key.
         if (visited + i > 0 || node_key >= start_key) {
           KvEntry entry;
           entry.key = node_key;
-          std::vector<uint64_t> addrs(cfg_.value_words);
-          for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-            addrs[w] = ValueAddr(node) + uint64_t{w} * kWordBytes;
-          }
-          entry.value = tx.ReadMany(addrs);
+          entry.value = tx.ReadMany(ValueAddrs(node));
           out->push_back(std::move(entry));
           ++appended;
         }
-        node = tx.Read(NextAddr(node));
+        node = tx.Read(ChainNextAddr(node));
       }
     }
     visited += window;
@@ -282,58 +211,33 @@ bool KvStore::Get(TxRuntime& rt, uint64_t key, std::vector<uint64_t>* value) con
   return found;
 }
 
-bool KvStore::Put(TxRuntime& rt, uint64_t key, const uint64_t* value) {
+bool KvStore::UpsertTx(TxRuntime& rt, uint64_t key, const uint64_t* value, bool insert_only) {
   const uint32_t partition = PartitionOfKey(key);
   uint64_t node = 0;  // allocated lazily on first miss, reused across retries
   bool inserted = false;
   rt.Execute([&](Tx& tx) {
-    uint64_t prev_link = 0;
-    const uint64_t found = TxLocate(tx, key, &prev_link);
-    if (found != 0) {
-      for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-        tx.Write(ValueAddr(found) + uint64_t{w} * kWordBytes, value[w]);
+    inserted = Upsert(TxAccess{&tx}, key, value, insert_only, [&] {
+      if (node == 0) {
+        node = pool_.Alloc(partition);
       }
-      inserted = false;
-      return;
-    }
-    if (node == 0) {
-      node = AllocNode(partition);
-    }
-    TM2C_CHECK_MSG(node != 0, "KvStore insert needs a node (partition pool exhausted?)");
-    TxLinkNew(tx, prev_link, node, key, value);
-    inserted = true;
+      return node;
+    });
   });
   if (!inserted && node != 0) {
-    FreeNode(partition, node);  // a retry switched from insert to update
+    pool_.Free(partition, node);  // a retry found the key present
   }
   return inserted;
+}
+
+bool KvStore::Put(TxRuntime& rt, uint64_t key, const uint64_t* value) {
+  return UpsertTx(rt, key, value, /*insert_only=*/false);
 }
 
 bool KvStore::Insert(TxRuntime& rt, uint64_t key, const uint64_t* value) {
-  const uint32_t partition = PartitionOfKey(key);
-  uint64_t node = 0;
-  bool inserted = false;
-  rt.Execute([&](Tx& tx) {
-    uint64_t prev_link = 0;
-    if (TxLocate(tx, key, &prev_link) != 0) {
-      inserted = false;  // present: insert-only leaves the value alone
-      return;
-    }
-    if (node == 0) {
-      node = AllocNode(partition);
-    }
-    TM2C_CHECK_MSG(node != 0, "KvStore insert needs a node (partition pool exhausted?)");
-    TxLinkNew(tx, prev_link, node, key, value);
-    inserted = true;
-  });
-  if (!inserted && node != 0) {
-    FreeNode(partition, node);
-  }
-  return inserted;
+  return UpsertTx(rt, key, value, /*insert_only=*/true);
 }
 
 bool KvStore::Delete(TxRuntime& rt, uint64_t key, std::vector<uint64_t>* old_value) {
-  const uint32_t partition = PartitionOfKey(key);
   bool removed = false;
   uint64_t removed_node = 0;
   std::vector<uint64_t> buf(cfg_.value_words);
@@ -347,9 +251,7 @@ bool KvStore::Delete(TxRuntime& rt, uint64_t key, std::vector<uint64_t>* old_val
     }
     // Recycle only after the unlink committed: until then another attempt
     // could still need the node in place.
-    if (cfg_.reuse_nodes && removed_node != 0) {
-      FreeNode(partition, removed_node);
-    }
+    pool_.Free(PartitionOfKey(key), removed_node);
   }
   return removed;
 }
@@ -378,17 +280,16 @@ std::vector<KvEntry> KvStore::HashScan(TxRuntime& rt, uint64_t start_key,
 void KvStore::RecoverPartition(uint32_t partition,
                                const std::vector<std::pair<uint64_t, uint64_t>>& checkpoint_pairs,
                                const std::vector<std::pair<uint64_t, uint64_t>>& replay_pairs) {
-  TM2C_CHECK(partition < parts_.size());
-  Partition& part = *parts_[partition];
-  std::lock_guard<std::mutex> lock(part.mu);
+  TM2C_CHECK(partition < num_partitions());
+  const std::pair<uint64_t, uint64_t> slab = pool_.Slab(partition);
   // Start from a clean slab: the crash may have left arbitrary garbage, and
   // every word the durable state does not mention must read as 0 (null).
-  for (uint64_t off = 0; off < part.slab_bytes; off += kWordBytes) {
-    mem_->StoreWord(part.slab_base + off, 0);
+  for (uint64_t off = 0; off < slab.second; off += kWordBytes) {
+    mem_->StoreWord(slab.first + off, 0);
   }
   const auto apply = [&](const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
     for (const auto& [addr, value] : pairs) {
-      TM2C_CHECK_MSG(addr >= part.slab_base && addr < part.slab_base + part.slab_bytes,
+      TM2C_CHECK_MSG(addr >= slab.first && addr < slab.first + slab.second,
                      "recovery pair addressed outside the partition slab");
       TM2C_CHECK(addr % kWordBytes == 0);
       mem_->StoreWord(addr, value);
@@ -397,39 +298,23 @@ void KvStore::RecoverPartition(uint32_t partition,
   apply(checkpoint_pairs);
   apply(replay_pairs);
 
-  // Rebuild the pool bookkeeping from the recovered structure alone. A pool
-  // slot is live iff some bucket chain reaches it; slots past the highest
-  // live index were either never handed out or belong to transactions whose
-  // link-in never became durable — either way the bump allocator can reuse
-  // them. Unreachable slots below the bump point go back on the free list
-  // (ascending, so recovery order is deterministic).
-  std::vector<bool> reachable(cfg_.capacity_per_partition, false);
-  uint64_t live = 0;
-  uint32_t next_unused = 0;
+  // Rebuild the pool bookkeeping from the recovered structure alone: a pool
+  // slot is live iff some bucket chain reaches it. Unreachable slots were
+  // either never handed out or belong to transactions whose link-in never
+  // became durable; either way the pool may hand them out again.
+  std::vector<bool> live(cfg_.capacity_per_partition, false);
+  const auto mark_live = [&](uint64_t node) {
+    TM2C_CHECK_MSG(pool_.Contains(partition, node), "recovered chain points outside the node pool");
+    const uint32_t slot = pool_.SlotOf(partition, node);
+    TM2C_CHECK_MSG(!live[slot], "recovered chains share a node");
+    live[slot] = true;
+  };
   for (uint32_t b = 0; b < cfg_.buckets_per_partition; ++b) {
-    uint64_t node = mem_->LoadWord(BucketAddrAt(partition, b));
-    uint32_t steps = 0;
-    while (node != 0 && ++steps <= cfg_.capacity_per_partition) {
-      TM2C_CHECK_MSG(node >= part.pool_base && (node - part.pool_base) % node_bytes() == 0,
-                     "recovered chain points outside the node pool");
-      const uint64_t index = (node - part.pool_base) / node_bytes();
-      TM2C_CHECK(index < cfg_.capacity_per_partition);
-      TM2C_CHECK_MSG(!reachable[index], "recovered chains share a node");
-      reachable[index] = true;
-      ++live;
-      next_unused = std::max(next_unused, static_cast<uint32_t>(index) + 1);
-      node = mem_->LoadWord(NextAddr(node));
-    }
-    TM2C_CHECK_MSG(node == 0, "recovered chain longer than the pool (cycle?)");
+    const uint64_t end = ForEachInChain(HostAccess{mem_}, BucketAddrAt(partition, b),
+                                        cfg_.capacity_per_partition, mark_live);
+    TM2C_CHECK_MSG(end == 0, "recovered chain longer than the pool (cycle?)");
   }
-  part.in_use = live;
-  part.next_unused = next_unused;
-  part.free_nodes.clear();
-  for (uint32_t i = 0; i < next_unused; ++i) {
-    if (!reachable[i]) {
-      part.free_nodes.push_back(part.pool_base + uint64_t{i} * node_bytes());
-    }
-  }
+  pool_.Rebuild(partition, live);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,65 +322,31 @@ void KvStore::RecoverPartition(uint32_t partition,
 // ---------------------------------------------------------------------------
 
 bool KvStore::HostPut(uint64_t key, const uint64_t* value) {
-  TM2C_DCHECK(key != 0);
   const uint32_t partition = PartitionOfKey(key);
-  uint64_t prev_link = BucketAddr(key);
-  uint64_t node = mem_->LoadWord(prev_link);
-  uint32_t steps = 0;  // corruption bound, see TxLocate
-  while (node != 0 && ++steps <= cfg_.capacity_per_partition) {
-    const uint64_t node_key = mem_->LoadWord(KeyAddr(node));
-    if (node_key == key) {
-      for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-        mem_->StoreWord(ValueAddr(node) + uint64_t{w} * kWordBytes, value[w]);
-      }
-      return false;
-    }
-    if (node_key > key) {
-      break;
-    }
-    prev_link = NextAddr(node);
-    node = mem_->LoadWord(prev_link);
-  }
-  const uint64_t fresh = AllocNode(partition);
-  TM2C_CHECK_MSG(fresh != 0, "KvStore load exceeds capacity_per_partition");
-  mem_->StoreWord(KeyAddr(fresh), key);
-  mem_->StoreWord(NextAddr(fresh), node);
-  for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-    mem_->StoreWord(ValueAddr(fresh) + uint64_t{w} * kWordBytes, value[w]);
-  }
-  mem_->StoreWord(prev_link, fresh);
-  return true;
+  return Upsert(HostAccess{mem_}, key, value, /*insert_only=*/false, [&] {
+    const uint64_t node = pool_.Alloc(partition);
+    TM2C_CHECK_MSG(node != 0, "KvStore load exceeds capacity_per_partition");
+    return node;
+  });
 }
 
 bool KvStore::HostGet(uint64_t key, uint64_t* value) const {
-  uint64_t node = mem_->LoadWord(BucketAddr(key));
-  uint32_t steps = 0;  // corruption bound, see TxLocate
-  while (node != 0 && ++steps <= cfg_.capacity_per_partition) {
-    const uint64_t node_key = mem_->LoadWord(KeyAddr(node));
-    if (node_key == key) {
-      for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-        value[w] = mem_->LoadWord(ValueAddr(node) + uint64_t{w} * kWordBytes);
-      }
-      return true;
-    }
-    if (node_key > key) {
-      return false;
-    }
-    node = mem_->LoadWord(NextAddr(node));
+  const ChainPos pos = Locate(HostAccess{mem_}, key);
+  if (!pos.found) {
+    return false;
   }
-  return false;
+  for (uint32_t w = 0; w < cfg_.value_words; ++w) {
+    value[w] = mem_->LoadWord(ValueAddr(pos.at) + uint64_t{w} * kWordBytes);
+  }
+  return true;
 }
 
 uint64_t KvStore::HostSizeOfPartition(uint32_t partition) const {
-  TM2C_CHECK(partition < parts_.size());
+  TM2C_CHECK(partition < num_partitions());
   uint64_t count = 0;
   for (uint32_t b = 0; b < cfg_.buckets_per_partition; ++b) {
-    uint64_t node = mem_->LoadWord(BucketAddrAt(partition, b));
-    uint32_t steps = 0;  // corruption bound, see TxLocate
-    while (node != 0 && ++steps <= cfg_.capacity_per_partition) {
-      ++count;
-      node = mem_->LoadWord(NextAddr(node));
-    }
+    ForEachInChain(HostAccess{mem_}, BucketAddrAt(partition, b), cfg_.capacity_per_partition,
+                   [&](uint64_t) { ++count; });
   }
   return count;
 }
@@ -510,17 +361,15 @@ uint64_t KvStore::HostSize() const {
 
 void KvStore::HostForEach(const std::function<void(uint64_t, const uint64_t*)>& fn) const {
   std::vector<uint64_t> value(cfg_.value_words);
+  const auto visit = [&](uint64_t node) {
+    for (uint32_t w = 0; w < cfg_.value_words; ++w) {
+      value[w] = mem_->LoadWord(ValueAddr(node) + uint64_t{w} * kWordBytes);
+    }
+    fn(mem_->LoadWord(ChainKeyAddr(node)), value.data());
+  };
   for (uint32_t p = 0; p < num_partitions(); ++p) {
     for (uint32_t b = 0; b < cfg_.buckets_per_partition; ++b) {
-      uint64_t node = mem_->LoadWord(BucketAddrAt(p, b));
-      uint32_t steps = 0;  // corruption bound, see TxLocate
-      while (node != 0 && ++steps <= cfg_.capacity_per_partition) {
-        for (uint32_t w = 0; w < cfg_.value_words; ++w) {
-          value[w] = mem_->LoadWord(ValueAddr(node) + uint64_t{w} * kWordBytes);
-        }
-        fn(mem_->LoadWord(KeyAddr(node)), value.data());
-        node = mem_->LoadWord(NextAddr(node));
-      }
+      ForEachInChain(HostAccess{mem_}, BucketAddrAt(p, b), cfg_.capacity_per_partition, visit);
     }
   }
 }

@@ -1,18 +1,20 @@
 // Partitioned transactional key-value store (the service-shaped workload).
 //
 // The store divides its keyspace into one partition per DTM service core
-// and lays each partition's memory — a bucket array plus a node pool — in
-// its own slab, registered with AddressMap::AddOwnedRange so every lock
-// acquisition for a partition's data is routed to the partition's owning
-// service core. This is the KVell share-little design: each service core
-// owns the locks (and, via the locality-aware allocator, usually the
-// memory controller) of exactly the keys that hash to it, so a mixed
-// read/write workload decomposes into per-core request streams instead of
-// scattering every transaction across all partitions.
+// and lays each partition's memory — a bucket array plus its node slots —
+// in its own slab of a NodePool (src/apps/node_pool.h), registered with
+// AddressMap::AddOwnedRange so every lock acquisition for a partition's
+// data is routed to the partition's owning service core. This is the
+// KVell share-little design: each service core owns the locks (and, via
+// the locality-aware allocator, usually the memory controller) of exactly
+// the keys that hash to it, so a mixed read/write workload decomposes into
+// per-core request streams instead of scattering every transaction across
+// all partitions.
 //
 // Within a partition, keys hash to chained buckets; each bucket is a
-// singly linked list sorted by key. Keys are non-zero 64-bit integers; 0
-// is the null pointer. Values are a fixed number of words
+// sorted chain (src/apps/access.h), walked by the same LocateInChain as
+// the hash table's. Keys are non-zero 64-bit integers; 0 is the null
+// pointer. Values are a fixed number of words
 // (KvStoreConfig::value_words), stored inline in the node:
 //
 //   node layout: [key][next][v0][v1]...[v_{value_words-1}]
@@ -23,10 +25,10 @@
 // round trips, and under the elastic modes it is exactly the paper's
 // Section 6 traversal (a sliding window of protected reads).
 //
-// Deleted nodes are recycled through a per-partition free list (a real
-// store cannot leak memory under a delete/reinsert workload); recycling is
-// safe because every node word is read and written under the DS-Lock
-// protocol — address reuse is just another write-after-release. The chaos
+// Deleted nodes go back to the partition's pool (a real store cannot leak
+// memory under a delete/reinsert workload); recycling is safe because
+// every node word is read and written under the DS-Lock protocol —
+// address reuse is just another write-after-release. The chaos
 // harness (tm2c_check --workload=kv) sweeps exactly this: lost updates on
 // hot keys and delete/reinsert node reuse under adversarial schedules.
 //
@@ -41,11 +43,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
+#include "src/apps/access.h"
+#include "src/apps/node_pool.h"
 #include "src/apps/tx_store_api.h"
 #include "src/runtime/core_env.h"
 #include "src/shmem/allocator.h"
@@ -60,12 +62,9 @@ struct KvStoreConfig {
   // Inline value payload, in words (>= 1).
   uint32_t value_words = 1;
   // Node-pool capacity per partition: the maximum number of resident
-  // entries a partition can hold (plus, with reuse off, every node ever
-  // deleted). Sized by the caller; exhaustion is a checked error.
+  // entries a partition can hold. Sized by the caller; exhaustion is a
+  // checked error.
   uint32_t capacity_per_partition = 1024;
-  // Recycle deleted nodes through the partition free list. On by default;
-  // tests turn it off to compare against the synchrobench-style leak.
-  bool reuse_nodes = true;
 };
 
 class KvStore : public TxStoreApi {
@@ -140,10 +139,10 @@ class KvStore : public TxStoreApi {
   // -- Crash recovery ------------------------------------------------------
   // Rebuilds one partition from its durable state: zeroes the slab, applies
   // the checkpoint image, replays the log suffix (both as [addr, value]
-  // pairs in append order), then reconstructs the host-side pool metadata
-  // (in_use / next_unused / free list) by walking the recovered bucket
-  // chains. Checked errors on pairs outside the slab or on structurally
-  // corrupt chains. Deterministic: recovering twice from the same inputs
+  // pairs in append order), then rebuilds the pool's bookkeeping
+  // (NodePool::Rebuild) from the slots the recovered bucket chains reach.
+  // Checked errors on pairs outside the slab or on structurally corrupt
+  // chains. Deterministic: recovering twice from the same inputs
   // yields a byte-identical slab and identical pool state.
   void RecoverPartition(uint32_t partition,
                         const std::vector<std::pair<uint64_t, uint64_t>>& checkpoint_pairs,
@@ -160,7 +159,7 @@ class KvStore : public TxStoreApi {
   // -- Introspection -------------------------------------------------------
   uint32_t PartitionOfKey(uint64_t key) const;
   uint32_t OwnerCore(uint64_t key) const;  // service core of the partition
-  uint32_t num_partitions() const override { return static_cast<uint32_t>(parts_.size()); }
+  uint32_t num_partitions() const override { return pool_.num_partitions(); }
   uint32_t value_words() const override { return cfg_.value_words; }
   uint32_t buckets_per_partition() const { return cfg_.buckets_per_partition; }
   // [base, base + bytes) of a partition's slab, for tests and the chaos
@@ -174,44 +173,32 @@ class KvStore : public TxStoreApi {
   uint64_t node_bytes() const { return node_words() * kWordBytes; }
 
  private:
-  struct Partition {
-    uint64_t slab_base = 0;   // stripe-aligned, registered with the map
-    uint64_t slab_bytes = 0;
-    uint64_t pool_base = 0;   // first node of the pool
-    uint32_t next_unused = 0; // bump index into the pool
-    std::vector<uint64_t> free_nodes;
-    uint64_t in_use = 0;
-    // Wrappers on the thread backend allocate/recycle concurrently.
-    std::mutex mu;
-  };
-
   // 64-bit finalizer; low half selects the partition, high half the bucket.
   static uint64_t Hash(uint64_t key);
   uint32_t BucketIndexOf(uint64_t key) const;
   uint64_t BucketAddr(uint64_t key) const;
   uint64_t BucketAddrAt(uint32_t partition, uint32_t bucket) const;
-  static uint64_t KeyAddr(uint64_t node) { return node; }
-  static uint64_t NextAddr(uint64_t node) { return node + kWordBytes; }
   static uint64_t ValueAddr(uint64_t node) { return node + 2 * kWordBytes; }
+  // The value_words addresses of a node's value.
+  std::vector<uint64_t> ValueAddrs(uint64_t node) const;
 
-  // Pool management (host-side metadata). AllocNode returns 0 on
-  // exhaustion; the wrappers turn that into a checked error.
-  uint64_t AllocNode(uint32_t partition);
-  void FreeNode(uint32_t partition, uint64_t node);
-
-  // Walks the bucket chain for `key`. Returns the node address (0 when
-  // absent) and stores the address of the link pointing at it (the bucket
-  // head or a predecessor's next word) in `prev_link`.
-  uint64_t TxLocate(Tx& tx, uint64_t key, uint64_t* prev_link) const;
-  // Links `node` in at `prev_link` (as returned by a missing TxLocate):
-  // fills key/next/value, then publishes by writing the link word last.
-  void TxLinkNew(Tx& tx, uint64_t prev_link, uint64_t node, uint64_t key,
-                 const uint64_t* value) const;
+  // Walks `key`'s bucket chain (see LocateInChain).
+  template <typename Acc>
+  ChainPos Locate(const Acc& acc, uint64_t key) const;
+  // Insert-or-update: on a hit writes the value in place (unless
+  // `insert_only`) and returns false; on a miss links in the node
+  // `new_node()` returns and returns true. The callback runs only on a
+  // miss.
+  template <typename Acc, typename NewNode>
+  bool Upsert(const Acc& acc, uint64_t key, const uint64_t* value, bool insert_only,
+              NewNode new_node) const;
+  // Put/Insert in their own transaction, drawing the node from the pool.
+  bool UpsertTx(TxRuntime& rt, uint64_t key, const uint64_t* value, bool insert_only);
 
   SharedMemory* mem_;
   KvStoreConfig cfg_;
   const DeploymentPlan* plan_;
-  std::vector<std::unique_ptr<Partition>> parts_;
+  NodePool pool_;
 };
 
 }  // namespace tm2c

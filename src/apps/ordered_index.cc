@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "src/apps/access.h"
 #include "src/common/check.h"
 
 namespace tm2c {
@@ -15,31 +16,6 @@ namespace {
 // answer beats a wedged walk.
 constexpr uint32_t kMaxDepth = 24;
 
-// The two memory accessors the shared algorithms are instantiated with:
-// transactional (reads acquire DS-Locks, writes defer to commit) and host
-// (direct shared-memory access at zero simulated cost).
-struct TxAccess {
-  Tx* tx;
-  uint64_t Load(uint64_t addr) const { return tx->Read(addr); }
-  void Store(uint64_t addr, uint64_t value) const { tx->Write(addr, value); }
-  std::vector<uint64_t> LoadMany(const std::vector<uint64_t>& addrs) const {
-    return tx->ReadMany(addrs);
-  }
-};
-
-struct HostAccess {
-  SharedMemory* mem;
-  uint64_t Load(uint64_t addr) const { return mem->LoadWord(addr); }
-  void Store(uint64_t addr, uint64_t value) const { mem->StoreWord(addr, value); }
-  std::vector<uint64_t> LoadMany(const std::vector<uint64_t>& addrs) const {
-    std::vector<uint64_t> vals(addrs.size());
-    for (size_t i = 0; i < addrs.size(); ++i) {
-      vals[i] = mem->LoadWord(addrs[i]);
-    }
-    return vals;
-  }
-};
-
 uint64_t PackMeta(bool is_leaf, uint32_t count) {
   return (uint64_t{count} << 1) | (is_leaf ? 1u : 0u);
 }
@@ -48,41 +24,23 @@ uint64_t PackMeta(bool is_leaf, uint32_t count) {
 
 OrderedIndex::OrderedIndex(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
                            const DeploymentPlan& plan, OrderedIndexConfig cfg)
-    : mem_(&mem), cfg_(cfg), plan_(&plan) {
+    : mem_(&mem),
+      cfg_(cfg),
+      plan_(&plan),
+      pool_(allocator, mem, map, plan, /*header_words=*/1, node_words(),
+            cfg.capacity_per_partition) {
   TM2C_CHECK(cfg_.key_min >= 1);  // 0 is the null pointer everywhere
   TM2C_CHECK(cfg_.key_max >= cfg_.key_min);
   TM2C_CHECK(cfg_.value_words >= 1);
   TM2C_CHECK(cfg_.fanout >= 3 && cfg_.fanout <= 16);
   TM2C_CHECK(cfg_.capacity_per_partition >= 4);
-  const uint32_t num_parts = plan.num_service();
-  TM2C_CHECK(num_parts >= 1);
   // Every partition must own a non-empty key sub-range.
-  TM2C_CHECK(cfg_.key_max - cfg_.key_min + 1 >= num_parts);
-
-  const uint64_t stripe = map.stripe_bytes();
-  const uint64_t raw_bytes =
-      (1 + uint64_t{cfg_.capacity_per_partition} * node_words()) * kWordBytes;
-  const uint64_t slab_bytes = (raw_bytes + stripe - 1) / stripe * stripe;
-  parts_.reserve(num_parts);
-  for (uint32_t p = 0; p < num_parts; ++p) {
-    auto part = std::make_unique<Partition>();
-    // Over-allocate by one stripe so the slab can be aligned to a stripe
-    // boundary (AddOwnedRange requires it); placed near the owning service
-    // core, as in the KV store.
-    const uint64_t raw = allocator.Alloc(slab_bytes + stripe, plan.ServiceCore(p));
-    part->slab_base = (raw + stripe - 1) / stripe * stripe;
-    part->slab_bytes = slab_bytes;
-    part->pool_base = part->slab_base + kWordBytes;
-    map.AddOwnedRange(part->slab_base, part->slab_bytes, p);
-    for (uint64_t off = 0; off < slab_bytes; off += kWordBytes) {
-      mem_->StoreWord(part->slab_base + off, 0);
-    }
+  TM2C_CHECK(cfg_.key_max - cfg_.key_min + 1 >= num_partitions());
+  for (uint32_t p = 0; p < num_partitions(); ++p) {
     // Each partition starts as one empty leaf (pool slot 0) as the root.
-    mem_->StoreWord(part->slab_base, part->pool_base);
-    mem_->StoreWord(part->pool_base, PackMeta(/*is_leaf=*/true, 0));
-    part->next_unused = 1;
-    part->in_use = 1;
-    parts_.push_back(std::move(part));
+    const uint64_t root = pool_.Alloc(p);
+    mem_->StoreWord(RootPtrAddr(p), root);
+    mem_->StoreWord(MetaAddr(root), PackMeta(/*is_leaf=*/true, 0));
   }
 }
 
@@ -119,47 +77,11 @@ uint32_t OrderedIndex::OwnerCore(uint64_t key) const {
 }
 
 std::pair<uint64_t, uint64_t> OrderedIndex::SlabRange(uint32_t partition) const {
-  TM2C_CHECK(partition < parts_.size());
-  return {parts_[partition]->slab_base, parts_[partition]->slab_bytes};
+  TM2C_CHECK(partition < num_partitions());
+  return pool_.Slab(partition);
 }
 
-uint64_t OrderedIndex::NodesInUse(uint32_t partition) const {
-  TM2C_CHECK(partition < parts_.size());
-  std::lock_guard<std::mutex> lock(parts_[partition]->mu);
-  return parts_[partition]->in_use;
-}
-
-bool OrderedIndex::InPool(uint32_t partition, uint64_t node) const {
-  const Partition& part = *parts_[partition];
-  return node >= part.pool_base &&
-         node < part.pool_base + uint64_t{cfg_.capacity_per_partition} * node_bytes() &&
-         (node - part.pool_base) % node_bytes() == 0;
-}
-
-uint64_t OrderedIndex::AllocNode(uint32_t partition) {
-  Partition& part = *parts_[partition];
-  std::lock_guard<std::mutex> lock(part.mu);
-  uint64_t node = 0;
-  if (!part.free_nodes.empty()) {
-    node = part.free_nodes.back();
-    part.free_nodes.pop_back();
-  } else if (part.next_unused < cfg_.capacity_per_partition) {
-    node = part.pool_base + uint64_t{part.next_unused} * node_bytes();
-    ++part.next_unused;
-  }
-  if (node != 0) {
-    ++part.in_use;
-  }
-  return node;
-}
-
-void OrderedIndex::FreeNode(uint32_t partition, uint64_t node) {
-  Partition& part = *parts_[partition];
-  std::lock_guard<std::mutex> lock(part.mu);
-  TM2C_DCHECK(part.in_use > 0);
-  --part.in_use;
-  part.free_nodes.push_back(node);
-}
+uint64_t OrderedIndex::NodesInUse(uint32_t partition) const { return pool_.InUse(partition); }
 
 uint64_t OrderedIndex::TakeScratchNode(uint32_t partition, SmoScratch* scratch) {
   for (size_t i = 0; i < scratch->fresh.size(); ++i) {
@@ -168,7 +90,7 @@ uint64_t OrderedIndex::TakeScratchNode(uint32_t partition, SmoScratch* scratch) 
       return scratch->fresh[i].second;
     }
   }
-  const uint64_t node = AllocNode(partition);
+  const uint64_t node = pool_.Alloc(partition);
   TM2C_CHECK_MSG(node != 0, "OrderedIndex SMO needs a node (partition pool exhausted?)");
   scratch->fresh.emplace_back(partition, node);
   scratch->taken.push_back(true);
@@ -178,18 +100,14 @@ uint64_t OrderedIndex::TakeScratchNode(uint32_t partition, SmoScratch* scratch) 
 void OrderedIndex::SettleScratch(SmoScratch* scratch) {
   for (size_t i = 0; i < scratch->fresh.size(); ++i) {
     if (!scratch->taken[i]) {
-      FreeNode(scratch->fresh[i].first, scratch->fresh[i].second);
+      pool_.Free(scratch->fresh[i].first, scratch->fresh[i].second);
     }
   }
   scratch->fresh.clear();
   scratch->taken.clear();
-  if (cfg_.reuse_nodes) {
-    for (const auto& [p, node] : scratch->freed) {
-      FreeNode(p, node);
-    }
+  for (const auto& [p, node] : scratch->freed) {
+    pool_.Free(p, node);
   }
-  // With reuse off, unlinked nodes stay counted as in-use — the
-  // synchrobench-style leak; HostCheckStructure skips node accounting then.
   scratch->freed.clear();
 }
 
@@ -227,7 +145,7 @@ bool OrderedIndex::Descend(const Acc& acc, uint32_t partition, uint64_t key,
   d->path.clear();
   uint64_t node = acc.Load(RootPtrAddr(partition));
   for (uint32_t depth = 0; depth < kMaxDepth; ++depth) {
-    if (!InPool(partition, node)) {
+    if (!pool_.Contains(partition, node)) {
       return false;
     }
     NodeView v = ReadNode(acc, node);
@@ -417,7 +335,7 @@ uint32_t OrderedIndex::ScanImpl(
       if (b < v.count && v.keys[b] > hi) {
         return appended;  // sorted leaves: nothing beyond hi anywhere
       }
-      if (v.next == 0 || !InPool(p, v.next) ||
+      if (v.next == 0 || !pool_.Contains(p, v.next) ||
           ++steps > cfg_.capacity_per_partition) {
         break;  // end of this partition's chain (or corrupt link)
       }
@@ -565,7 +483,7 @@ void OrderedIndex::RebalanceImpl(const Acc& acc, uint32_t partition, const Desce
     const uint32_t li = cur_is_left ? di : di - 1;  // left child's slot
     const uint32_t ri = li + 1;
     const uint64_t sibling_addr = parent.payload0[cur_is_left ? ri : li];
-    if (!InPool(partition, sibling_addr)) {
+    if (!pool_.Contains(partition, sibling_addr)) {
       return;
     }
     const NodeView sib = ReadNode(acc, sibling_addr);
@@ -774,15 +692,6 @@ bool OrderedIndex::HostPut(uint64_t key, const uint64_t* value) {
   return inserted;
 }
 
-bool OrderedIndex::HostInsert(uint64_t key, const uint64_t* value) {
-  SmoScratch scratch;
-  scratch.ResetAttempt();
-  const bool inserted =
-      PutImpl(HostAccess{mem_}, key, value, /*insert_only=*/true, &scratch);
-  SettleScratch(&scratch);
-  return inserted;
-}
-
 bool OrderedIndex::HostDelete(uint64_t key, uint64_t* old_value) {
   SmoScratch scratch;
   scratch.ResetAttempt();
@@ -820,10 +729,10 @@ std::vector<KvEntry> OrderedIndex::HostRangeScan(uint64_t lo, uint64_t hi,
 }
 
 uint32_t OrderedIndex::HostDepthOfPartition(uint32_t partition) const {
-  TM2C_CHECK(partition < parts_.size());
+  TM2C_CHECK(partition < num_partitions());
   uint64_t node = mem_->LoadWord(RootPtrAddr(partition));
   uint32_t depth = 0;
-  while (InPool(partition, node) && depth < kMaxDepth) {
+  while (pool_.Contains(partition, node) && depth < kMaxDepth) {
     ++depth;
     const uint64_t meta = mem_->LoadWord(MetaAddr(node));
     if ((meta & 1) != 0) {
@@ -869,7 +778,7 @@ void OrderedIndex::HostCheckStructure(std::vector<std::string>* problems) const 
         complain("tree deeper than the corruption bound");
         return range;
       }
-      if (!InPool(p, node)) {
+      if (!pool_.Contains(p, node)) {
         complain("child pointer outside the node pool");
         return range;
       }
@@ -936,7 +845,7 @@ void OrderedIndex::HostCheckStructure(std::vector<std::string>* problems) const 
       return range;
     };
     const uint64_t root = mem_->LoadWord(RootPtrAddr(p));
-    if (!InPool(p, root)) {
+    if (!pool_.Contains(p, root)) {
       complain("root pointer outside the node pool");
       continue;
     }
@@ -953,7 +862,7 @@ void OrderedIndex::HostCheckStructure(std::vector<std::string>* problems) const 
     uint64_t node = leaves.empty() ? 0 : leaves.front();
     uint32_t steps = 0;
     while (node != 0) {
-      if (!InPool(p, node)) {
+      if (!pool_.Contains(p, node)) {
         complain("leaf chain link outside the node pool");
         break;
       }
@@ -986,16 +895,13 @@ void OrderedIndex::HostCheckStructure(std::vector<std::string>* problems) const 
     }
 
     // Pass 3: node accounting — every live pool node must be reachable
-    // from the root. (With reuse_nodes off, merged-away nodes deliberately
-    // stay counted as in-use, so the comparison would misfire.)
-    if (cfg_.reuse_nodes) {
-      const uint64_t in_use = NodesInUse(p);
-      if (reachable.size() != in_use) {
-        std::ostringstream os;
-        os << "node accounting: " << reachable.size() << " reachable vs " << in_use
-           << " allocated";
-        complain(os.str());
-      }
+    // from the root.
+    const uint64_t in_use = NodesInUse(p);
+    if (reachable.size() != in_use) {
+      std::ostringstream os;
+      os << "node accounting: " << reachable.size() << " reachable vs " << in_use
+         << " allocated";
+      complain(os.str());
     }
   }
 }

@@ -2,12 +2,12 @@
 //
 // The index divides its key RANGE — not a hash of it — into one contiguous
 // sub-range per DTM service core and gives each partition its own B+-tree
-// in its own slab (root pointer + node pool), registered with
-// AddressMap::AddOwnedRange. As in the KV store this is the share-little
-// layout: every lock acquisition for a partition's keys routes to the
-// partition's owning service core, and because the partitioning is by
-// range, a range scan's lock traffic walks the service cores in key order
-// instead of spraying them.
+// in its own slab of a NodePool (src/apps/node_pool.h; a root pointer,
+// then the node slots), registered with AddressMap::AddOwnedRange. As in
+// the KV store this is the share-little layout: every lock acquisition for
+// a partition's keys routes to the partition's owning service core, and
+// because the partitioning is by range, a range scan's lock traffic walks
+// the service cores in key order instead of spraying them.
 //
 // Within a partition the tree is a B+-tree of uniform node slots. Every
 // node — leaf or inner — holds up to `fanout` sorted entries:
@@ -32,10 +32,14 @@
 // Structure-modification operations — leaf/inner splits, sibling merges,
 // borrows, root growth and collapse — are ordinary deferred writes inside
 // the caller's transaction: the whole SMO commits atomically or not at
-// all. Node allocation is host-side (per-partition pools with free-list
-// recycling, as in the KV store); an SmoScratch carries allocations across
-// the retries of one transaction and returns unused or unlinked nodes to
-// the pools only after the commit.
+// all. Node allocation is host-side, from the same NodePool the KV store
+// uses; an SmoScratch carries allocations across the retries of one
+// transaction and returns unused or unlinked nodes to the pool only after
+// the commit.
+//
+// The algorithms are written once, as templates over the memory accessors
+// of src/apps/access.h: the Tx* methods run them on TxAccess, the Host*
+// helpers on HostAccess.
 //
 // Scan(lo, hi) descends once to the leaf containing `lo`, then walks the
 // leaf chain, hopping to the next partition's tree when a chain ends.
@@ -48,12 +52,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/apps/node_pool.h"
 #include "src/apps/tx_store_api.h"
 #include "src/runtime/core_env.h"
 #include "src/shmem/allocator.h"
@@ -77,8 +80,6 @@ struct OrderedIndexConfig {
   // caller; exhaustion is a checked error. A tree of N entries needs at
   // most ~2*ceil(2N/fanout) nodes.
   uint32_t capacity_per_partition = 1024;
-  // Recycle merged-away nodes through the partition free list.
-  bool reuse_nodes = true;
   // Planted SMO fault (verification only; FaultMode::kSmoSkipParentLink):
   // a leaf split publishes the new right leaf in the leaf chain but SKIPS
   // linking it into its parent — the classic publish-child-before-
@@ -159,7 +160,6 @@ class OrderedIndex : public TxStoreApi {
 
   // -- Host-side helpers (zero simulated cost; load phase + verification) --
   bool HostPut(uint64_t key, const uint64_t* value) override;  // insert-or-update
-  bool HostInsert(uint64_t key, const uint64_t* value);        // insert-only
   bool HostDelete(uint64_t key, uint64_t* old_value = nullptr);
   bool HostGet(uint64_t key, uint64_t* value) const override;
   uint64_t HostSize() const override;
@@ -186,7 +186,7 @@ class OrderedIndex : public TxStoreApi {
   // Tree height of a partition (1 = the root is a leaf). Host-side; the
   // chaos harness uses it to assert its trees are non-vacuously deep.
   uint32_t HostDepthOfPartition(uint32_t partition) const;
-  uint32_t num_partitions() const override { return static_cast<uint32_t>(parts_.size()); }
+  uint32_t num_partitions() const override { return pool_.num_partitions(); }
   uint32_t value_words() const override { return cfg_.value_words; }
   uint32_t fanout() const { return cfg_.fanout; }
   uint64_t key_min() const { return cfg_.key_min; }
@@ -200,17 +200,6 @@ class OrderedIndex : public TxStoreApi {
   uint64_t node_bytes() const { return node_words() * kWordBytes; }
 
  private:
-  struct Partition {
-    uint64_t slab_base = 0;   // stripe-aligned; word 0 is the root pointer
-    uint64_t slab_bytes = 0;
-    uint64_t pool_base = 0;
-    uint32_t next_unused = 0;
-    std::vector<uint64_t> free_nodes;
-    uint64_t in_use = 0;
-    // Wrappers on the thread backend allocate/recycle concurrently.
-    std::mutex mu;
-  };
-
   // One node as read by a single ReadMany: meta, next, every key and
   // payload word 0 of every slot (an inner entry's child pointer, a leaf
   // entry's first value word). Counts are clamped to the fanout on read so
@@ -235,7 +224,8 @@ class OrderedIndex : public TxStoreApi {
     NodeView leaf;
   };
 
-  uint64_t RootPtrAddr(uint32_t partition) const { return parts_[partition]->slab_base; }
+  // The slab header's one word.
+  uint64_t RootPtrAddr(uint32_t partition) const { return pool_.Slab(partition).first; }
   uint64_t MetaAddr(uint64_t node) const { return node; }
   uint64_t NextAddr(uint64_t node) const { return node + kWordBytes; }
   uint64_t KeyAddr(uint64_t node, uint32_t i) const {
@@ -245,21 +235,14 @@ class OrderedIndex : public TxStoreApi {
     return node + (2 + uint64_t{cfg_.fanout} + uint64_t{i} * cfg_.value_words) * kWordBytes;
   }
 
-  // Pool management (host-side metadata). AllocNode returns 0 on
-  // exhaustion; callers turn that into a checked error.
-  uint64_t AllocNode(uint32_t partition);
-  void FreeNode(uint32_t partition, uint64_t node);
   // Draws a node for `partition` from the scratch (reusing an untaken
   // earlier allocation first). Checked error on pool exhaustion.
   uint64_t TakeScratchNode(uint32_t partition, SmoScratch* scratch);
-  // True iff `node` is a properly aligned slot of the partition's pool —
-  // the guard every pointer read from shared memory passes before it is
-  // dereferenced, so corrupted links dead-end instead of walking wild.
-  bool InPool(uint32_t partition, uint64_t node) const;
 
   // The algorithms, templated over a memory accessor so the transactional
-  // and host paths share one implementation (defined in the .cc; both
-  // accessors live there too).
+  // and host paths share one implementation (defined in the .cc). Every
+  // pointer read from shared memory passes pool_.Contains before it is
+  // dereferenced, so corrupted links dead-end instead of walking wild.
   template <typename Acc>
   NodeView ReadNode(const Acc& acc, uint64_t node) const;
   template <typename Acc>
@@ -302,7 +285,7 @@ class OrderedIndex : public TxStoreApi {
   SharedMemory* mem_;
   OrderedIndexConfig cfg_;
   const DeploymentPlan* plan_;
-  std::vector<std::unique_ptr<Partition>> parts_;
+  NodePool pool_;
 };
 
 }  // namespace tm2c

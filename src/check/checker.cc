@@ -498,7 +498,6 @@ CheckRunResult RunCheckedKvWorkload(const CheckRunConfig& cfg) {
   // overlap), capacity just above the keyspace so recycling is exercised.
   kv_cfg.buckets_per_partition = 2;
   kv_cfg.capacity_per_partition = cfg.accounts + 8;
-  kv_cfg.reuse_nodes = true;
   KvStore store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), kv_cfg);
   LoadStoreMixKeys(store, cfg.accounts);
 
@@ -531,7 +530,6 @@ CheckRunResult RunCheckedIndexWorkload(const CheckRunConfig& cfg) {
   // pool — so the structural invariants get to deliver the verdict.
   oi_cfg.capacity_per_partition =
       static_cast<uint32_t>(2 * keys_per_partition + 4 * cfg.txs_per_core);
-  oi_cfg.reuse_nodes = true;
   oi_cfg.smo_skip_parent_link = cfg.fault == FaultMode::kSmoSkipParentLink;
   OrderedIndex store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
                      oi_cfg);

@@ -81,11 +81,6 @@ void JsonWriter::Bool(bool value) {
   out_ += value ? "true" : "false";
 }
 
-void JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-}
-
 std::string JsonWriter::Take() {
   std::string result = std::move(out_);
   out_.clear();

@@ -33,7 +33,6 @@ class JsonWriter {
   void Number(uint64_t value);
   void Number(int value);
   void Bool(bool value);
-  void Null();
 
   // Convenience for the common `"key": value` pair.
   template <typename T>

@@ -93,10 +93,6 @@ class PartitionDurability {
   // the log records it covers replayed over them.
   std::vector<std::pair<uint64_t, uint64_t>> ImageAt(uint64_t index) const;
 
-  // Flushes the WAL backing file's stdio buffer without advancing the
-  // durable watermark (see Wal::FlushFile — the pre-fork hazard).
-  void FlushBackingFile() { wal_.FlushFile(); }
-
   // (core, epoch) -> record index for every commit that survived a
   // RecoverFromBackingFile.
   using RecoveredCommits = std::map<std::pair<uint32_t, uint64_t>, uint64_t>;

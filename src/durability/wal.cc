@@ -166,8 +166,9 @@ WalReadResult Wal::RecoverBackingFile() {
   TM2C_CHECK_MSG(!options_.path.empty(), "wal: recovery needs a backing file");
   if (file_ != nullptr) {
     // A restarted server's inherited handle: its stdio buffer is empty
-    // (the parent flushed before forking), so closing only drops this
-    // process's view of the descriptor.
+    // (Init flushed the header, and the host appends nothing before it
+    // forks the servers), so closing only drops this process's view of
+    // the descriptor.
     std::fclose(file_);
     file_ = nullptr;
   }
@@ -208,7 +209,11 @@ WalReadResult Wal::Init() {
   }
   file_ = std::fopen(options_.path.c_str(), "wb");
   TM2C_CHECK_MSG(file_ != nullptr, "wal: could not open backing file");
+  // Flushed at once, so that no copy of the header waits in a stdio buffer
+  // a forked process inherits: each copy would land in the shared file
+  // again, after whatever the other processes appended by then.
   TM2C_CHECK(std::fwrite(kWalMagic, 1, kWalHeaderBytes, file_) == kWalHeaderBytes);
+  TM2C_CHECK(std::fflush(file_) == 0);
   WalReadResult fresh;
   fresh.valid_bytes = kWalHeaderBytes;
   return fresh;
@@ -253,12 +258,6 @@ void Wal::Flush() {
   }
   durable_records_ = appended_records_;
   durable_bytes_ = bytes_;
-}
-
-void Wal::FlushFile() {
-  if (file_ != nullptr) {
-    TM2C_CHECK(std::fflush(file_) == 0);
-  }
 }
 
 }  // namespace tm2c

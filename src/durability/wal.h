@@ -140,12 +140,6 @@ class Wal {
   // the backing file and advances the durable watermark.
   void Flush();
 
-  // Flushes the backing file's stdio buffer WITHOUT advancing the durable
-  // watermark. The process backend calls this on every log before forking
-  // partition servers: buffered bytes sitting in the parent's stdio buffer
-  // would otherwise be duplicated into the file by every child's exit.
-  void FlushFile();
-
   // Reinitializes this log from its backing file (recover_existing
   // semantics): closes the current handle, keeps the file's valid prefix,
   // truncates any torn tail off the file, and continues appending after

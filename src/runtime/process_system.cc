@@ -224,9 +224,6 @@ SimTime ProcessSystem::Run(SimTime /*until*/) {
   started_ = true;
   const SimTime start = HostNowPs();
 
-  if (pre_fork_) {
-    pre_fork_();
-  }
   // Fork every server — one primary plus one cold standby per partition —
   // while the host is still single-threaded, so the children inherit a
   // quiescent copy of the pre-run state.

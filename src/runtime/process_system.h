@@ -101,11 +101,6 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
 
   // --- process-specific surface (wired up by TmSystem before Run) ---
 
-  // Runs host-side immediately before the servers fork. The durability
-  // layer uses it to flush buffered WAL file state: a stdio buffer
-  // duplicated into every child would otherwise be written twice.
-  void SetPreForkHook(std::function<void()> hook) { pre_fork_ = std::move(hook); }
-
   // Runs in the child process after its socket is connected and before its
   // service main. `is_restart` marks a standby activated to replace a
   // killed primary: the hook recovers the partition's WAL and primes the
@@ -218,7 +213,6 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   std::vector<uint32_t> gen_view_;
   std::vector<std::unique_ptr<Partition>> parts_;
 
-  std::function<void()> pre_fork_;
   std::function<void(uint32_t, bool, CoreEnv&)> child_start_;
   std::function<Message(uint32_t)> child_exit_report_;
   std::function<void(uint32_t, const Message&)> host_frame_;

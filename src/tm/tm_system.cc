@@ -148,15 +148,6 @@ void TmSystem::WireProcessBackend() {
   auto* proc = static_cast<ProcessSystem*>(system_.get());
   proc->SetAbortStatusBase(config_.tm.abort_status_base);
 
-  // The WAL backing files' stdio buffers must not be duplicated into the
-  // children: each would flush its inherited copy on exit and double the
-  // host-side load-phase records (checkpoint 0 seals, notably).
-  proc->SetPreForkHook([this]() {
-    for (auto& dur : durability_) {
-      dur->FlushBackingFile();
-    }
-  });
-
   // Runs inside the freshly forked (or restarted) partition server, which
   // inherited attached_trace_ from the host: with no trace attached before
   // Run the server emits nothing, and a trace event costs one branch. The
@@ -275,20 +266,12 @@ SimTime TmSystem::Run(SimTime until) {
   // record append and its group-commit flush. The records are in the log;
   // force them durable so post-run accounting is exact (commit_records ==
   // flushed records) and the final WAL image matches the final KV state.
-  // Not under processes: the host's services are stale pre-fork images,
-  // and every partition server already flushed on its kShutdown path.
-  if (config_.backend != BackendKind::kProcesses) {
-    for (auto& service : services_) {
-      service->QuiesceFlush();
-    }
+  // Under processes the host's services never ran (every partition server
+  // flushed on its own kShutdown path), so this finds nothing to do.
+  for (auto& service : services_) {
+    service->QuiesceFlush();
   }
   return elapsed;
-}
-
-SimSystem& TmSystem::sim() {
-  TM2C_CHECK_MSG(config_.backend == BackendKind::kSim,
-                 "sim() is only valid on the simulator backend");
-  return static_cast<SimSystem&>(*system_);
 }
 
 ProcessSystem& TmSystem::process() {

@@ -97,10 +97,6 @@ class TmSystem {
   ShmAllocator& allocator() { return system_->allocator(); }
   BackendKind backend() const { return config_.backend; }
 
-  // Simulator-specific handle (engine, latency model, chaos). Checked:
-  // only valid when backend() == BackendKind::kSim.
-  SimSystem& sim();
-
   // Process-specific handle (kill/restart chaos, exit reports). Checked:
   // only valid when backend() == BackendKind::kProcesses.
   ProcessSystem& process();

@@ -2,11 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/apps/bank.h"
 #include "src/apps/hash_table.h"
-#include "src/apps/linked_list.h"
 #include "src/apps/mapreduce.h"
+#include "src/apps/node_pool.h"
 #include "src/tm/tm_system.h"
 
 namespace tm2c {
@@ -230,7 +231,7 @@ TEST(HashTableApp, SequentialBaselineWorks) {
 
 TEST(LinkedListApp, SortedSetSemantics) {
   TmSystem sys(BaseConfig(4, 2));
-  ShmSortedList list(sys.allocator(), sys.shmem());
+  ShmHashTable list(sys.allocator(), sys.shmem(), 1);
   sys.SetAppBody(0, [&](CoreEnv& env, TxRuntime& rt) {
     std::set<uint64_t> reference;
     Rng rng(5);
@@ -254,7 +255,7 @@ void RunListConcurrencyTest(TxMode mode) {
   TmSystemConfig cfg = BaseConfig(6, 3);
   cfg.tm.tx_mode = mode;
   TmSystem sys(std::move(cfg));
-  ShmSortedList list(sys.allocator(), sys.shmem());
+  ShmHashTable list(sys.allocator(), sys.shmem(), 1);
   for (uint64_t key = 2; key <= 64; key += 2) {
     list.HostAdd(sys.allocator(), key);
   }
@@ -300,7 +301,7 @@ TEST(LinkedListApp, ElasticModesReduceAborts) {
     cfg.tm.tx_mode = mode;
     cfg.sim.seed = 11;
     TmSystem sys(std::move(cfg));
-    ShmSortedList list(sys.allocator(), sys.shmem());
+    ShmHashTable list(sys.allocator(), sys.shmem(), 1);
     for (uint64_t key = 1; key <= 128; ++key) {
       list.HostAdd(sys.allocator(), key);
     }
@@ -399,6 +400,114 @@ TEST(MapReduceApp, ResetRunClearsState) {
   app.ResetRun();
   std::array<uint64_t, MapReduceApp::kLetters> zeros{};
   EXPECT_EQ(app.HostResultCounts(), zeros);
+}
+
+// ----------------------------------------------------------- Node pool --
+
+// Each partition: a 2-word header, then 6 slots of 3 words.
+constexpr uint64_t kPoolHeaderWords = 2;
+constexpr uint64_t kPoolNodeWords = 3;
+constexpr uint32_t kPoolCapacity = 6;
+
+NodePool MakePool(TmSystem& sys) {
+  return NodePool(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                  kPoolHeaderWords, kPoolNodeWords, kPoolCapacity);
+}
+
+uint64_t SlotAddr(const NodePool& pool, uint32_t partition, uint32_t slot) {
+  return pool.Slab(partition).first + (kPoolHeaderWords + slot * kPoolNodeWords) * kWordBytes;
+}
+
+TEST(NodePool, BumpOrderThenLifoReuse) {
+  TmSystem sys(BaseConfig(4, 2));
+  NodePool pool = MakePool(sys);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, i));
+  }
+  EXPECT_EQ(pool.Alloc(1), SlotAddr(pool, 1, 0));  // partitions count separately
+  pool.Free(0, SlotAddr(pool, 0, 0));
+  pool.Free(0, SlotAddr(pool, 0, 2));
+  EXPECT_EQ(pool.InUse(0), 1u);
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 2));  // the last freed first
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 0));
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 3));  // then the bump index again
+  EXPECT_EQ(pool.InUse(0), 4u);
+  EXPECT_EQ(pool.InUse(1), 1u);
+}
+
+TEST(NodePool, AllocReturnsZeroWhenExhausted) {
+  TmSystem sys(BaseConfig(4, 2));
+  NodePool pool = MakePool(sys);
+  for (uint32_t i = 0; i < kPoolCapacity; ++i) {
+    EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, i));
+  }
+  EXPECT_EQ(pool.Alloc(0), 0u);
+  EXPECT_EQ(pool.InUse(0), kPoolCapacity);
+  EXPECT_EQ(pool.Alloc(1), SlotAddr(pool, 1, 0));  // the other partition has room
+  pool.Free(0, SlotAddr(pool, 0, 4));
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 4));
+  EXPECT_EQ(pool.Alloc(0), 0u);
+}
+
+TEST(NodePool, ContainsOnlyAlignedSlotsOfItsOwnPartition) {
+  TmSystem sys(BaseConfig(4, 2));
+  NodePool pool = MakePool(sys);
+  for (uint32_t i = 0; i < kPoolCapacity; ++i) {
+    EXPECT_TRUE(pool.Contains(0, SlotAddr(pool, 0, i)));
+    EXPECT_EQ(pool.SlotOf(0, SlotAddr(pool, 0, i)), i);
+    EXPECT_FALSE(pool.Contains(0, SlotAddr(pool, 0, i) + kWordBytes));  // misaligned
+    EXPECT_FALSE(pool.Contains(1, SlotAddr(pool, 0, i)));  // another partition's
+  }
+  EXPECT_FALSE(pool.Contains(0, 0));
+  EXPECT_FALSE(pool.Contains(0, pool.Slab(0).first));  // the header
+  EXPECT_FALSE(pool.Contains(0, SlotAddr(pool, 0, 0) - kPoolNodeWords * kWordBytes));
+  EXPECT_FALSE(pool.Contains(0, SlotAddr(pool, 0, kPoolCapacity)));  // past the end
+}
+
+TEST(NodePool, RebuildKeepsTheLiveSlotsAndFreesTheHolesBelowThem) {
+  TmSystem sys(BaseConfig(4, 2));
+  NodePool pool = MakePool(sys);
+  EXPECT_NE(pool.Alloc(0), 0u);  // bookkeeping the rebuild replaces
+  // Slots 1 and 3 live: holes 0 and 2 go on the free list in ascending
+  // order (so the LIFO hands out 2 first), and slot 4 is the next
+  // untouched one.
+  pool.Rebuild(0, {false, true, false, true, false, false});
+  EXPECT_EQ(pool.InUse(0), 2u);
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 2));
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 0));
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 4));
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 5));
+  EXPECT_EQ(pool.Alloc(0), 0u);
+  // Nothing live: the pool starts over at slot 0.
+  pool.Rebuild(0, std::vector<bool>(kPoolCapacity, false));
+  EXPECT_EQ(pool.InUse(0), 0u);
+  EXPECT_EQ(pool.Alloc(0), SlotAddr(pool, 0, 0));
+}
+
+TEST(NodePool, SlabsAreStripeAlignedOwnedAndZeroed) {
+  TmSystemConfig cfg = BaseConfig(6, 3);
+  cfg.tm.stripe_bytes = 64;
+  TmSystem sys(std::move(cfg));
+  // Dirty the whole shared memory: whatever the allocator hands the pool
+  // must come back zeroed.
+  for (uint64_t addr = 0; addr < sys.shmem().size_bytes(); addr += kWordBytes) {
+    sys.shmem().StoreWord(addr, 0xDEADDEADDEADDEADull);
+  }
+  NodePool pool = MakePool(sys);
+  ASSERT_EQ(pool.num_partitions(), 3u);
+  for (uint32_t p = 0; p < pool.num_partitions(); ++p) {
+    const auto [base, bytes] = pool.Slab(p);
+    EXPECT_EQ(base % 64, 0u);
+    EXPECT_EQ(bytes, 192u);  // 20 words, rounded up to whole stripes
+    uint64_t foreign = 0;
+    uint64_t dirty = 0;
+    for (uint64_t addr = base; addr < base + bytes; addr += kWordBytes) {
+      foreign += sys.address_map().PartitionOf(addr) == p ? 0 : 1;
+      dirty += sys.shmem().LoadWord(addr) == 0 ? 0 : 1;
+    }
+    EXPECT_EQ(foreign, 0u) << "partition " << p;
+    EXPECT_EQ(dirty, 0u) << "partition " << p;
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // KvStore recovery determinism, group-commit flush accounting, planted
 // write-ahead-rule violations, and small crash-recovery chaos sweeps.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -128,6 +131,35 @@ TEST(Wal, FileBackedLogRoundTripsThroughFsync) {
   ASSERT_EQ(r.records.size(), 1u);
   EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{7, 8, 9}));
   EXPECT_TRUE(ReadWalFile(path + ".does-not-exist").bad_magic);
+  std::remove(path.c_str());
+}
+
+// A forked process inherits the log's stdio buffer. A fresh log has
+// already flushed its header, so the child's appends and the parent's
+// close leave exactly one header and the child's record in the file.
+TEST(Wal, ForkedAppenderLeavesOneCleanRecord) {
+  const std::string path = testing::TempDir() + "/tm2c_wal_fork_test.log";
+  Wal::Options opts;
+  opts.path = path;
+  auto wal = std::make_unique<Wal>(opts);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const uint64_t payload[] = {4, 5, 6};
+    wal->Append(payload, 3);
+    wal->Flush();
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  wal.reset();
+
+  const WalReadResult r = ReadWalFile(path);
+  EXPECT_TRUE(r.clean());
+  EXPECT_FALSE(r.torn_tail);
+  ASSERT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{4, 5, 6}));
   std::remove(path.c_str());
 }
 

@@ -154,6 +154,21 @@ TEST(KvStore, HostHelpersAndLoadPhase) {
   EXPECT_EQ(per_partition, 40u);
 }
 
+TEST(KvStoreDeathTest, LoadPastCapacityFailsTheCheck) {
+  EXPECT_DEATH(
+      {
+        TmSystem sys(SmallConfig());
+        KvStoreConfig cfg = SmallStore(1);
+        cfg.capacity_per_partition = 4;
+        KvStore store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), cfg);
+        const uint64_t value = 1;
+        for (uint64_t key = 1; key <= 9; ++key) {  // 9 keys > 2 partitions x 4 slots
+          store.HostPut(key, &value);
+        }
+      },
+      "KvStore load exceeds capacity_per_partition");
+}
+
 TEST(KvStore, AllSlabAddressesRouteToTheOwningPartition) {
   TmSystem sys(SmallConfig(8, 4));
   KvStore store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),

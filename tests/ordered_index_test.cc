@@ -83,6 +83,22 @@ TEST(OrderedIndex, HostHelpersAndLoadPhase) {
   });
 }
 
+TEST(OrderedIndexDeathTest, LoadPastCapacityFailsTheCheck) {
+  EXPECT_DEATH(
+      {
+        TmSystem sys(SmallConfig());
+        OrderedIndexConfig cfg = SmallIndex(1, 3);
+        cfg.capacity_per_partition = 4;  // at most 12 keys per partition at fanout 3
+        OrderedIndex index(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                           cfg);
+        const uint64_t value = 1;
+        for (uint64_t key = 1; key <= cfg.key_max; ++key) {
+          index.HostPut(key, &value);
+        }
+      },
+      "OrderedIndex SMO needs a node");
+}
+
 TEST(OrderedIndex, AllSlabAddressesRouteToTheOwningPartition) {
   TmSystem sys(SmallConfig(8, 4));
   OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),

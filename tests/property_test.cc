@@ -20,7 +20,7 @@
 #include <cstdlib>
 #include <tuple>
 
-#include "src/apps/linked_list.h"
+#include "src/apps/hash_table.h"
 #include "src/tm/tm_system.h"
 
 namespace tm2c {
@@ -85,7 +85,7 @@ TEST_P(TmPropertySweep, InvariantsHold) {
   for (uint32_t a = 0; a < kAccounts; ++a) {
     sys.shmem().StoreWord(base + a * 8, kInitial);
   }
-  ShmSortedList list(sys.allocator(), sys.shmem());
+  ShmHashTable list(sys.allocator(), sys.shmem(), 1);
   for (uint64_t key = 2; key <= 32; key += 2) {
     list.HostAdd(sys.allocator(), key);
   }

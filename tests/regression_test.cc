@@ -3,7 +3,7 @@
 // corrupted state or hung, with the tightest workload that triggered it.
 #include <gtest/gtest.h>
 
-#include "src/apps/linked_list.h"
+#include "src/apps/hash_table.h"
 #include "src/tm/tm_system.h"
 
 namespace tm2c {
@@ -36,7 +36,7 @@ TEST(Regression, ServingLivelockMultitasked) {
   for (uint32_t a = 0; a < kAccounts; ++a) {
     sys.shmem().StoreWord(base + a * 8, 100);
   }
-  ShmSortedList list(sys.allocator(), sys.shmem());
+  ShmHashTable list(sys.allocator(), sys.shmem(), 1);
   for (uint64_t key = 2; key <= 32; key += 2) {
     list.HostAdd(sys.allocator(), key);
   }
@@ -119,7 +119,7 @@ TEST_P(ElasticStructuralRegression, SetSemanticsPreserved) {
   for (DeployStrategy strategy : {DeployStrategy::kDedicated, DeployStrategy::kMultitasked}) {
     TmSystemConfig cfg = Config(CmKind::kFairCm, GetParam(), strategy);
     TmSystem sys(std::move(cfg));
-    ShmSortedList list(sys.allocator(), sys.shmem());
+    ShmHashTable list(sys.allocator(), sys.shmem(), 1);
     for (uint64_t key = 2; key <= 24; key += 2) {
       list.HostAdd(sys.allocator(), key);
     }
