@@ -8,8 +8,12 @@
 //      congestion.
 //
 // 20% updates / 80% contains. The paper uses a 2048-element list; we use
-// 512 elements to keep simulated transactions (and the bench) short — the
-// comparison between modes is unaffected.
+// 512 elements to keep simulated transactions (and the bench) short. The
+// list length moves the ratios between modes: over 2..48 cores the rows
+// read elastic-read 5.6..10.5x and elastic-early 0.76..0.93x at 512
+// elements, against 5.0..16.4x and 0.77..1.14x at 2048. A normal-mode run
+// commits 22..134 transactions at 512 elements and 6..26 at 2048, so each
+// ratio rests on a few dozen commits.
 #include "bench/workloads.h"
 
 namespace tm2c {

@@ -1,27 +1,37 @@
 #include "src/apps/node_pool.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace tm2c {
 
+namespace {
+
+uint64_t RoundUp(uint64_t n, uint64_t unit) { return (n + unit - 1) / unit * unit; }
+
+}  // namespace
+
 NodePool::NodePool(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
                    const DeploymentPlan& plan, uint64_t header_words, uint64_t node_words,
-                   uint32_t capacity)
-    : capacity_(capacity), node_bytes_(node_words * kWordBytes) {
+                   uint32_t capacity, uint64_t lock_bytes)
+    : capacity_(capacity) {
   TM2C_CHECK(node_words >= 1 && capacity >= 1);
   const uint32_t num_parts = plan.num_service();
   TM2C_CHECK(num_parts >= 1);
-  const uint64_t stripe = map.stripe_bytes();
-  const uint64_t raw_bytes = header_words * kWordBytes + capacity_ * node_bytes_;
-  slab_bytes_ = (raw_bytes + stripe - 1) / stripe * stripe;
+  const uint64_t unit = std::max(lock_bytes, map.stripe_bytes());
+  const uint64_t pad = lock_bytes == 0 ? kWordBytes : unit;
+  const uint64_t header_bytes = RoundUp(header_words * kWordBytes, pad);
+  node_bytes_ = RoundUp(node_words * kWordBytes, pad);
+  slab_bytes_ = RoundUp(header_bytes + capacity_ * node_bytes_, unit);
   parts_.reserve(num_parts);
   for (uint32_t p = 0; p < num_parts; ++p) {
     auto part = std::make_unique<Partition>();
-    // Over-allocate by one stripe so the slab can be aligned.
-    const uint64_t raw = allocator.Alloc(slab_bytes_ + stripe, plan.ServiceCore(p));
-    part->slab_base = (raw + stripe - 1) / stripe * stripe;
-    part->pool_base = part->slab_base + header_words * kWordBytes;
-    map.AddOwnedRange(part->slab_base, slab_bytes_, p);
+    // Over-allocate by one unit so the slab can be aligned.
+    const uint64_t raw = allocator.Alloc(slab_bytes_ + unit, plan.ServiceCore(p));
+    part->slab_base = RoundUp(raw, unit);
+    part->pool_base = part->slab_base + header_bytes;
+    map.AddOwnedRange(part->slab_base, slab_bytes_, p, unit);
     for (uint64_t off = 0; off < slab_bytes_; off += kWordBytes) {
       mem.StoreWord(part->slab_base + off, 0);
     }

@@ -2,14 +2,19 @@
 // (KvStore, OrderedIndex).
 //
 // For each DTM partition, in partition order, the pool carves one slab out
-// of the allocator near the partition's service core, aligns it to a
-// stripe boundary (a stripe must not straddle partitions), registers it
-// with AddressMap::AddOwnedRange so every lock acquisition for the
-// partition's data routes to its owning service core, and zeroes it (0 is
-// the null pointer everywhere; the allocator may hand back recycled
-// memory). A slab is `header_words` words owned by the store (bucket
-// heads, a root pointer) followed by `capacity` node slots of `node_words`
-// words each.
+// of the allocator near the partition's service core, aligns it to its
+// lock unit (a unit must not straddle partitions), registers it with
+// AddressMap::AddOwnedRange so every lock acquisition for the partition's
+// data routes to its owning service core, and zeroes it (0 is the null
+// pointer everywhere; the allocator may hand back recycled memory). A slab
+// is `header_words` words owned by the store (bucket heads, a root
+// pointer) followed by `capacity` node slots of `node_words` words each.
+//
+// A store that reads its nodes whole passes a `lock_bytes` unit: the
+// range is registered with max(lock_bytes, stripe_bytes) as its lock unit,
+// and the header and every slot are padded to whole units, so one lock
+// covers one node and no node shares a lock with the header or another
+// node. Without a unit the range locks by stripe and the slots stay packed.
 //
 // Slot bookkeeping is host-side: Alloc reuses freed slots last-in
 // first-out and otherwise hands out the next untouched slot, in ascending
@@ -36,7 +41,7 @@ class NodePool {
  public:
   NodePool(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
            const DeploymentPlan& plan, uint64_t header_words, uint64_t node_words,
-           uint32_t capacity);
+           uint32_t capacity, uint64_t lock_bytes = 0);
 
   // The last freed slot of `partition`'s pool, else its next untouched
   // slot, else 0: the pool is exhausted.
@@ -73,7 +78,7 @@ class NodePool {
 
  private:
   struct Partition {
-    uint64_t slab_base = 0;  // stripe-aligned, registered with the map
+    uint64_t slab_base = 0;  // unit-aligned, registered with the map
     uint64_t pool_base = 0;  // slot 0, right after the header
     uint32_t next_unused = 0;
     std::vector<uint64_t> free_nodes;

@@ -3,7 +3,8 @@
 // The index divides its key RANGE — not a hash of it — into one contiguous
 // sub-range per DTM service core and gives each partition its own B+-tree
 // in its own slab of a NodePool (src/apps/node_pool.h; a root pointer,
-// then the node slots), registered with AddressMap::AddOwnedRange. As in
+// then the node slots), registered with AddressMap::AddOwnedRange with one
+// lock unit per node: the smallest power of two that holds a node. As in
 // the KV store this is the share-little layout: every lock acquisition for
 // a partition's keys routes to the partition's owning service core, and
 // because the partitioning is by range, a range scan's lock traffic walks
@@ -24,10 +25,11 @@
 // lookups and inserts consistent even while separators age.
 //
 // Node reads go through one Tx::ReadMany covering meta, next, keys and
-// payload word 0 of every slot, so one tree level costs one batched lock
-// round trip to the owning service core (or zero messages on the
-// owner-local fast path); under the elastic modes the descent is exactly
-// the paper's Section 6 sliding-window traversal.
+// payload word 0 of every slot. All of them lie in the node's lock unit,
+// so one tree level costs one lock: one round trip to the owning service
+// core (or zero messages on the owner-local fast path). Under the elastic
+// modes the descent is exactly the paper's Section 6 sliding-window
+// traversal.
 //
 // Structure-modification operations — leaf/inner splits, sibling merges,
 // borrows, root growth and collapse — are ordinary deferred writes inside
@@ -44,7 +46,7 @@
 // Scan(lo, hi) descends once to the leaf containing `lo`, then walks the
 // leaf chain, hopping to the next partition's tree when a chain ends.
 // Under TxMode::kNormal the scan is snapshot-consistent (every visited
-// word stays read-locked to the commit); the elastic modes trade that for
+// node stays read-locked to the commit); the elastic modes trade that for
 // the paper's sliding window, exactly as in their list traversals.
 #ifndef TM2C_SRC_APPS_ORDERED_INDEX_H_
 #define TM2C_SRC_APPS_ORDERED_INDEX_H_
@@ -72,9 +74,9 @@ struct OrderedIndexConfig {
   uint64_t key_max = 1 << 20;
   // Inline value payload, in words (>= 1).
   uint32_t value_words = 1;
-  // Maximum entries per node (leaf values or inner children). The default
-  // keeps a full node read (2 + 2*fanout words) within one default-sized
-  // acquisition batch. 3 <= fanout <= 16.
+  // Maximum entries per node (leaf values or inner children); the node,
+  // 2 + fanout * (1 + value_words) words, is one lock unit whatever its
+  // size. 3 <= fanout <= 16.
   uint32_t fanout = 6;
   // Node-pool capacity per partition (leaves + inner nodes). Sized by the
   // caller; exhaustion is a checked error. A tree of N entries needs at

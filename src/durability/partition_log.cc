@@ -108,10 +108,11 @@ std::vector<std::pair<uint64_t, uint64_t>> PartitionDurability::ImageAt(uint64_t
   const std::vector<std::pair<uint64_t, uint64_t>>& initial = checkpoints_[0].pairs;
   std::map<uint64_t, uint64_t> image(initial.begin(), initial.end());
   const WalReadResult log = ReadWal(wal_.image());
-  TM2C_CHECK(checkpoints_[index].records_covered <= log.records.size());
-  for (uint64_t i = 0; i < checkpoints_[index].records_covered; ++i) {
+  uint64_t left = checkpoints_[index].records_covered;
+  TM2C_CHECK(left <= log.records.size());
+  for (auto it = log.records.begin(); left > 0; ++it, --left) {
     CommitRecord record;
-    TM2C_CHECK_MSG(ParseCommitRecord(log.records[i], &record), "malformed commit record");
+    TM2C_CHECK_MSG(ParseCommitRecord(*it, &record), "malformed commit record");
     for (const auto& [addr, value] : record.pairs) {
       image[addr] = value;
     }

@@ -16,6 +16,9 @@ namespace {
 // "TM2CWAL" plus a format version byte.
 constexpr uint8_t kWalMagic[kWalHeaderBytes] = {'T', 'M', '2', 'C', 'W', 'A', 'L', 0x01};
 
+// How much of the log a record iterator reads at a time.
+constexpr uint64_t kReadChunkBytes = 64 << 10;
+
 uint32_t LoadU32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
@@ -76,14 +79,41 @@ void WalRecords::ReadAt(uint64_t offset, uint64_t n, uint8_t* out) const {
   }
 }
 
-WalRecord WalRecords::operator[](size_t i) const {
-  const uint64_t begin = starts_[i] + kWalFrameOverheadBytes;
-  std::vector<uint8_t> bytes((i + 1 < starts_.size() ? starts_[i + 1] : end_) - begin);
-  ReadAt(begin, bytes.size(), bytes.data());
+WalRecords::Iterator::Iterator(const WalRecords* records, uint64_t offset)
+    : records_(records), offset_(offset) {
+  LoadFrame();
+}
+
+void WalRecords::Iterator::LoadFrame() {
+  if (offset_ >= records_->end_) {
+    return;
+  }
+  // Makes the log's bytes [offset_, offset_ + n) resident. Every frame
+  // below end_ passed the scan, so its length can be trusted.
+  const auto fill = [this](uint64_t n) {
+    if (offset_ < chunk_start_ || offset_ + n > chunk_start_ + chunk_.size()) {
+      chunk_start_ = offset_;
+      chunk_.resize(std::min(std::max(kReadChunkBytes, n), records_->end_ - offset_));
+      records_->ReadAt(chunk_start_, chunk_.size(), chunk_.data());
+    }
+  };
+  fill(kWalFrameOverheadBytes);
+  payload_ = LoadU32(chunk_.data() + (offset_ - chunk_start_));
+  fill(kWalFrameOverheadBytes + payload_);
+}
+
+WalRecords::Iterator& WalRecords::Iterator::operator++() {
+  offset_ += kWalFrameOverheadBytes + payload_;
+  LoadFrame();
+  return *this;
+}
+
+WalRecord WalRecords::Iterator::operator*() const {
+  const uint8_t* bytes = chunk_.data() + (offset_ + kWalFrameOverheadBytes - chunk_start_);
   WalRecord record;
-  record.payload.resize(bytes.size() / sizeof(uint64_t));
+  record.payload.resize(payload_ / sizeof(uint64_t));
   for (uint64_t w = 0; w < record.payload.size(); ++w) {
-    record.payload[w] = LoadU64(bytes.data() + w * sizeof(uint64_t));
+    record.payload[w] = LoadU64(bytes + w * sizeof(uint64_t));
   }
   return record;
 }
@@ -128,7 +158,7 @@ WalReadResult WalRecords::Scan(WalRecords source, uint64_t size) {
       result.crc_mismatch = true;
       break;
     }
-    source.starts_.push_back(offset);
+    ++source.count_;
     offset += kWalFrameOverheadBytes + len;
     result.valid_bytes = offset;
   }

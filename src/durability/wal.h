@@ -17,7 +17,8 @@
 // image is a torn tail (the expected shape after a crash mid-append); a
 // CRC or length-field mismatch on a complete frame is corruption. Both
 // stop the scan — recovery replays exactly the valid prefix. Records are
-// decoded on demand, so reading a long log back keeps only its offsets.
+// decoded on demand, in order, so reading a long log back keeps only its
+// record count, the bounds of its valid prefix and one read chunk.
 #ifndef TM2C_SRC_DURABILITY_WAL_H_
 #define TM2C_SRC_DURABILITY_WAL_H_
 
@@ -47,30 +48,33 @@ struct WalRecord {
 
 struct WalReadResult;
 
-// The valid records of a scanned log, decoded one at a time when read.
+// The valid records of a scanned log, decoded one at a time, in order.
 class WalRecords {
  public:
-  // Decodes the record it points at when dereferenced.
+  // Walks the frames of the valid prefix, reading the log in chunks;
+  // decodes the record it points at when dereferenced.
   class Iterator {
    public:
-    Iterator(const WalRecords* records, size_t index) : records_(records), index_(index) {}
-    WalRecord operator*() const { return (*records_)[index_]; }
-    Iterator& operator++() {
-      ++index_;
-      return *this;
-    }
-    bool operator!=(const Iterator& other) const { return index_ != other.index_; }
+    Iterator(const WalRecords* records, uint64_t offset);
+    WalRecord operator*() const;
+    Iterator& operator++();
+    bool operator!=(const Iterator& other) const { return offset_ != other.offset_; }
 
    private:
+    // Loads the frame at offset_ into chunk_, refilling it when needed.
+    void LoadFrame();
+
     const WalRecords* records_;
-    size_t index_;
+    uint64_t offset_;       // where the frame starts
+    uint64_t payload_ = 0;  // its payload bytes
+    std::vector<uint8_t> chunk_;
+    uint64_t chunk_start_ = 0;  // log offset of chunk_[0]
   };
 
-  size_t size() const { return starts_.size(); }
-  bool empty() const { return starts_.empty(); }
-  WalRecord operator[](size_t i) const;
-  Iterator begin() const { return Iterator(this, 0); }
-  Iterator end() const { return Iterator(this, size()); }
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  Iterator begin() const { return Iterator(this, kWalHeaderBytes); }
+  Iterator end() const { return Iterator(this, end_); }
 
  private:
   friend WalReadResult ReadWal(const std::vector<uint8_t>& bytes);
@@ -81,8 +85,8 @@ class WalRecords {
   // Copies the source's bytes [offset, offset + n) to `out`.
   void ReadAt(uint64_t offset, uint64_t n, uint8_t* out) const;
 
-  std::vector<uint64_t> starts_;  // where each record's frame starts
-  uint64_t end_ = 0;              // where the last one ends
+  size_t count_ = 0;                // valid records
+  uint64_t end_ = kWalHeaderBytes;  // where the last one ends
   std::shared_ptr<const std::vector<uint8_t>> image_;  // ReadWal's copy of the image
   std::shared_ptr<const int> fd_;                      // ReadWalFile's open file
 };

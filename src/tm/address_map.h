@@ -14,6 +14,12 @@
 //    so every lock acquisition for that data goes to its owner and the
 //    request stream stays partition-local (see src/apps/kvstore.h).
 //
+// The lock unit — the memory one DS-Lock entry covers — is `stripe_bytes`
+// for hash-routed addresses. An owned range may register a coarser
+// power-of-two unit: StripeOf then maps every address inside it to the
+// base of its unit, so a store whose records are read whole (a B+-tree
+// node, see src/apps/ordered_index.h) takes one lock per record.
+//
 // AddressMap is copied freely (TxRuntime holds one by value, DtmService
 // points at TmSystem's); the ownership directory is shared state behind a
 // shared_ptr, so ranges registered through any copy are visible to all of
@@ -55,16 +61,31 @@ class AddressMap {
     TM2C_CHECK(stripe_bytes >= 1 && (stripe_bytes & (stripe_bytes - 1)) == 0);
   }
 
-  // Canonical lock unit for an address: the stripe base address.
-  uint64_t StripeOf(uint64_t addr) const { return addr & ~(stripe_bytes_ - 1); }
+  // Canonical lock unit for an address: the base address of the unit
+  // that covers it. Every lock is keyed by this value.
+  uint64_t StripeOf(uint64_t addr) const { return addr & ~(LockBytesOf(addr) - 1); }
 
-  // Pins [base, base + bytes) to `partition`. The range must be stripe-
-  // aligned (a stripe cannot straddle partitions) and must not overlap a
-  // previously registered range. Setup-time only: not thread-safe against
-  // concurrent lookups, so register every range before the system runs.
-  void AddOwnedRange(uint64_t base, uint64_t bytes, uint32_t partition) {
-    TM2C_CHECK_MSG(base % stripe_bytes_ == 0 && bytes % stripe_bytes_ == 0,
-                   "owned range must be stripe-aligned");
+  // Bytes one lock covers at `addr`: its owned range's lock unit, or
+  // stripe_bytes for a hash-routed address.
+  uint64_t LockBytesOf(uint64_t addr) const {
+    const Entry* range = Find(addr);
+    return range == nullptr ? stripe_bytes_ : range->second.lock_bytes;
+  }
+
+  // Pins [base, base + bytes) to `partition`, locked in units of
+  // `lock_bytes` (0 = stripe_bytes): a power of two, at least stripe_bytes,
+  // with base and bytes aligned to it (a unit cannot straddle partitions).
+  // The range must not overlap a previously registered range. Setup-time
+  // only: not thread-safe against concurrent lookups, so register every
+  // range before the system runs.
+  void AddOwnedRange(uint64_t base, uint64_t bytes, uint32_t partition, uint64_t lock_bytes = 0) {
+    if (lock_bytes == 0) {
+      lock_bytes = stripe_bytes_;
+    }
+    TM2C_CHECK_MSG((lock_bytes & (lock_bytes - 1)) == 0 && lock_bytes >= stripe_bytes_,
+                   "lock unit must be a power of two no smaller than stripe_bytes");
+    TM2C_CHECK_MSG(base % lock_bytes == 0 && bytes % lock_bytes == 0,
+                   "owned range must be aligned to its lock unit");
     TM2C_CHECK(bytes > 0);
     TM2C_CHECK(partition < plan_->num_service());
     auto& ranges = directory_->ranges;
@@ -78,7 +99,7 @@ class AddressMap {
       TM2C_CHECK_MSG(prev->first + prev->second.bytes <= base,
                      "owned ranges must not overlap");
     }
-    ranges.try_emplace(base, bytes, partition);
+    ranges.try_emplace(base, bytes, partition, lock_bytes);
   }
 
   // Flips the owner of an exact registered range. Runtime-safe: the map
@@ -101,26 +122,18 @@ class AddressMap {
   // address is hash-routed. Out-params are optional.
   bool FindOwnedRange(uint64_t addr, uint64_t* base, uint64_t* bytes,
                       uint32_t* partition) const {
-    const auto& ranges = directory_->ranges;
-    if (ranges.empty()) {
-      return false;
-    }
-    auto it = ranges.upper_bound(addr);
-    if (it == ranges.begin()) {
-      return false;
-    }
-    --it;
-    if (addr - it->first >= it->second.bytes) {
+    const Entry* range = Find(addr);
+    if (range == nullptr) {
       return false;
     }
     if (base != nullptr) {
-      *base = it->first;
+      *base = range->first;
     }
     if (bytes != nullptr) {
-      *bytes = it->second.bytes;
+      *bytes = range->second.bytes;
     }
     if (partition != nullptr) {
-      *partition = it->second.partition.load(std::memory_order_relaxed);
+      *partition = range->second.partition.load(std::memory_order_relaxed);
     }
     return true;
   }
@@ -144,17 +157,8 @@ class AddressMap {
   // range (migration never moves it), or the hash partition for unowned
   // addresses (which cannot migrate either).
   uint32_t DurableHomeOf(uint64_t addr) const {
-    const auto& ranges = directory_->ranges;
-    if (!ranges.empty()) {
-      auto it = ranges.upper_bound(addr);
-      if (it != ranges.begin()) {
-        --it;
-        if (addr - it->first < it->second.bytes) {
-          return it->second.home_partition;
-        }
-      }
-    }
-    return HashPartitionOf(addr);
+    const Entry* range = Find(addr);
+    return range == nullptr ? HashPartitionOf(addr) : range->second.home_partition;
   }
 
   // Core id of the service hosting the address's write-ahead log.
@@ -190,8 +194,8 @@ class AddressMap {
   }
 
   // Human-readable dump of the routing configuration: stripe size, the
-  // hash fallback, and every owned range with its pinned partition and
-  // owning core. For misrouting post-mortems — a batch refusal with
+  // hash fallback, and every owned range with its pinned partition, owning
+  // core and lock unit. For misrouting post-mortems — a batch refusal with
   // ConflictKind::kNone means runtime and service disagreed on exactly the
   // information printed here.
   std::string Describe() const {
@@ -204,16 +208,20 @@ class AddressMap {
       out << "  [0x" << std::hex << base << ", 0x" << base + range.bytes << std::dec
           << ") -> partition " << partition << " (core "
           << plan_->ServiceCore(partition) << ", durable home " << range.home_partition
-          << ")\n";
+          << "), lock_bytes=" << range.lock_bytes << "\n";
     }
     return out.str();
   }
 
  private:
   struct OwnedRange {
-    OwnedRange(uint64_t bytes_in, uint32_t partition_in)
-        : bytes(bytes_in), partition(partition_in), home_partition(partition_in) {}
+    OwnedRange(uint64_t bytes_in, uint32_t partition_in, uint64_t lock_bytes_in)
+        : bytes(bytes_in),
+          lock_bytes(lock_bytes_in),
+          partition(partition_in),
+          home_partition(partition_in) {}
     uint64_t bytes = 0;
+    uint64_t lock_bytes = 0;  // the range's lock unit (see file comment)
     // Current lock owner; migration flips it in place while readers race.
     std::atomic<uint32_t> partition{0};
     // Durability home, frozen at registration (see file comment).
@@ -224,6 +232,19 @@ class AddressMap {
     std::map<uint64_t, OwnedRange> ranges;
     std::atomic<uint64_t> version{0};
   };
+  using Entry = std::pair<const uint64_t, OwnedRange>;
+
+  // The registered range containing `addr`, or null for a hash-routed
+  // address.
+  const Entry* Find(uint64_t addr) const {
+    const auto& ranges = directory_->ranges;
+    auto it = ranges.upper_bound(addr);
+    if (it == ranges.begin()) {
+      return nullptr;
+    }
+    --it;
+    return addr - it->first < it->second.bytes ? &*it : nullptr;
+  }
 
   uint32_t HashPartitionOf(uint64_t addr) const {
     const uint64_t stripe = addr / stripe_bytes_;

@@ -115,8 +115,10 @@ struct TmConfig {
   WriteAcquire write_acquire = WriteAcquire::kLazy;
   TxMode tx_mode = TxMode::kNormal;
 
-  // Lock granularity in bytes (power of two). The paper maps single bytes;
-  // a word stripe is the simulator's natural unit.
+  // Lock granularity in bytes (power of two): the lock unit of every
+  // hash-routed address, and the default unit of an owned range (a range
+  // may register a coarser one, see AddressMap::AddOwnedRange). The paper
+  // maps single bytes; a word stripe is the simulator's natural unit.
   uint64_t stripe_bytes = 8;
 
   // Maximum number of lock acquisitions travelling in one kBatchAcquire

@@ -223,6 +223,9 @@ DtmService::AcquireOutcome DtmService::Acquire(const AcquireRequest& req) {
   // the requester re-routes, or waits out the window, on retry.
   uint32_t usable = req.n;
   for (uint32_t i = 0; i < req.n; ++i) {
+    // Entries are lock units: any other address of the unit would give it
+    // a second table entry.
+    TM2C_DCHECK(map_ == nullptr || map_->StripeOf(req.addrs[i]) == req.addrs[i]);
     if (map_ != nullptr && map_->ResponsibleCore(req.addrs[i]) != env_.core_id()) {
       ++stats_.misrouted_refused;
       usable = i;

@@ -635,15 +635,22 @@ uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
       while (read_lock_order_.size() > config_.elastic_window) {
         const uint64_t oldest = read_lock_order_.front();
         read_lock_order_.erase(read_lock_order_.begin());
-        if (oldest == stripe || write_buffer_.find(oldest) != write_buffer_.end()) {
+        const uint64_t oldest_end = oldest + map_.LockBytesOf(oldest);
+        bool written = false;
+        for (uint64_t a = oldest; a < oldest_end && !written; a += kWordBytes) {
+          written = write_buffer_.find(a) != write_buffer_.end();
+        }
+        if (oldest == stripe || written) {
           continue;  // still needed: just acquired, or will be written
         }
         read_locks_.erase(oldest);
-        // The value is no longer protected: remember it in case a later
-        // write depends on it (see TxWrite below).
-        if (auto it = read_cache_.find(oldest); it != read_cache_.end()) {
-          early_released_values_[oldest] = it->second;
-          read_cache_.erase(it);
+        // The values are no longer protected: remember them in case a
+        // later write depends on one (see TxWrite below).
+        for (uint64_t a = oldest; a < oldest_end; a += kWordBytes) {
+          if (auto it = read_cache_.find(a); it != read_cache_.end()) {
+            early_released_values_[a] = it->second;
+            read_cache_.erase(it);
+          }
         }
         Message rel;
         rel.type = MsgType::kEarlyReadRelease;
@@ -709,11 +716,10 @@ void TxRuntime::TxWrite(uint64_t addr, uint64_t value) {
     // the read lock and validate it; a change means a concurrent
     // transaction committed underneath (e.g. an insert through the same
     // predecessor link) and this transaction must restart.
-    const uint64_t stripe = map_.StripeOf(addr);
-    if (auto it = early_released_values_.find(stripe); it != early_released_values_.end()) {
+    if (auto it = early_released_values_.find(addr); it != early_released_values_.end()) {
       const uint64_t expected = it->second;
-      AcquireOneOrAbort(stripe, /*is_write=*/false, /*committing=*/false);
-      early_released_values_.erase(stripe);
+      AcquireOneOrAbort(map_.StripeOf(addr), /*is_write=*/false, /*committing=*/false);
+      early_released_values_.erase(addr);
       if (env_.ShmemRead(addr) != expected) {
         ++stats_.validation_failures;
         AbortSelf(ConflictKind::kReadAfterWrite);
@@ -782,8 +788,8 @@ void TxRuntime::TxCommit() {
     // of the node it writes behind), and a concurrent commit there would
     // otherwise go unnoticed. Searches skip this — ignoring such false
     // conflicts is the point of elasticity.
-    for (const auto& [stripe, value] : early_released_values_) {
-      if (env_.ShmemRead(stripe) != value) {
+    for (const auto& [addr, value] : early_released_values_) {
+      if (env_.ShmemRead(addr) != value) {
         ++stats_.validation_failures;
         AbortSelf(ConflictKind::kReadAfterWrite);
       }
@@ -873,8 +879,8 @@ void TxRuntime::TxCommit() {
     }
   }
   if (config_.tx_mode == TxMode::kElasticEarly && !write_buffer_.empty()) {
-    for (const auto& [stripe, value] : early_released_values_) {
-      if (env_.shmem().LoadWord(stripe) != value) {
+    for (const auto& [addr, value] : early_released_values_) {
+      if (env_.shmem().LoadWord(addr) != value) {
         ++stats_.validation_failures;
         AbortSelf(ConflictKind::kReadAfterWrite);
       }

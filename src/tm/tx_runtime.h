@@ -259,9 +259,10 @@ class TxRuntime {
   std::unordered_map<uint64_t, uint64_t> read_cache_;    // addr -> value
   std::unordered_set<uint64_t> write_locks_;             // stripes held
   std::deque<std::pair<uint64_t, uint64_t>> validation_window_;  // elastic-read
-  // elastic-early: stripes whose read lock was early-released, with the
-  // value read under the lock. A later write to one of these re-acquires
-  // the lock and validates the value (the write depends on that read).
+  // elastic-early: addresses whose stripe's read lock was early-released,
+  // with the value read under the lock. A later write to one of these
+  // re-acquires the lock and validates the value (the write depends on
+  // that read).
   std::unordered_map<uint64_t, uint64_t> early_released_values_;
   // elastic-read: last value read per address, for commit-time validation
   // of written locations.

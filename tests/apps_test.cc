@@ -409,9 +409,9 @@ constexpr uint64_t kPoolHeaderWords = 2;
 constexpr uint64_t kPoolNodeWords = 3;
 constexpr uint32_t kPoolCapacity = 6;
 
-NodePool MakePool(TmSystem& sys) {
+NodePool MakePool(TmSystem& sys, uint64_t lock_bytes = 0) {
   return NodePool(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
-                  kPoolHeaderWords, kPoolNodeWords, kPoolCapacity);
+                  kPoolHeaderWords, kPoolNodeWords, kPoolCapacity, lock_bytes);
 }
 
 uint64_t SlotAddr(const NodePool& pool, uint32_t partition, uint32_t slot) {
@@ -507,6 +507,32 @@ TEST(NodePool, SlabsAreStripeAlignedOwnedAndZeroed) {
     }
     EXPECT_EQ(foreign, 0u) << "partition " << p;
     EXPECT_EQ(dirty, 0u) << "partition " << p;
+  }
+}
+
+TEST(NodePool, LockUnitPadsTheHeaderAndEverySlotToWholeUnits) {
+  constexpr uint64_t kUnit = 64;
+  TmSystem sys(BaseConfig(4, 2));
+  NodePool pool = MakePool(sys, kUnit);
+  const AddressMap& map = sys.address_map();
+  for (uint32_t p = 0; p < pool.num_partitions(); ++p) {
+    const auto [base, bytes] = pool.Slab(p);
+    EXPECT_EQ(base % kUnit, 0u);
+    EXPECT_EQ(bytes, (1 + kPoolCapacity) * kUnit);  // the header, then one unit per slot
+    // The header's first word is the slab base, and the header is a unit
+    // of its own.
+    EXPECT_EQ(map.StripeOf(base + kWordBytes), base);
+    EXPECT_FALSE(pool.Contains(p, base));
+    for (uint32_t i = 0; i < kPoolCapacity; ++i) {
+      const uint64_t slot = pool.Alloc(p);
+      EXPECT_EQ(slot, base + (1 + i) * kUnit);
+      EXPECT_EQ(pool.SlotOf(p, slot), i);
+      // One lock covers every word of the slot.
+      for (uint64_t w = 0; w < kPoolNodeWords; ++w) {
+        EXPECT_EQ(map.StripeOf(slot + w * kWordBytes), slot);
+      }
+      EXPECT_EQ(map.LockBytesOf(slot), kUnit);
+    }
   }
 }
 

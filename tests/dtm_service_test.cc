@@ -825,6 +825,35 @@ TEST(ServiceExitReport, RoundTripsEveryField) {
   EXPECT_EQ(differs, nullptr) << "first differing field: " << (differs ? differs : "");
 }
 
+// Lock-table entries are lock units (AddressMap::StripeOf): a request
+// naming another address inside a unit would give the unit a second
+// entry. Debug builds stop it at the service.
+TEST(DtmServiceDeathTest, EntryInsideAWideUnitFailsTheDcheck) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "TM2C_DCHECK is compiled out of release builds";
+#else
+  EXPECT_DEATH(
+      {
+        SimSystemConfig cfg;
+        cfg.platform = MakeSccPlatform(0);
+        cfg.num_cores = 4;
+        cfg.num_service = 2;  // service cores 0 and 2
+        cfg.shmem_bytes = 1 << 20;
+        SimSystem sys(cfg);
+        AddressMap map(sys.deployment(), TmConfig{}.stripe_bytes);
+        map.AddOwnedRange(0x1000, 0x100, 0, /*lock_bytes=*/0x40);
+        DtmService service(sys.env(0), TmConfig{}, &map);
+        sys.SetCoreMain(0, [&service](CoreEnv&) { service.RunLoop(); });
+        sys.SetCoreMain(1, [](CoreEnv& env) {
+          env.Send(0, ServiceHarness::ReadReq(0x1008, 1));  // unit 0x1000
+          (void)env.Recv();
+        });
+        sys.Run(MillisToSim(1000));
+      },
+      "StripeOf");
+#endif
+}
+
 TEST(ServiceExitReportDeathTest, ReportOneWordShortIsMalformed) {
   std::vector<uint64_t> words = DistinctReport().Encode();
   words.pop_back();

@@ -22,6 +22,17 @@
 namespace tm2c {
 namespace {
 
+using Payloads = std::vector<std::vector<uint64_t>>;
+
+// Every record's payload, read back in log order.
+Payloads PayloadsOf(const WalRecords& records) {
+  Payloads out;
+  for (const WalRecord& record : records) {
+    out.push_back(record.payload);
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // WAL framing
 // ---------------------------------------------------------------------------
@@ -60,8 +71,7 @@ TEST(Wal, AppendedRecordsReadBackInOrder) {
   ASSERT_TRUE(r.clean());
   EXPECT_FALSE(r.torn_tail);
   ASSERT_EQ(r.records.size(), 2u);
-  EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(r.records[1].payload, (std::vector<uint64_t>{0xdeadbeefcafef00dull}));
+  EXPECT_EQ(PayloadsOf(r.records), (Payloads{{1, 2, 3}, {0xdeadbeefcafef00dull}}));
   EXPECT_EQ(r.valid_bytes, wal.image().size());
 }
 
@@ -81,7 +91,7 @@ TEST(Wal, TornFinalRecordKeepsThePrefix) {
     EXPECT_TRUE(r.clean()) << "cut at " << cut;
     EXPECT_TRUE(r.torn_tail) << "cut at " << cut;
     ASSERT_EQ(r.records.size(), 1u) << "cut at " << cut;
-    EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{10, 11}));
+    EXPECT_EQ(PayloadsOf(r.records), (Payloads{{10, 11}})) << "cut at " << cut;
     EXPECT_EQ(r.valid_bytes, prefix_bytes) << "cut at " << cut;
   }
 }
@@ -129,8 +139,36 @@ TEST(Wal, FileBackedLogRoundTripsThroughFsync) {
   const WalReadResult r = ReadWalFile(path);
   ASSERT_TRUE(r.clean());
   ASSERT_EQ(r.records.size(), 1u);
-  EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{7, 8, 9}));
+  EXPECT_EQ(PayloadsOf(r.records), (Payloads{{7, 8, 9}}));
   EXPECT_TRUE(ReadWalFile(path + ".does-not-exist").bad_magic);
+  std::remove(path.c_str());
+}
+
+// The reader walks a file in fixed-size chunks: frames straddle chunk
+// edges, and one frame is longer than a whole chunk.
+TEST(Wal, FileLogReadsBackAcrossChunkEdges) {
+  const std::string path = testing::TempDir() + "/tm2c_wal_chunk_test.log";
+  Wal::Options opts;
+  opts.path = path;
+  Payloads appended;
+  {
+    Wal wal(opts);
+    for (uint64_t i = 0; i < 3000; ++i) {
+      // 1..13 words, plus one 12,000-word (96 KB) record in the middle.
+      std::vector<uint64_t> payload(i == 1500 ? 12000 : 1 + i % 13);
+      for (uint64_t w = 0; w < payload.size(); ++w) {
+        payload[w] = i * 100003 + w;
+      }
+      wal.Append(payload.data(), payload.size());
+      appended.push_back(std::move(payload));
+    }
+    wal.Flush();
+  }
+  const WalReadResult r = ReadWalFile(path);
+  ASSERT_TRUE(r.clean());
+  EXPECT_FALSE(r.torn_tail);
+  EXPECT_EQ(r.records.size(), appended.size());
+  EXPECT_EQ(PayloadsOf(r.records), appended);
   std::remove(path.c_str());
 }
 
@@ -159,7 +197,7 @@ TEST(Wal, ForkedAppenderLeavesOneCleanRecord) {
   EXPECT_TRUE(r.clean());
   EXPECT_FALSE(r.torn_tail);
   ASSERT_EQ(r.records.size(), 1u);
-  EXPECT_EQ(r.records[0].payload, (std::vector<uint64_t>{4, 5, 6}));
+  EXPECT_EQ(PayloadsOf(r.records), (Payloads{{4, 5, 6}}));
   std::remove(path.c_str());
 }
 
@@ -178,7 +216,7 @@ TEST(PartitionLog, CommitRecordRoundTripAndMalformedPayloads) {
   ASSERT_TRUE(r.clean());
   ASSERT_EQ(r.records.size(), 1u);
   CommitRecord rec;
-  ASSERT_TRUE(ParseCommitRecord(r.records[0], &rec));
+  ASSERT_TRUE(ParseCommitRecord(*r.records.begin(), &rec));
   EXPECT_EQ(rec.core, 3u);
   EXPECT_EQ(rec.epoch, 17u);
   EXPECT_EQ(rec.pairs,

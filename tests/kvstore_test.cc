@@ -100,17 +100,53 @@ TEST(AddressMapOwnedRange, HashFallbackTakesOverExactlyAtStripeEdges) {
   EXPECT_EQ(map.PartitionOf(map.StripeOf(last_owned)), 2u);
 }
 
+TEST(AddressMapOwnedRange, LockUnitCoversEveryWordOfItsRange) {
+  DeploymentPlan plan(8, 4, DeployStrategy::kDedicated);
+  AddressMap map(plan, 8);
+  map.AddOwnedRange(0x1000, 0x400, 2, /*lock_bytes=*/256);
+  for (uint64_t addr = 0x1000; addr < 0x1400; addr += 8) {
+    EXPECT_EQ(map.StripeOf(addr), addr & ~uint64_t{255}) << std::hex << addr;
+    EXPECT_EQ(map.LockBytesOf(addr), 256u);
+    EXPECT_EQ(map.PartitionOf(map.StripeOf(addr)), 2u);
+  }
+  // Hash-routed addresses on both sides keep the word stripe.
+  for (uint64_t addr : {uint64_t{0xff8}, uint64_t{0x1400}, uint64_t{0x1408}}) {
+    EXPECT_EQ(map.StripeOf(addr), addr) << std::hex << addr;
+    EXPECT_EQ(map.LockBytesOf(addr), 8u);
+  }
+  // A range registered without a unit locks by stripe.
+  map.AddOwnedRange(0x2000, 0x40, 1);
+  EXPECT_EQ(map.StripeOf(0x2018), 0x2018u);
+  EXPECT_EQ(map.LockBytesOf(0x2018), 8u);
+}
+
+TEST(AddressMapOwnedRangeDeathTest, RejectsBadLockUnits) {
+  DeploymentPlan plan(8, 4, DeployStrategy::kDedicated);
+  AddressMap map(plan, 64);
+  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x300, 0, 96), "power of two");
+  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x400, 0, 32), "no smaller than stripe_bytes");
+  EXPECT_DEATH(map.AddOwnedRange(0x1080, 0x400, 0, 256), "aligned");  // base
+  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x440, 0, 256), "aligned");  // size
+  map.AddOwnedRange(0x1000, 0x400, 0, 256);
+  EXPECT_EQ(map.num_owned_ranges(), 1u);
+}
+
 TEST(AddressMapOwnedRange, DescribeListsEveryRangeAndTheFallback) {
   DeploymentPlan plan(8, 4, DeployStrategy::kDedicated);
   AddressMap map(plan, 64);
   map.AddOwnedRange(0x1000, 0x400, 3);
   map.AddOwnedRange(0x4000, 0x40, 1);
+  map.AddOwnedRange(0x8000, 0x200, 2, /*lock_bytes=*/256);
   const std::string dump = map.Describe();
   EXPECT_NE(dump.find("stripe_bytes=64"), std::string::npos);
-  EXPECT_NE(dump.find("owned_ranges=2"), std::string::npos);
+  EXPECT_NE(dump.find("owned_ranges=3"), std::string::npos);
   EXPECT_NE(dump.find("hash fallback"), std::string::npos);
   EXPECT_NE(dump.find("[0x1000, 0x1400) -> partition 3"), std::string::npos);
   EXPECT_NE(dump.find("[0x4000, 0x4040) -> partition 1"), std::string::npos);
+  // Each range names its lock unit: the stripe unless it registered one.
+  EXPECT_NE(dump.find("durable home 3), lock_bytes=64\n"), std::string::npos);
+  EXPECT_NE(dump.find("durable home 1), lock_bytes=64\n"), std::string::npos);
+  EXPECT_NE(dump.find("durable home 2), lock_bytes=256\n"), std::string::npos);
   // The owning core is resolved through the deployment plan, and each range
   // reports its frozen durability home next to it.
   std::ostringstream core;

@@ -106,6 +106,35 @@ TEST(OrderedIndex, AllSlabAddressesRouteToTheOwningPartition) {
   RunStoreSlabRoutingCase(sys, idx);
 }
 
+// A node is one lock unit: a committed point read on a tree of depth d
+// takes one lock for the root pointer and one per node on its path.
+TEST(OrderedIndex, TxGetTakesOneLockPerNodeOnItsPath) {
+  TmSystem sys(SmallConfig());
+  const OrderedIndexConfig cfg = SmallIndex();
+  OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), cfg);
+  for (uint64_t key = cfg.key_min; key <= cfg.key_max; ++key) {
+    const uint64_t value[2] = {key, key + 1};
+    idx.HostPut(key, value);
+  }
+  const uint32_t depth = idx.HostDepthOfPartition(0);
+  ASSERT_GE(depth, 3u);
+  bool found = false;
+  uint64_t value[2] = {};
+  uint64_t acquires = 0;
+  uint64_t aborts = 0;
+  sys.SetAppBody(0, [&](CoreEnv&, TxRuntime& rt) {
+    rt.Execute([&](Tx& tx) { found = idx.TxGet(tx, 5, value); });
+    acquires = rt.stats().lock_acquires;
+    aborts = rt.stats().aborts;
+  });
+  sys.Run(MillisToSim(1000));
+  ASSERT_TRUE(found);
+  EXPECT_EQ(value[0], 5u);
+  EXPECT_EQ(value[1], 6u);
+  EXPECT_EQ(aborts, 0u);
+  EXPECT_EQ(acquires, depth + 1);
+}
+
 // ---------------------------------------------------------------------------
 // Range partitioning
 // ---------------------------------------------------------------------------

@@ -668,6 +668,41 @@ TEST(TxElasticEdge, EarlyReleaseInterleavesWithReadManyWindow) {
   EXPECT_TRUE(sys.AllLockTablesEmpty());
 }
 
+TEST(TxElasticEdge, EarlyReleaseOfAWideUnitKeepsEveryWordsValue) {
+  // One lock unit covers two words the transaction read. After the unit's
+  // early release a peer commits a new value to the second word; writing
+  // that word must validate it against the value read under the lock.
+  TmSystemConfig cfg = Config();
+  cfg.tm.tx_mode = TxMode::kElasticEarly;
+  cfg.tm.elastic_window = 1;
+  TmSystem sys(std::move(cfg));
+  constexpr uint64_t kUnit = 0x1000;
+  sys.address_map().AddOwnedRange(kUnit, 0x100, 0, /*lock_bytes=*/0x40);
+  sys.shmem().StoreWord(kUnit, 5);
+  sys.shmem().StoreWord(kUnit + 8, 7);
+  uint64_t failures = 0;
+  int attempts = 0;
+  sys.SetAppBody(0, [&](CoreEnv& env, TxRuntime& rt) {
+    rt.Execute([&](Tx& tx) {
+      ++attempts;
+      (void)tx.Read(kUnit);
+      const uint64_t second = tx.Read(kUnit + 8);  // same unit: no new lock
+      (void)tx.Read(kUnit + 0x40);                 // next unit: releases the first
+      if (attempts == 1) {
+        // Host-side poke standing in for a peer's commit, as above.
+        env.shmem().StoreWord(kUnit + 8, 5);
+      }
+      tx.Write(kUnit + 8, second + 1);
+    });
+    failures = rt.stats().validation_failures;
+  });
+  sys.Run(kHorizon);
+  EXPECT_EQ(failures, 1u);
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(sys.shmem().LoadWord(kUnit + 8), 6u);  // the retry read the peer's 5
+  EXPECT_TRUE(sys.AllLockTablesEmpty());
+}
+
 TEST(TxRuntime, NestedTransactionsRejected) {
   TmSystem sys(Config());
   sys.SetAppBody(0, [](CoreEnv&, TxRuntime& rt) {
