@@ -20,8 +20,10 @@
 //
 // Default (sim) runs assert the curves this ablation exists to measure:
 // pipelining must not cost throughput (deepest depth >= lockstep, per fast
-// path setting), and at depth 1 the fast path must turn the acquisition
-// mix mostly local and strictly cut the mean acquire latency.
+// path setting), and at depth 1 the fast path must serve every
+// own-partition Get without a lock message (with it off, every such Get
+// sends one) and strictly cut the mean acquire latency.
+#include <atomic>
 #include <map>
 
 #include "bench/workloads.h"
@@ -38,6 +40,8 @@ struct SweepPoint {
   double mean_acquire_us = 0.0;
   uint64_t local_acquires = 0;
   uint64_t remote_acquires = 0;
+  uint64_t own_gets = 0;
+  uint64_t own_gets_over_wire = 0;  // own-partition Gets that sent a lock request
 };
 
 BenchRow RunPoint(BenchContext& ctx, uint32_t depth, bool fast_path, SweepPoint* point) {
@@ -66,14 +70,22 @@ BenchRow RunPoint(BenchContext& ctx, uint32_t depth, bool fast_path, SweepPoint*
   }
 
   const uint64_t dir_base = sys.allocator().AllocGlobal(kDirWords * kWordBytes);
+  std::atomic<uint64_t> own_gets{0};
+  std::atomic<uint64_t> own_gets_over_wire{0};
   LatencySampler lat;
   InstallLoopBodies(
       sys, spec.duration, spec.seed,
-      [&store, keys_by_part, parts, dir_base](CoreEnv& env, TxRuntime& rt, Rng& rng) {
+      [&store, keys_by_part, parts, dir_base, &own_gets, &own_gets_over_wire](
+          CoreEnv& env, TxRuntime& rt, Rng& rng) {
         if (rng.NextBelow(10) < 8) {
           // Own-partition point read: the fast path's bread and butter.
           const auto& own = (*keys_by_part)[env.core_id() % parts];
+          const uint64_t remote_before = rt.stats().remote_acquires;
           store.Get(rt, own[rng.NextBelow(own.size())], nullptr);
+          ++own_gets;
+          if (rt.stats().remote_acquires != remote_before) {
+            ++own_gets_over_wire;
+          }
           return;
         }
         // Cross-partition directory scan: a strided 32-word ReadMany whose
@@ -105,6 +117,8 @@ BenchRow RunPoint(BenchContext& ctx, uint32_t depth, bool fast_path, SweepPoint*
   point->ops_per_ms = r.ops_per_ms;
   point->local_acquires = r.stats.local_acquires;
   point->remote_acquires = r.stats.remote_acquires;
+  point->own_gets = own_gets;
+  point->own_gets_over_wire = own_gets_over_wire;
   row.Extra("local_acquires", static_cast<double>(r.stats.local_acquires));
   row.Extra("remote_acquires", static_cast<double>(r.stats.remote_acquires));
   if (r.stats.lock_acquires > 0) {
@@ -150,14 +164,17 @@ void Run(BenchContext& ctx) {
         matrix.at({fast_path, 8}).ops_per_ms >= matrix.at({fast_path, 1}).ops_per_ms,
         "pipelined throughput fell below the lockstep baseline");
   }
-  // The fast path's acceptance curve: on the share-little layout most
-  // acquisitions are served locally, and skipping the message layer must
+  // The fast path's acceptance curve: on the share-little layout every
+  // own-partition Get is served without a lock message (with the fast path
+  // off, every one sends some), and skipping the message layer must
   // strictly cut the mean per-stripe acquire latency.
   const SweepPoint& off = matrix.at({false, 1});
   const SweepPoint& on = matrix.at({true, 1});
   TM2C_CHECK_MSG(off.local_acquires == 0, "fast path off but local acquisitions recorded");
-  TM2C_CHECK_MSG(on.local_acquires > on.remote_acquires,
-                 "share-little layout did not turn the acquisition mix local");
+  TM2C_CHECK_MSG(off.own_gets > 0 && off.own_gets_over_wire == off.own_gets,
+                 "fast path off but an own-partition Get sent no lock request");
+  TM2C_CHECK_MSG(on.own_gets > 0 && on.own_gets_over_wire == 0 && on.local_acquires > 0,
+                 "share-little layout did not serve own-partition Gets locally");
   TM2C_CHECK_MSG(on.mean_acquire_us < off.mean_acquire_us,
                  "owner-local fast path did not cut the mean acquire latency");
 }

@@ -11,7 +11,7 @@ KvStore::KvStore(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
     : mem_(&mem),
       cfg_(cfg),
       plan_(&plan),
-      pool_(allocator, mem, map, plan, cfg.buckets_per_partition, 2 + uint64_t{cfg.value_words},
+      pool_(allocator, mem, map, plan, cfg.buckets_per_partition, node_words(),
             cfg.capacity_per_partition) {
   TM2C_CHECK(cfg_.buckets_per_partition >= 1);
   TM2C_CHECK(cfg_.value_words >= 1);

@@ -4,7 +4,9 @@
 // and lays each partition's memory — a bucket array plus its node slots —
 // in its own slab of a NodePool (src/apps/node_pool.h), registered with
 // AddressMap::AddOwnedRange so every lock acquisition for a partition's
-// data is routed to the partition's owning service core. This is the
+// data is routed to the partition's owning service core. A bucket head is
+// a lock and a node one lock unit (key, next and value words), so a Get of
+// the k-th key of a chain takes 1 + k locks. This is the
 // KVell share-little design: each service core owns the locks (and, via
 // the locality-aware allocator, usually the memory controller) of exactly
 // the keys that hash to it, so a mixed read/write workload decomposes into
@@ -169,8 +171,7 @@ class KvStore : public TxStoreApi {
   uint64_t NodesInUse(uint32_t partition) const override;
   const char* IndexKindName() const override { return "hash"; }
 
-  uint64_t node_words() const { return 2 + cfg_.value_words; }
-  uint64_t node_bytes() const { return node_words() * kWordBytes; }
+  uint64_t node_words() const { return 2 + uint64_t{cfg_.value_words}; }
 
  private:
   // 64-bit finalizer; low half selects the partition, high half the bucket.

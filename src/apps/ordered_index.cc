@@ -20,16 +20,6 @@ uint64_t PackMeta(bool is_leaf, uint32_t count) {
   return (uint64_t{count} << 1) | (is_leaf ? 1u : 0u);
 }
 
-// The index's lock unit: the smallest power of two that holds a node, so
-// a node read takes one lock.
-uint64_t NodeLockBytes(uint64_t node_bytes) {
-  uint64_t unit = kWordBytes;
-  while (unit < node_bytes) {
-    unit *= 2;
-  }
-  return unit;
-}
-
 }  // namespace
 
 OrderedIndex::OrderedIndex(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
@@ -38,7 +28,7 @@ OrderedIndex::OrderedIndex(ShmAllocator& allocator, SharedMemory& mem, AddressMa
       cfg_(cfg),
       plan_(&plan),
       pool_(allocator, mem, map, plan, /*header_words=*/1, node_words(),
-            cfg_.capacity_per_partition, NodeLockBytes(node_bytes())) {
+            cfg_.capacity_per_partition) {
   TM2C_CHECK(cfg_.key_min >= 1);  // 0 is the null pointer everywhere
   TM2C_CHECK(cfg_.key_max >= cfg_.key_min);
   TM2C_CHECK(cfg_.value_words >= 1);

@@ -4,11 +4,11 @@
 // sub-range per DTM service core and gives each partition its own B+-tree
 // in its own slab of a NodePool (src/apps/node_pool.h; a root pointer,
 // then the node slots), registered with AddressMap::AddOwnedRange with one
-// lock unit per node: the smallest power of two that holds a node. As in
-// the KV store this is the share-little layout: every lock acquisition for
-// a partition's keys routes to the partition's owning service core, and
-// because the partitioning is by range, a range scan's lock traffic walks
-// the service cores in key order instead of spraying them.
+// lock unit per node slot. As in the KV store this is the share-little
+// layout: every lock acquisition for a partition's keys routes to the
+// partition's owning service core, and because the partitioning is by
+// range, a range scan's lock traffic walks the service cores in key order
+// instead of spraying them.
 //
 // Within a partition the tree is a B+-tree of uniform node slots. Every
 // node — leaf or inner — holds up to `fanout` sorted entries:
@@ -199,7 +199,6 @@ class OrderedIndex : public TxStoreApi {
 
   // [meta][next][keys][payloads]; each payload slot is value_words wide.
   uint64_t node_words() const { return 2 + uint64_t{cfg_.fanout} * (1 + cfg_.value_words); }
-  uint64_t node_bytes() const { return node_words() * kWordBytes; }
 
  private:
   // One node as read by a single ReadMany: meta, next, every key and

@@ -84,22 +84,22 @@ WalRecords::Iterator::Iterator(const WalRecords* records, uint64_t offset)
   LoadFrame();
 }
 
+const uint8_t* WalRecords::Iterator::Fill(uint64_t n, uint64_t limit) {
+  if (offset_ < chunk_start_ || offset_ + n > chunk_start_ + chunk_.size()) {
+    chunk_start_ = offset_;
+    chunk_.resize(std::min(std::max(kReadChunkBytes, n), limit - offset_));
+    records_->ReadAt(chunk_start_, chunk_.size(), chunk_.data());
+  }
+  return chunk_.data() + (offset_ - chunk_start_);
+}
+
 void WalRecords::Iterator::LoadFrame() {
   if (offset_ >= records_->end_) {
     return;
   }
-  // Makes the log's bytes [offset_, offset_ + n) resident. Every frame
-  // below end_ passed the scan, so its length can be trusted.
-  const auto fill = [this](uint64_t n) {
-    if (offset_ < chunk_start_ || offset_ + n > chunk_start_ + chunk_.size()) {
-      chunk_start_ = offset_;
-      chunk_.resize(std::min(std::max(kReadChunkBytes, n), records_->end_ - offset_));
-      records_->ReadAt(chunk_start_, chunk_.size(), chunk_.data());
-    }
-  };
-  fill(kWalFrameOverheadBytes);
-  payload_ = LoadU32(chunk_.data() + (offset_ - chunk_start_));
-  fill(kWalFrameOverheadBytes + payload_);
+  // Every frame below end_ passed the scan, so its length can be trusted.
+  payload_ = LoadU32(Fill(kWalFrameOverheadBytes, records_->end_));
+  Fill(kWalFrameOverheadBytes + payload_, records_->end_);
 }
 
 WalRecords::Iterator& WalRecords::Iterator::operator++() {
@@ -120,28 +120,27 @@ WalRecord WalRecords::Iterator::operator*() const {
 
 WalReadResult WalRecords::Scan(WalRecords source, uint64_t size) {
   WalReadResult result;
-  uint8_t header[kWalFrameOverheadBytes];
-  static_assert(kWalHeaderBytes == kWalFrameOverheadBytes, "one buffer reads both");
+  uint8_t magic[kWalHeaderBytes];
   if (size < kWalHeaderBytes) {
     result.bad_magic = true;
     return result;
   }
-  source.ReadAt(0, kWalHeaderBytes, header);
-  if (std::memcmp(header, kWalMagic, kWalHeaderBytes) != 0) {
+  source.ReadAt(0, kWalHeaderBytes, magic);
+  if (std::memcmp(magic, kWalMagic, kWalHeaderBytes) != 0) {
     result.bad_magic = true;
     return result;
   }
-  uint64_t offset = kWalHeaderBytes;
-  result.valid_bytes = offset;
-  std::vector<uint8_t> payload;
-  while (offset < size) {
-    const uint64_t remaining = size - offset;
+  result.valid_bytes = kWalHeaderBytes;
+  // source.end_ is still the header's end, so the walker loads nothing
+  // until Fill asks for it.
+  Iterator frame(&source, kWalHeaderBytes);
+  while (frame.offset_ < size) {
+    const uint64_t remaining = size - frame.offset_;
     if (remaining < kWalFrameOverheadBytes) {
       result.torn_tail = true;
       break;
     }
-    source.ReadAt(offset, kWalFrameOverheadBytes, header);
-    const uint64_t len = LoadU32(header);
+    const uint64_t len = LoadU32(frame.Fill(kWalFrameOverheadBytes, size));
     if (len == 0 || len % sizeof(uint64_t) != 0) {
       // A complete header with an impossible length: corruption, not a
       // torn append (the writer never frames such a payload).
@@ -152,15 +151,14 @@ WalReadResult WalRecords::Scan(WalRecords source, uint64_t size) {
       result.torn_tail = true;
       break;
     }
-    payload.resize(len);
-    source.ReadAt(offset + kWalFrameOverheadBytes, len, payload.data());
-    if (Crc32(payload.data(), len) != LoadU32(header + 4)) {
+    const uint8_t* bytes = frame.Fill(kWalFrameOverheadBytes + len, size);
+    if (Crc32(bytes + kWalFrameOverheadBytes, len) != LoadU32(bytes + 4)) {
       result.crc_mismatch = true;
       break;
     }
     ++source.count_;
-    offset += kWalFrameOverheadBytes + len;
-    result.valid_bytes = offset;
+    frame.offset_ += kWalFrameOverheadBytes + len;
+    result.valid_bytes = frame.offset_;
   }
   source.end_ = result.valid_bytes;
   result.records = std::move(source);

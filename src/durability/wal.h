@@ -51,8 +51,9 @@ struct WalReadResult;
 // The valid records of a scanned log, decoded one at a time, in order.
 class WalRecords {
  public:
-  // Walks the frames of the valid prefix, reading the log in chunks;
-  // decodes the record it points at when dereferenced.
+  // Walks the frames of the valid prefix, reading the log in chunks (the
+  // scan walks them the same way); decodes the record it points at when
+  // dereferenced.
   class Iterator {
    public:
     Iterator(const WalRecords* records, uint64_t offset);
@@ -61,8 +62,12 @@ class WalRecords {
     bool operator!=(const Iterator& other) const { return offset_ != other.offset_; }
 
    private:
+    friend class WalRecords;
     // Loads the frame at offset_ into chunk_, refilling it when needed.
     void LoadFrame();
+    // Makes the log's bytes [offset_, offset_ + n) resident and returns
+    // them; a refill reads a chunk that stops at `limit`.
+    const uint8_t* Fill(uint64_t n, uint64_t limit);
 
     const WalRecords* records_;
     uint64_t offset_;       // where the frame starts

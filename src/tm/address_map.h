@@ -15,10 +15,11 @@
 //    request stream stays partition-local (see src/apps/kvstore.h).
 //
 // The lock unit — the memory one DS-Lock entry covers — is `stripe_bytes`
-// for hash-routed addresses. An owned range may register a coarser
-// power-of-two unit: StripeOf then maps every address inside it to the
-// base of its unit, so a store whose records are read whole (a B+-tree
-// node, see src/apps/ordered_index.h) takes one lock per record.
+// for hash-routed addresses. An owned range may register its own unit, any
+// word multiple, behind a header that keeps stripe locks: StripeOf maps an
+// address past the header to the start of its unit, counted from the
+// header's end. The node pools (src/apps/node_pool.h) register one node
+// slot as the unit, so reading a node whole takes one lock.
 //
 // AddressMap is copied freely (TxRuntime holds one by value, DtmService
 // points at TmSystem's); the ownership directory is shared state behind a
@@ -38,6 +39,7 @@
 #ifndef TM2C_SRC_TM_ADDRESS_MAP_H_
 #define TM2C_SRC_TM_ADDRESS_MAP_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -49,6 +51,7 @@
 
 #include "src/common/check.h"
 #include "src/runtime/deployment.h"
+#include "src/shmem/shared_memory.h"
 
 namespace tm2c {
 
@@ -63,29 +66,29 @@ class AddressMap {
 
   // Canonical lock unit for an address: the base address of the unit
   // that covers it. Every lock is keyed by this value.
-  uint64_t StripeOf(uint64_t addr) const { return addr & ~(LockBytesOf(addr) - 1); }
+  uint64_t StripeOf(uint64_t addr) const { return UnitOf(addr).first; }
 
-  // Bytes one lock covers at `addr`: its owned range's lock unit, or
-  // stripe_bytes for a hash-routed address.
-  uint64_t LockBytesOf(uint64_t addr) const {
-    const Entry* range = Find(addr);
-    return range == nullptr ? stripe_bytes_ : range->second.lock_bytes;
-  }
+  // Bytes one lock covers at `addr`: its owned range's lock unit past the
+  // header, else stripe_bytes (see UnitOf for where units are cut short).
+  uint64_t LockBytesOf(uint64_t addr) const { return UnitOf(addr).second; }
 
-  // Pins [base, base + bytes) to `partition`, locked in units of
-  // `lock_bytes` (0 = stripe_bytes): a power of two, at least stripe_bytes,
-  // with base and bytes aligned to it (a unit cannot straddle partitions).
-  // The range must not overlap a previously registered range. Setup-time
-  // only: not thread-safe against concurrent lookups, so register every
-  // range before the system runs.
-  void AddOwnedRange(uint64_t base, uint64_t bytes, uint32_t partition, uint64_t lock_bytes = 0) {
+  // Pins [base, base + bytes) to `partition`. Its first `header_bytes` are
+  // locked by stripe; the rest in units of `lock_bytes` (0 = stripe_bytes),
+  // any multiple of the word, counted from the header's end. Base and
+  // bytes are stripe-aligned, so no stripe straddles partitions. The range
+  // must not overlap a previously registered range. Setup-time only: not
+  // thread-safe against concurrent lookups, so register every range before
+  // the system runs.
+  void AddOwnedRange(uint64_t base, uint64_t bytes, uint32_t partition, uint64_t lock_bytes = 0,
+                     uint64_t header_bytes = 0) {
+    TM2C_CHECK_MSG(lock_bytes % kWordBytes == 0 && header_bytes % kWordBytes == 0,
+                   "lock unit and header must be whole words");
     if (lock_bytes == 0) {
       lock_bytes = stripe_bytes_;
     }
-    TM2C_CHECK_MSG((lock_bytes & (lock_bytes - 1)) == 0 && lock_bytes >= stripe_bytes_,
-                   "lock unit must be a power of two no smaller than stripe_bytes");
-    TM2C_CHECK_MSG(base % lock_bytes == 0 && bytes % lock_bytes == 0,
-                   "owned range must be aligned to its lock unit");
+    TM2C_CHECK_MSG(base % stripe_bytes_ == 0 && bytes % stripe_bytes_ == 0,
+                   "owned range must be aligned to stripe_bytes");
+    TM2C_CHECK_MSG(header_bytes <= bytes, "header longer than its owned range");
     TM2C_CHECK(bytes > 0);
     TM2C_CHECK(partition < plan_->num_service());
     auto& ranges = directory_->ranges;
@@ -99,7 +102,7 @@ class AddressMap {
       TM2C_CHECK_MSG(prev->first + prev->second.bytes <= base,
                      "owned ranges must not overlap");
     }
-    ranges.try_emplace(base, bytes, partition, lock_bytes);
+    ranges.try_emplace(base, bytes, partition, lock_bytes, header_bytes);
   }
 
   // Flips the owner of an exact registered range. Runtime-safe: the map
@@ -195,9 +198,9 @@ class AddressMap {
 
   // Human-readable dump of the routing configuration: stripe size, the
   // hash fallback, and every owned range with its pinned partition, owning
-  // core and lock unit. For misrouting post-mortems — a batch refusal with
-  // ConflictKind::kNone means runtime and service disagreed on exactly the
-  // information printed here.
+  // core, stripe-locked header and lock unit. For misrouting post-mortems —
+  // a batch refusal with ConflictKind::kNone means runtime and service
+  // disagreed on exactly the information printed here.
   std::string Describe() const {
     std::ostringstream out;
     out << "AddressMap: stripe_bytes=" << stripe_bytes_ << ", partitions="
@@ -208,20 +211,24 @@ class AddressMap {
       out << "  [0x" << std::hex << base << ", 0x" << base + range.bytes << std::dec
           << ") -> partition " << partition << " (core "
           << plan_->ServiceCore(partition) << ", durable home " << range.home_partition
-          << "), lock_bytes=" << range.lock_bytes << "\n";
+          << "), header_bytes=" << range.header_bytes << ", lock_bytes=" << range.lock_bytes
+          << "\n";
     }
     return out.str();
   }
 
  private:
   struct OwnedRange {
-    OwnedRange(uint64_t bytes_in, uint32_t partition_in, uint64_t lock_bytes_in)
+    OwnedRange(uint64_t bytes_in, uint32_t partition_in, uint64_t lock_bytes_in,
+               uint64_t header_bytes_in)
         : bytes(bytes_in),
           lock_bytes(lock_bytes_in),
+          header_bytes(header_bytes_in),
           partition(partition_in),
           home_partition(partition_in) {}
     uint64_t bytes = 0;
-    uint64_t lock_bytes = 0;  // the range's lock unit (see file comment)
+    uint64_t lock_bytes = 0;    // the lock unit past the header (see file comment)
+    uint64_t header_bytes = 0;  // the stripe-locked prefix
     // Current lock owner; migration flips it in place while readers race.
     std::atomic<uint32_t> partition{0};
     // Durability home, frozen at registration (see file comment).
@@ -244,6 +251,21 @@ class AddressMap {
     }
     --it;
     return addr - it->first < it->second.bytes ? &*it : nullptr;
+  }
+
+  // The lock unit covering `addr`: its base (the lock key) and its bytes.
+  // Hash-routed and header addresses lock by stripe; a header stripe ends
+  // where the header does, and a unit where its range does.
+  std::pair<uint64_t, uint64_t> UnitOf(uint64_t addr) const {
+    const Entry* range = Find(addr);
+    const uint64_t units =
+        range == nullptr ? UINT64_MAX : range->first + range->second.header_bytes;
+    if (addr < units) {
+      const uint64_t stripe = addr & ~(stripe_bytes_ - 1);
+      return {stripe, std::min(stripe_bytes_, units - stripe)};
+    }
+    const uint64_t unit = addr - (addr - units) % range->second.lock_bytes;
+    return {unit, std::min(range->second.lock_bytes, range->first + range->second.bytes - unit)};
   }
 
   uint32_t HashPartitionOf(uint64_t addr) const {

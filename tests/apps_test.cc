@@ -409,9 +409,9 @@ constexpr uint64_t kPoolHeaderWords = 2;
 constexpr uint64_t kPoolNodeWords = 3;
 constexpr uint32_t kPoolCapacity = 6;
 
-NodePool MakePool(TmSystem& sys, uint64_t lock_bytes = 0) {
+NodePool MakePool(TmSystem& sys) {
   return NodePool(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
-                  kPoolHeaderWords, kPoolNodeWords, kPoolCapacity, lock_bytes);
+                  kPoolHeaderWords, kPoolNodeWords, kPoolCapacity);
 }
 
 uint64_t SlotAddr(const NodePool& pool, uint32_t partition, uint32_t slot) {
@@ -511,27 +511,45 @@ TEST(NodePool, SlabsAreStripeAlignedOwnedAndZeroed) {
 }
 
 TEST(NodePool, LockUnitPadsTheHeaderAndEverySlotToWholeUnits) {
-  constexpr uint64_t kUnit = 64;
-  TmSystem sys(BaseConfig(4, 2));
-  NodePool pool = MakePool(sys, kUnit);
-  const AddressMap& map = sys.address_map();
-  for (uint32_t p = 0; p < pool.num_partitions(); ++p) {
-    const auto [base, bytes] = pool.Slab(p);
-    EXPECT_EQ(base % kUnit, 0u);
-    EXPECT_EQ(bytes, (1 + kPoolCapacity) * kUnit);  // the header, then one unit per slot
-    // The header's first word is the slab base, and the header is a unit
-    // of its own.
-    EXPECT_EQ(map.StripeOf(base + kWordBytes), base);
-    EXPECT_FALSE(pool.Contains(p, base));
-    for (uint32_t i = 0; i < kPoolCapacity; ++i) {
-      const uint64_t slot = pool.Alloc(p);
-      EXPECT_EQ(slot, base + (1 + i) * kUnit);
-      EXPECT_EQ(pool.SlotOf(p, slot), i);
-      // One lock covers every word of the slot.
-      for (uint64_t w = 0; w < kPoolNodeWords; ++w) {
-        EXPECT_EQ(map.StripeOf(slot + w * kWordBytes), slot);
+  // Every slot is one lock unit and the header words keep their own
+  // stripes. Only the header is padded, and only to the slot's natural
+  // alignment: the largest power of two dividing the slot, at most 64 B.
+  struct Shape {
+    uint64_t header_words, node_words, slot_align;
+  };
+  for (const Shape& shape : {Shape{2, 3, 8}, Shape{3, 6, 16}, Shape{1, 14, 16},
+                             Shape{5, 16, 64}, Shape{1, 32, 64}}) {
+    SCOPED_TRACE(testing::Message() << shape.header_words << "-word header, "
+                                    << shape.node_words << "-word slots");
+    TmSystem sys(BaseConfig(4, 2));
+    NodePool pool(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                  shape.header_words, shape.node_words, kPoolCapacity);
+    const AddressMap& map = sys.address_map();
+    const uint64_t node_bytes = shape.node_words * kWordBytes;
+    const uint64_t header_bytes =
+        (shape.header_words * kWordBytes + shape.slot_align - 1) / shape.slot_align *
+        shape.slot_align;
+    for (uint32_t p = 0; p < pool.num_partitions(); ++p) {
+      const auto [base, bytes] = pool.Slab(p);
+      EXPECT_EQ(base % 64, 0u);
+      EXPECT_EQ(bytes, header_bytes + kPoolCapacity * node_bytes);  // slots packed
+      for (uint64_t addr = base; addr < base + header_bytes; addr += kWordBytes) {
+        EXPECT_EQ(map.StripeOf(addr), addr);
+        EXPECT_EQ(map.LockBytesOf(addr), kWordBytes);
+        EXPECT_FALSE(pool.Contains(p, addr));
       }
-      EXPECT_EQ(map.LockBytesOf(slot), kUnit);
+      for (uint32_t i = 0; i < kPoolCapacity; ++i) {
+        const uint64_t slot = pool.Alloc(p);
+        EXPECT_EQ(slot, base + header_bytes + i * node_bytes);
+        EXPECT_EQ(slot % shape.slot_align, 0u);
+        EXPECT_EQ(pool.SlotOf(p, slot), i);
+        // One lock covers every word of the slot, and only the slot.
+        for (uint64_t w = 0; w < shape.node_words; ++w) {
+          EXPECT_EQ(map.StripeOf(slot + w * kWordBytes), slot);
+          EXPECT_EQ(map.PartitionOf(slot + w * kWordBytes), p);
+        }
+        EXPECT_EQ(map.LockBytesOf(slot), node_bytes);
+      }
     }
   }
 }

@@ -123,12 +123,59 @@ TEST(AddressMapOwnedRange, LockUnitCoversEveryWordOfItsRange) {
 TEST(AddressMapOwnedRangeDeathTest, RejectsBadLockUnits) {
   DeploymentPlan plan(8, 4, DeployStrategy::kDedicated);
   AddressMap map(plan, 64);
-  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x300, 0, 96), "power of two");
-  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x400, 0, 32), "no smaller than stripe_bytes");
-  EXPECT_DEATH(map.AddOwnedRange(0x1080, 0x400, 0, 256), "aligned");  // base
-  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x440, 0, 256), "aligned");  // size
-  map.AddOwnedRange(0x1000, 0x400, 0, 256);
-  EXPECT_EQ(map.num_owned_ranges(), 1u);
+  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x400, 0, 44), "whole words");        // unit
+  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x400, 0, 48, 20), "whole words");    // header
+  EXPECT_DEATH(map.AddOwnedRange(0x1020, 0x400, 0, 48), "aligned");            // base
+  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x3f0, 0, 48), "aligned");            // size
+  EXPECT_DEATH(map.AddOwnedRange(0x1000, 0x400, 0, 48, 0x440), "header longer");
+  EXPECT_EQ(map.num_owned_ranges(), 0u);
+  // Any word multiple is a unit, finer or coarser than the stripe, and the
+  // header may take the whole range.
+  map.AddOwnedRange(0x1000, 0x400, 0, 48, 0x40);
+  map.AddOwnedRange(0x2000, 0x400, 0, 24);
+  map.AddOwnedRange(0x3000, 0x400, 0, 0x400, 0x400);
+  EXPECT_EQ(map.num_owned_ranges(), 3u);
+}
+
+TEST(AddressMapOwnedRange, NodeUnitsStartWhereTheWordLockedHeaderEnds) {
+  DeploymentPlan plan(8, 4, DeployStrategy::kDedicated);
+  AddressMap map(plan, 8);
+  // A 32-byte header (four word locks), then twenty 48-byte units.
+  constexpr uint64_t kBase = 0x1000;
+  constexpr uint64_t kHeader = 32;
+  constexpr uint64_t kUnit = 48;
+  constexpr uint64_t kEnd = kBase + kHeader + 20 * kUnit;
+  map.AddOwnedRange(kBase, kEnd - kBase, 1, kUnit, kHeader);
+  for (uint64_t addr = kBase; addr < kBase + kHeader; addr += 8) {
+    EXPECT_EQ(map.StripeOf(addr), addr) << std::hex << addr;
+    EXPECT_EQ(map.LockBytesOf(addr), 8u);
+  }
+  for (uint64_t unit = kBase + kHeader; unit < kEnd; unit += kUnit) {
+    for (uint64_t addr = unit; addr < unit + kUnit; addr += 8) {
+      EXPECT_EQ(map.StripeOf(addr), unit) << std::hex << addr;
+      EXPECT_EQ(map.LockBytesOf(addr), kUnit);
+      EXPECT_EQ(map.PartitionOf(addr), 1u);
+    }
+  }
+  // The hash takes over at the range's end, by word again.
+  EXPECT_EQ(map.StripeOf(kEnd), kEnd);
+  EXPECT_EQ(map.LockBytesOf(kEnd + 8), 8u);
+}
+
+TEST(AddressMapOwnedRange, HeaderStripesAndTheLastUnitStopAtTheirEdges) {
+  DeploymentPlan plan(8, 4, DeployStrategy::kDedicated);
+  AddressMap map(plan, 64);
+  // A 16-byte header under 64-byte stripes, then 24-byte units in a
+  // 128-byte range: units at +16, +40, +64, +88 and a cut one at +112.
+  map.AddOwnedRange(0x1000, 0x80, 2, 24, 16);
+  EXPECT_EQ(map.StripeOf(0x1008), 0x1000u);
+  EXPECT_EQ(map.LockBytesOf(0x1008), 16u);  // the stripe ends with the header
+  for (uint64_t unit : {0x1010, 0x1028, 0x1040, 0x1058}) {
+    EXPECT_EQ(map.StripeOf(unit + 16), unit) << std::hex << unit;
+    EXPECT_EQ(map.LockBytesOf(unit), 24u);
+  }
+  EXPECT_EQ(map.StripeOf(0x1078), 0x1070u);
+  EXPECT_EQ(map.LockBytesOf(0x1078), 16u);  // the unit ends with the range
 }
 
 TEST(AddressMapOwnedRange, DescribeListsEveryRangeAndTheFallback) {
@@ -137,16 +184,20 @@ TEST(AddressMapOwnedRange, DescribeListsEveryRangeAndTheFallback) {
   map.AddOwnedRange(0x1000, 0x400, 3);
   map.AddOwnedRange(0x4000, 0x40, 1);
   map.AddOwnedRange(0x8000, 0x200, 2, /*lock_bytes=*/256);
+  map.AddOwnedRange(0x9000, 0x200, 0, /*lock_bytes=*/48, /*header_bytes=*/0x80);
   const std::string dump = map.Describe();
   EXPECT_NE(dump.find("stripe_bytes=64"), std::string::npos);
-  EXPECT_NE(dump.find("owned_ranges=3"), std::string::npos);
+  EXPECT_NE(dump.find("owned_ranges=4"), std::string::npos);
   EXPECT_NE(dump.find("hash fallback"), std::string::npos);
   EXPECT_NE(dump.find("[0x1000, 0x1400) -> partition 3"), std::string::npos);
   EXPECT_NE(dump.find("[0x4000, 0x4040) -> partition 1"), std::string::npos);
-  // Each range names its lock unit: the stripe unless it registered one.
-  EXPECT_NE(dump.find("durable home 3), lock_bytes=64\n"), std::string::npos);
-  EXPECT_NE(dump.find("durable home 1), lock_bytes=64\n"), std::string::npos);
-  EXPECT_NE(dump.find("durable home 2), lock_bytes=256\n"), std::string::npos);
+  // Each range names its word-locked header and its lock unit: the stripe
+  // unless it registered one.
+  EXPECT_NE(dump.find("durable home 3), header_bytes=0, lock_bytes=64\n"), std::string::npos);
+  EXPECT_NE(dump.find("durable home 1), header_bytes=0, lock_bytes=64\n"), std::string::npos);
+  EXPECT_NE(dump.find("durable home 2), header_bytes=0, lock_bytes=256\n"), std::string::npos);
+  EXPECT_NE(dump.find("durable home 0), header_bytes=128, lock_bytes=48\n"),
+            std::string::npos);
   // The owning core is resolved through the deployment plan, and each range
   // reports its frozen durability home next to it.
   std::ostringstream core;
@@ -215,6 +266,66 @@ TEST(KvStore, AllSlabAddressesRouteToTheOwningPartition) {
   for (uint64_t key = 1; key <= 100; ++key) {
     EXPECT_EQ(store.OwnerCore(key),
               sys.deployment().ServiceCore(store.PartitionOfKey(key)));
+  }
+}
+
+// A node is one lock unit: a committed Get of the k-th key of a chain
+// takes the bucket head's lock and one lock per node walked, so 1 + k
+// acquisitions, the value words riding on the k-th node's lock.
+TEST(KvStore, ChainGetTakesOneLockPerNodeWalked) {
+  TmSystem sys(SmallConfig());
+  KvStoreConfig cfg = SmallStore(4);
+  cfg.buckets_per_partition = 1;  // each partition is one sorted chain
+  KvStore store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), cfg);
+  std::vector<uint64_t> chain;  // partition 0's keys, ascending: chain order
+  for (uint64_t key = 1; chain.size() < 6; ++key) {
+    const uint64_t value[4] = {key, key + 1, key + 2, key + 3};
+    store.HostPut(key, value);
+    if (store.PartitionOfKey(key) == 0) {
+      chain.push_back(key);
+    }
+  }
+  std::vector<uint64_t> acquires(chain.size());
+  std::vector<uint64_t> commits(chain.size());
+  sys.SetAppBody(0, [&](CoreEnv&, TxRuntime& rt) {
+    for (size_t i = 0; i < chain.size(); ++i) {
+      const TxStats before = rt.stats();
+      std::vector<uint64_t> value;
+      EXPECT_TRUE(store.Get(rt, chain[i], &value));
+      EXPECT_EQ(value, (std::vector<uint64_t>{chain[i], chain[i] + 1, chain[i] + 2,
+                                              chain[i] + 3}));
+      acquires[i] = rt.stats().lock_acquires - before.lock_acquires;
+      commits[i] = rt.stats().commits - before.commits;
+    }
+  });
+  sys.Run();
+  for (size_t i = 0; i < chain.size(); ++i) {
+    EXPECT_EQ(commits[i], 1u) << "key " << chain[i];
+    EXPECT_EQ(acquires[i], 1 + (i + 1)) << "key " << chain[i] << " at position " << i + 1;
+  }
+  EXPECT_TRUE(sys.AllLockTablesEmpty());
+}
+
+// The bucket heads keep word locks, so inserts into neighbouring buckets
+// take different locks, and no head shares a lock with a node.
+TEST(KvStore, AdjacentBucketHeadsAreSeparateLocks) {
+  TmSystem sys(SmallConfig(8, 4));
+  KvStore store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                SmallStore());
+  const AddressMap& map = sys.address_map();
+  for (uint32_t p = 0; p < store.num_partitions(); ++p) {
+    const uint64_t base = store.SlabRange(p).first;
+    std::set<uint64_t> keys;
+    for (uint32_t b = 0; b < store.buckets_per_partition(); ++b) {
+      const uint64_t head = base + uint64_t{b} * kWordBytes;
+      EXPECT_EQ(map.StripeOf(head), head);
+      keys.insert(map.StripeOf(head));
+    }
+    EXPECT_EQ(keys.size(), store.buckets_per_partition());
+    // The first node slot starts its own unit past the last head.
+    const uint64_t first_node = base + store.buckets_per_partition() * kWordBytes;
+    EXPECT_EQ(map.StripeOf(first_node), first_node);
+    EXPECT_EQ(map.LockBytesOf(first_node), store.node_words() * kWordBytes);
   }
 }
 
