@@ -63,11 +63,10 @@ enum class MsgType : uint8_t {
   kShutdown,  // tells a service core to exit its loop
   kApp,       // application-defined payload
 
-  // Process-backend host frames (src/runtime/process_system.cc): messages a
-  // partition server addresses to the host itself (wire.h's kWireHostDst).
-  // They never appear in a CoreEnv inbox on any backend.
+  // Process-backend host frame (src/runtime/process_system.cc): a trace
+  // event a partition server addresses to the host itself (wire.h's
+  // kWireHostDst). It never appears in a CoreEnv inbox on any backend.
   kTraceEvent,  // one TraceEvent, see src/tm/wire_trace.h for the layout
-  kHostStats,   // exit report, see ServiceExitReport in src/tm/dtm_service.h
 };
 
 // Batch protocol (one request/response round trip per responsible node):

@@ -1,6 +1,5 @@
 #include "src/runtime/process_system.h"
 
-#include <sys/mman.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -104,16 +103,13 @@ ThreadSystemConfig RingConfig(const ProcessSystemConfig& config) {
 
 ProcessSystem::ProcessSystem(ProcessSystemConfig config)
     : config_(std::move(config)),
-      shared_(RingConfig(config_), kGenerations, /*interprocess=*/true) {
+      shared_(RingConfig(config_), kGenerations, /*interprocess=*/true),
+      lanes_mem_(SpscChannel::PlacedBytes(kLaneCapacity) * config_.num_service * kGenerations) {
   shared_.barrier_parties = shared_.plan.num_app();
   const size_t lane_bytes = SpscChannel::PlacedBytes(kLaneCapacity);
-  lanes_bytes_ = lane_bytes * config_.num_service * kGenerations;
-  lanes_mem_ = ::mmap(nullptr, lanes_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
-                      -1, 0);
-  TM2C_CHECK_MSG(lanes_mem_ != MAP_FAILED, "host lanes: mmap failed");
   lanes_.reserve(config_.num_service * kGenerations);
   for (uint32_t i = 0; i < config_.num_service * kGenerations; ++i) {
-    lanes_.emplace_back(static_cast<char*>(lanes_mem_) + i * lane_bytes, kLaneCapacity);
+    lanes_.emplace_back(static_cast<char*>(lanes_mem_.data()) + i * lane_bytes, kLaneCapacity);
   }
   for (uint32_t c = 0; c < config_.num_cores; ++c) {
     ServiceLinks* links = shared_.plan.IsApp(c) ? this : nullptr;
@@ -134,7 +130,6 @@ ProcessSystem::~ProcessSystem() {
     }
   }
   DismissServers();
-  ::munmap(lanes_mem_, lanes_bytes_);
 }
 
 void ProcessSystem::SetCoreMain(uint32_t core, CoreMain main) {
@@ -213,9 +208,6 @@ void ProcessSystem::ChildMain(uint32_t partition, uint32_t generation, int fd) {
   if (env.main) {
     env.main(env);
   }
-  if (child_exit_report_) {
-    env.Send(kWireHostDst, child_exit_report_(partition));
-  }
   ::_exit(0);
 }
 
@@ -293,12 +285,6 @@ uint32_t ProcessSystem::restarts(uint32_t partition) {
   return parts_[partition]->generation.load(std::memory_order_acquire);
 }
 
-std::vector<uint64_t> ProcessSystem::host_stats(uint32_t partition) {
-  Partition& c = *parts_[partition];
-  std::lock_guard<std::mutex> lock(c.mu);
-  return c.host_stats;
-}
-
 void ProcessSystem::Send(uint32_t src, uint32_t service, const Message& msg) {
   Partition& c = *parts_[shared_.plan.PartitionOf(service)];
   uint32_t generation;
@@ -372,10 +358,7 @@ void ProcessSystem::DrainLane(uint32_t partition, uint32_t generation) {
   };
   Message msg;
   while (host_lane.TryPeek(&msg, wait)) {
-    if (msg.type == MsgType::kHostStats) {
-      std::lock_guard<std::mutex> stats_lock(c.mu);
-      c.host_stats = msg.extra;
-    } else if (host_frame_) {
+    if (host_frame_) {
       host_frame_(partition, msg);
     }
     // Released only now: a drainer that finds the lane empty knows every
@@ -404,7 +387,7 @@ void ProcessSystem::RouterLoop(uint32_t partition) {
       RestartPartition(partition);
       continue;
     }
-    DrainLane(partition, live);  // its exit report
+    DrainLane(partition, live);  // its last trace events
     std::lock_guard<std::mutex> lock(c.mu);
     TM2C_CHECK_MSG(Unanswered(partition).empty(),
                    "partition server exited with requests pending");

@@ -3,19 +3,19 @@
 // Each DTM partition's service loop runs in a forked child process. App
 // cores stay host-side as threads and share the transaction data with the
 // servers through a MAP_SHARED region, the paper's non-coherent shared
-// memory; what a partition owns privately (lock table, WAL tail, counters)
-// dies with its server.
+// memory, and so is the control plane (the ownership directory, each
+// service's counters). What a partition owns privately (lock table, WAL
+// tail) dies with its server.
 //
 // Messages travel the thread backend's ring transport (thread_system.h),
 // mapped MAP_SHARED before the fork: app cores are its NativeCore, the
 // server's service core runs the same ring and doorbell code, and a lock
 // round trip enters the kernel only to wake a parked peer. Each server
 // generation (a partition's primary, then its cold standby) has rings of
-// its own plus a host lane, a ring carrying what the server addresses to
-// the host (wire.h's kWireHostDst: trace events, the exit report). Each
-// server also holds one end of a socket pair that carries no frames: the
-// host sends one command byte down it, and its EOF tells the host the
-// server died.
+// its own plus a host lane, a ring carrying the trace events the server
+// addresses to the host (wire.h's kWireHostDst). Each server also holds one
+// end of a socket pair that carries no frames: the host sends one command
+// byte down it, and its EOF tells the host the server died.
 //
 // Ordering rule: an app core drains partition p's host lane into the host
 // handler before it acts on anything it popped from p, and drainers
@@ -54,6 +54,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/shared_mapping.h"
 #include "src/runtime/backend.h"
 #include "src/runtime/core_env.h"
 #include "src/runtime/thread_system.h"
@@ -89,7 +90,7 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   SimTime Run(SimTime until) override;
 
   // Raises the core's shutdown word. A partition server then flushes its
-  // commit log, reports its stats, and exits.
+  // commit log and exits.
   void RequestShutdown(uint32_t core) override;
 
   CoreEnv& env(uint32_t core) override;
@@ -110,15 +111,9 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
     child_start_ = std::move(hook);
   }
 
-  // Builds the child's exit report (sent to kWireHostDst after its main
-  // returns, surfaced host-side through host_stats()).
-  void SetChildExitReport(std::function<Message(uint32_t partition)> hook) {
-    child_exit_report_ = std::move(hook);
-  }
-
-  // Receives every host-lane record except kHostStats (trace events), on
-  // whichever host thread drains the lane. The handler must be thread-safe
-  // — TmSystem feeds a MutexTraceSink.
+  // Receives every host-lane record (trace events), on whichever host
+  // thread drains the lane. The handler must be thread-safe — TmSystem
+  // feeds a MutexTraceSink.
   void SetHostFrameHandler(std::function<void(uint32_t partition, const Message&)> handler) {
     host_frame_ = std::move(handler);
   }
@@ -136,10 +131,6 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   // Times the partition's server was killed and replaced so far (its
   // generation: one standby each).
   uint32_t restarts(uint32_t partition);
-
-  // The partition's exit report (kHostStats extra words), empty until its
-  // server exited cleanly.
-  std::vector<uint64_t> host_stats(uint32_t partition);
 
  private:
   // Server generations per partition: the primary and one cold standby.
@@ -175,7 +166,6 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
     // Newest epoch each app core quoted at this partition — the revocation
     // fence published when the server dies.
     std::unordered_map<uint32_t, uint64_t> last_epoch;
-    std::vector<uint64_t> host_stats;
     // Serializes each generation's host-lane drainers.
     std::mutex lane_mu[kGenerations];
     std::thread router;
@@ -204,8 +194,7 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   // Shared memory (MAP_SHARED: real cross-process words) and the ring
   // transport, both mapped before the fork.
   NativeShared shared_;
-  void* lanes_mem_ = nullptr;
-  size_t lanes_bytes_ = 0;
+  SharedMapping lanes_mem_;
   std::vector<SpscChannel> lanes_;  // per partition and generation
   std::vector<std::unique_ptr<NativeCore>> cores_;
   // Each app core's view of each partition's generation, indexed
@@ -214,7 +203,6 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   std::vector<std::unique_ptr<Partition>> parts_;
 
   std::function<void(uint32_t, bool, CoreEnv&)> child_start_;
-  std::function<Message(uint32_t)> child_exit_report_;
   std::function<void(uint32_t, const Message&)> host_frame_;
   uint64_t abort_status_base_ = ~uint64_t{0};
   pid_t host_pid_ = -1;

@@ -22,13 +22,13 @@
 // slot as the unit, so reading a node whole takes one lock.
 //
 // AddressMap is copied freely (TxRuntime holds one by value, DtmService
-// points at TmSystem's); the ownership directory is shared state behind a
-// shared_ptr, so ranges registered through any copy are visible to all of
-// them. Range registration is setup-time only (call AddOwnedRange before
-// the system runs), but the *owner* of a registered range may move at
-// runtime: MoveOwnedRange flips the range's partition in place — the map
-// structure itself never changes after setup, so concurrent lookups only
-// race on the atomic partition field and the directory version counter.
+// points at TmSystem's). The ownership directory, a fixed-capacity array
+// sorted by base, lives in a SharedMapping made by the constructor, so
+// every copy and every partition server forked later sees the same ranges
+// and flips. Registration is setup-time only (before Run, so before the
+// fork), but MoveOwnedRange may flip a range's owner at runtime: the array
+// never changes after setup, so concurrent lookups only race on the atomic
+// partition field and the directory version counter.
 //
 // Two partitions per range:
 //  - `partition` is the current lock owner, flipped by migration.
@@ -43,13 +43,15 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/shared_mapping.h"
 #include "src/runtime/deployment.h"
 #include "src/shmem/shared_memory.h"
 
@@ -60,7 +62,7 @@ class AddressMap {
   AddressMap(const DeploymentPlan& plan, uint64_t stripe_bytes)
       : plan_(&plan),
         stripe_bytes_(stripe_bytes),
-        directory_(std::make_shared<Directory>()) {
+        directory_(NewDirectory()) {
     TM2C_CHECK(stripe_bytes >= 1 && (stripe_bytes & (stripe_bytes - 1)) == 0);
   }
 
@@ -91,18 +93,23 @@ class AddressMap {
     TM2C_CHECK_MSG(header_bytes <= bytes, "header longer than its owned range");
     TM2C_CHECK(bytes > 0);
     TM2C_CHECK(partition < plan_->num_service());
-    auto& ranges = directory_->ranges;
+    Directory& dir = *directory_;
+    TM2C_CHECK_MSG(dir.size < kMaxOwnedRanges, "ownership directory full");
     // The new range must end before the next range starts and begin after
     // the previous one ends.
-    auto next = ranges.lower_bound(base);
-    TM2C_CHECK_MSG(next == ranges.end() || base + bytes <= next->first,
+    OwnedRange* next = UpperBound(base);
+    TM2C_CHECK_MSG(next == dir.end() || base + bytes <= next->base,
                    "owned ranges must not overlap");
-    if (next != ranges.begin()) {
-      auto prev = std::prev(next);
-      TM2C_CHECK_MSG(prev->first + prev->second.bytes <= base,
-                     "owned ranges must not overlap");
-    }
-    ranges.try_emplace(base, bytes, partition, lock_bytes, header_bytes);
+    TM2C_CHECK_MSG(next == dir.begin() || next[-1].base + next[-1].bytes <= base,
+                   "owned ranges must not overlap");
+    std::copy_backward(next, dir.end(), dir.end() + 1);
+    ++dir.size;
+    next->base = base;
+    next->bytes = bytes;
+    next->lock_bytes = lock_bytes;
+    next->header_bytes = header_bytes;
+    next->partition.store(partition, std::memory_order_relaxed);
+    next->home_partition = partition;
   }
 
   // Flips the owner of an exact registered range. Runtime-safe: the map
@@ -114,10 +121,10 @@ class AddressMap {
   // const view of the map.
   uint64_t MoveOwnedRange(uint64_t base, uint64_t bytes, uint32_t new_partition) const {
     TM2C_CHECK(new_partition < plan_->num_service());
-    auto it = directory_->ranges.find(base);
-    TM2C_CHECK_MSG(it != directory_->ranges.end() && it->second.bytes == bytes,
+    OwnedRange* range = Find(base);
+    TM2C_CHECK_MSG(range != nullptr && range->base == base && range->bytes == bytes,
                    "MoveOwnedRange must name an exact registered range");
-    it->second.partition.store(new_partition, std::memory_order_relaxed);
+    range->partition.store(new_partition, std::memory_order_relaxed);
     return directory_->version.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
 
@@ -125,18 +132,18 @@ class AddressMap {
   // address is hash-routed. Out-params are optional.
   bool FindOwnedRange(uint64_t addr, uint64_t* base, uint64_t* bytes,
                       uint32_t* partition) const {
-    const Entry* range = Find(addr);
+    const OwnedRange* range = Find(addr);
     if (range == nullptr) {
       return false;
     }
     if (base != nullptr) {
-      *base = range->first;
+      *base = range->base;
     }
     if (bytes != nullptr) {
-      *bytes = range->second.bytes;
+      *bytes = range->bytes;
     }
     if (partition != nullptr) {
-      *partition = range->second.partition.load(std::memory_order_relaxed);
+      *partition = range->partition.load(std::memory_order_relaxed);
     }
     return true;
   }
@@ -160,8 +167,8 @@ class AddressMap {
   // range (migration never moves it), or the hash partition for unowned
   // addresses (which cannot migrate either).
   uint32_t DurableHomeOf(uint64_t addr) const {
-    const Entry* range = Find(addr);
-    return range == nullptr ? HashPartitionOf(addr) : range->second.home_partition;
+    const OwnedRange* range = Find(addr);
+    return range == nullptr ? HashPartitionOf(addr) : range->home_partition;
   }
 
   // Core id of the service hosting the address's write-ahead log.
@@ -174,7 +181,7 @@ class AddressMap {
   uint64_t version() const { return directory_->version.load(std::memory_order_acquire); }
 
   uint64_t stripe_bytes() const { return stripe_bytes_; }
-  size_t num_owned_ranges() const { return directory_->ranges.size(); }
+  size_t num_owned_ranges() const { return directory_->size; }
 
   // Enumerates the registered owned ranges in address order (durability
   // uses this to capture each partition's initial image for checkpoint 0).
@@ -182,8 +189,8 @@ class AddressMap {
   // frozen home use ForEachDurableRange below.
   void ForEachOwnedRange(
       const std::function<void(uint64_t base, uint64_t bytes, uint32_t partition)>& fn) const {
-    for (const auto& [base, range] : directory_->ranges) {
-      fn(base, range.bytes, range.partition.load(std::memory_order_relaxed));
+    for (const OwnedRange& range : *directory_) {
+      fn(range.base, range.bytes, range.partition.load(std::memory_order_relaxed));
     }
   }
 
@@ -191,8 +198,8 @@ class AddressMap {
   // (checkpoint capture must image a slab into the WAL that replays it).
   void ForEachDurableRange(
       const std::function<void(uint64_t base, uint64_t bytes, uint32_t partition)>& fn) const {
-    for (const auto& [base, range] : directory_->ranges) {
-      fn(base, range.bytes, range.home_partition);
+    for (const OwnedRange& range : *directory_) {
+      fn(range.base, range.bytes, range.home_partition);
     }
   }
 
@@ -204,11 +211,11 @@ class AddressMap {
   std::string Describe() const {
     std::ostringstream out;
     out << "AddressMap: stripe_bytes=" << stripe_bytes_ << ", partitions="
-        << plan_->num_service() << ", owned_ranges=" << directory_->ranges.size()
+        << plan_->num_service() << ", owned_ranges=" << directory_->size
         << ", version=" << version() << " (hash fallback elsewhere)\n";
-    for (const auto& [base, range] : directory_->ranges) {
+    for (const OwnedRange& range : *directory_) {
       const uint32_t partition = range.partition.load(std::memory_order_relaxed);
-      out << "  [0x" << std::hex << base << ", 0x" << base + range.bytes << std::dec
+      out << "  [0x" << std::hex << range.base << ", 0x" << range.base + range.bytes << std::dec
           << ") -> partition " << partition << " (core "
           << plan_->ServiceCore(partition) << ", durable home " << range.home_partition
           << "), header_bytes=" << range.header_bytes << ", lock_bytes=" << range.lock_bytes
@@ -218,54 +225,74 @@ class AddressMap {
   }
 
  private:
+  static constexpr size_t kMaxOwnedRanges = 1024;
+
+  // Registration shifts ranges to keep the directory sorted. It runs at
+  // setup, before any reader, so copying the atomic needs no care.
+  struct CopyableAtomic : std::atomic<uint32_t> {
+    CopyableAtomic& operator=(const CopyableAtomic& other) {
+      store(other.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      return *this;
+    }
+  };
   struct OwnedRange {
-    OwnedRange(uint64_t bytes_in, uint32_t partition_in, uint64_t lock_bytes_in,
-               uint64_t header_bytes_in)
-        : bytes(bytes_in),
-          lock_bytes(lock_bytes_in),
-          header_bytes(header_bytes_in),
-          partition(partition_in),
-          home_partition(partition_in) {}
-    uint64_t bytes = 0;
-    uint64_t lock_bytes = 0;    // the lock unit past the header (see file comment)
-    uint64_t header_bytes = 0;  // the stripe-locked prefix
+    uint64_t base;
+    uint64_t bytes;
+    uint64_t lock_bytes;    // the lock unit past the header (see file comment)
+    uint64_t header_bytes;  // the stripe-locked prefix
     // Current lock owner; migration flips it in place while readers race.
-    std::atomic<uint32_t> partition{0};
+    CopyableAtomic partition;
     // Durability home, frozen at registration (see file comment).
-    uint32_t home_partition = 0;
+    uint32_t home_partition;
   };
-  // base address -> range; shared by every copy of the map (see header).
+  // The registered ranges sorted by base, shared by every copy of the map
+  // and every process forked after it was made (see header). Constructing
+  // it leaves `ranges` untouched, each entry written only when registered:
+  // touching the array's pages would cost a shared-memory fault per page.
   struct Directory {
-    std::map<uint64_t, OwnedRange> ranges;
     std::atomic<uint64_t> version{0};
+    size_t size = 0;
+    OwnedRange ranges[kMaxOwnedRanges];
+
+    OwnedRange* begin() { return ranges; }
+    OwnedRange* end() { return ranges + size; }
   };
-  using Entry = std::pair<const uint64_t, OwnedRange>;
+  static_assert(std::is_trivially_destructible_v<Directory>);  // unmapping ends it
+
+  static std::shared_ptr<Directory> NewDirectory() {
+    auto mapping = std::make_shared<SharedMapping>(sizeof(Directory));
+    return std::shared_ptr<Directory>(mapping, new (mapping->data()) Directory);
+  }
+
+  // The first registered range whose base lies above `addr`.
+  OwnedRange* UpperBound(uint64_t addr) const {
+    Directory& dir = *directory_;
+    return std::upper_bound(dir.begin(), dir.end(), addr,
+                            [](uint64_t a, const OwnedRange& range) { return a < range.base; });
+  }
 
   // The registered range containing `addr`, or null for a hash-routed
   // address.
-  const Entry* Find(uint64_t addr) const {
-    const auto& ranges = directory_->ranges;
-    auto it = ranges.upper_bound(addr);
-    if (it == ranges.begin()) {
+  OwnedRange* Find(uint64_t addr) const {
+    OwnedRange* next = UpperBound(addr);
+    if (next == directory_->begin()) {
       return nullptr;
     }
-    --it;
-    return addr - it->first < it->second.bytes ? &*it : nullptr;
+    return addr - next[-1].base < next[-1].bytes ? next - 1 : nullptr;
   }
 
   // The lock unit covering `addr`: its base (the lock key) and its bytes.
   // Hash-routed and header addresses lock by stripe; a header stripe ends
   // where the header does, and a unit where its range does.
   std::pair<uint64_t, uint64_t> UnitOf(uint64_t addr) const {
-    const Entry* range = Find(addr);
-    const uint64_t units =
-        range == nullptr ? UINT64_MAX : range->first + range->second.header_bytes;
+    const OwnedRange* range = Find(addr);
+    const uint64_t units = range == nullptr ? UINT64_MAX : range->base + range->header_bytes;
     if (addr < units) {
       const uint64_t stripe = addr & ~(stripe_bytes_ - 1);
       return {stripe, std::min(stripe_bytes_, units - stripe)};
     }
-    const uint64_t unit = addr - (addr - units) % range->second.lock_bytes;
-    return {unit, std::min(range->second.lock_bytes, range->first + range->second.bytes - unit)};
+    const uint64_t unit = addr - (addr - units) % range->lock_bytes;
+    return {unit, std::min(range->lock_bytes, range->base + range->bytes - unit)};
   }
 
   uint32_t HashPartitionOf(uint64_t addr) const {

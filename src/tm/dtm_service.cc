@@ -7,24 +7,6 @@
 
 namespace tm2c {
 
-std::vector<uint64_t> ServiceExitReport::Encode() const {
-  std::vector<uint64_t> words{lock_entries};
-  DtmServiceStats::ForEachField(
-      [&](const char*, auto member, FieldMerge) { words.push_back(stats.*member); });
-  return words;
-}
-
-ServiceExitReport ServiceExitReport::Decode(const std::vector<uint64_t>& words) {
-  ServiceExitReport report;
-  TM2C_CHECK_MSG(words.size() == report.Encode().size(),
-                 "partition server exit report missing or malformed");
-  report.lock_entries = words[0];
-  size_t next = 1;
-  DtmServiceStats::ForEachField(
-      [&](const char*, auto member, FieldMerge) { report.stats.*member = words[next++]; });
-  return report;
-}
-
 DtmService::DtmService(CoreEnv& env, const TmConfig& config, const AddressMap* map)
     : env_(env), config_(config), map_(map), cm_(MakeContentionManager(config.cm)) {}
 
@@ -43,6 +25,9 @@ void DtmService::set_trace(TxTraceSink* trace) {
 }
 
 void DtmService::RunLoop() {
+  // A restarted partition's standby starts from an empty table, whatever
+  // its dead primary published.
+  PublishLockEntries();
   if (durability_ == nullptr) {
     // The pre-durability loop, byte-identical in behaviour and timing.
     for (;;) {
@@ -260,6 +245,7 @@ DtmService::AcquireOutcome DtmService::Acquire(const AcquireRequest& req) {
       break;
     }
   }
+  PublishLockEntries();
   NotifyVictims(victims);
   if (trace_ != nullptr) {
     TraceGrants(req.core, req.addrs, out.granted);
@@ -441,6 +427,7 @@ void DtmService::HandleRelease(const Message& msg) {
     default:
       TM2C_FATAL("not a release message");
   }
+  PublishLockEntries();
   // A release may have emptied a draining range; the flip happens at the
   // instant the last holder lets go.
   MaybeCompleteMigrations();
@@ -517,6 +504,7 @@ void DtmService::BeginMigration(uint64_t base, uint64_t bytes, uint32_t target_p
   // releases close the window through MaybeCompleteMigrations.
   uint64_t remaining = 0;
   const std::vector<Victim> victims = table_.DrainRange(base, bytes, &remaining);
+  PublishLockEntries();
   ChargeProcessing(victims.size() + 1);
   NotifyVictims(victims);
   MaybeCompleteMigrations();

@@ -5,17 +5,26 @@
 // multitasked deployment calls HandleMessage() from the application task's
 // wait loops, and HandleLocal() for requests whose responsible node is the
 // requesting core itself.
+//
+// What the host reads of a service, its DtmServiceStats and its lock
+// table's entry count, lives in a SharedMapping made by the constructor,
+// so before any partition server forks: on processes the host's
+// DtmService is a pre-fork image whose block its server fills. Only the
+// service's core writes it. A restarted partition's standby keeps
+// counting in the block: the counters span server generations.
 #ifndef TM2C_SRC_TM_DTM_SERVICE_H_
 #define TM2C_SRC_TM_DTM_SERVICE_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <new>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/cm/contention_manager.h"
+#include "src/common/shared_mapping.h"
 #include "src/dslock/lock_table.h"
 #include "src/runtime/core_env.h"
 #include "src/tm/address_map.h"
@@ -57,18 +66,6 @@ struct DtmServiceStats {
     TM2C_DTM_SERVICE_STATS_FIELDS(TM2C_VISIT_FIELD)
 #undef TM2C_VISIT_FIELD
   }
-};
-
-// A partition server's parting report on the process backend, carried as
-// the extra words of a kHostStats frame: the lock table's final occupancy,
-// then every DtmServiceStats field in table order.
-struct ServiceExitReport {
-  uint64_t lock_entries = 0;
-  DtmServiceStats stats;
-
-  std::vector<uint64_t> Encode() const;
-  // CHECK-fails unless `words` holds exactly one encoded report.
-  static ServiceExitReport Decode(const std::vector<uint64_t>& words);
 };
 
 class DtmService {
@@ -161,8 +158,11 @@ class DtmService {
   // True while any migration drain window is open on this service.
   bool migrating() const { return !migrating_out_.empty(); }
 
+  // The live table. On processes the host's copy is the pre-fork image.
   const LockTable& lock_table() const { return table_; }
   const DtmServiceStats& stats() const { return stats_; }
+  // The lock table's entry count as the serving core last published it.
+  uint64_t lock_entries() const { return published_.lock_entries; }
 
   // Attaches the execution-trace recorder (verification harnesses only);
   // the service reports revocations — and durability events — through it.
@@ -222,6 +222,8 @@ class DtmService {
   void NoteAcquiresForPolicy(const uint64_t* addrs, uint32_t n);
   // Per-granted-stripe trace emission (migration-oracle input).
   void TraceGrants(uint32_t requester_core, const uint64_t* addrs, uint32_t n);
+  // Publishes the lock table's entry count; called after every change.
+  void PublishLockEntries() { published_.lock_entries = table_.NumEntries(); }
 
   CoreEnv& env_;
   TmConfig config_;
@@ -253,7 +255,14 @@ class DtmService {
   // policy check, plus the request countdown to the next check.
   std::unordered_map<uint64_t, uint64_t> range_hits_;
   uint32_t policy_countdown_ = 0;
-  DtmServiceStats stats_;
+  // What the host reads (see file comment), on pages of its own.
+  struct Published {
+    DtmServiceStats stats;
+    uint64_t lock_entries = 0;
+  };
+  SharedMapping published_mapping_{sizeof(Published)};
+  Published& published_ = *new (published_mapping_.data()) Published();
+  DtmServiceStats& stats_ = published_.stats;
 };
 
 }  // namespace tm2c

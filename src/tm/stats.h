@@ -3,8 +3,8 @@
 //
 // Each stats struct is written once, as an X-macro field table that declares
 // the plain named members and a static ForEachField(f) calling f(name,
-// member pointer, FieldMerge) per field in table order. Equality, Merge and
-// the process backend's exit report are generated from it.
+// member pointer, FieldMerge) per field in table order. Equality and Merge
+// are generated from it.
 #ifndef TM2C_SRC_TM_STATS_H_
 #define TM2C_SRC_TM_STATS_H_
 

@@ -139,12 +139,6 @@ TmSystem::TmSystem(TmSystemConfig config)
 }
 
 void TmSystem::WireProcessBackend() {
-  // The partition-side directory flip of a migration would happen in the
-  // server's copy-on-write heap and never reach the host runtimes' shared
-  // ownership directory, silently splitting the system's view of a stripe.
-  TM2C_CHECK_MSG(config_.tm.migrate_check_every == 0,
-                 "live migration is not supported on the process backend "
-                 "(the ownership directory is not shared across processes)");
   auto* proc = static_cast<ProcessSystem*>(system_.get());
   proc->SetAbortStatusBase(config_.tm.abort_status_base);
 
@@ -161,16 +155,6 @@ void TmSystem::WireProcessBackend() {
       // host — the oracle's only evidence that the torn tail was dropped.
       services_[partition]->SetRecoveredCommits(durability_[partition]->RecoverFromBackingFile());
     }
-  });
-
-  // The child's parting report (the host-side ServiceStats and
-  // AllLockTablesEmpty source of truth).
-  proc->SetChildExitReport([this](uint32_t partition) {
-    const DtmService& svc = *services_[partition];
-    Message msg;
-    msg.type = MsgType::kHostStats;
-    msg.extra = ServiceExitReport{svc.lock_table().NumEntries(), svc.stats()}.Encode();
-    return msg;
   });
 
   // Server-side durability events arriving as kTraceEvent records on the
@@ -267,7 +251,8 @@ SimTime TmSystem::Run(SimTime until) {
   // force them durable so post-run accounting is exact (commit_records ==
   // flushed records) and the final WAL image matches the final KV state.
   // Under processes the host's services never ran (every partition server
-  // flushed on its own kShutdown path), so this finds nothing to do.
+  // flushed on its own kShutdown path), so this finds nothing to do and
+  // must not: a flush here would count in the servers' shared counters.
   for (auto& service : services_) {
     service->QuiesceFlush();
   }
@@ -282,11 +267,7 @@ ProcessSystem& TmSystem::process() {
 
 DtmServiceStats TmSystem::ServiceStats(uint32_t partition) const {
   TM2C_CHECK(partition < services_.size());
-  if (config_.backend != BackendKind::kProcesses) {
-    return services_[partition]->stats();
-  }
-  auto* proc = static_cast<ProcessSystem*>(system_.get());
-  return ServiceExitReport::Decode(proc->host_stats(partition)).stats;
+  return services_[partition]->stats();
 }
 
 const TxStats& TmSystem::AppStats(uint32_t app_index) const {
@@ -308,21 +289,8 @@ const DtmService& TmSystem::ServiceAt(uint32_t partition) const {
 }
 
 bool TmSystem::AllLockTablesEmpty() const {
-  if (config_.backend == BackendKind::kProcesses) {
-    // The live tables died with the servers; each exit report leads with
-    // its final occupancy. A missing report (server never exited cleanly)
-    // counts as non-empty.
-    auto* proc = static_cast<ProcessSystem*>(system_.get());
-    for (uint32_t p = 0; p < system_->deployment().num_service(); ++p) {
-      const std::vector<uint64_t> report = proc->host_stats(p);
-      if (report.empty() || ServiceExitReport::Decode(report).lock_entries != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
   for (const auto& service : services_) {
-    if (service->lock_table().NumEntries() != 0) {
+    if (service->lock_entries() != 0) {
       return false;
     }
   }

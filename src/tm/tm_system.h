@@ -75,8 +75,8 @@ class TmSystem {
 
   // End-of-run invariant: once every application body has completed (all
   // transactions committed or abandoned and their releases processed), no
-  // partition may still hold a lock. Returns true when all tables are
-  // empty. Meaningless if the run was cut mid-transaction by a horizon.
+  // partition may still hold a lock. Returns true when every service's
+  // lock_entries() is 0. Meaningless if a horizon cut a transaction.
   bool AllLockTablesEmpty() const;
 
   // Attaches an execution-trace recorder (typically a check::History) to
@@ -84,10 +84,10 @@ class TmSystem {
   // Simulator: any sink. Process backend: the sink MUST be wrapped in a
   // MutexTraceSink (app threads and partition routers feed it
   // concurrently); partition-server durability events arrive over the
-  // partitions' host lanes as kTraceEvent records and are replayed into it
-  // here, and attaching after Run is a CHECK failure (the servers forked
-  // without a sink). Thread backend: unsupported (no per-event ordering to
-  // preserve them with).
+  // partitions' host lanes, which carry nothing else, as kTraceEvent
+  // records and are replayed into it here, and attaching after Run is a
+  // CHECK failure (the servers forked without a sink). Thread backend:
+  // unsupported (no per-event ordering to preserve them with).
   void AttachTrace(TxTraceSink* trace);
 
   // Backend-agnostic handles (work under sim and threads alike).
@@ -97,19 +97,18 @@ class TmSystem {
   ShmAllocator& allocator() { return system_->allocator(); }
   BackendKind backend() const { return config_.backend; }
 
-  // Process-specific handle (kill/restart chaos, exit reports). Checked:
-  // only valid when backend() == BackendKind::kProcesses.
+  // Process-specific handle (kill/restart chaos). Checked: only valid when
+  // backend() == BackendKind::kProcesses.
   ProcessSystem& process();
 
   // SIGKILLs the partition's server process mid-run (process backend
   // only); its cold standby recovers the partition from the WAL.
   void KillPartition(uint32_t partition) { process().KillPartition(partition); }
 
-  // Post-run service-side counters. Identical to ServiceAt(p).stats() on
-  // sim and threads; under processes the values come from the partition
-  // server's exit report — the host's DtmService object is a stale
-  // pre-fork image (counters accumulated before a kill die with the
-  // killed server; the report is the successor's).
+  // Post-run service-side counters: ServiceAt(p).stats(), read from the
+  // block the partition's service core writes (src/tm/dtm_service.h) on
+  // every backend. After a kill the block holds the dead primary's counts
+  // plus its standby's.
   DtmServiceStats ServiceStats(uint32_t partition) const;
 
   // Durability handles (only valid when config.tm.durability != kOff;
@@ -134,8 +133,8 @@ class TmSystem {
   // backend the last one shuts down the cores still blocked in Recv.
   void OnAppBodyDone();
 
-  // Installs the process backend's hooks (pre-fork WAL flush, child-side
-  // trace/recovery, exit reports, host-side trace-frame replay).
+  // Installs the process backend's hooks (abort-status fence, child-side
+  // trace/recovery, host-side trace-frame replay).
   void WireProcessBackend();
 
   TmSystemConfig config_;

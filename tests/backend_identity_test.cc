@@ -193,7 +193,7 @@ TEST(BackendIdentity, KvStoreContentsIdenticalAcrossMidRunMigration) {
   // Same contract as above, now with a live ownership handoff in the
   // middle of the run: the drain, the directory flip and the kMigrating
   // retries must not change any protocol outcome — contents and commit
-  // counts stay byte-identical between the simulator and real threads.
+  // counts stay byte-identical across all three backends.
   TmSystemConfig sim_cfg = BaseConfig();
   sim_cfg.backend = BackendKind::kSim;
   const KvRunResult sim = RunKvWorkload(sim_cfg, /*migrate=*/true);
@@ -215,6 +215,60 @@ TEST(BackendIdentity, KvStoreContentsIdenticalAcrossMidRunMigration) {
   // end of a fixed-work run.
   EXPECT_EQ(thr.migrations_completed, 1u);
   EXPECT_EQ(thr.slab0_partition, 1u);
+
+  // Processes: partition 0's server flips the directory in the shared
+  // mapping the host runtimes route by, and its counters reach the host
+  // through the same kind of mapping.
+  const KvRunResult proc = RunKvWorkload(ProcessConfig("kv_migrate"), /*migrate=*/true);
+  EXPECT_EQ(proc.commits, sim.commits);
+  EXPECT_EQ(proc.contents, sim.contents);
+  EXPECT_EQ(proc.migrations_completed, 1u);
+  EXPECT_EQ(proc.slab0_partition, 1u);
+}
+
+// AllLockTablesEmpty is the end-of-run leak check, so it must be able to
+// say no. With `leak`, the first app core takes a read lock by a raw
+// request to the word's service core and returns without releasing it;
+// every app core also commits a few increments of another word.
+bool LockTablesEmptyAfter(TmSystemConfig cfg, bool leak) {
+  TmSystem sys(cfg);
+  const uint64_t leaked = sys.allocator().AllocGlobal(kWordBytes);
+  const uint64_t counter = sys.allocator().AllocGlobal(kWordBytes);
+  sys.shmem().StoreWord(counter, 0);
+  const AddressMap& map = sys.address_map();
+  const uint32_t leaker = sys.deployment().app_cores()[0];
+  sys.SetAllAppBodies([&map, leaked, counter, leak, leaker](CoreEnv& env, TxRuntime& rt) {
+    for (int k = 0; k < 10; ++k) {
+      rt.Execute([counter](Tx& tx) { tx.Write(counter, tx.Read(counter) + 1); });
+    }
+    if (leak && env.core_id() == leaker) {
+      Message req;
+      req.type = MsgType::kReadLockReq;
+      req.w0 = map.StripeOf(leaked);
+      req.w1 = ~uint64_t{0};  // no runtime attempt has this epoch
+      env.Send(map.ResponsibleCore(leaked), std::move(req));
+      Message reply;
+      do {
+        reply = env.Recv();
+      } while (reply.type == MsgType::kAbortNotify);  // stale, from the increments
+      EXPECT_EQ(reply.type, MsgType::kLockGranted);
+    }
+  });
+  sys.Run();
+  EXPECT_EQ(sys.shmem().LoadWord(counter), 10u * sys.num_app_cores());
+  return sys.AllLockTablesEmpty();
+}
+
+TEST(BackendIdentity, LeakedLockIsSeenOnEveryBackend) {
+  TmSystemConfig sim_cfg = BaseConfig();
+  TmSystemConfig thr_cfg = BaseConfig();
+  thr_cfg.backend = BackendKind::kThreads;
+  EXPECT_TRUE(LockTablesEmptyAfter(sim_cfg, /*leak=*/false));
+  EXPECT_FALSE(LockTablesEmptyAfter(sim_cfg, /*leak=*/true));
+  EXPECT_TRUE(LockTablesEmptyAfter(thr_cfg, /*leak=*/false));
+  EXPECT_FALSE(LockTablesEmptyAfter(thr_cfg, /*leak=*/true));
+  EXPECT_TRUE(LockTablesEmptyAfter(ProcessConfig("no_leak"), /*leak=*/false));
+  EXPECT_FALSE(LockTablesEmptyAfter(ProcessConfig("leak"), /*leak=*/true));
 }
 
 // Ordered-index identity: the same fixed B+-tree workload — inserts,

@@ -20,7 +20,10 @@
 #include <thread>
 
 #include "src/check/process_kill.h"
+#include "src/common/rng.h"
+#include "src/durability/wal.h"
 #include "src/runtime/process_system.h"
+#include "src/tm/tm_system.h"
 
 namespace tm2c {
 namespace {
@@ -98,6 +101,128 @@ TEST(ProcessKill, GroupCommitWindowsSurviveTheKill) {
     ADD_FAILURE() << "[" << v.kind << "] " << v.detail;
   }
   DumpOnFailure(cfg, result);
+}
+
+// A fixed-work run for the kill tests below: one owned slab of counters
+// per partition, and every op a transaction adding a value unique to its
+// (core, op) to a random slab word. Commits and final contents are then
+// interleaving-independent, so a killed run must match the sim's. With
+// `kill`, app core 0 SIGKILLs partition 0's server halfway through its
+// ops; with `migrate` as well, right after it asks partition 0 to move
+// slab 0 to partition 1.
+struct SlabRun {
+  uint64_t commits = 0;
+  std::vector<uint64_t> contents;  // every slab word, slab by slab
+  bool tables_empty = false;
+  uint64_t migrations_completed = 0;  // summed over partitions
+  uint32_t slab0_partition = 0;
+  DtmServiceStats partition0;
+};
+
+constexpr uint64_t kSlabBytes = 8 * kWordBytes;
+constexpr uint32_t kSlabOpsPerCore = 200;
+
+TmSystemConfig SlabConfig(BackendKind backend) {
+  TmSystemConfig cfg;
+  cfg.backend = backend;
+  cfg.sim.platform = MakeOpteronPlatform();
+  cfg.sim.num_cores = 4;
+  cfg.sim.num_service = 2;
+  cfg.sim.shmem_bytes = 1 << 20;
+  cfg.tm.cm = CmKind::kFairCm;
+  return cfg;
+}
+
+SlabRun RunSlabs(const TmSystemConfig& cfg, bool kill, bool migrate) {
+  TmSystem sys(cfg);
+  std::vector<uint64_t> slab(sys.deployment().num_service());
+  for (uint32_t p = 0; p < slab.size(); ++p) {
+    slab[p] = sys.allocator().AllocGlobal(kSlabBytes);
+    sys.address_map().AddOwnedRange(slab[p], kSlabBytes, p);
+    for (uint64_t off = 0; off < kSlabBytes; off += kWordBytes) {
+      sys.shmem().StoreWord(slab[p] + off, 0);
+    }
+  }
+  if (sys.durability_enabled()) {
+    sys.CaptureDurableCheckpoint0();
+  }
+  const uint32_t killer = sys.deployment().app_cores()[0];
+  sys.SetAllAppBodies([&sys, &slab, kill, migrate, killer](CoreEnv& env, TxRuntime& rt) {
+    Rng rng(env.core_id() * 7919 + 1);
+    for (uint32_t k = 0; k < kSlabOpsPerCore; ++k) {
+      if (kill && env.core_id() == killer && k == kSlabOpsPerCore / 2) {
+        if (migrate) {
+          rt.RequestMigration(slab[0], kSlabBytes, 1);
+        }
+        sys.KillPartition(0);
+      }
+      const uint64_t addr = slab[rng.NextBelow(slab.size())] + rng.NextBelow(8) * kWordBytes;
+      const uint64_t add = (uint64_t{env.core_id()} << 32) | (k + 1);
+      rt.Execute([addr, add](Tx& tx) { tx.Write(addr, tx.Read(addr) + add); });
+    }
+  });
+  sys.Run();
+  SlabRun run;
+  run.commits = sys.MergedStats().commits;
+  for (uint64_t base : slab) {
+    for (uint64_t off = 0; off < kSlabBytes; off += kWordBytes) {
+      run.contents.push_back(sys.shmem().LoadWord(base + off));
+    }
+  }
+  run.tables_empty = sys.AllLockTablesEmpty();
+  for (uint32_t p = 0; p < slab.size(); ++p) {
+    run.migrations_completed += sys.ServiceStats(p).migrations_completed;
+  }
+  run.slab0_partition = sys.address_map().PartitionOf(slab[0]);
+  run.partition0 = sys.ServiceStats(0);
+  return run;
+}
+
+TmSystemConfig DurableProcessConfig(const std::string& dir) {
+  TmSystemConfig cfg = SlabConfig(BackendKind::kProcesses);
+  cfg.tm.durability = DurabilityMode::kBuffered;
+  cfg.run_dir = dir;
+  return cfg;
+}
+
+// A partition's counters live in a shared block that its standby keeps
+// counting in, so after a kill they cover both server generations: every
+// record in the partition's WAL file was appended, and counted, by one of
+// them. Counting only the standby's appends misses whatever the primary
+// flushed before it died.
+TEST(ProcessKill, RestartedPartitionCountsBothGenerations) {
+  const SlabRun sim = RunSlabs(SlabConfig(BackendKind::kSim), false, false);
+  const std::string dir = FreshRunDir("kill_counters");
+  const SlabRun run = RunSlabs(DurableProcessConfig(dir), /*kill=*/true, /*migrate=*/false);
+  const uint64_t wal_records = ReadWalFile(dir + "/part0.wal").records.size();
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(run.commits, 2u * kSlabOpsPerCore);
+  EXPECT_EQ(run.contents, sim.contents);
+  EXPECT_TRUE(run.tables_empty);
+  EXPECT_GT(wal_records, 0u);
+  EXPECT_GE(run.partition0.commit_records, wal_records);
+}
+
+// A kill right after a migration request: the drain and the flip happen
+// in partition 0's server, which may die before the request reaches it,
+// mid-drain, or after the flip. Whichever it is, the run finishes with the
+// sim's contents, and the directory and the counters agree on the side.
+TEST(ProcessKill, KillDuringAMigrationKeepsDirectoryAndCountersInStep) {
+  const SlabRun sim = RunSlabs(SlabConfig(BackendKind::kSim), false, false);
+  const std::string dir = FreshRunDir("kill_migrate");
+  const SlabRun run = RunSlabs(DurableProcessConfig(dir), /*kill=*/true, /*migrate=*/true);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(run.commits, 2u * kSlabOpsPerCore);
+  EXPECT_EQ(run.contents, sim.contents);
+  EXPECT_TRUE(run.tables_empty);
+  EXPECT_LE(run.migrations_completed, 1u);
+  EXPECT_EQ(run.slab0_partition == 1, run.migrations_completed == 1);
+  std::printf("kill landed %s the flip (migrations_started %llu, migrations_completed %llu)\n",
+              run.migrations_completed == 1 ? "after" : "before",
+              static_cast<unsigned long long>(run.partition0.migrations_started),
+              static_cast<unsigned long long>(run.migrations_completed));
 }
 
 TEST(ProcessKill, KillWakesEveryAppCoreParkedOnAReply) {
