@@ -9,10 +9,12 @@
 // latencies in microseconds and throughput is host ops/ms. Nothing can
 // abort here, so commit_rate is 1 by construction.
 //
-// Under --backend=threads the bench instead measures the native transport
-// itself: a tiny-transaction workload (per-core counter increments,
-// conflict-free, so every operation is pure protocol messaging) over the
-// lock-free SPSC rings, on real OS threads with wall-clock timing.
+// Under --backend=threads the bench instead measures two native layers on
+// real OS threads with wall-clock timing: the transport, with a
+// tiny-transaction workload (per-core counter increments, conflict-free,
+// so every operation is pure protocol messaging) over the lock-free SPSC
+// rings; and the runtime's read path, with transactions that read one
+// whole lock unit.
 #include <chrono>
 
 #include "bench/bench_util.h"
@@ -102,9 +104,49 @@ void RunNativeTransport(BenchContext& ctx) {
   ctx.Report(row);
 }
 
+// Native read path (--backend=threads): each app core runs conflict-free
+// read-only transactions that ReadMany the 32 words of its own 256-byte
+// lock unit. An op is one lock acquisition (a batch round trip), 32
+// shared-memory reads and one release message, so the row prices the
+// runtime's per-word read bookkeeping against one round trip.
+void RunNativeReadUnit(BenchContext& ctx) {
+  constexpr uint64_t kUnitBytes = 256;
+  const uint32_t cores = ctx.Cores(4);
+  const uint32_t service = ctx.ServiceCores(cores >= 2 ? cores / 2 : 1);
+  RunSpec spec = ctx.Spec(200, 21, CmKind::kBackoffRetry);
+  spec.total_cores = cores;
+  spec.service_cores = service;
+  spec.backend = BackendKind::kThreads;
+  TmSystem sys(MakeConfig(spec));
+  const uint64_t base = sys.allocator().AllocGlobal(uint64_t{cores} * kUnitBytes);
+  std::vector<std::vector<uint64_t>> unit_words(cores);
+  for (uint32_t core = 0; core < cores; ++core) {
+    const uint64_t unit = base + core * kUnitBytes;
+    sys.address_map().AddOwnedRange(unit, kUnitBytes, core % service, kUnitBytes);
+    for (uint64_t offset = 0; offset < kUnitBytes; offset += kWordBytes) {
+      unit_words[core].push_back(unit + offset);
+    }
+  }
+  LatencySampler lat;
+  InstallLoopBodies(sys, spec.duration, spec.seed,
+                    [&unit_words](CoreEnv& env, TxRuntime& rt, Rng&) {
+                      const std::vector<uint64_t>& words = unit_words[env.core_id()];
+                      rt.Execute([&words](Tx& tx) { (void)tx.ReadMany(words); });
+                    },
+                    &lat);
+  sys.Run();
+  BenchRow row;
+  row.Param("micro", "tx_read_unit")
+      .Param("cores", uint64_t{cores})
+      .Param("service_cores", uint64_t{service})
+      .Tx(sys, spec.duration, lat);
+  ctx.Report(row);
+}
+
 void Run(BenchContext& ctx) {
   if (ctx.native()) {
     RunNativeTransport(ctx);
+    RunNativeReadUnit(ctx);
     return;
   }
   {
@@ -187,9 +229,9 @@ void Run(BenchContext& ctx) {
   }
 }
 
-TM2C_REGISTER_BENCH_THREADS_ONLY(  // the native row measures the thread transport
-    "micro", "host", "host-side micro costs; with --backend=threads, SPSC transport throughput",
-    &Run);
+TM2C_REGISTER_BENCH_THREADS_ONLY(  // the native rows measure the thread backend
+    "micro", "host",
+    "host-side micro costs; with --backend=threads, the native transport and read path", &Run);
 
 }  // namespace
 }  // namespace tm2c

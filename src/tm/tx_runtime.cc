@@ -1,7 +1,6 @@
 #include "src/tm/tx_runtime.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/common/check.h"
 #include "src/sim/fiber.h"
@@ -102,20 +101,18 @@ void TxRuntime::BeginAttempt() {
   // Every path out of an attempt (commit, abort, TryExecute giving up)
   // drains the in-flight table first; a request still outstanding here
   // would mean a reply could be matched against the wrong attempt's locks.
-  TM2C_CHECK_MSG(inflight_.empty(), "in-flight acquisitions leaked across attempts");
+  TM2C_CHECK_MSG(inflight_count_ == 0, "in-flight acquisitions leaked across attempts");
   pending_refusal_ = ConflictKind::kNone;
-  prefetch_pending_.clear();
   ++attempt_counter_;
   current_epoch_ = (static_cast<uint64_t>(env_.core_id()) << 32) | attempt_counter_;
   abort_thrown_ = false;
   pending_abort_ = false;
   pending_abort_kind_ = ConflictKind::kNone;
-  write_buffer_.clear();
+  table_.Clear();
   write_order_.clear();
-  read_locks_.clear();
+  write_lock_order_.clear();
   read_lock_order_.clear();
-  read_cache_.clear();
-  write_locks_.clear();
+  elastic_oldest_ = 0;
   validation_window_.clear();
   elastic_read_values_.clear();
   early_released_values_.clear();
@@ -134,7 +131,7 @@ void TxRuntime::CheckBodyContract() const {
                  "transaction body swallowed TxAbortException (catch(...) in a tx body?)");
 }
 
-void TxRuntime::ServePending() {
+bool TxRuntime::ServePending() {
   // Bounded slice: under closed-loop retries (every refusal this core
   // serves immediately triggers the sender's next request) the inbox can
   // refill as fast as it drains, and an unbounded drain would wedge a
@@ -142,10 +139,13 @@ void TxRuntime::ServePending() {
   // commit proceed; missed abort notifications are covered by the
   // shared-memory status word checked at the persist instant.
   Message msg;
-  int budget = 128;
-  while (budget-- > 0 && env_.TryRecv(&msg)) {
+  for (int budget = 128; budget > 0; --budget) {
+    if (!env_.TryRecv(&msg)) {
+      return true;
+    }
     HandleInboxMessage(msg);
   }
+  return false;
 }
 
 void TxRuntime::HandleInboxMessage(const Message& msg) {
@@ -221,12 +221,12 @@ void TxRuntime::PrivatizationBarrier() {
   barrier_arrivals_.erase(generation);
 }
 
-void TxRuntime::CheckPendingAbort() {
+bool TxRuntime::CheckPendingAbort() {
   // Drain the inbox first: an abort notification may have been delivered
   // while this core was busy with local work (in particular, serving its
   // own partition synchronously under the multitasked deployment never
   // touches the inbox). TryRecv on an empty inbox is free.
-  ServePending();
+  const bool drained = ServePending();
   if (pending_abort_) {
     ++stats_.notify_aborts;
     AbortSelf(pending_abort_kind_);
@@ -238,6 +238,7 @@ void TxRuntime::CheckPendingAbort() {
     pending_refusal_ = ConflictKind::kNone;
     AbortSelf(kind);
   }
+  return drained;
 }
 
 uint64_t TxRuntime::WireMetric() {
@@ -278,32 +279,43 @@ Message TxRuntime::Rpc(uint32_t dst, Message request) {
   }
 }
 
-void TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write,
-                           bool committing) {
+void TxRuntime::IssueBatch(uint32_t node, const uint64_t* stripes, uint32_t len, bool is_write,
+                           bool committing, bool prefetch) {
   const SimTime issue_start = env_.LocalNow();
   const uint64_t request_id = next_request_id_++;
-  const auto len = static_cast<uint32_t>(stripes.size());
   Message req;
   req.type = MsgType::kBatchAcquire;
   req.w0 = (committing ? kBatchFlagCommit : 0) | (request_id << kBatchReqIdShift);
   req.w1 = current_epoch_;
   req.w2 = WireMetric();
   req.w3 = is_write ? PrefixBitmap(len) : 0;
-  req.extra = stripes;  // the in-flight record keeps its own copy
+  req.extra.assign(stripes, stripes + len);
   ++stats_.batch_messages;
   ++stats_.messages_sent;
   // Depth at issue counts this request itself; depth 1 (lockstep) lands
   // every batch in bucket 0.
-  const size_t depth = inflight_.size() + 1;
+  const size_t depth = inflight_count_ + 1;
   ++stats_.inflight_depth_hist[std::min<size_t>(depth, stats_.inflight_depth_hist.size()) - 1];
   if (trace_ != nullptr) {
     trace_->OnAcquireIssue(env_.core_id(), request_id, node, len, is_write);
   }
-  InFlightAcquire fl;
+  if (inflight_count_ == inflight_.size()) {
+    inflight_.emplace_back();
+  }
+  InFlightAcquire& fl = inflight_[inflight_count_++];
+  fl.request_id = request_id;
   fl.node = node;
-  fl.stripes = std::move(stripes);
+  fl.stripes.assign(stripes, stripes + len);
   fl.is_write = is_write;
+  fl.prefetch = prefetch;
   fl.issue_start = issue_start;
+  if (prefetch) {
+    // Marked before issuing: a self-addressed chunk resolves right below,
+    // and its CompleteBatch must find (and clear) the marks.
+    for (uint32_t i = 0; i < len; ++i) {
+      table_.Insert(stripes[i]).flags |= AttemptTable::kPrefetching;
+    }
+  }
   if (node == env_.core_id()) {
     // Multitasked deployment: this core is its own responsible node. The
     // request resolves synchronously at the issue position — exactly the
@@ -311,21 +323,20 @@ void TxRuntime::IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is
     TM2C_CHECK_MSG(local_service_ != nullptr, "self-addressed request without a local service");
     req.src = env_.core_id();
     env_.ChargeModelled(config_.multitask_switch_cycles);  // coroutine switch
-    Message rsp = local_service_->HandleLocal(std::move(req));
-    inflight_.emplace(request_id, std::move(fl));
-    CompleteBatch(rsp);
+    CompleteBatch(local_service_->HandleLocal(std::move(req)));
     return;
   }
   env_.Send(node, std::move(req));
-  inflight_.emplace(request_id, std::move(fl));
 }
 
 void TxRuntime::CompleteBatch(const Message& rsp) {
   const uint64_t request_id = rsp.w3 >> kBatchReqIdShift;
-  auto it = inflight_.find(request_id);
-  TM2C_CHECK_MSG(it != inflight_.end(), "batch reply with no matching in-flight request");
-  InFlightAcquire fl = std::move(it->second);
-  inflight_.erase(it);
+  size_t slot = 0;
+  while (slot < inflight_count_ && inflight_[slot].request_id != request_id) {
+    ++slot;
+  }
+  TM2C_CHECK_MSG(slot < inflight_count_, "batch reply with no matching in-flight request");
+  InFlightAcquire& fl = inflight_[slot];
   const size_t len = fl.stripes.size();
   const auto granted = static_cast<size_t>(rsp.w3 & kBatchReqIdMask);
   TM2C_DCHECK(granted <= len);
@@ -336,11 +347,15 @@ void TxRuntime::CompleteBatch(const Message& rsp) {
   stats_.acquire_time += env_.LocalNow() - fl.issue_start;
   stats_.lock_acquires += len;
   stats_.remote_acquires += len;
-  for (uint64_t stripe : fl.stripes) {
-    auto p = prefetch_pending_.find(stripe);
-    if (p != prefetch_pending_.end() && p->second == request_id) {
-      prefetch_pending_.erase(p);
+  if (fl.prefetch) {
+    for (uint64_t stripe : fl.stripes) {
+      table_.Find(stripe)->flags &= ~AttemptTable::kPrefetching;
     }
+  }
+  // Retire the slot: the last outstanding one moves into its place, and
+  // the retired one's buffer waits past the end for the next issue.
+  if (slot != --inflight_count_) {
+    std::swap(fl, inflight_[inflight_count_]);
   }
   const auto kind = static_cast<ConflictKind>(rsp.w2);
   if (trace_ != nullptr) {
@@ -361,7 +376,7 @@ void TxRuntime::CompleteBatch(const Message& rsp) {
 }
 
 void TxRuntime::WaitOneReply() {
-  TM2C_CHECK_MSG(!inflight_.empty(), "waiting for a batch reply with none outstanding");
+  TM2C_CHECK_MSG(inflight_count_ > 0, "waiting for a batch reply with none outstanding");
   for (;;) {
     const Message msg = env_.Recv();
     HandleInboxMessage(msg);  // a kBatchReply goes to CompleteBatch there
@@ -372,13 +387,13 @@ void TxRuntime::WaitOneReply() {
 }
 
 void TxRuntime::DrainInFlight() {
-  while (!inflight_.empty()) {
+  while (inflight_count_ > 0) {
     WaitOneReply();
   }
 }
 
 void TxRuntime::WaitForStripe(uint64_t stripe) {
-  while (prefetch_pending_.find(stripe) != prefetch_pending_.end()) {
+  while ((table_.FlagsOf(stripe) & AttemptTable::kPrefetching) != 0) {
     WaitOneReply();
   }
 }
@@ -411,12 +426,12 @@ void TxRuntime::LocalAcquireSpanOrAbort(const uint64_t* stripes, uint32_t n, boo
   }
 }
 
-void TxRuntime::IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
-                            bool is_write, bool committing, bool prefetch) {
-  for (const auto& [node, stripes] : by_node) {
+void TxRuntime::IssueGroups(bool is_write, bool committing, bool prefetch) {
+  for (uint32_t node : groups_.nodes) {
     if (pending_refusal_ != ConflictKind::kNone) {
       break;  // doomed: stop issuing
     }
+    const std::vector<uint64_t>& stripes = groups_.by_node[node];
     if (LocalFastPathEligible(node)) {
       // Zero-message span acquisition: no 64-entry cap, one service call.
       LocalAcquireSpanOrAbort(stripes.data(), static_cast<uint32_t>(stripes.size()), is_write,
@@ -424,7 +439,7 @@ void TxRuntime::IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_
       continue;
     }
     for (size_t pos = 0; pos < stripes.size(); pos += config_.max_batch) {
-      while (inflight_.size() >= config_.pipeline_depth &&
+      while (inflight_count_ >= config_.pipeline_depth &&
              pending_refusal_ == ConflictKind::kNone) {
         WaitOneReply();
       }
@@ -432,26 +447,16 @@ void TxRuntime::IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_
         break;
       }
       const size_t len = std::min<size_t>(config_.max_batch, stripes.size() - pos);
-      std::vector<uint64_t> chunk(stripes.begin() + static_cast<ptrdiff_t>(pos),
-                                  stripes.begin() + static_cast<ptrdiff_t>(pos + len));
-      if (prefetch) {
-        // Register before issuing: a self-addressed chunk resolves inside
-        // IssueBatch and its CompleteBatch must find (and clear) the
-        // entries. IssueBatch consumes next_request_id_.
-        for (uint64_t stripe : chunk) {
-          prefetch_pending_[stripe] = next_request_id_;
-        }
-      }
-      IssueBatch(node, std::move(chunk), is_write, committing);
+      IssueBatch(node, stripes.data() + pos, static_cast<uint32_t>(len), is_write, committing,
+                 prefetch);
     }
   }
 }
 
-void TxRuntime::AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
-                                     bool is_write, bool committing) {
-  IssueGroups(by_node, is_write, committing, /*prefetch=*/false);
+void TxRuntime::AcquireGroupsOrAbort(bool is_write, bool committing) {
+  IssueGroups(is_write, committing, /*prefetch=*/false);
   // Every reply must land before the refusal takes effect: a late grant
-  // belongs to the held-lock sets so the abort (or commit) path releases it.
+  // belongs to the held locks so the abort (or commit) path releases it.
   DrainInFlight();
   if (pending_refusal_ != ConflictKind::kNone) {
     const ConflictKind kind = pending_refusal_;
@@ -484,11 +489,78 @@ void TxRuntime::AcquireOneOrAbort(uint64_t stripe, bool is_write, bool committin
 }
 
 void TxRuntime::NoteGranted(const uint64_t* stripes, size_t n, bool is_write) {
+  const uint32_t flag = is_write ? AttemptTable::kWriteLocked : AttemptTable::kReadLocked;
+  std::vector<uint64_t>& order = is_write ? write_lock_order_ : read_lock_order_;
   for (size_t i = 0; i < n; ++i) {
-    if (is_write) {
-      write_locks_.insert(stripes[i]);
-    } else if (read_locks_.insert(stripes[i]).second) {
-      read_lock_order_.push_back(stripes[i]);
+    AttemptTable::Entry& entry = table_.Insert(stripes[i]);
+    if ((entry.flags & flag) == 0) {
+      entry.flags |= flag;
+      order.push_back(stripes[i]);
+    }
+  }
+}
+
+void TxRuntime::NoteRead(uint64_t addr, uint64_t value) {
+  AttemptTable::Entry& entry = table_.Insert(addr);
+  entry.read = value;
+  entry.flags |= AttemptTable::kRead;
+}
+
+void TxRuntime::NodeGroups::Add(uint32_t node, uint64_t value) {
+  if (node >= by_node.size()) {
+    by_node.resize(node + 1);
+  }
+  std::vector<uint64_t>& group = by_node[node];
+  if (group.empty()) {
+    nodes.insert(std::upper_bound(nodes.begin(), nodes.end(), node), node);
+  }
+  group.push_back(value);
+}
+
+void TxRuntime::NodeGroups::Clear() {
+  for (uint32_t node : nodes) {
+    by_node[node].clear();
+  }
+  nodes.clear();
+}
+
+void TxRuntime::QueueUnreadUnits(const std::vector<uint64_t>& addrs, bool prefetch) {
+  groups_.Clear();
+  for (size_t i = 0; i < addrs.size();) {
+    const uint64_t unit = map_.StripeOf(addrs[i]);
+    const uint64_t unit_end = unit + map_.LockBytesOf(unit);
+    // The run of addresses inside the unit needs its lock only if it reads
+    // a word afresh: neither buffered nor read before.
+    bool fresh = false;
+    for (; i < addrs.size() && addrs[i] >= unit && addrs[i] < unit_end; ++i) {
+      TM2C_DCHECK(addrs[i] % kWordBytes == 0);
+      fresh = fresh ||
+              (table_.FlagsOf(addrs[i]) & (AttemptTable::kWritten | AttemptTable::kRead)) == 0;
+    }
+    if (!fresh) {
+      continue;
+    }
+    if ((table_.FlagsOf(unit) & AttemptTable::kPrefetching) != 0) {
+      if (prefetch) {
+        continue;  // its lock is on its way
+      }
+      WaitForStripe(unit);  // the prefetched lock is about to land
+    }
+    constexpr uint32_t kHeldOrQueued =
+        AttemptTable::kReadLocked | AttemptTable::kWriteLocked | AttemptTable::kQueued;
+    if ((table_.FlagsOf(unit) & kHeldOrQueued) != 0) {
+      continue;
+    }
+    table_.Insert(unit).flags |= AttemptTable::kQueued;
+    groups_.Add(map_.ResponsibleCore(unit), unit);
+  }
+  UnmarkQueued();
+}
+
+void TxRuntime::UnmarkQueued() {
+  for (uint32_t node : groups_.nodes) {
+    for (uint64_t stripe : groups_.by_node[node]) {
+      table_.Find(stripe)->flags &= ~AttemptTable::kQueued;
     }
   }
 }
@@ -503,26 +575,10 @@ void TxRuntime::TxPrefetch(const std::vector<uint64_t>& addrs) {
     return;
   }
   CheckPendingAbort();
-  std::map<uint32_t, std::vector<uint64_t>> by_node;
-  std::unordered_set<uint64_t> requested;
-  for (uint64_t addr : addrs) {
-    TM2C_DCHECK(addr % kWordBytes == 0);
-    if (write_buffer_.find(addr) != write_buffer_.end() ||
-        read_cache_.find(addr) != read_cache_.end()) {
-      continue;
-    }
-    const uint64_t stripe = map_.StripeOf(addr);
-    if (read_locks_.find(stripe) != read_locks_.end() ||
-        write_locks_.find(stripe) != write_locks_.end() ||
-        prefetch_pending_.find(stripe) != prefetch_pending_.end() ||
-        !requested.insert(stripe).second) {
-      continue;
-    }
-    by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
-  }
+  QueueUnreadUnits(addrs, /*prefetch=*/true);
   // A refusal (or an already doomed attempt) surfaces at the next
   // transactional op.
-  IssueGroups(by_node, /*is_write=*/false, /*committing=*/false, /*prefetch=*/true);
+  IssueGroups(/*is_write=*/false, /*committing=*/false, /*prefetch=*/true);
   // Lockstep configurations get the synchronous ReadMany-style acquisition
   // without the reads; a refusal surfaces at the next transactional op.
   if (config_.pipeline_depth == 1) {
@@ -575,47 +631,52 @@ std::vector<uint64_t> TxRuntime::TxReadMany(const std::vector<uint64_t>& addrs) 
   }
   stats_.reads += addrs.size();
   CheckPendingAbort();
-  // Group the stripes that still need a read lock by responsible node; a
-  // buffered write, a cached read, or an already-held lock covers its
-  // address, and duplicates collapse to one entry.
-  std::map<uint32_t, std::vector<uint64_t>> by_node;
-  std::unordered_set<uint64_t> requested;
+  QueueUnreadUnits(addrs, /*prefetch=*/false);
+  AcquireGroupsOrAbort(/*is_write=*/false, /*committing=*/false);
+  // Every lock is held, so the reads below send no messages. A fresh word
+  // is read from shared memory with an inbox poll after it, as in
+  // ReadNormal; the poll ReadNormal makes before it is made only while the
+  // previous one left something in the inbox, for it would run at the
+  // same instant and find nothing.
+  bool inbox_empty = false;
   for (uint64_t addr : addrs) {
-    TM2C_DCHECK(addr % kWordBytes == 0);
-    if (write_buffer_.find(addr) != write_buffer_.end() ||
-        read_cache_.find(addr) != read_cache_.end()) {
+    if (const uint64_t* known = KnownValue(addr)) {
+      values.push_back(*known);
       continue;
     }
-    const uint64_t stripe = map_.StripeOf(addr);
-    if (prefetch_pending_.find(stripe) != prefetch_pending_.end()) {
-      WaitForStripe(stripe);  // the prefetched lock is about to land
+    if (!inbox_empty) {
+      CheckPendingAbort();
     }
-    if (read_locks_.find(stripe) != read_locks_.end() ||
-        write_locks_.find(stripe) != write_locks_.end() || !requested.insert(stripe).second) {
-      continue;
+    const uint64_t value = env_.ShmemRead(addr);
+    if (trace_ != nullptr) {
+      trace_->OnTxRead(env_.core_id(), addr, value);
     }
-    by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
-  }
-  AcquireGroupsOrAbort(by_node, /*is_write=*/false, /*committing=*/false);
-  // Every lock is held: the per-address reads below send no messages.
-  for (uint64_t addr : addrs) {
-    values.push_back(ReadNormal(addr, /*elastic_early=*/false));
+    NoteRead(addr, value);
+    inbox_empty = CheckPendingAbort();
+    values.push_back(value);
   }
   return values;
 }
 
-uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
-  // Algorithm 4 line 2-5: buffered values win.
-  if (auto it = write_buffer_.find(addr); it != write_buffer_.end()) {
-    return it->second;
+const uint64_t* TxRuntime::KnownValue(uint64_t addr) {
+  const AttemptTable::Entry* entry = table_.Find(addr);
+  if (entry == nullptr) {
+    return nullptr;
   }
-  if (auto it = read_cache_.find(addr); it != read_cache_.end()) {
-    return it->second;
+  if ((entry->flags & AttemptTable::kWritten) != 0) {
+    return &entry->written;
+  }
+  return (entry->flags & AttemptTable::kRead) != 0 ? &entry->read : nullptr;
+}
+
+uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
+  if (const uint64_t* known = KnownValue(addr)) {
+    return *known;
   }
   CheckPendingAbort();
 
   const uint64_t stripe = map_.StripeOf(addr);
-  if (prefetch_pending_.find(stripe) != prefetch_pending_.end()) {
+  if ((table_.FlagsOf(stripe) & AttemptTable::kPrefetching) != 0) {
     // The stripe's lock is already on its way: wait for that reply instead
     // of issuing a second request (a refused prefetch aborts right here).
     WaitForStripe(stripe);
@@ -625,32 +686,32 @@ uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
   // the visible-read lock, exactly the invisible-read bug the oracle must
   // catch.
   if (config_.fault != FaultMode::kSkipReadLock &&
-      read_locks_.find(stripe) == read_locks_.end() &&
-      write_locks_.find(stripe) == write_locks_.end()) {
+      (table_.FlagsOf(stripe) & (AttemptTable::kReadLocked | AttemptTable::kWriteLocked)) == 0) {
     AcquireOneOrAbort(stripe, /*is_write=*/false, /*committing=*/false);
 
     if (elastic_early) {
       // Elastic-early (Section 6.1): keep only the trailing window of read
       // locks; anything older is released with an extra message.
-      while (read_lock_order_.size() > config_.elastic_window) {
-        const uint64_t oldest = read_lock_order_.front();
-        read_lock_order_.erase(read_lock_order_.begin());
+      while (read_lock_order_.size() - elastic_oldest_ > config_.elastic_window) {
+        const uint64_t oldest = read_lock_order_[elastic_oldest_++];
         const uint64_t oldest_end = oldest + map_.LockBytesOf(oldest);
         bool written = false;
         for (uint64_t a = oldest; a < oldest_end && !written; a += kWordBytes) {
-          written = write_buffer_.find(a) != write_buffer_.end();
+          written = (table_.FlagsOf(a) & AttemptTable::kWritten) != 0;
         }
         if (oldest == stripe || written) {
           continue;  // still needed: just acquired, or will be written
         }
-        read_locks_.erase(oldest);
         // The values are no longer protected: remember them in case a
-        // later write depends on one (see TxWrite below).
+        // later write depends on one (see TxWrite below), and forget the
+        // unit. No word of it is written, so its entries hold nothing but
+        // the read lock and the values read.
         for (uint64_t a = oldest; a < oldest_end; a += kWordBytes) {
-          if (auto it = read_cache_.find(a); it != read_cache_.end()) {
-            early_released_values_[a] = it->second;
-            read_cache_.erase(it);
+          const AttemptTable::Entry* entry = table_.Find(a);
+          if (entry != nullptr && (entry->flags & AttemptTable::kRead) != 0) {
+            early_released_values_[a] = entry->read;
           }
+          table_.Erase(a);
         }
         Message rel;
         rel.type = MsgType::kEarlyReadRelease;
@@ -666,14 +727,15 @@ uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
   if (trace_ != nullptr) {
     trace_->OnTxRead(env_.core_id(), addr, value);
   }
-  read_cache_[addr] = value;
+  NoteRead(addr, value);
   CheckPendingAbort();
   return value;
 }
 
 uint64_t TxRuntime::ReadElasticValidated(uint64_t addr) {
-  if (auto it = write_buffer_.find(addr); it != write_buffer_.end()) {
-    return it->second;
+  if (const AttemptTable::Entry* entry = table_.Find(addr);
+      entry != nullptr && (entry->flags & AttemptTable::kWritten) != 0) {
+    return entry->written;
   }
   CheckPendingAbort();
   const uint64_t value = env_.ShmemRead(addr);
@@ -724,26 +786,27 @@ void TxRuntime::TxWrite(uint64_t addr, uint64_t value) {
         ++stats_.validation_failures;
         AbortSelf(ConflictKind::kReadAfterWrite);
       }
-      read_cache_[addr] = expected;
+      NoteRead(addr, expected);
     }
   }
   if (config_.write_acquire == WriteAcquire::kEager) {
     const uint64_t stripe = map_.StripeOf(addr);
-    if (write_locks_.find(stripe) == write_locks_.end()) {
+    if ((table_.FlagsOf(stripe) & AttemptTable::kWriteLocked) == 0) {
       AcquireOneOrAbort(stripe, /*is_write=*/true, /*committing=*/false);
     }
   }
   // Deferred write (write-back): buffer locally, persist at commit.
-  if (write_buffer_.emplace(addr, value).second) {
+  AttemptTable::Entry& entry = table_.Insert(addr);
+  if ((entry.flags & AttemptTable::kWritten) == 0) {
+    entry.flags |= AttemptTable::kWritten;
     write_order_.push_back(addr);
-  } else {
-    write_buffer_[addr] = value;
   }
+  entry.written = value;
 }
 
 void TxRuntime::TxCommit() {
   // Outstanding prefetches resolve first: their grants belong to the
-  // held-lock sets before any lock is released, and a refused prefetch
+  // held locks before any lock is released, and a refused prefetch
   // must abort before the commit sequence starts.
   DrainInFlight();
   CheckPendingAbort();
@@ -751,21 +814,22 @@ void TxRuntime::TxCommit() {
   // Algorithm 3 lines 3-12: acquire the write locks for the buffered
   // writes (lazy acquisition; under eager mode they are already held —
   // revocations of those are caught by the abort status check below).
-  if (!write_buffer_.empty()) {
-    std::map<uint32_t, std::vector<uint64_t>> by_node;
-    std::unordered_set<uint64_t> seen;
+  if (!write_order_.empty()) {
+    groups_.Clear();
     for (uint64_t addr : write_order_) {
       const uint64_t stripe = map_.StripeOf(addr);
-      if (write_locks_.find(stripe) != write_locks_.end() || !seen.insert(stripe).second) {
+      AttemptTable::Entry& entry = table_.Insert(stripe);
+      if ((entry.flags & (AttemptTable::kWriteLocked | AttemptTable::kQueued)) != 0) {
         continue;
       }
-      by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
+      entry.flags |= AttemptTable::kQueued;
+      groups_.Add(map_.ResponsibleCore(stripe), stripe);
     }
+    UnmarkQueued();
     if (config_.max_batch <= 1) {
       // Unbatched wire behaviour: one round trip per stripe.
-      for (const auto& [node, stripes] : by_node) {
-        (void)node;
-        for (uint64_t stripe : stripes) {
+      for (uint32_t node : groups_.nodes) {
+        for (uint64_t stripe : groups_.by_node[node]) {
           AcquireOneOrAbort(stripe, /*is_write=*/true, /*committing=*/true);
         }
       }
@@ -773,14 +837,14 @@ void TxRuntime::TxCommit() {
       // Write-lock batching (Section 3.3): all locks a node is responsible
       // for travel in chunks of at most max_batch addresses, up to
       // pipeline_depth chunks overlapped in flight.
-      AcquireGroupsOrAbort(by_node, /*is_write=*/true, /*committing=*/true);
+      AcquireGroupsOrAbort(/*is_write=*/true, /*committing=*/true);
     }
   }
 
   // All locks held. A revocation of one of our read locks may still be in
   // flight; this is the last point it can take effect (see DESIGN.md).
   CheckPendingAbort();
-  if (config_.tx_mode == TxMode::kElasticEarly && !write_buffer_.empty() &&
+  if (config_.tx_mode == TxMode::kElasticEarly && !write_order_.empty() &&
       !early_released_values_.empty()) {
     // Elastic-early update transactions re-validate the reads whose locks
     // were released early: a structural update (unlink/insert) may depend
@@ -804,9 +868,9 @@ void TxRuntime::TxCommit() {
     // changed without touching any address this transaction writes.
     // Read-only transactions keep the cheap window-only validation (the
     // elastic semantics for searches).
-    if (!write_buffer_.empty()) {
+    if (!write_order_.empty()) {
       for (const auto& [addr, value] : elastic_read_values_) {
-        if (write_buffer_.find(addr) != write_buffer_.end()) {
+        if ((table_.FlagsOf(addr) & AttemptTable::kWritten) != 0) {
           continue;  // will be overwritten; staleness checked via its read
         }
         if (env_.ShmemRead(addr) != value) {
@@ -832,9 +896,10 @@ void TxRuntime::TxCommit() {
   if (config_.fault == FaultMode::kReleaseBeforePersist) {
     ReleaseAllLocks();
     for (uint64_t addr : write_order_) {
-      env_.ShmemWrite(addr, write_buffer_[addr]);
+      const uint64_t value = table_.Find(addr)->written;
+      env_.ShmemWrite(addr, value);
       if (trace_ != nullptr) {
-        trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
+        trace_->OnTxPersist(env_.core_id(), addr, value);
       }
     }
     if (trace_ != nullptr) {
@@ -869,16 +934,16 @@ void TxRuntime::TxCommit() {
   // locations are exempt: their write locks have been held since before
   // the timed validation, so nothing can have changed them since it
   // passed.
-  if (config_.tx_mode == TxMode::kElasticRead && !write_buffer_.empty()) {
+  if (config_.tx_mode == TxMode::kElasticRead && !write_order_.empty()) {
     for (const auto& [addr, value] : elastic_read_values_) {
-      if (write_buffer_.find(addr) == write_buffer_.end() &&
+      if ((table_.FlagsOf(addr) & AttemptTable::kWritten) == 0 &&
           env_.shmem().LoadWord(addr) != value) {
         ++stats_.validation_failures;
         AbortSelf(ConflictKind::kReadAfterWrite);
       }
     }
   }
-  if (config_.tx_mode == TxMode::kElasticEarly && !write_buffer_.empty()) {
+  if (config_.tx_mode == TxMode::kElasticEarly && !write_order_.empty()) {
     for (const auto& [addr, value] : early_released_values_) {
       if (env_.shmem().LoadWord(addr) != value) {
         ++stats_.validation_failures;
@@ -896,9 +961,10 @@ void TxRuntime::TxCommit() {
     abort_if_revoked(status);
   }
   for (uint64_t addr : write_order_) {
-    env_.shmem().StoreWord(addr, write_buffer_[addr]);
+    const uint64_t value = table_.Find(addr)->written;
+    env_.shmem().StoreWord(addr, value);
     if (trace_ != nullptr) {
-      trace_->OnTxPersist(env_.core_id(), addr, write_buffer_[addr]);
+      trace_->OnTxPersist(env_.core_id(), addr, value);
     }
   }
   env_.shmem().StoreWord(status_addr, status);  // unlatch
@@ -925,7 +991,7 @@ void TxRuntime::LogCommitDurable() {
   }
   // Group the persisted (addr, value) pairs by owner partition's service
   // core, preserving persist order within each group.
-  std::map<uint32_t, std::vector<uint64_t>> by_node;
+  groups_.Clear();
   for (uint64_t addr : write_order_) {
     // Routed by the address's frozen durable home, not the (migratable)
     // lock owner: a range's commit records must keep landing in the WAL
@@ -937,17 +1003,16 @@ void TxRuntime::LogCommitDurable() {
     // commit flush of a peer could deadlock distributed waits).
     TM2C_CHECK_MSG(node != env_.core_id(),
                    "durability requires the dedicated deployment");
-    std::vector<uint64_t>& flat = by_node[node];
-    flat.push_back(addr);
-    flat.push_back(write_buffer_[addr]);
+    groups_.Add(node, addr);
+    groups_.Add(node, table_.Find(addr)->written);
   }
   const SimTime wait_start = env_.LocalNow();
   uint32_t awaiting = 0;
-  for (auto& [node, flat] : by_node) {
+  for (uint32_t node : groups_.nodes) {
     Message msg;
     msg.type = MsgType::kCommitLog;
     msg.w1 = current_epoch_;
-    msg.extra = std::move(flat);
+    msg.extra = groups_.by_node[node];
     env_.Send(node, std::move(msg));
     ++stats_.messages_sent;
     ++stats_.commit_log_msgs;
@@ -967,33 +1032,40 @@ void TxRuntime::LogCommitDurable() {
   stats_.commit_log_wait += env_.LocalNow() - wait_start;
 }
 
-void TxRuntime::ReleaseAllLocks() {
-  std::map<uint32_t, std::vector<uint64_t>> reads_by_node;
-  for (uint64_t stripe : read_locks_) {
-    reads_by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
+void TxRuntime::GroupHeld(std::vector<uint64_t>& order, uint32_t flag, NodeGroups& groups) {
+  groups.Clear();
+  for (uint64_t stripe : order) {
+    AttemptTable::Entry* entry = table_.Find(stripe);
+    if (entry == nullptr || (entry->flags & flag) == 0) {
+      continue;  // released early, or listed twice
+    }
+    entry->flags &= ~flag;
+    groups.Add(map_.ResponsibleCore(stripe), stripe);
   }
-  std::map<uint32_t, std::vector<uint64_t>> writes_by_node;
-  for (uint64_t stripe : write_locks_) {
-    writes_by_node[map_.ResponsibleCore(stripe)].push_back(stripe);
-  }
-  for (auto& [node, stripes] : writes_by_node) {
+  order.clear();
+  for (uint32_t node : groups.nodes) {
+    std::vector<uint64_t>& stripes = groups.by_node[node];
     std::sort(stripes.begin(), stripes.end());  // determinism across runs
-    Message msg;
-    msg.type = MsgType::kReleaseAllWrites;
-    msg.w1 = current_epoch_;
-    msg.extra = std::move(stripes);
-    FireAndForget(node, std::move(msg));
   }
-  for (auto& [node, stripes] : reads_by_node) {
-    std::sort(stripes.begin(), stripes.end());
-    Message msg;
-    msg.type = MsgType::kReleaseAllReads;
-    msg.w1 = current_epoch_;
-    msg.extra = std::move(stripes);
-    FireAndForget(node, std::move(msg));
-  }
-  read_locks_.clear();
-  write_locks_.clear();
+}
+
+void TxRuntime::ReleaseAllLocks() {
+  // Both groupings are routed before anything is sent: sending takes time,
+  // and a migration could flip a range in between.
+  GroupHeld(read_lock_order_, AttemptTable::kReadLocked, release_reads_);
+  elastic_oldest_ = 0;
+  GroupHeld(write_lock_order_, AttemptTable::kWriteLocked, release_writes_);
+  const auto send = [this](const NodeGroups& groups, MsgType type) {
+    for (uint32_t node : groups.nodes) {
+      Message msg;
+      msg.type = type;
+      msg.w1 = current_epoch_;
+      msg.extra = groups.by_node[node];
+      FireAndForget(node, std::move(msg));
+    }
+  };
+  send(release_writes_, MsgType::kReleaseAllWrites);
+  send(release_reads_, MsgType::kReleaseAllReads);
 }
 
 void TxRuntime::AbortSelf(ConflictKind reason) {
@@ -1001,7 +1073,6 @@ void TxRuntime::AbortSelf(ConflictKind reason) {
   // locks are released below, or they would leak into the next attempt.
   DrainInFlight();
   pending_refusal_ = ConflictKind::kNone;
-  prefetch_pending_.clear();
   switch (reason) {
     case ConflictKind::kReadAfterWrite:
       ++stats_.raw_conflicts;

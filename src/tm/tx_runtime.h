@@ -33,14 +33,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/runtime/core_env.h"
 #include "src/tm/address_map.h"
+#include "src/tm/attempt_table.h"
 #include "src/tm/config.h"
 #include "src/tm/dtm_service.h"
 #include "src/tm/stats.h"
@@ -109,8 +108,9 @@ class TxRuntime {
   // running attempt and (in the multitasked deployment) serves incoming DTM
   // requests. Called automatically at every transaction start; long-running
   // non-transactional phases may call it explicitly to model a coroutine
-  // yield point.
-  void ServePending();
+  // yield point. Returns true when it left the inbox empty (the drain is
+  // bounded, see tx_runtime.cc).
+  bool ServePending();
 
   // Asks the current owner of the exact registered owned range [base,
   // base + bytes) to migrate it to `target_partition`. Fire-and-forget and
@@ -151,6 +151,10 @@ class TxRuntime {
   void TxWrite(uint64_t addr, uint64_t value);
   void TxCommit();
 
+  // The value the attempt already has for `addr`: its buffered write, else
+  // the value it first read (Algorithm 4 lines 2-5); null for a fresh word.
+  // Valid until the next table insert.
+  const uint64_t* KnownValue(uint64_t addr);
   uint64_t ReadNormal(uint64_t addr, bool elastic_early);
   uint64_t ReadElasticValidated(uint64_t addr);
   void ValidateWindowOrAbort();
@@ -164,7 +168,11 @@ class TxRuntime {
   // per-address record order equal persist order.
   void LogCommitDurable();
   void ReleaseAllLocks();
-  void CheckPendingAbort();
+  // Polls the inbox (ServePending) and aborts if a notification or a
+  // pipelined refusal is pending. Returns ServePending's verdict: true
+  // when the inbox was left empty, so a poll at the same instant would
+  // find nothing.
+  bool CheckPendingAbort();
   // Fatal at the first transactional op after a contract violation: the
   // body swallowed Fiber::Unwound (the calling fiber is being unwound) or
   // TxAbortException (an abort is in flight for this attempt) with a
@@ -191,17 +199,31 @@ class TxRuntime {
   // pipeline_depth == 1 reproduces the lockstep request/reply sequence —
   // and its statistics — bit for bit.
   struct InFlightAcquire {
+    uint64_t request_id = 0;
     uint32_t node = 0;
     std::vector<uint64_t> stripes;  // the chunk, in request order
     bool is_write = false;
+    bool prefetch = false;    // the stripes are marked kPrefetching
     SimTime issue_start = 0;  // local clock at issue, for acquire_time
+  };
+
+  // Stripes (or flattened commit-log pairs) bucketed by destination core,
+  // with the cores that have a bucket kept in ascending order: the order
+  // the messages go out in. The buckets are reused from call to call.
+  struct NodeGroups {
+    std::vector<std::vector<uint64_t>> by_node;  // indexed by core id
+    std::vector<uint32_t> nodes;                 // ascending
+    void Add(uint32_t node, uint64_t value);
+    void Clear();
   };
 
   // Issues one chunk towards `node`. Self-addressed requests (multitasked
   // deployment) resolve synchronously at the issue position, preserving
   // the lockstep ordering; everything else enters the in-flight table.
-  void IssueBatch(uint32_t node, std::vector<uint64_t> stripes, bool is_write, bool committing);
-  // Records a kBatchReply: the granted prefix enters the held-lock sets
+  // `prefetch` marks the chunk's stripes kPrefetching until the reply.
+  void IssueBatch(uint32_t node, const uint64_t* stripes, uint32_t len, bool is_write,
+                  bool committing, bool prefetch);
+  // Records a kBatchReply: the granted prefix enters the held locks
   // immediately (an abort releases it with everything else — the protocol
   // is all-or-prefix, no service-side rollback); a refusal is noted in
   // pending_refusal_ for the caller to act on.
@@ -212,18 +234,23 @@ class TxRuntime {
   void DrainInFlight();
   // Blocks until the prefetch covering `stripe` (if any) has resolved.
   void WaitForStripe(uint64_t stripe);
-  // Issues every per-node group in chunks of max_batch, up to
+  // Queues in groups_ the lock units of `addrs` that a read still needs:
+  // one with a word neither buffered nor read, held by no lock and not yet
+  // queued. Each run of addresses inside one unit is resolved with one
+  // StripeOf/LockBytesOf. A ReadMany (`prefetch` false) first waits for a
+  // unit's prefetch in flight; a Prefetch skips such a unit.
+  void QueueUnreadUnits(const std::vector<uint64_t>& addrs, bool prefetch);
+  // Clears the kQueued marks of everything in groups_.
+  void UnmarkQueued();
+  // Issues every group in groups_ in chunks of max_batch, up to
   // pipeline_depth in flight, stopping once a refusal is pending.
   // Owner-local groups take the fast path (LocalAcquireSpanOrAbort)
-  // instead of the wire. `prefetch` registers each chunk's stripes in
-  // prefetch_pending_ first.
-  void IssueGroups(const std::map<uint32_t, std::vector<uint64_t>>& by_node, bool is_write,
-                   bool committing, bool prefetch);
-  // Acquires every per-node group: all chunks are issued before any reply
-  // is awaited, then the in-flight table is drained and the first refusal
-  // aborts.
-  void AcquireGroupsOrAbort(const std::map<uint32_t, std::vector<uint64_t>>& by_node,
-                            bool is_write, bool committing);
+  // instead of the wire.
+  void IssueGroups(bool is_write, bool committing, bool prefetch);
+  // Acquires every group in groups_: all chunks are issued before any
+  // reply is awaited, then the in-flight table is drained and the first
+  // refusal aborts.
+  void AcquireGroupsOrAbort(bool is_write, bool committing);
 
   // Owner-local fast path: this core is the responsible node for the
   // stripe and TmConfig::local_fast_path is on — call the local service
@@ -233,10 +260,15 @@ class TxRuntime {
   void LocalAcquireSpanOrAbort(const uint64_t* stripes, uint32_t n, bool is_write,
                                bool committing);
   // Scalar acquisition (fast path, or a kReadLockReq/kWriteLockReq round
-  // trip); records the stripe in the held-lock sets or aborts.
+  // trip); records the stripe among the held locks or aborts.
   void AcquireOneOrAbort(uint64_t stripe, bool is_write, bool committing);
-  // The one place granted stripes enter the held-lock sets.
+  // The one place granted stripes become held locks.
   void NoteGranted(const uint64_t* stripes, size_t n, bool is_write);
+  // Records the value the attempt read at `addr`.
+  void NoteRead(uint64_t addr, uint64_t value);
+  // Groups the still-held stripes of `order` (those carrying `flag`) into
+  // `groups` by responsible node, each group sorted, and drops the flags.
+  void GroupHeld(std::vector<uint64_t>& order, uint32_t flag, NodeGroups& groups);
 
   CoreEnv& env_;
   TmConfig config_;
@@ -244,7 +276,10 @@ class TxRuntime {
   DtmService* local_service_;
   Rng backoff_rng_;
 
-  // Per-attempt state.
+  // Per-attempt state. table_ holds, per word address, the buffered write
+  // and the value first read and, per lock unit, the locks held and the
+  // prefetch in flight (see attempt_table.h); BeginAttempt clears it in
+  // O(1) and its slots are reused by every attempt.
   uint64_t current_epoch_ = 0;
   bool in_tx_ = false;
   bool abort_thrown_ = false;  // a TxAbortException is in flight for this attempt
@@ -252,12 +287,13 @@ class TxRuntime {
   ConflictKind pending_abort_kind_ = ConflictKind::kNone;
   SimTime attempt_start_local_ = 0;
   SimTime tx_start_local_ = 0;  // fixed across retries (Offset-Greedy rule a)
-  std::unordered_map<uint64_t, uint64_t> write_buffer_;  // addr -> value
-  std::vector<uint64_t> write_order_;                    // insertion order
-  std::unordered_set<uint64_t> read_locks_;              // stripes held
-  std::vector<uint64_t> read_lock_order_;                // for early release
-  std::unordered_map<uint64_t, uint64_t> read_cache_;    // addr -> value
-  std::unordered_set<uint64_t> write_locks_;             // stripes held
+  AttemptTable table_;
+  std::vector<uint64_t> write_order_;       // written addresses, first-write order
+  std::vector<uint64_t> write_lock_order_;  // write-lock grants, in grant order
+  // Read-lock grants in grant order. A unit released early and taken
+  // again appears twice; the table's kReadLocked says which are held.
+  std::vector<uint64_t> read_lock_order_;
+  size_t elastic_oldest_ = 0;  // elastic-early: first read_lock_order_ entry in the window
   std::deque<std::pair<uint64_t, uint64_t>> validation_window_;  // elastic-read
   // elastic-early: addresses whose stripe's read lock was early-released,
   // with the value read under the lock. A later write to one of these
@@ -268,16 +304,23 @@ class TxRuntime {
   // of written locations.
   std::unordered_map<uint64_t, uint64_t> elastic_read_values_;
 
+  // Per-node buffers: groups_ for the acquisition or commit-log message
+  // being built, the release pair for ReleaseAllLocks, which AbortSelf may
+  // run while groups_ is being issued.
+  NodeGroups groups_;
+  NodeGroups release_writes_;
+  NodeGroups release_reads_;
+
   // Pipelined-acquisition state. The request id counter spans attempts (a
   // stale reply can never match a live request: every abort path drains
   // the in-flight table before releasing locks); pending_refusal_ holds
-  // the first refusal observed by a completion until an abort consumes it;
-  // prefetch_pending_ maps a prefetched stripe to the request that will
-  // deliver its lock.
+  // the first refusal observed by a completion until an abort consumes it.
+  // inflight_[0, inflight_count_) are the outstanding batches; the slots
+  // past them keep their buffers for the next issue.
   uint64_t next_request_id_ = 0;
-  std::map<uint64_t, InFlightAcquire> inflight_;  // request id -> pending batch
+  std::vector<InFlightAcquire> inflight_;
+  size_t inflight_count_ = 0;
   ConflictKind pending_refusal_ = ConflictKind::kNone;
-  std::unordered_map<uint64_t, uint64_t> prefetch_pending_;  // stripe -> request id
 
   // Privatization barrier state: generation counter and early arrivals
   // from cores already in a later generation.

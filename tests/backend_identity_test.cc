@@ -10,7 +10,6 @@
 // deliberately NOT part of the TSan-labelled suites.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <string>
 
@@ -67,14 +66,11 @@ TmSystemConfig BaseConfig() {
   return cfg;
 }
 
-// A process-backend run needs a fresh directory for its per-generation
-// socket files (and WAL files, when durability is on).
-TmSystemConfig ProcessConfig(const std::string& tag) {
+// The partition servers talk over shared-memory rings and anonymous socket
+// pairs; a run directory holds only WAL files, and these runs keep none.
+TmSystemConfig ProcessConfig() {
   TmSystemConfig cfg = BaseConfig();
   cfg.backend = BackendKind::kProcesses;
-  std::string templ = ::testing::TempDir() + "tm2c_bid_" + tag + "_XXXXXX";
-  EXPECT_NE(::mkdtemp(templ.data()), nullptr);
-  cfg.run_dir = templ;
   return cfg;
 }
 
@@ -95,7 +91,7 @@ TEST(BackendIdentity, SimAndThreadsCommitTheSameWorkload) {
   EXPECT_EQ(thr.counter_sum, sim.counter_sum);
 
   // Third side of the triangle: partition servers as forked processes.
-  const RunResult proc = RunCounterWorkload(ProcessConfig("counter"));
+  const RunResult proc = RunCounterWorkload(ProcessConfig());
   EXPECT_EQ(proc.commits, sim.commits);
   EXPECT_EQ(proc.counter_sum, sim.counter_sum);
   EXPECT_TRUE(proc.tables_empty);
@@ -184,7 +180,7 @@ TEST(BackendIdentity, KvStoreCommitsIdenticalFinalContents) {
   EXPECT_EQ(thr.commits, sim.commits);
   EXPECT_EQ(thr.contents, sim.contents);
 
-  const KvRunResult proc = RunKvWorkload(ProcessConfig("kv"));
+  const KvRunResult proc = RunKvWorkload(ProcessConfig());
   EXPECT_EQ(proc.commits, sim.commits);
   EXPECT_EQ(proc.contents, sim.contents);
 }
@@ -219,7 +215,7 @@ TEST(BackendIdentity, KvStoreContentsIdenticalAcrossMidRunMigration) {
   // Processes: partition 0's server flips the directory in the shared
   // mapping the host runtimes route by, and its counters reach the host
   // through the same kind of mapping.
-  const KvRunResult proc = RunKvWorkload(ProcessConfig("kv_migrate"), /*migrate=*/true);
+  const KvRunResult proc = RunKvWorkload(ProcessConfig(), /*migrate=*/true);
   EXPECT_EQ(proc.commits, sim.commits);
   EXPECT_EQ(proc.contents, sim.contents);
   EXPECT_EQ(proc.migrations_completed, 1u);
@@ -267,8 +263,8 @@ TEST(BackendIdentity, LeakedLockIsSeenOnEveryBackend) {
   EXPECT_FALSE(LockTablesEmptyAfter(sim_cfg, /*leak=*/true));
   EXPECT_TRUE(LockTablesEmptyAfter(thr_cfg, /*leak=*/false));
   EXPECT_FALSE(LockTablesEmptyAfter(thr_cfg, /*leak=*/true));
-  EXPECT_TRUE(LockTablesEmptyAfter(ProcessConfig("no_leak"), /*leak=*/false));
-  EXPECT_FALSE(LockTablesEmptyAfter(ProcessConfig("leak"), /*leak=*/true));
+  EXPECT_TRUE(LockTablesEmptyAfter(ProcessConfig(), /*leak=*/false));
+  EXPECT_FALSE(LockTablesEmptyAfter(ProcessConfig(), /*leak=*/true));
 }
 
 // Ordered-index identity: the same fixed B+-tree workload — inserts,
@@ -348,7 +344,7 @@ TEST(BackendIdentity, OrderedIndexIdenticalContentsAcrossAllThreeBackends) {
   EXPECT_EQ(thr.contents, sim.contents);
   EXPECT_TRUE(thr.structure_problems.empty());
 
-  const IndexRunResult proc = RunIndexWorkload(ProcessConfig("index"));
+  const IndexRunResult proc = RunIndexWorkload(ProcessConfig());
   EXPECT_EQ(proc.commits, sim.commits);
   EXPECT_EQ(proc.contents, sim.contents);
   EXPECT_TRUE(proc.tables_empty);

@@ -28,12 +28,23 @@
 namespace tm2c {
 namespace {
 
-std::string FreshRunDir(const std::string& tag) {
-  std::string templ = ::testing::TempDir() + "tm2c_" + tag + "_XXXXXX";
-  char* made = ::mkdtemp(templ.data());
-  EXPECT_NE(made, nullptr);
-  return templ;
-}
+// A fresh run directory under the gtest temp dir, removed with the
+// partition servers' WAL files in it when the scope that made it ends.
+class ScopedRunDir {
+ public:
+  explicit ScopedRunDir(const std::string& tag)
+      : path_(::testing::TempDir() + "tm2c_" + tag + "_XXXXXX") {
+    EXPECT_NE(::mkdtemp(path_.data()), nullptr);
+  }
+  ~ScopedRunDir() { std::filesystem::remove_all(path_); }
+  ScopedRunDir(const ScopedRunDir&) = delete;
+  ScopedRunDir& operator=(const ScopedRunDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 void DumpOnFailure(const ProcessKillConfig& cfg, const ProcessKillResult& result) {
   if (result.report.violations.empty()) {
@@ -48,9 +59,10 @@ void DumpOnFailure(const ProcessKillConfig& cfg, const ProcessKillResult& result
 
 TEST(ProcessKill, KilledPartitionRecoversAcrossFiveSeeds) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const ScopedRunDir dir("kill_s" + std::to_string(seed));
     ProcessKillConfig cfg;
     cfg.seed = seed;
-    cfg.run_dir = FreshRunDir("kill_s" + std::to_string(seed));
+    cfg.run_dir = dir.path();
     const ProcessKillResult result = RunProcessKillWorkload(cfg);
 
     EXPECT_EQ(result.commits, result.expected_commits) << "seed " << seed;
@@ -67,10 +79,11 @@ TEST(ProcessKill, KilledPartitionRecoversAcrossFiveSeeds) {
 TEST(ProcessKill, KillingTheOtherPartitionRecoversToo) {
   // The kill target must not be special-cased: partition 1's server dies
   // under a different request mix (it is not app core 0's local target).
+  const ScopedRunDir dir("kill_p1");
   ProcessKillConfig cfg;
   cfg.seed = 7;
   cfg.kill_partition = 1;
-  cfg.run_dir = FreshRunDir("kill_p1");
+  cfg.run_dir = dir.path();
   const ProcessKillResult result = RunProcessKillWorkload(cfg);
 
   EXPECT_EQ(result.commits, result.expected_commits);
@@ -88,11 +101,12 @@ TEST(ProcessKill, GroupCommitWindowsSurviveTheKill) {
   // appended-but-unflushed records to void, more unacked kCommitLogs to
   // retransmit. With periodic checkpoints on top, the recovery replays
   // checkpoint + suffix instead of the whole log.
+  const ScopedRunDir dir("kill_gc8");
   ProcessKillConfig cfg;
   cfg.seed = 11;
   cfg.group_commit_txs = 8;
   cfg.checkpoint_every_records = 32;
-  cfg.run_dir = FreshRunDir("kill_gc8");
+  cfg.run_dir = dir.path();
   const ProcessKillResult result = RunProcessKillWorkload(cfg);
 
   EXPECT_EQ(result.commits, result.expected_commits);
@@ -192,10 +206,9 @@ TmSystemConfig DurableProcessConfig(const std::string& dir) {
 // flushed before it died.
 TEST(ProcessKill, RestartedPartitionCountsBothGenerations) {
   const SlabRun sim = RunSlabs(SlabConfig(BackendKind::kSim), false, false);
-  const std::string dir = FreshRunDir("kill_counters");
-  const SlabRun run = RunSlabs(DurableProcessConfig(dir), /*kill=*/true, /*migrate=*/false);
-  const uint64_t wal_records = ReadWalFile(dir + "/part0.wal").records.size();
-  std::filesystem::remove_all(dir);
+  const ScopedRunDir dir("kill_counters");
+  const SlabRun run = RunSlabs(DurableProcessConfig(dir.path()), /*kill=*/true, /*migrate=*/false);
+  const uint64_t wal_records = ReadWalFile(dir.path() + "/part0.wal").records.size();
 
   EXPECT_EQ(run.commits, 2u * kSlabOpsPerCore);
   EXPECT_EQ(run.contents, sim.contents);
@@ -210,9 +223,8 @@ TEST(ProcessKill, RestartedPartitionCountsBothGenerations) {
 // sim's contents, and the directory and the counters agree on the side.
 TEST(ProcessKill, KillDuringAMigrationKeepsDirectoryAndCountersInStep) {
   const SlabRun sim = RunSlabs(SlabConfig(BackendKind::kSim), false, false);
-  const std::string dir = FreshRunDir("kill_migrate");
-  const SlabRun run = RunSlabs(DurableProcessConfig(dir), /*kill=*/true, /*migrate=*/true);
-  std::filesystem::remove_all(dir);
+  const ScopedRunDir dir("kill_migrate");
+  const SlabRun run = RunSlabs(DurableProcessConfig(dir.path()), /*kill=*/true, /*migrate=*/true);
 
   EXPECT_EQ(run.commits, 2u * kSlabOpsPerCore);
   EXPECT_EQ(run.contents, sim.contents);
@@ -233,13 +245,13 @@ TEST(ProcessKill, KillWakesEveryAppCoreParkedOnAReply) {
   // cleanly (the router checks at the successor's exit that every request
   // got exactly one answer).
   constexpr uint32_t kCores = 3;
-  const std::string dir = FreshRunDir("parked_kill");
+  const ScopedRunDir dir("parked_kill");
   ProcessSystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = kCores;
   cfg.num_service = 1;
   cfg.shmem_bytes = 1 << 16;
-  cfg.run_dir = dir;
+  cfg.run_dir = dir.path();
   ProcessSystem sys(cfg);
   const uint32_t service = sys.deployment().ServiceCore(0);
   const uint32_t num_app = sys.deployment().num_app();
@@ -296,7 +308,6 @@ TEST(ProcessKill, KillWakesEveryAppCoreParkedOnAReply) {
   });
   sys.Run(UINT64_MAX);
   killer.join();
-  std::filesystem::remove_all(dir);
 
   EXPECT_EQ(sys.restarts(0), 1u);
   for (uint32_t app : sys.deployment().app_cores()) {

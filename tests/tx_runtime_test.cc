@@ -511,6 +511,41 @@ TEST(TxRuntime, ReadManyMatchesScalarReadsAndBatchesLocks) {
   EXPECT_TRUE(sys.AllLockTablesEmpty());
 }
 
+TEST(TxRuntime, ReadManyOverAHeldUnitMixesBufferedReadAndFreshWords) {
+  // One 256-byte lock unit, held after a scalar read. A ReadMany over it
+  // returns the buffered value of a word the attempt read and then wrote,
+  // the first value of a word it only read (even after a host-side store
+  // changed the word underneath), and shared memory for the words it never
+  // touched, without sending a message.
+  TmSystemConfig cfg = Config();
+  cfg.tm.max_batch = 8;
+  TmSystem sys(std::move(cfg));
+  constexpr uint64_t kUnit = 0x1000;
+  sys.address_map().AddOwnedRange(kUnit, 0x100, 0, /*lock_bytes=*/0x100);
+  for (uint64_t w = 0; w < 4; ++w) {
+    sys.shmem().StoreWord(kUnit + w * 8, 100 + w);
+  }
+  std::vector<uint64_t> values;
+  uint64_t messages = UINT64_MAX;
+  sys.SetAppBody(0, [&](CoreEnv& env, TxRuntime& rt) {
+    rt.Execute([&](Tx& tx) {
+      EXPECT_EQ(tx.Read(kUnit + 8), 101u);  // takes the unit's read lock
+      EXPECT_EQ(tx.Read(kUnit + 16), 102u);
+      tx.Write(kUnit + 16, 7);
+      env.shmem().StoreWord(kUnit + 8, 55);
+      env.shmem().StoreWord(kUnit + 16, 66);
+      const uint64_t sent = rt.stats().messages_sent;
+      values = tx.ReadMany({kUnit, kUnit + 8, kUnit + 16, kUnit + 24, kUnit + 8});
+      messages = rt.stats().messages_sent - sent;
+    });
+  });
+  sys.Run(kHorizon);
+  EXPECT_EQ(values, (std::vector<uint64_t>{100, 101, 7, 103, 101}));
+  EXPECT_EQ(messages, 0u);
+  EXPECT_EQ(sys.shmem().LoadWord(kUnit + 16), 7u);  // the commit persisted the write
+  EXPECT_TRUE(sys.AllLockTablesEmpty());
+}
+
 TEST(TxRuntime, ReadManyFallsBackToScalarWhenUnbatched) {
   TmSystem sys(Config());  // max_batch defaults to 1
   std::vector<uint64_t> values;

@@ -16,11 +16,19 @@ threshold.
   tools/bench_json.py validate BENCH_results.json
   tools/bench_json.py compare old.json new.json --max-regress=15
   tools/bench_json.py report BENCH_results.json --out docs/BENCHMARKS.md
+  tools/bench_json.py identical old.json new.json
 
 `report` renders a merged file into a markdown summary (the committed
 docs/BENCHMARKS.md): one row per bench with its best-throughput scenario on
 each backend. The output is deterministic for a given input, so CI can
 regenerate it and diff against the committed file as a freshness check.
+
+`identical` says whether two runs of the suite simulated the same thing:
+it matches documents by (bench, backend) and lists every simulated
+document that differs, or exists on one side only, and exits 1 if any
+does. Host-timed documents are skipped: `figure: host` (bench_micro's
+host-side costs) and every native-backend document, since their rows
+differ between any two runs.
 
 `compare` gates sim rows only by default: they are deterministic, so any
 drift is a real code change. Native (threads and processes) rows are
@@ -243,6 +251,31 @@ def cmd_compare(args):
     print("compare: OK")
 
 
+def simulated_documents(benches):
+    """The documents the simulator decides, keyed by (bench, backend)."""
+    return {(b["bench"], b.get("backend", "sim")): b for b in benches
+            if b.get("backend", "sim") == "sim" and b.get("figure") != "host"}
+
+
+def differing_documents(old_benches, new_benches):
+    """Sorted (bench, backend) keys of the simulated documents that differ."""
+    old = simulated_documents(old_benches)
+    new = simulated_documents(new_benches)
+    return sorted(key for key in set(old) | set(new) if old.get(key) != new.get(key))
+
+
+def cmd_identical(args):
+    old = load_benches(args.old)
+    new = load_benches(args.new)
+    differing = differing_documents(old, new)
+    for bench, backend in differing:
+        print(f"differs: {bench} ({backend})")
+    total = len(set(simulated_documents(old)) | set(simulated_documents(new)))
+    print(f"{len(differing)} of {total} simulated documents differ")
+    if differing:
+        sys.exit(1)
+
+
 def best_row(bench):
     """The result row with the highest throughput in a bench document."""
     return max(bench["results"], key=lambda r: r["throughput_ops_per_ms"])
@@ -337,6 +370,10 @@ def main():
     report.add_argument("input")
     report.add_argument("--out", help="output path (default: stdout)")
     report.set_defaults(fn=cmd_report)
+    identical = sub.add_parser("identical")
+    identical.add_argument("old")
+    identical.add_argument("new")
+    identical.set_defaults(fn=cmd_identical)
     args = parser.parse_args()
     args.fn(args)
 

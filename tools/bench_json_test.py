@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_json.py.
 
-Focused on the compare-grouping policy: which rows count towards the
-regression baseline. Registered with CTest (see CMakeLists.txt) so the
+Focused on the compare-grouping policy (which rows count towards the
+regression baseline) and on what `identical` calls a differing
+simulated document. Registered with CTest (see CMakeLists.txt) so the
 gating logic is itself gated.
 
   python3 tools/bench_json_test.py
@@ -159,6 +160,56 @@ class CompareGateTest(unittest.TestCase):
         new = [bench("a", [row(40.0)])]
         with self.assertRaises(SystemExit):
             self._compare(old, new)
+
+
+class IdenticalTest(unittest.TestCase):
+    """`identical` compares simulated documents and skips host-timed ones."""
+
+    def _identical(self, old_benches, new_benches):
+        with tempfile.TemporaryDirectory() as d:
+            paths = []
+            for name, benches in (("old.json", old_benches), ("new.json", new_benches)):
+                path = os.path.join(d, name)
+                with open(path, "w") as f:
+                    json.dump({"schema_version": bench_json.SCHEMA_VERSION,
+                               "benches": benches}, f)
+                paths.append(path)
+            out = io.StringIO()
+            args = argparse.Namespace(old=paths[0], new=paths[1])
+            with contextlib.redirect_stdout(out):
+                try:
+                    bench_json.cmd_identical(args)
+                    status = 0
+                except SystemExit as e:
+                    status = e.code
+            return status, out.getvalue()
+
+    def test_equal_inputs_are_identical(self):
+        docs = [bench("a", [row(10.0)]), bench("b", [row(20.0)])]
+        status, out = self._identical(docs, json.loads(json.dumps(docs)))
+        self.assertEqual(status, 0)
+        self.assertIn("0 of 2 simulated documents differ", out)
+
+    def test_a_changed_row_or_a_missing_document_differs(self):
+        old = [bench("a", [row(10.0)]), bench("b", [row(20.0)]), bench("c", [row(5.0)])]
+        new = [bench("a", [row(10.0)]), bench("b", [row(20.5)])]
+        status, out = self._identical(old, new)
+        self.assertEqual(status, 1)
+        self.assertIn("differs: b (sim)", out)
+        self.assertIn("differs: c (sim)", out)
+        self.assertNotIn("differs: a", out)
+        self.assertIn("2 of 3 simulated documents differ", out)
+
+    def test_host_timed_rows_are_skipped(self):
+        host_old = bench("micro", [row(10.0)])
+        host_old["figure"] = "host"
+        host_new = bench("micro", [row(99.0)])
+        host_new["figure"] = "host"
+        old = [bench("a", [row(10.0)]), host_old, bench("a", [row(1.0)], backend="threads")]
+        new = [bench("a", [row(10.0)]), host_new, bench("a", [row(2.0)], backend="threads")]
+        status, out = self._identical(old, new)
+        self.assertEqual(status, 0)
+        self.assertIn("0 of 1 simulated documents differ", out)
 
 
 class SchemaCheckTest(unittest.TestCase):
