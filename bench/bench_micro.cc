@@ -9,15 +9,18 @@
 // latencies in microseconds and throughput is host ops/ms. Nothing can
 // abort here, so commit_rate is 1 by construction.
 //
-// Under --backend=threads the bench instead measures two native layers on
-// real OS threads with wall-clock timing: the transport, with a
+// Under --backend=threads the bench instead measures three native layers
+// on real OS threads with wall-clock timing: the transport, with a
 // tiny-transaction workload (per-core counter increments, conflict-free,
 // so every operation is pure protocol messaging) over the lock-free SPSC
-// rings; and the runtime's read path, with transactions that read one
-// whole lock unit.
+// rings; the runtime's read path, with transactions that read one whole
+// lock unit; and the B+-tree walk, with Scan(16) transactions. Their
+// throughput is the median over the run's slices (see SliceClock).
+#include <algorithm>
 #include <chrono>
 
 #include "bench/bench_util.h"
+#include "src/apps/ordered_index.h"
 #include "src/cm/contention_manager.h"
 #include "src/common/core_set.h"
 #include "src/common/rng.h"
@@ -72,6 +75,55 @@ void Measure(BenchContext& ctx, const char* name, uint64_t batch, uint64_t batch
   ctx.Report(row);
 }
 
+// The native rows' throughput, as bench/e2e reports its own: the median,
+// over kSlices equal slices of the run's window, of the operations each
+// slice completed. A stall or burst that covers a few slices of one run
+// moves no row.
+class SliceClock {
+ public:
+  static constexpr size_t kSlices = 10;
+
+  explicit SliceClock(uint32_t cores) : starts_(cores, 0), done_(cores) {}
+
+  // `op`, stamping each completion on its core's host clock.
+  OpFn Wrap(OpFn op) {
+    return [this, op = std::move(op)](CoreEnv& env, TxRuntime& rt, Rng& rng) {
+      SimTime& start = starts_[env.core_id()];
+      if (start == 0) {
+        start = env.GlobalNow();
+      }
+      op(env, rt, rng);
+      done_[env.core_id()].push_back(env.GlobalNow());
+    };
+  }
+
+  // The window starts when the first core starts and lasts `duration`.
+  double MedianOpsPerMs(SimTime duration) const {
+    SimTime begin = 0;
+    for (const SimTime start : starts_) {
+      if (start != 0 && (begin == 0 || start < begin)) {
+        begin = start;
+      }
+    }
+    const SimTime slice = duration / kSlices;
+    std::vector<double> counts(kSlices, 0.0);
+    for (const std::vector<SimTime>& stamps : done_) {
+      for (const SimTime t : stamps) {
+        if (t >= begin && t - begin < slice * kSlices) {
+          counts[(t - begin) / slice] += 1.0;
+        }
+      }
+    }
+    std::sort(counts.begin(), counts.end());
+    const double median = (counts[kSlices / 2 - 1] + counts[kSlices / 2]) / 2.0;
+    return median / SimToMillis(slice);
+  }
+
+ private:
+  std::vector<SimTime> starts_;
+  std::vector<std::vector<SimTime>> done_;  // indexed by core id
+};
+
 // Native transport (--backend=threads): commit throughput of the TM
 // protocol over the SPSC rings on this host. The workload is message-bound
 // by construction — single-word read-modify-write transactions on per-core
@@ -86,11 +138,12 @@ void RunNativeTransport(BenchContext& ctx) {
   TmSystem sys(MakeConfig(spec));
   const uint64_t base = sys.allocator().AllocGlobal(uint64_t{cores} * kCacheLineBytes);
   LatencySampler lat;
+  SliceClock clock(cores);
   InstallLoopBodies(sys, spec.duration, spec.seed,
-                    [base](CoreEnv& env, TxRuntime& rt, Rng&) {
+                    clock.Wrap([base](CoreEnv& env, TxRuntime& rt, Rng&) {
                       const uint64_t addr = base + env.core_id() * kCacheLineBytes;
                       rt.Execute([addr](Tx& tx) { tx.Write(addr, tx.Read(addr) + 1); });
-                    },
+                    }),
                     &lat);
   sys.Run();
   BenchRow row;
@@ -101,6 +154,7 @@ void RunNativeTransport(BenchContext& ctx) {
       .Param("cores", uint64_t{cores})
       .Param("service_cores", uint64_t{service})
       .Tx(sys, spec.duration, lat);
+  row.ops_per_ms = clock.MedianOpsPerMs(spec.duration);
   ctx.Report(row);
 }
 
@@ -128,11 +182,12 @@ void RunNativeReadUnit(BenchContext& ctx) {
     }
   }
   LatencySampler lat;
+  SliceClock clock(cores);
   InstallLoopBodies(sys, spec.duration, spec.seed,
-                    [&unit_words](CoreEnv& env, TxRuntime& rt, Rng&) {
+                    clock.Wrap([&unit_words](CoreEnv& env, TxRuntime& rt, Rng&) {
                       const std::vector<uint64_t>& words = unit_words[env.core_id()];
                       rt.Execute([&words](Tx& tx) { (void)tx.ReadMany(words); });
-                    },
+                    }),
                     &lat);
   sys.Run();
   BenchRow row;
@@ -140,6 +195,60 @@ void RunNativeReadUnit(BenchContext& ctx) {
       .Param("cores", uint64_t{cores})
       .Param("service_cores", uint64_t{service})
       .Tx(sys, spec.duration, lat);
+  row.ops_per_ms = clock.MedianOpsPerMs(spec.duration);
+  ctx.Report(row);
+}
+
+// Native tree walk (--backend=threads): each app core runs conflict-free
+// Scan(16) transactions from random start keys over a loaded OrderedIndex
+// (16384 keys, fanout 6, 4-word values). The row prices a B+-tree
+// operation on this host: its latency is µs per op, and the
+// locks_per_op extra counts the lock units it takes.
+void RunNativeIndexScan(BenchContext& ctx) {
+  constexpr uint64_t kKeys = 16384;
+  constexpr uint32_t kScanLen = 16;
+  const uint32_t cores = ctx.Cores(4);
+  const uint32_t service = ctx.ServiceCores(cores >= 2 ? cores / 2 : 1);
+  RunSpec spec = ctx.Spec(200, 21, CmKind::kBackoffRetry);
+  spec.total_cores = cores;
+  spec.service_cores = service;
+  spec.backend = BackendKind::kThreads;
+  TmSystem sys(MakeConfig(spec));
+  OrderedIndexConfig cfg;
+  cfg.key_min = 1;
+  cfg.key_max = kKeys;
+  cfg.value_words = 4;
+  cfg.fanout = 6;
+  cfg.capacity_per_partition = static_cast<uint32_t>(kKeys / service + 64);
+  OrderedIndex index(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), cfg);
+  for (uint64_t key = 1; key <= kKeys; ++key) {
+    const uint64_t value[4] = {key, key, key, key};
+    index.HostPut(key, value);
+  }
+  std::vector<std::vector<KvEntry>> outs(cores);
+  LatencySampler lat;
+  SliceClock clock(cores);
+  InstallLoopBodies(sys, spec.duration, spec.seed,
+                    clock.Wrap([&](CoreEnv& env, TxRuntime& rt, Rng& rng) {
+                      std::vector<KvEntry>& out = outs[env.core_id()];
+                      const uint64_t start = 1 + rng.NextBelow(kKeys - kScanLen + 1);
+                      rt.Execute([&](Tx& tx) {
+                        out.clear();
+                        index.TxScan(tx, start, kScanLen, &out);
+                      });
+                    }),
+                    &lat);
+  sys.Run();
+  BenchRow row;
+  row.Param("micro", "index_scan16")
+      .Param("cores", uint64_t{cores})
+      .Param("service_cores", uint64_t{service})
+      .Tx(sys, spec.duration, lat);
+  row.ops_per_ms = clock.MedianOpsPerMs(spec.duration);
+  const TxStats stats = sys.MergedStats();
+  const double locks_per_op =
+      stats.commits > 0 ? static_cast<double>(stats.lock_acquires) / stats.commits : 0.0;
+  row.Extra("locks_per_op", locks_per_op);
   ctx.Report(row);
 }
 
@@ -147,6 +256,7 @@ void Run(BenchContext& ctx) {
   if (ctx.native()) {
     RunNativeTransport(ctx);
     RunNativeReadUnit(ctx);
+    RunNativeIndexScan(ctx);
     return;
   }
   {

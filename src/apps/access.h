@@ -4,6 +4,8 @@
 // accessor, and instantiates them for every access mode it offers:
 //  - TxAccess: inside a transaction (reads take DS-Locks, writes are
 //    deferred to commit),
+//  - PeekAccess: inside a transaction, read-only and unlocked (Tx::Peek),
+//    for a walk whose result the structure re-checks under a lock,
 //  - EnvAccess: unsynchronized but timed through a CoreEnv (the
 //    sequential baselines),
 //  - HostAccess: direct shared-memory access at zero simulated cost (load
@@ -32,6 +34,11 @@ struct TxAccess {
   std::vector<uint64_t> LoadMany(const std::vector<uint64_t>& addrs) const {
     return tx->ReadMany(addrs);
   }
+};
+
+struct PeekAccess {
+  Tx* tx;
+  uint64_t Load(uint64_t addr) const { return tx->Peek(addr); }
 };
 
 struct EnvAccess {

@@ -10,6 +10,9 @@ namespace {
 
 // The slab's alignment: one cache line.
 constexpr uint64_t kLineBytes = 64;
+// The pool zeroes its slots this many bytes at a time (rounded up to whole
+// slots), ahead of the next fresh one.
+constexpr uint64_t kZeroChunkBytes = uint64_t{1} << 20;
 
 uint64_t RoundUp(uint64_t n, uint64_t unit) { return (n + unit - 1) / unit * unit; }
 
@@ -18,7 +21,7 @@ uint64_t RoundUp(uint64_t n, uint64_t unit) { return (n + unit - 1) / unit * uni
 NodePool::NodePool(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
                    const DeploymentPlan& plan, uint64_t header_words, uint64_t node_words,
                    uint32_t capacity)
-    : capacity_(capacity), node_bytes_(node_words * kWordBytes) {
+    : mem_(&mem), capacity_(capacity), node_bytes_(node_words * kWordBytes) {
   TM2C_CHECK(node_words >= 1 && capacity >= 1);
   const uint32_t num_parts = plan.num_service();
   TM2C_CHECK(num_parts >= 1);
@@ -36,11 +39,28 @@ NodePool::NodePool(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
     part->slab_base = RoundUp(raw, slab_align);
     part->pool_base = part->slab_base + header_bytes;
     map.AddOwnedRange(part->slab_base, slab_bytes_, p, node_bytes_, header_bytes);
-    for (uint64_t off = 0; off < slab_bytes_; off += kWordBytes) {
-      mem.StoreWord(part->slab_base + off, 0);
+    for (uint64_t addr = part->slab_base; addr < part->pool_base; addr += kWordBytes) {
+      mem.StoreWord(addr, 0);
     }
+    part->zeroed_end.store(part->pool_base, std::memory_order_relaxed);
+    ZeroThrough(*part, 1);
     parts_.push_back(std::move(part));
   }
+}
+
+void NodePool::ZeroThrough(Partition& part, uint64_t slot) {
+  const uint64_t pool_end = part.pool_base + capacity_ * node_bytes_;
+  const uint64_t begin = part.zeroed_end.load(std::memory_order_relaxed);
+  if (begin >= part.pool_base + slot * node_bytes_) {
+    return;
+  }
+  const uint64_t end = std::min(
+      pool_end, std::max(part.pool_base + slot * node_bytes_,
+                         begin + RoundUp(kZeroChunkBytes, node_bytes_)));
+  for (uint64_t addr = begin; addr < end; addr += kWordBytes) {
+    mem_->StoreWord(addr, 0);
+  }
+  part.zeroed_end.store(end, std::memory_order_release);
 }
 
 uint64_t NodePool::Alloc(uint32_t partition) {
@@ -53,6 +73,7 @@ uint64_t NodePool::Alloc(uint32_t partition) {
   } else if (part.next_unused < capacity_) {
     node = part.pool_base + part.next_unused * node_bytes_;
     ++part.next_unused;
+    ZeroThrough(part, part.next_unused);
   }
   if (node != 0) {
     ++part.in_use;

@@ -3,12 +3,19 @@
 //
 // For each DTM partition, in partition order, the pool carves one slab out
 // of the allocator near the partition's service core, starts it on a
-// 64-byte line, registers it with AddressMap::AddOwnedRange so every lock
-// acquisition for the partition's data routes to its owning service core,
-// and zeroes it (0 is the null pointer everywhere; the allocator may hand
-// back recycled memory). A slab is `header_words` words owned by the store
-// (bucket heads, a root pointer) followed by `capacity` node slots of
-// `node_words` words each.
+// 64-byte line and registers it with AddressMap::AddOwnedRange so every
+// lock acquisition for the partition's data routes to its owning service
+// core. A slab is `header_words` words owned by the store (bucket heads, a
+// root pointer) followed by `capacity` node slots of `node_words` words
+// each.
+//
+// Every slot reads zero when Alloc first hands it out (0 is the null
+// pointer everywhere; the allocator may hand back recycled memory), but
+// the pool zeroes only what it hands out: the header and the first chunk
+// of slots at construction, and each further chunk when the next fresh
+// slot reaches it. A store that sizes its pool for its worst case then
+// touches only the memory it uses. Contains admits only zeroed slots, so a
+// pointer that passes it leads to a zero slot or to one a store wrote.
 //
 // Every slot is one lock unit, so a node read whole takes one lock and no
 // node shares a lock with another; the header keeps stripe locks, so
@@ -25,6 +32,7 @@
 #ifndef TM2C_SRC_APPS_NODE_POOL_H_
 #define TM2C_SRC_APPS_NODE_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -51,12 +59,13 @@ class NodePool {
   // Slots currently handed out.
   uint64_t InUse(uint32_t partition) const;
 
-  // True iff `node` is a properly aligned slot of the partition's pool —
-  // the guard a pointer read from shared memory passes before it is
-  // dereferenced, so corrupted links dead-end instead of walking wild.
+  // True iff `node` is a properly aligned, zeroed slot of the partition's
+  // pool — the guard a pointer read from shared memory passes before it is
+  // dereferenced, so corrupted or torn links dead-end instead of walking
+  // wild.
   bool Contains(uint32_t partition, uint64_t node) const {
     const Partition& part = *parts_[partition];
-    return node >= part.pool_base && node < part.pool_base + capacity_ * node_bytes_ &&
+    return node >= part.pool_base && node < part.zeroed_end.load(std::memory_order_acquire) &&
            (node - part.pool_base) % node_bytes_ == 0;
   }
   // The slot index of a node the pool Contains.
@@ -80,12 +89,21 @@ class NodePool {
   struct Partition {
     uint64_t slab_base = 0;  // line-aligned, registered with the map
     uint64_t pool_base = 0;  // slot 0, right after the header
+    // End of the zeroed slots: a whole number of slots past pool_base.
+    // Grows, under mu, ahead of the next fresh slot; Contains reads it
+    // without the mutex.
+    std::atomic<uint64_t> zeroed_end{0};
     uint32_t next_unused = 0;
     std::vector<uint64_t> free_nodes;
     uint64_t in_use = 0;
     mutable std::mutex mu;
   };
 
+  // Zeroes the slots of `part` from zeroed_end up to at least slot
+  // `slot` (exclusive), a chunk at a time, and publishes the new end.
+  void ZeroThrough(Partition& part, uint64_t slot);
+
+  SharedMemory* mem_;
   uint64_t capacity_;
   uint64_t node_bytes_;
   uint64_t slab_bytes_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "src/apps/access.h"
 #include "src/common/check.h"
@@ -16,9 +17,15 @@ namespace {
 // answer beats a wedged walk.
 constexpr uint32_t kMaxDepth = 24;
 
+// The meta word's top bit: set by the transaction that unlinks the node.
+constexpr uint64_t kDeadMark = uint64_t{1} << 63;
+
 uint64_t PackMeta(bool is_leaf, uint32_t count) {
   return (uint64_t{count} << 1) | (is_leaf ? 1u : 0u);
 }
+
+// The count a meta word packs, whatever its dead mark.
+uint64_t MetaCount(uint64_t meta) { return (meta & ~kDeadMark) >> 1; }
 
 }  // namespace
 
@@ -132,7 +139,8 @@ OrderedIndex::NodeView OrderedIndex::ReadNode(const Acc& acc, uint64_t node) con
   NodeView v;
   v.addr = node;
   v.is_leaf = (vals[0] & 1) != 0;
-  v.count = std::min<uint32_t>(static_cast<uint32_t>(vals[0] >> 1), fan);
+  v.dead = (vals[0] & kDeadMark) != 0;
+  v.count = static_cast<uint32_t>(std::min<uint64_t>(MetaCount(vals[0]), fan));
   v.next = vals[1];
   v.keys.assign(vals.begin() + 2, vals.begin() + 2 + fan);
   v.payload0.assign(vals.begin() + 2 + fan, vals.end());
@@ -168,6 +176,60 @@ bool OrderedIndex::Descend(const Acc& acc, uint32_t partition, uint64_t key,
     }
   }
   return false;  // deeper than any intact tree: corrupt
+}
+
+bool OrderedIndex::LandLeaf(Tx& tx, uint32_t partition, uint64_t key, NodeView* leaf) const {
+  // Peek down as Descend routes, reading only the words routing needs.
+  const PeekAccess peek{&tx};
+  uint64_t node = peek.Load(RootPtrAddr(partition));
+  for (uint32_t depth = 0;; ++depth) {
+    if (depth == kMaxDepth || !pool_.Contains(partition, node)) {
+      return false;
+    }
+    const uint64_t meta = peek.Load(MetaAddr(node));
+    if ((meta & 1) != 0) {
+      break;  // a leaf, dead or alive: the check below decides
+    }
+    const uint32_t count = static_cast<uint32_t>(std::min<uint64_t>(MetaCount(meta), cfg_.fanout));
+    if (count == 0 || (meta & kDeadMark) != 0) {
+      return false;
+    }
+    uint32_t i = count - 1;
+    while (i > 0 && peek.Load(KeyAddr(node, i)) > key) {
+      --i;
+    }
+    node = peek.Load(PayloadAddr(node, i));
+  }
+  *leaf = ReadNode(TxAccess{&tx}, node);
+  return cfg_.fault == FaultMode::kLandSkipCheck ||
+         (leaf->is_leaf && !leaf->dead && leaf->count > 0 && leaf->keys[0] <= key);
+}
+
+template <typename Acc>
+bool OrderedIndex::LeafOf(const Acc& acc, uint32_t partition, uint64_t key,
+                          NodeView* leaf) const {
+  if constexpr (std::is_same_v<Acc, TxAccess>) {
+    if (LandLeaf(*acc.tx, partition, key, leaf)) {
+      // Right along the chain, locked, while the next leaf starts at or
+      // below the key.
+      for (uint32_t steps = 0; leaf->count > 0 && key > leaf->keys[leaf->count - 1] &&
+                               pool_.Contains(partition, leaf->next) &&
+                               ++steps <= cfg_.capacity_per_partition;) {
+        NodeView next = ReadNode(acc, leaf->next);
+        if (!next.is_leaf || next.count == 0 || next.keys[0] > key) {
+          break;
+        }
+        *leaf = std::move(next);
+      }
+      return true;
+    }
+  }
+  Descent d;
+  if (!Descend(acc, partition, key, /*want_path=*/false, &d)) {
+    return false;
+  }
+  *leaf = std::move(d.leaf);
+  return true;
 }
 
 template <typename Acc>
@@ -218,17 +280,25 @@ void OrderedIndex::WriteMeta(const Acc& acc, uint64_t node, bool is_leaf,
   acc.Store(MetaAddr(node), PackMeta(is_leaf, count));
 }
 
+template <typename Acc>
+void OrderedIndex::Unlink(const Acc& acc, uint32_t partition, uint64_t node, bool is_leaf,
+                          uint32_t count, SmoScratch* scratch) const {
+  if (cfg_.fault != FaultMode::kSmoSkipDeadMark) {
+    acc.Store(MetaAddr(node), PackMeta(is_leaf, count) | kDeadMark);
+  }
+  scratch->freed.emplace_back(partition, node);
+}
+
 // ---------------------------------------------------------------------------
 // Core algorithms (shared by the Tx and Host paths)
 // ---------------------------------------------------------------------------
 
 template <typename Acc>
 bool OrderedIndex::GetImpl(const Acc& acc, uint64_t key, uint64_t* value) const {
-  Descent d;
-  if (!Descend(acc, PartitionOfKey(key), key, /*want_path=*/false, &d)) {
+  NodeView leaf;
+  if (!LeafOf(acc, PartitionOfKey(key), key, &leaf)) {
     return false;
   }
-  const NodeView& leaf = d.leaf;
   for (uint32_t i = 0; i < leaf.count; ++i) {
     if (leaf.keys[i] != key) {
       continue;
@@ -251,11 +321,10 @@ template <typename Acc>
 bool OrderedIndex::RmwImpl(const Acc& acc, uint64_t key,
                            const std::function<void(uint64_t*)>& fn) const {
   std::vector<uint64_t> value(cfg_.value_words);
-  Descent d;
-  if (!Descend(acc, PartitionOfKey(key), key, /*want_path=*/false, &d)) {
+  NodeView leaf;
+  if (!LeafOf(acc, PartitionOfKey(key), key, &leaf)) {
     return false;
   }
-  const NodeView& leaf = d.leaf;
   for (uint32_t i = 0; i < leaf.count; ++i) {
     if (leaf.keys[i] != key) {
       continue;
@@ -293,11 +362,10 @@ uint32_t OrderedIndex::ScanImpl(
     if (PartitionMinKey(p) > hi) {
       break;
     }
-    Descent d;
-    if (!Descend(acc, p, std::max(lo, PartitionMinKey(p)), /*want_path=*/false, &d)) {
+    NodeView v;
+    if (!LeafOf(acc, p, std::max(lo, PartitionMinKey(p)), &v)) {
       continue;  // corrupt partition: bounded wrong answer, skip it
     }
-    NodeView v = std::move(d.leaf);
     uint32_t steps = 0;  // corruption bound: a chain never exceeds the pool
     while (true) {
       // Qualifying slots of this leaf (keys are sorted within a leaf).
@@ -402,6 +470,23 @@ bool OrderedIndex::PutImpl(const Acc& acc, uint64_t key, const uint64_t* value,
                            bool insert_only, SmoScratch* scratch) {
   TM2C_DCHECK(key >= cfg_.key_min && key <= cfg_.key_max);
   const uint32_t partition = PartitionOfKey(key);
+  if constexpr (std::is_same_v<Acc, TxAccess>) {
+    // A present key is updated on the leaf the walk landed on. An absent
+    // one takes the locked descent below, which keeps the path a split
+    // needs (and finds a key a racing split moved right).
+    NodeView leaf;
+    if (LandLeaf(*acc.tx, partition, key, &leaf)) {
+      for (uint32_t pos = 0; pos < leaf.count; ++pos) {
+        if (leaf.keys[pos] != key) {
+          continue;
+        }
+        for (uint32_t w = 0; !insert_only && w < cfg_.value_words; ++w) {
+          acc.Store(PayloadAddr(leaf.addr, pos) + uint64_t{w} * kWordBytes, value[w]);
+        }
+        return false;
+      }
+    }
+  }
   Descent d;
   if (!Descend(acc, partition, key, /*want_path=*/true, &d)) {
     return false;  // corrupt tree: bounded wrong answer
@@ -443,7 +528,7 @@ bool OrderedIndex::PutImpl(const Acc& acc, uint64_t key, const uint64_t* value,
   acc.Store(NextAddr(right), leaf.next);
   WriteEntries(acc, right, /*is_leaf=*/true, right_entries, 0);
   WriteMeta(acc, right, /*is_leaf=*/true, static_cast<uint32_t>(right_entries.size()));
-  if (cfg_.smo_skip_parent_link) {
+  if (cfg_.fault == FaultMode::kSmoSkipParentLink) {
     // Planted SMO fault (kSmoSkipParentLink): the new leaf is live in the
     // chain but never linked into its parent — descents miss its keys,
     // scans still see them, HostCheckStructure must cry foul.
@@ -467,7 +552,7 @@ void OrderedIndex::RebalanceImpl(const Acc& acc, uint32_t partition, const Desce
       // only child; a root leaf may hold any count, including zero.
       if (!cur_leaf && cur_entries.size() == 1) {
         acc.Store(RootPtrAddr(partition), cur_entries[0].payload[0]);
-        scratch->freed.emplace_back(partition, cur_addr);
+        Unlink(acc, partition, cur_addr, /*is_leaf=*/false, 1, scratch);
       }
       return;
     }
@@ -505,7 +590,8 @@ void OrderedIndex::RebalanceImpl(const Acc& acc, uint32_t partition, const Desce
       if (cur_leaf) {
         acc.Store(NextAddr(left_addr), right_next);
       }
-      scratch->freed.emplace_back(partition, right_addr);
+      Unlink(acc, partition, right_addr, cur_leaf, static_cast<uint32_t>(right.size()),
+             scratch);
       std::vector<FullEntry> parent_entries = MaterializeEntries(acc, parent);
       parent_entries.erase(parent_entries.begin() + ri);
       WriteEntries(acc, parent.addr, /*is_leaf=*/false, parent_entries, ri);
@@ -788,7 +874,10 @@ void OrderedIndex::HostCheckStructure(std::vector<std::string>* problems) const 
       }
       const uint64_t meta = mem_->LoadWord(MetaAddr(node));
       const bool is_leaf = (meta & 1) != 0;
-      const uint64_t raw_count = meta >> 1;
+      const uint64_t raw_count = MetaCount(meta);
+      if ((meta & kDeadMark) != 0) {
+        complain("reachable node carries the dead mark");
+      }
       if (raw_count > cfg_.fanout) {
         complain("node count exceeds the fanout");
         return range;

@@ -15,7 +15,8 @@
 //
 //   node layout: [meta][next][k0..k_{F-1}][payload0 .. payload_{F-1}]
 //
-// where meta packs (is_leaf, count), `next` chains leaves left-to-right
+// where meta packs (is_leaf, count) and, once the node is unlinked, the
+// dead mark (its top bit); `next` chains leaves left-to-right
 // (0-terminated per partition; inner nodes keep it 0), and each payload
 // slot is `value_words` wide: a leaf entry's inline value, or — word 0
 // only — an inner entry's child pointer. Inner entries are (separator,
@@ -26,9 +27,29 @@
 //
 // Node reads go through one Tx::ReadMany covering meta, next, keys and
 // payload word 0 of every slot. All of them lie in the node's lock unit,
-// so one tree level costs one lock: one round trip to the owning service
-// core (or zero messages on the owner-local fast path). Under the elastic
-// modes the descent is exactly the paper's Section 6 sliding-window
+// so a locked node read costs one lock: one round trip to the owning
+// service core (or zero messages on the owner-local fast path).
+//
+// Lookups and scans lock only the leaves their result depends on. Get,
+// ReadModifyWrite, a Put of a present key, and the first leaf of each
+// partition a scan visits walk down with unlocked reads (Tx::Peek, through
+// PeekAccess) and then read the leaf they land on under its lock. They keep
+// it only if, under that lock, it is a live leaf with at least one key and
+// a first key no greater than the search key; lookups and scans then step
+// right along the leaf chain, locked, while the next leaf starts at or
+// below the key, and a Put whose key is not in the landing leaf inserts.
+// Everything else runs the locked descent, one lock per level: a failed
+// check, every insert, every delete and every SMO. The result depends only
+// on locked reads because
+//  - every change to a leaf's keys or liveness writes that leaf (an unlink
+//    writes a dead mark into the node's meta word),
+//  - the leaf chain is sorted, so every key left of a leaf is below its
+//    first key, and
+//  - the walk to the right along the chain stays locked.
+// Every peeked pointer passes NodePool::Contains before it is followed, so
+// a torn or stale peek dead-ends or lands on a node the check rejects. In
+// the elastic modes the landing read is an ordinary read of that mode; the
+// locked descent is exactly the paper's Section 6 sliding-window
 // traversal.
 //
 // Structure-modification operations — leaf/inner splits, sibling merges,
@@ -43,10 +64,10 @@
 // of src/apps/access.h: the Tx* methods run them on TxAccess, the Host*
 // helpers on HostAccess.
 //
-// Scan(lo, hi) descends once to the leaf containing `lo`, then walks the
-// leaf chain, hopping to the next partition's tree when a chain ends.
+// Scan(lo, hi) lands on the leaf containing `lo`, then walks the leaf
+// chain, landing again in the next partition's tree when a chain ends.
 // Under TxMode::kNormal the scan is snapshot-consistent (every visited
-// node stays read-locked to the commit); the elastic modes trade that for
+// leaf stays read-locked to the commit); the elastic modes trade that for
 // the paper's sliding window, exactly as in their list traversals.
 #ifndef TM2C_SRC_APPS_ORDERED_INDEX_H_
 #define TM2C_SRC_APPS_ORDERED_INDEX_H_
@@ -82,12 +103,17 @@ struct OrderedIndexConfig {
   // caller; exhaustion is a checked error. A tree of N entries needs at
   // most ~2*ceil(2N/fanout) nodes.
   uint32_t capacity_per_partition = 1024;
-  // Planted SMO fault (verification only; FaultMode::kSmoSkipParentLink):
-  // a leaf split publishes the new right leaf in the leaf chain but SKIPS
-  // linking it into its parent — the classic publish-child-before-
-  // parent-link bug. Descents miss every key in the orphan leaf while
-  // chain scans still see them; HostCheckStructure must flag the tree.
-  bool smo_skip_parent_link = false;
+  // Planted application fault (verification only; every other mode is
+  // ignored here):
+  //  - kSmoSkipParentLink: a leaf split publishes the new right leaf in
+  //    the leaf chain but SKIPS linking it into its parent — the classic
+  //    publish-child-before-parent-link bug. Descents miss every key in
+  //    the orphan leaf while chain scans still see them;
+  //    HostCheckStructure must flag the tree.
+  //  - kLandSkipCheck: a transaction keeps the leaf its unlocked walk
+  //    landed on without the under-lock check.
+  //  - kSmoSkipDeadMark: an unlink writes no dead mark.
+  FaultMode fault = FaultMode::kNone;
 };
 
 class OrderedIndex : public TxStoreApi {
@@ -208,6 +234,7 @@ class OrderedIndex : public TxStoreApi {
   struct NodeView {
     uint64_t addr = 0;
     bool is_leaf = false;
+    bool dead = false;  // unlinked: the meta word carries the dead mark
     uint32_t count = 0;
     uint64_t next = 0;
     uint32_t down_index = 0;  // child slot a descent took (inner nodes)
@@ -249,6 +276,17 @@ class OrderedIndex : public TxStoreApi {
   template <typename Acc>
   bool Descend(const Acc& acc, uint32_t partition, uint64_t key, bool want_path,
                Descent* d) const;
+  // The leaf a transaction lands on for `key`, without locking the way
+  // down (see the header comment): peeks to a leaf and reads it under its
+  // lock. False: it fails the landing check, and the caller runs the
+  // locked descent.
+  bool LandLeaf(Tx& tx, uint32_t partition, uint64_t key, NodeView* leaf) const;
+  // The leaf that holds `key` if the partition holds it. A transaction
+  // lands (LandLeaf) and steps right along the chain, locked, while the
+  // next leaf starts at or below `key`; every other accessor, and a failed
+  // landing, take the locked descent.
+  template <typename Acc>
+  bool LeafOf(const Acc& acc, uint32_t partition, uint64_t key, NodeView* leaf) const;
   template <typename Acc>
   std::vector<FullEntry> MaterializeEntries(const Acc& acc, const NodeView& view) const;
   template <typename Acc>
@@ -256,6 +294,11 @@ class OrderedIndex : public TxStoreApi {
                     const std::vector<FullEntry>& entries, uint32_t from) const;
   template <typename Acc>
   void WriteMeta(const Acc& acc, uint64_t node, bool is_leaf, uint32_t count) const;
+  // Unlinks `node`: writes its dead mark (meta keeps its shape and gains
+  // the mark) and queues the node for SettleScratch to recycle.
+  template <typename Acc>
+  void Unlink(const Acc& acc, uint32_t partition, uint64_t node, bool is_leaf, uint32_t count,
+              SmoScratch* scratch) const;
   // Links a freshly split-off child into the ancestors: inserts
   // (separator, child) right of the slot the descent took, splitting inner
   // nodes upward as needed, growing a new root when the old one splits.

@@ -340,12 +340,57 @@ void LoadStoreMixKeys(TxStoreApi& store, uint64_t num_keys) {
   }
 }
 
+// The landing race (the B+-tree only). A lookup's window between its last
+// unlocked peek and the grant of its landing lock is about one message
+// long, and the mix alone almost never commits an SMO of the landing leaf
+// inside it. Two deterministic perturbations make the sweep reach it:
+//  - a churn phase after the mix: core 0 deletes and reinserts keys among
+//    the first kChurnKeys (merges and splits of the same few leaves) while
+//    every other core increments those keys;
+//  - LandingStall: with seeded probability an app core stalls just before
+//    its attempt's first lock request, which for a lookup is the landing
+//    request. (Only batched acquisitions report to the trace when they are sent,
+//    so only max_batch > 1 normal-mode runs stall.)
+constexpr uint32_t kChurnTxsPerCore = 300;
+constexpr uint64_t kChurnKeys = 8;
+constexpr uint32_t kLandingStallPct = 50;
+constexpr uint64_t kLandingStallMaxCycles = 30000;
+
+// Forwards every event to the history, then stalls the issuing core as
+// described above.
+class LandingStall : public TxTraceSink {
+ public:
+  LandingStall(History* history, uint64_t seed, uint32_t num_cores)
+      : history_(history), rng_(seed), envs_(num_cores, nullptr), fresh_(num_cores, false) {}
+
+  // The app cores register their environments as their bodies start.
+  void SetEnv(CoreEnv* env) { envs_[env->core_id()] = env; }
+
+  void OnEvent(const TraceEvent& event) override {
+    history_->OnEvent(event);
+    if (event.kind == TraceKind::kTxBegin) {
+      fresh_[event.core] = true;
+    } else if (event.kind == TraceKind::kAcquireIssue && fresh_[event.core]) {
+      fresh_[event.core] = false;
+      if (envs_[event.core] != nullptr && rng_.NextPercent(kLandingStallPct)) {
+        envs_[event.core]->Compute(rng_.NextBelow(kLandingStallMaxCycles));
+      }
+    }
+  }
+
+ private:
+  History* history_;
+  Rng rng_;
+  std::vector<CoreEnv*> envs_;
+  std::vector<bool> fresh_;
+};
+
 // Runs the mix over the pre-loaded store, then the oracle, completion,
 // final-state, conservation and node-accounting checks. Workload-specific
 // epilogues (crash restart, tree shape) run on the returned result at the
-// call sites.
+// call sites. `landing_race` adds the churn phase and LandingStall.
 CheckRunResult RunCheckedStoreMix(const CheckRunConfig& cfg, TmSystem& sys,
-                                  TxStoreApi& store, uint64_t num_keys) {
+                                  TxStoreApi& store, uint64_t num_keys, bool landing_race) {
   CheckRunResult result;
 
   constexpr uint64_t kInitial = kStoreMixInitial;
@@ -369,10 +414,13 @@ CheckRunResult RunCheckedStoreMix(const CheckRunConfig& cfg, TmSystem& sys,
   std::vector<uint64_t> increments(n, 0);    // applied RMW increments
   std::vector<uint64_t> removed_sum(n, 0);   // counters carried off by deletes
   const std::pair<uint64_t, uint64_t> slab0 = store.SlabRange(0);
+  const uint32_t txs_per_core = cfg.txs_per_core + (landing_race ? kChurnTxsPerCore : 0);
+  LandingStall stall(&result.history, cfg.seed * 7 + 3, cfg.num_cores);
   for (uint32_t i = 0; i < n; ++i) {
-    sys.SetAppBody(i, [&, i, num_keys](CoreEnv&, TxRuntime& rt) {
+    sys.SetAppBody(i, [&, i, num_keys](CoreEnv& env, TxRuntime& rt) {
+      stall.SetEnv(&env);
       Rng rng(cfg.seed * 131 + 17 * (i + 1));
-      for (uint32_t k = 0; k < cfg.txs_per_core; ++k) {
+      for (uint32_t k = 0; k < txs_per_core; ++k) {
         if (cfg.migrate && i == 0 && k == cfg.txs_per_core / 2) {
           // Live handoff under load: hand the partition-0 slab's lock
           // ownership to partition 1 while every core keeps issuing the
@@ -382,9 +430,15 @@ CheckRunResult RunCheckedStoreMix(const CheckRunConfig& cfg, TmSystem& sys,
         }
         // Unique per (core, transaction); each op persists at most one
         // value word, so the tag disambiguates every committed value.
-        const uint64_t tag = static_cast<uint64_t>(i + 1) * cfg.txs_per_core + k;
-        const uint64_t key = 1 + rng.NextBelow(num_keys);
-        const uint64_t pick = rng.NextBelow(10);
+        const uint64_t tag = static_cast<uint64_t>(i + 1) * txs_per_core + k;
+        uint64_t key = 1 + rng.NextBelow(num_keys);
+        uint64_t pick = rng.NextBelow(10);
+        if (k >= cfg.txs_per_core) {
+          // The churn phase: core 0 alternates a Delete and an Insert (the
+          // pick values below), the other cores increment.
+          key = 1 + rng.NextBelow(kChurnKeys);
+          pick = i != 0 ? 0 : k % 2 == 0 ? 4 : 6;
+        }
         if (pick < 4) {
           // Hot-key increment through ReadModifyWrite: the lost-update
           // probe. Counts only if the key was resident.
@@ -422,7 +476,11 @@ CheckRunResult RunCheckedStoreMix(const CheckRunConfig& cfg, TmSystem& sys,
     });
   }
 
-  sys.AttachTrace(&result.history);
+  if (landing_race) {
+    sys.AttachTrace(&stall);
+  } else {
+    sys.AttachTrace(&result.history);
+  }
   sys.Run(MillisToSim(8000));
   result.stats = sys.MergedStats();
 
@@ -501,7 +559,8 @@ CheckRunResult RunCheckedKvWorkload(const CheckRunConfig& cfg) {
   KvStore store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), kv_cfg);
   LoadStoreMixKeys(store, cfg.accounts);
 
-  CheckRunResult result = RunCheckedStoreMix(cfg, sys, store, cfg.accounts);
+  CheckRunResult result = RunCheckedStoreMix(cfg, sys, store, cfg.accounts,
+                                             /*landing_race=*/false);
 
   if (cfg.crash) {
     RunKvCrashRestart(cfg, sys, store, &result);
@@ -529,13 +588,13 @@ CheckRunResult RunCheckedIndexWorkload(const CheckRunConfig& cfg) {
   // orphan leaf, and the run must exhaust its transaction budget — not the
   // pool — so the structural invariants get to deliver the verdict.
   oi_cfg.capacity_per_partition =
-      static_cast<uint32_t>(2 * keys_per_partition + 4 * cfg.txs_per_core);
-  oi_cfg.smo_skip_parent_link = cfg.fault == FaultMode::kSmoSkipParentLink;
+      static_cast<uint32_t>(2 * keys_per_partition + 4 * (cfg.txs_per_core + kChurnTxsPerCore));
+  oi_cfg.fault = cfg.fault;
   OrderedIndex store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
                      oi_cfg);
   LoadStoreMixKeys(store, num_keys);
 
-  if (!oi_cfg.smo_skip_parent_link) {
+  if (cfg.fault != FaultMode::kSmoSkipParentLink) {
     // Non-vacuity, anchored to the deterministic loaded state: the
     // invariants below would pass trivially on a forest of root leaves.
     // (With the SMO fault planted the roots legitimately never grow — that
@@ -546,7 +605,8 @@ CheckRunResult RunCheckedIndexWorkload(const CheckRunConfig& cfg) {
     }
   }
 
-  CheckRunResult result = RunCheckedStoreMix(cfg, sys, store, num_keys);
+  CheckRunResult result = RunCheckedStoreMix(cfg, sys, store, num_keys,
+                                             /*landing_race=*/true);
 
   // Tree-shape invariants over the final structure: sorted leaves,
   // separator bounds, linked-leaf completeness, node accounting. This is

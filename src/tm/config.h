@@ -65,6 +65,18 @@ enum class FaultMode : uint8_t {
   // it. Applied by OrderedIndex (src/apps/ordered_index.h) when the chaos
   // harness plumbs it through; ignored by the runtime and lock service.
   kSmoSkipParentLink = 6,
+  // Application-level, like kSmoSkipParentLink: an OrderedIndex lookup or
+  // scan uses the leaf its unlocked walk landed on without the check it
+  // makes under the leaf's lock (live, not empty, first key no greater
+  // than the search key). A walk that raced an SMO then reads a dead or
+  // wrong leaf: an increment applied to a merged-away leaf is lost, and
+  // the store mix's conservation check must flag it.
+  kLandSkipCheck = 7,
+  // Application-level: an OrderedIndex merge or root collapse unlinks a
+  // node without writing its dead mark. A walk that landed on the node
+  // before the unlink then passes its check on the stale copy; flagged as
+  // kLandSkipCheck is.
+  kSmoSkipDeadMark = 8,
 };
 
 inline const char* FaultModeName(FaultMode f) {
@@ -83,6 +95,10 @@ inline const char* FaultModeName(FaultMode f) {
       return "grant-during-migration";
     case FaultMode::kSmoSkipParentLink:
       return "smo-skip-parent-link";
+    case FaultMode::kLandSkipCheck:
+      return "land-skip-check";
+    case FaultMode::kSmoSkipDeadMark:
+      return "smo-skip-dead-mark";
   }
   return "?";
 }

@@ -732,13 +732,32 @@ uint64_t TxRuntime::ReadNormal(uint64_t addr, bool elastic_early) {
   return value;
 }
 
-uint64_t TxRuntime::ReadElasticValidated(uint64_t addr) {
-  if (const AttemptTable::Entry* entry = table_.Find(addr);
-      entry != nullptr && (entry->flags & AttemptTable::kWritten) != 0) {
-    return entry->written;
+uint64_t TxRuntime::LoadUnlocked(uint64_t addr, bool poll, bool* loaded) {
+  const uint64_t* known = KnownValue(addr);
+  *loaded = known == nullptr;
+  if (known != nullptr) {
+    return *known;
   }
-  CheckPendingAbort();
-  const uint64_t value = env_.ShmemRead(addr);
+  if (poll) {
+    CheckPendingAbort();
+  }
+  return env_.ShmemRead(addr);
+}
+
+uint64_t TxRuntime::TxPeek(uint64_t addr) {
+  CheckBodyContract();
+  TM2C_CHECK_MSG(in_tx_, "tx.Peek outside a transaction");
+  TM2C_DCHECK(addr % kWordBytes == 0);
+  bool loaded = false;
+  return LoadUnlocked(addr, /*poll=*/false, &loaded);
+}
+
+uint64_t TxRuntime::ReadElasticValidated(uint64_t addr) {
+  bool loaded = false;
+  const uint64_t value = LoadUnlocked(addr, /*poll=*/true, &loaded);
+  if (!loaded) {
+    return value;  // the attempt's own buffered write
+  }
   if (trace_ != nullptr) {
     trace_->OnTxRead(env_.core_id(), addr, value);
   }

@@ -22,6 +22,11 @@
 // release for older ones; kElasticRead takes no read locks at all and
 // value-validates the window instead.
 //
+// Tx::Peek is the per-read version of that argument, for a data structure
+// that re-checks under a lock what its result depends on: an unlocked,
+// untracked read. It shares elastic-read's unlocked load, without the
+// window.
+//
 // Control-flow contract: aborts and end-of-run teardown are delivered by
 // exception (TxAbortException, Fiber::Unwound) THROUGH the transaction
 // body. A body may catch its own exception types, but must never swallow
@@ -82,6 +87,15 @@ class Tx {
   // pipeline_depth == 1 degenerates to the synchronous ReadMany
   // acquisition without the reads.
   void Prefetch(const std::vector<uint64_t>& addrs);
+
+  // Unlocked read: the attempt's buffered write or first-read value for
+  // `addr` if it has one, else the word shared memory holds now (a timed
+  // access on the simulator). It takes no lock, adds no attempt-table
+  // entry, records no trace event and polls no inbox, so nothing protects
+  // the value and no conflict can come of it: a caller must re-read under
+  // a lock whatever its result depends on (see OrderedIndex's landing
+  // leaf). Every mode peeks the same way.
+  uint64_t Peek(uint64_t addr);
 
  private:
   friend class TxRuntime;
@@ -148,13 +162,20 @@ class TxRuntime {
   uint64_t TxRead(uint64_t addr);
   std::vector<uint64_t> TxReadMany(const std::vector<uint64_t>& addrs);
   void TxPrefetch(const std::vector<uint64_t>& addrs);
+  uint64_t TxPeek(uint64_t addr);
   void TxWrite(uint64_t addr, uint64_t value);
   void TxCommit();
 
   // The value the attempt already has for `addr`: its buffered write, else
   // the value it first read (Algorithm 4 lines 2-5); null for a fresh word.
-  // Valid until the next table insert.
+  // Valid until the next table insert. Elastic-read records no first
+  // reads, so there it is the buffered write alone.
   const uint64_t* KnownValue(uint64_t addr);
+  // The unlocked read Tx::Peek and elastic-read share: KnownValue if the
+  // attempt has one, else a timed load of shared memory. `poll` polls the
+  // inbox before the load, as elastic-read does; *loaded says whether the
+  // value came from shared memory.
+  uint64_t LoadUnlocked(uint64_t addr, bool poll, bool* loaded);
   uint64_t ReadNormal(uint64_t addr, bool elastic_early);
   uint64_t ReadElasticValidated(uint64_t addr);
   void ValidateWindowOrAbort();
@@ -343,6 +364,7 @@ inline std::vector<uint64_t> Tx::ReadMany(const std::vector<uint64_t>& addrs) {
   return rt_->TxReadMany(addrs);
 }
 inline void Tx::Prefetch(const std::vector<uint64_t>& addrs) { rt_->TxPrefetch(addrs); }
+inline uint64_t Tx::Peek(uint64_t addr) { return rt_->TxPeek(addr); }
 
 }  // namespace tm2c
 

@@ -488,8 +488,8 @@ TEST(NodePool, SlabsAreStripeAlignedOwnedAndZeroed) {
   TmSystemConfig cfg = BaseConfig(6, 3);
   cfg.tm.stripe_bytes = 64;
   TmSystem sys(std::move(cfg));
-  // Dirty the whole shared memory: whatever the allocator hands the pool
-  // must come back zeroed.
+  // Dirty the whole shared memory: whatever the allocator hands the pool,
+  // the header and every slot Alloc hands out must read zero.
   for (uint64_t addr = 0; addr < sys.shmem().size_bytes(); addr += kWordBytes) {
     sys.shmem().StoreWord(addr, 0xDEADDEADDEADDEADull);
   }
@@ -500,14 +500,55 @@ TEST(NodePool, SlabsAreStripeAlignedOwnedAndZeroed) {
     EXPECT_EQ(base % 64, 0u);
     EXPECT_EQ(bytes, 192u);  // 20 words, rounded up to whole stripes
     uint64_t foreign = 0;
-    uint64_t dirty = 0;
     for (uint64_t addr = base; addr < base + bytes; addr += kWordBytes) {
       foreign += sys.address_map().PartitionOf(addr) == p ? 0 : 1;
-      dirty += sys.shmem().LoadWord(addr) == 0 ? 0 : 1;
     }
     EXPECT_EQ(foreign, 0u) << "partition " << p;
+    uint64_t dirty = 0;
+    for (uint64_t addr = base; addr < base + kPoolHeaderWords * kWordBytes; addr += kWordBytes) {
+      dirty += sys.shmem().LoadWord(addr) == 0 ? 0 : 1;
+    }
+    for (uint32_t i = 0; i < kPoolCapacity; ++i) {
+      const uint64_t node = pool.Alloc(p);
+      ASSERT_EQ(node, SlotAddr(pool, p, i));
+      for (uint64_t w = 0; w < kPoolNodeWords; ++w) {
+        dirty += sys.shmem().LoadWord(node + w * kWordBytes) == 0 ? 0 : 1;
+      }
+    }
     EXPECT_EQ(dirty, 0u) << "partition " << p;
   }
+}
+
+TEST(NodePool, ZeroesFreshSlotsAChunkAheadOfAlloc) {
+  // 1 MiB chunks of 8-word slots: 16384 slots each. Memory dirtied before
+  // the pool is built stays dirty until the chunk holding the next fresh
+  // slot is zeroed, and Contains admits only zeroed slots.
+  constexpr uint64_t kNodeWords = 8;
+  constexpr uint32_t kChunkSlots = (1u << 20) / (kNodeWords * kWordBytes);
+  TmSystemConfig cfg = BaseConfig(4, 2);
+  cfg.sim.shmem_bytes = 16 << 20;
+  TmSystem sys(std::move(cfg));
+  for (uint64_t addr = 0; addr < sys.shmem().size_bytes(); addr += kWordBytes) {
+    sys.shmem().StoreWord(addr, 0xDEADDEADDEADDEADull);
+  }
+  NodePool pool(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                /*header_words=*/1, kNodeWords, 3 * kChunkSlots);
+  const auto slot = [&](uint32_t i) {
+    return pool.Slab(0).first + kNodeWords * kWordBytes + uint64_t{i} * kNodeWords * kWordBytes;
+  };
+  EXPECT_EQ(sys.shmem().LoadWord(pool.Slab(0).first), 0u);  // the header
+  EXPECT_TRUE(pool.Contains(0, slot(kChunkSlots - 1)));
+  EXPECT_FALSE(pool.Contains(0, slot(kChunkSlots)));
+  EXPECT_NE(sys.shmem().LoadWord(slot(kChunkSlots)), 0u);  // not touched yet
+  for (uint32_t i = 0; i <= kChunkSlots; ++i) {
+    ASSERT_EQ(pool.Alloc(0), slot(i));
+  }
+  EXPECT_TRUE(pool.Contains(0, slot(2 * kChunkSlots - 1)));
+  EXPECT_FALSE(pool.Contains(0, slot(2 * kChunkSlots)));
+  for (uint64_t w = 0; w < kNodeWords; ++w) {
+    EXPECT_EQ(sys.shmem().LoadWord(slot(2 * kChunkSlots - 1) + w * kWordBytes), 0u);
+  }
+  EXPECT_NE(sys.shmem().LoadWord(slot(2 * kChunkSlots)), 0u);
 }
 
 TEST(NodePool, LockUnitPadsTheHeaderAndEverySlotToWholeUnits) {

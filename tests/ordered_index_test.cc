@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -106,31 +107,332 @@ TEST(OrderedIndex, AllSlabAddressesRouteToTheOwningPartition) {
   RunStoreSlabRoutingCase(sys, idx);
 }
 
-// A node is one lock unit: a committed point read on a tree of depth d
-// takes one lock for the root pointer and one per node on its path.
-TEST(OrderedIndex, TxGetTakesOneLockPerNodeOnItsPath) {
-  TmSystem sys(SmallConfig());
-  const OrderedIndexConfig cfg = SmallIndex();
-  OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), cfg);
-  for (uint64_t key = cfg.key_min; key <= cfg.key_max; ++key) {
+// ---------------------------------------------------------------------------
+// Unlocked walks and the landing leaf
+// ---------------------------------------------------------------------------
+
+// Host-side view of the node layout ([meta][next][keys][payloads]), for
+// tests that find or forge nodes.
+struct Layout {
+  const OrderedIndex& idx;
+  SharedMemory& mem;
+
+  uint64_t Meta(uint64_t node) const { return mem.LoadWord(node); }
+  bool IsLeaf(uint64_t node) const { return (Meta(node) & 1) != 0; }
+  uint32_t Count(uint64_t node) const {
+    return static_cast<uint32_t>((Meta(node) & ~(uint64_t{1} << 63)) >> 1);
+  }
+  uint64_t KeyAddr(uint64_t node, uint32_t i) const { return node + (2 + i) * kWordBytes; }
+  uint64_t PayloadAddr(uint64_t node, uint32_t i) const {
+    return node + (2 + idx.fanout() + uint64_t{i} * idx.value_words()) * kWordBytes;
+  }
+  uint64_t RootPtr(uint32_t partition) const { return idx.SlabRange(partition).first; }
+  // Root to leaf, routed as the descent routes `key`.
+  std::vector<uint64_t> Path(uint64_t key) const {
+    std::vector<uint64_t> path{mem.LoadWord(RootPtr(idx.PartitionOfKey(key)))};
+    while (!IsLeaf(path.back())) {
+      const uint64_t node = path.back();
+      uint32_t i = Count(node) - 1;
+      while (i > 0 && mem.LoadWord(KeyAddr(node, i)) > key) {
+        --i;
+      }
+      path.push_back(mem.LoadWord(PayloadAddr(node, i)));
+    }
+    return path;
+  }
+  // The word of `parent` that points at `child`.
+  uint64_t ChildLink(uint64_t parent, uint64_t child) const {
+    for (uint32_t i = 0; i < Count(parent); ++i) {
+      if (mem.LoadWord(PayloadAddr(parent, i)) == child) {
+        return PayloadAddr(parent, i);
+      }
+    }
+    ADD_FAILURE() << "no link to the child";
+    return 0;
+  }
+  // The partition's last pool slot, which the small trees here never use.
+  uint64_t UnusedSlot(uint32_t partition) const {
+    const uint64_t node_bytes = idx.node_words() * kWordBytes;
+    const uint64_t align = std::min<uint64_t>(node_bytes & (~node_bytes + 1), 64);
+    const uint64_t pool_base = RootPtr(partition) + (kWordBytes + align - 1) / align * align;
+    return pool_base + (256 - 1) * node_bytes;  // SmallIndex's capacity
+  }
+  void Copy(uint64_t from, uint64_t to) const {
+    for (uint64_t w = 0; w < idx.node_words(); ++w) {
+      mem.StoreWord(to + w * kWordBytes, mem.LoadWord(from + w * kWordBytes));
+    }
+  }
+};
+
+// Calls `at_begin` when app core 0 begins its first attempt, and
+// `at_landing` when a service grants that attempt its first lock: the
+// landing lock of a lookup. What they write to shared memory is what a
+// walk sees before, and a lock holder after, an SMO that commits in the
+// window between the walk's last peek and its landing lock.
+class LandingWindow : public TxTraceSink {
+ public:
+  std::function<void()> at_begin;
+  std::function<void()> at_landing;
+  std::vector<uint64_t> granted;  // stripes granted to app_core
+  uint32_t app_core = UINT32_MAX;  // set by the app body as it starts
+
+  void OnEvent(const TraceEvent& event) override {
+    if (event.kind == TraceKind::kTxBegin && event.core == app_core && !begun_) {
+      begun_ = true;
+      if (at_begin) {
+        at_begin();
+      }
+    } else if (event.kind == TraceKind::kLockGrant && event.w0 == app_core) {
+      granted.push_back(event.w1);
+      if (granted.size() == 1 && at_landing) {
+        at_landing();
+      }
+    }
+  }
+
+ private:
+  bool begun_ = false;
+};
+
+// Loads every `step`-th key with the value (key, key + 1). On SmallIndex()
+// that is 48 keys per partition at step 1: four levels deep.
+void LoadAll(OrderedIndex& idx, uint64_t step = 1) {
+  for (uint64_t key = idx.key_min(); key <= idx.key_max(); key += step) {
     const uint64_t value[2] = {key, key + 1};
     idx.HostPut(key, value);
   }
+}
+
+// Get, ReadModifyWrite and an in-place Put of a present key lock only the
+// leaf they land on before commit; an insert of an absent key still takes
+// the locked descent: the root pointer and one lock per node on its path.
+TEST(OrderedIndexLanding, LookupsLockOnlyTheLandingLeaf) {
+  TmSystem sys(SmallConfig());
+  OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                   SmallIndex());
+  LoadAll(idx, 2);  // odd keys: 4 is absent, inside the leaf [1 3 5]
   const uint32_t depth = idx.HostDepthOfPartition(0);
   ASSERT_GE(depth, 3u);
-  bool found = false;
-  uint64_t value[2] = {};
-  uint64_t acquires = 0;
+  std::vector<uint64_t> before_commit;
   uint64_t aborts = 0;
+  uint64_t got[2] = {};
+  OrderedIndex::SmoScratch scratch;
   sys.SetAppBody(0, [&](CoreEnv&, TxRuntime& rt) {
-    rt.Execute([&](Tx& tx) { found = idx.TxGet(tx, 5, value); });
-    acquires = rt.stats().lock_acquires;
+    const auto run = [&](const std::function<void(Tx&)>& op) {
+      const uint64_t start = rt.stats().lock_acquires;
+      rt.Execute([&](Tx& tx) {
+        scratch.ResetAttempt();
+        op(tx);
+        before_commit.push_back(rt.stats().lock_acquires - start);
+      });
+      idx.SettleScratch(&scratch);
+    };
+    run([&](Tx& tx) { EXPECT_TRUE(idx.TxGet(tx, 3, got)); });
+    run([&](Tx& tx) {
+      EXPECT_TRUE(idx.TxReadModifyWrite(tx, 5, [](uint64_t* v) { v[1] += 10; }));
+    });
+    const uint64_t value[2] = {70, 71};
+    run([&](Tx& tx) { EXPECT_FALSE(idx.TxPut(tx, 7, value, &scratch)); });
+    run([&](Tx& tx) { EXPECT_TRUE(idx.TxPut(tx, 4, value, &scratch)); });
     aborts = rt.stats().aborts;
   });
   sys.Run(MillisToSim(1000));
-  ASSERT_TRUE(found);
-  EXPECT_EQ(value[0], 5u);
-  EXPECT_EQ(value[1], 6u);
+  EXPECT_EQ(aborts, 0u);
+  EXPECT_EQ(got[0], 3u);
+  EXPECT_EQ(got[1], 4u);
+  EXPECT_EQ(before_commit, (std::vector<uint64_t>{1, 1, 1, depth + 1}));
+  uint64_t value[2] = {};
+  ASSERT_TRUE(idx.HostGet(5, value));
+  EXPECT_EQ(value[1], 16u);
+  ASSERT_TRUE(idx.HostGet(7, value));
+  EXPECT_EQ(value[0], 70u);
+  ASSERT_TRUE(idx.HostGet(4, value));
+  ExpectStructureClean(idx, "after the lookups");
+}
+
+// A scan locks each leaf it reads, once, and no inner node or root
+// pointer: its result depends on the leaf chain alone.
+TEST(OrderedIndexLanding, ScanLocksExactlyTheLeavesItReads) {
+  TmSystem sys(SmallConfig());
+  OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                   SmallIndex());
+  LoadAll(idx);
+  ASSERT_GE(idx.HostDepthOfPartition(0), 3u);
+  const Layout layout{idx, sys.shmem()};
+  LandingWindow window;
+  sys.AttachTrace(&window);
+  std::vector<KvEntry> out;
+  uint64_t acquires = 0;
+  sys.SetAppBody(0, [&](CoreEnv& env, TxRuntime& rt) {
+    window.app_core = env.core_id();
+    out = idx.Scan(rt, 5, 16);
+    acquires = rt.stats().lock_acquires;
+  });
+  sys.Run(MillisToSim(1000));
+  ASSERT_EQ(out.size(), 16u);
+  std::set<uint64_t> leaves;
+  for (const KvEntry& entry : out) {
+    leaves.insert(layout.Path(entry.key).back());
+  }
+  EXPECT_EQ(acquires, leaves.size());
+  EXPECT_EQ(std::set<uint64_t>(window.granted.begin(), window.granted.end()), leaves);
+  EXPECT_EQ(window.granted.size(), leaves.size());
+}
+
+// A landing that does not pass its check under the lock falls back to the
+// locked descent, whatever it landed on. The walk is steered (before the
+// attempt begins) to a forged copy of key 20's leaf holding a stale value;
+// at the landing lock the tree is restored and the copy becomes each kind
+// of node the check rejects. Under FaultMode::kLandSkipCheck the stale
+// copy would be used.
+TEST(OrderedIndexLanding, FailedLandingChecksReturnTheLockedDescentsAnswer) {
+  enum class Landing { kDeadLeaf, kInnerNode, kUnusedSlot, kLeafAboveTheKey };
+  for (const Landing landing : {Landing::kDeadLeaf, Landing::kInnerNode, Landing::kUnusedSlot,
+                                Landing::kLeafAboveTheKey}) {
+    SCOPED_TRACE(static_cast<int>(landing));
+    TmSystem sys(SmallConfig());
+    OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                     SmallIndex());
+    LoadAll(idx);
+    const Layout layout{idx, sys.shmem()};
+    const std::vector<uint64_t> path = layout.Path(20);
+    const uint64_t leaf = path.back();
+    const uint64_t link = layout.ChildLink(path[path.size() - 2], leaf);
+    const uint64_t forged = layout.UnusedSlot(0);
+    LandingWindow window;
+    window.at_begin = [&] {
+      layout.Copy(leaf, forged);
+      for (uint32_t i = 0; i < layout.Count(forged); ++i) {
+        sys.shmem().StoreWord(layout.PayloadAddr(forged, i), 999);
+      }
+      sys.shmem().StoreWord(link, forged);
+    };
+    window.at_landing = [&] {
+      sys.shmem().StoreWord(link, leaf);
+      switch (landing) {
+        case Landing::kDeadLeaf:
+          sys.shmem().StoreWord(forged, layout.Meta(forged) | (uint64_t{1} << 63));
+          break;
+        case Landing::kInnerNode:
+          layout.Copy(path[path.size() - 2], forged);
+          break;
+        case Landing::kUnusedSlot:
+          for (uint64_t w = 0; w < idx.node_words(); ++w) {
+            sys.shmem().StoreWord(forged + w * kWordBytes, 0);
+          }
+          break;
+        case Landing::kLeafAboveTheKey:
+          layout.Copy(layout.Path(40).back(), forged);
+          break;
+      }
+    };
+    sys.AttachTrace(&window);
+    bool found = false;
+    std::vector<uint64_t> value;
+    sys.SetAppBody(0, [&](CoreEnv& env, TxRuntime& rt) {
+      window.app_core = env.core_id();
+      found = idx.Get(rt, 20, &value);
+    });
+    sys.Run(MillisToSim(1000));
+    EXPECT_TRUE(found);
+    EXPECT_EQ(value, (std::vector<uint64_t>{20, 21}));
+    EXPECT_GT(window.granted.size(), 1u) << "the landing was not rejected";
+  }
+}
+
+// The increment of a ReadModifyWrite whose walk raced a merge: a host-side
+// delete at the landing lock merges the landing leaf away (keys 7, 8, 9
+// move into the leaf of 6). The merge marks the leaf dead, the landing
+// check rejects it and the locked descent finds key 8 in its new leaf.
+// Returns key 8's second value word afterwards (9 before the increment).
+uint64_t RmwRacingAMerge(FaultMode fault) {
+  TmSystem sys(SmallConfig());
+  OrderedIndexConfig cfg = SmallIndex();
+  cfg.fault = fault;
+  OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), cfg);
+  LoadAll(idx);  // leaves [1 2 3] [4 5 6] [7 8 9] ...
+  EXPECT_TRUE(idx.HostDelete(4));
+  const Layout layout{idx, sys.shmem()};
+  const uint64_t landing = layout.Path(8).back();
+  LandingWindow window;
+  window.at_landing = [&] {
+    EXPECT_TRUE(idx.HostDelete(5));  // [6] merges with [7 8 9]
+    EXPECT_NE(layout.Path(8).back(), landing);
+  };
+  sys.AttachTrace(&window);
+  sys.SetAppBody(0, [&](CoreEnv& env, TxRuntime& rt) {
+    window.app_core = env.core_id();
+    EXPECT_TRUE(idx.ReadModifyWrite(rt, 8, [](uint64_t* v) { v[1] += 1; }));
+  });
+  sys.Run(MillisToSim(1000));
+  ExpectStructureClean(idx, "after the race");
+  uint64_t value[2] = {};
+  EXPECT_TRUE(idx.HostGet(8, value));
+  return value[1];
+}
+
+TEST(OrderedIndexLanding, RmwRacingAMergeKeepsItsIncrement) {
+  EXPECT_EQ(RmwRacingAMerge(FaultMode::kNone), 10u);
+}
+
+// The two planted faults lose that increment to the merged-away copy.
+TEST(OrderedIndexLanding, LandSkipCheckLosesTheIncrement) {
+  EXPECT_EQ(RmwRacingAMerge(FaultMode::kLandSkipCheck), 9u);
+}
+
+TEST(OrderedIndexLanding, SmoSkipDeadMarkLosesTheIncrement) {
+  EXPECT_EQ(RmwRacingAMerge(FaultMode::kSmoSkipDeadMark), 9u);
+}
+
+// Every committed unlink marks the node it unlinks: a merged-away leaf and
+// a collapsed root both carry the dead mark, and the tree stays intact.
+TEST(OrderedIndexLanding, MergesAndRootCollapsesMarkTheNodeDead) {
+  TmSystem sys(SmallConfig());
+  OrderedIndexConfig cfg = SmallIndex(1);
+  OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), cfg);
+  for (uint64_t key = 1; key <= 5; ++key) {
+    idx.HostPut(key, &key);  // root over leaves [1 2 3] [4 5]
+  }
+  const Layout layout{idx, sys.shmem()};
+  const uint64_t root = sys.shmem().LoadWord(layout.RootPtr(0));
+  const uint64_t right = layout.Path(5).back();
+  ASSERT_EQ(idx.HostDepthOfPartition(0), 2u);
+  sys.SetAppBody(0, [&](CoreEnv&, TxRuntime& rt) {
+    EXPECT_TRUE(idx.Delete(rt, 5));  // [4] merges into [1 2 3]; the root collapses
+  });
+  sys.Run(MillisToSim(1000));
+  EXPECT_EQ(idx.HostDepthOfPartition(0), 1u);
+  for (const uint64_t node : {root, right}) {
+    EXPECT_NE(layout.Meta(node) & (uint64_t{1} << 63), 0u);
+  }
+  ExpectStructureClean(idx, "after the merge and collapse");
+}
+
+// The locked descent: an insert of an absent key takes one lock for the
+// root pointer and one per node on its path before commit.
+TEST(OrderedIndex, InsertOfAnAbsentKeyTakesOneLockPerNodeOnItsPath) {
+  TmSystem sys(SmallConfig());
+  OrderedIndex idx(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(),
+                   SmallIndex());
+  LoadAll(idx, 2);
+  const uint32_t depth = idx.HostDepthOfPartition(0);
+  ASSERT_GE(depth, 3u);
+  uint64_t acquires = 0;
+  uint64_t aborts = 0;
+  bool inserted = false;
+  OrderedIndex::SmoScratch scratch;
+  sys.SetAppBody(0, [&](CoreEnv&, TxRuntime& rt) {
+    rt.Execute([&](Tx& tx) {
+      scratch.ResetAttempt();
+      const uint64_t value[2] = {4, 5};
+      inserted = idx.TxInsert(tx, 4, value, &scratch);  // inside the leaf [1 3 5]
+      acquires = rt.stats().lock_acquires;
+    });
+    idx.SettleScratch(&scratch);
+    aborts = rt.stats().aborts;
+  });
+  sys.Run(MillisToSim(1000));
+  EXPECT_TRUE(inserted);
   EXPECT_EQ(aborts, 0u);
   EXPECT_EQ(acquires, depth + 1);
 }

@@ -39,6 +39,57 @@ TEST(TxRuntime, ReadCachingSendsNoSecondMessage) {
   EXPECT_EQ(msgs_second, msgs_first);
 }
 
+// Counts the trace's read events.
+class ReadCounter : public TxTraceSink {
+ public:
+  void OnEvent(const TraceEvent& event) override {
+    reads += event.kind == TraceKind::kTxRead ? 1 : 0;
+  }
+  uint64_t reads = 0;
+};
+
+// Tx::Peek sees what the attempt sees — its buffered write, else the value
+// it first read, else shared memory now — and takes no lock, makes no
+// message and records no read.
+TEST(TxRuntime, PeekSeesTheAttemptsValuesAndTakesNoLock) {
+  for (const TxMode mode : {TxMode::kNormal, TxMode::kElasticEarly, TxMode::kElasticRead}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    TmSystemConfig cfg = Config();
+    cfg.tm.tx_mode = mode;
+    TmSystem sys(std::move(cfg));
+    sys.shmem().StoreWord(0x300, 5);
+    sys.shmem().StoreWord(0x308, 6);
+    sys.shmem().StoreWord(0x310, 7);
+    ReadCounter counter;
+    sys.AttachTrace(&counter);
+    uint64_t fresh = 0, first_read = 0, written = 0, read_events = 0;
+    uint64_t acquires = 0, messages = 0, attempts = 0;
+    sys.SetAppBody(0, [&](CoreEnv& env, TxRuntime& rt) {
+      rt.Execute([&](Tx& tx) {
+        ++attempts;
+        (void)tx.Read(0x308);
+        env.shmem().StoreWord(0x308, 60);  // a change the attempt must not see
+        tx.Write(0x310, 70);
+        read_events = counter.reads;
+        acquires = rt.stats().lock_acquires;
+        messages = rt.stats().messages_sent;
+        fresh = tx.Peek(0x300);
+        first_read = tx.Peek(0x308);
+        written = tx.Peek(0x310);
+        EXPECT_EQ(counter.reads, read_events);
+        EXPECT_EQ(rt.stats().lock_acquires, acquires);
+        EXPECT_EQ(rt.stats().messages_sent, messages);
+        env.shmem().StoreWord(0x308, 6);  // so elastic-read validates
+      });
+    });
+    sys.Run(kHorizon);
+    EXPECT_EQ(attempts, 1u);
+    EXPECT_EQ(fresh, 5u);
+    EXPECT_EQ(first_read, mode == TxMode::kElasticRead ? 60u : 6u);
+    EXPECT_EQ(written, 70u);
+  }
+}
+
 TEST(TxRuntime, WriteIsBufferedUntilCommit) {
   TmSystem sys(Config());
   uint64_t mid_tx_value = 1;

@@ -93,6 +93,10 @@ bool ParseFault(const std::string& name, FaultMode* out) {
     *out = FaultMode::kGrantDuringMigration;
   } else if (name == "smo-skip-parent-link") {
     *out = FaultMode::kSmoSkipParentLink;
+  } else if (name == "land-skip-check") {
+    *out = FaultMode::kLandSkipCheck;
+  } else if (name == "smo-skip-dead-mark") {
+    *out = FaultMode::kSmoSkipDeadMark;
   } else {
     return false;
   }
@@ -183,7 +187,10 @@ int Main(int argc, char** argv) {
                  "release-before-persist, ack-before-log-flush, "
                  "grant-during-migration, smo-skip-parent-link (index workload: "
                  "a leaf split skips the parent link; the tree-shape invariants, "
-                 "not the oracle, must flag it)");
+                 "not the oracle, must flag it), land-skip-check and "
+                 "smo-skip-dead-mark (index workload: a lookup uses its landing "
+                 "leaf unchecked, or an unlink leaves no dead mark; the "
+                 "conservation check must flag the lost increments)");
   flags.Register("durability", &durability_name,
                  "per-partition commit logging: off, buffered, fsync "
                  "(default: off, or buffered when --crash is set)");
