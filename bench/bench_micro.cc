@@ -9,12 +9,14 @@
 // latencies in microseconds and throughput is host ops/ms. Nothing can
 // abort here, so commit_rate is 1 by construction.
 //
-// Under --backend=threads the bench instead measures three native layers
-// on real OS threads with wall-clock timing: the transport, with a
-// tiny-transaction workload (per-core counter increments, conflict-free,
+// Under --backend=threads or --backend=processes the bench instead
+// measures three native layers with wall-clock timing: the transport, with
+// a tiny-transaction workload (per-core counter increments, conflict-free,
 // so every operation is pure protocol messaging) over the lock-free SPSC
 // rings; the runtime's read path, with transactions that read one whole
-// lock unit; and the B+-tree walk, with Scan(16) transactions. Their
+// lock unit; and the B+-tree walk, with Scan(16) transactions. On threads
+// the partitions are OS threads; on processes they are forked servers, and
+// each round trip also passes the partition's crash ledger. Their
 // throughput is the median over the run's slices (see SliceClock).
 #include <algorithm>
 #include <chrono>
@@ -124,8 +126,8 @@ class SliceClock {
   std::vector<std::vector<SimTime>> done_;  // indexed by core id
 };
 
-// Native transport (--backend=threads): commit throughput of the TM
-// protocol over the SPSC rings on this host. The workload is message-bound
+// Native transport: commit throughput of the TM protocol over the SPSC
+// rings on this host. The workload is message-bound
 // by construction — single-word read-modify-write transactions on per-core
 // counters, no contention, no synthetic compute.
 void RunNativeTransport(BenchContext& ctx) {
@@ -134,7 +136,7 @@ void RunNativeTransport(BenchContext& ctx) {
   RunSpec spec = ctx.Spec(200, 21, CmKind::kBackoffRetry);
   spec.total_cores = cores;
   spec.service_cores = service;
-  spec.backend = BackendKind::kThreads;
+  spec.backend = ctx.Backend();
   TmSystem sys(MakeConfig(spec));
   const uint64_t base = sys.allocator().AllocGlobal(uint64_t{cores} * kCacheLineBytes);
   LatencySampler lat;
@@ -158,7 +160,7 @@ void RunNativeTransport(BenchContext& ctx) {
   ctx.Report(row);
 }
 
-// Native read path (--backend=threads): each app core runs conflict-free
+// Native read path: each app core runs conflict-free
 // read-only transactions that ReadMany the 32 words of its own 256-byte
 // lock unit. An op is one lock acquisition (a batch round trip), 32
 // shared-memory reads and one release message, so the row prices the
@@ -170,7 +172,7 @@ void RunNativeReadUnit(BenchContext& ctx) {
   RunSpec spec = ctx.Spec(200, 21, CmKind::kBackoffRetry);
   spec.total_cores = cores;
   spec.service_cores = service;
-  spec.backend = BackendKind::kThreads;
+  spec.backend = ctx.Backend();
   TmSystem sys(MakeConfig(spec));
   const uint64_t base = sys.allocator().AllocGlobal(uint64_t{cores} * kUnitBytes);
   std::vector<std::vector<uint64_t>> unit_words(cores);
@@ -199,7 +201,7 @@ void RunNativeReadUnit(BenchContext& ctx) {
   ctx.Report(row);
 }
 
-// Native tree walk (--backend=threads): each app core runs conflict-free
+// Native tree walk: each app core runs conflict-free
 // Scan(16) transactions from random start keys over a loaded OrderedIndex
 // (16384 keys, fanout 6, 4-word values). The row prices a B+-tree
 // operation on this host: its latency is µs per op, and the
@@ -212,7 +214,7 @@ void RunNativeIndexScan(BenchContext& ctx) {
   RunSpec spec = ctx.Spec(200, 21, CmKind::kBackoffRetry);
   spec.total_cores = cores;
   spec.service_cores = service;
-  spec.backend = BackendKind::kThreads;
+  spec.backend = ctx.Backend();
   TmSystem sys(MakeConfig(spec));
   OrderedIndexConfig cfg;
   cfg.key_min = 1;
@@ -339,9 +341,10 @@ void Run(BenchContext& ctx) {
   }
 }
 
-TM2C_REGISTER_BENCH_THREADS_ONLY(  // the native rows measure the thread backend
+TM2C_REGISTER_BENCH_NATIVE(
     "micro", "host",
-    "host-side micro costs; with --backend=threads, the native transport and read path", &Run);
+    "host-side micro costs; on threads or processes, the native transport, read path and tree walk",
+    &Run);
 
 }  // namespace
 }  // namespace tm2c

@@ -13,7 +13,8 @@
 namespace tm2c {
 
 std::string ProcessKillConfig::Name() const {
-  return "kill_p" + std::to_string(kill_partition) + "_s" + std::to_string(seed);
+  return "kill_c" + std::to_string(num_cores) + "s" + std::to_string(num_service) + "_p" +
+         std::to_string(kill_partition) + "_s" + std::to_string(seed);
 }
 
 ProcessKillResult RunProcessKillWorkload(const ProcessKillConfig& cfg) {

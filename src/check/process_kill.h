@@ -44,7 +44,7 @@ struct ProcessKillConfig {
   // Fresh per-run directory for the partition sockets and WAL files.
   std::string run_dir;
 
-  std::string Name() const;  // "kill_p0_s3" style label for dump files
+  std::string Name() const;  // "kill_c8s4_p0_s3" style label for dump files
 };
 
 struct ProcessKillResult {

@@ -32,13 +32,15 @@ PartitionDurability::PartitionDurability(uint32_t partition, Options options)
 
 void PartitionDurability::CaptureInitial(uint64_t addr, uint64_t value) {
   TM2C_CHECK_MSG(checkpoints_.empty(), "CaptureInitial after SealInitialCheckpoint");
-  initial_.insert_or_assign(initial_.end(), addr, value);  // ascending: O(1)
+  TM2C_CHECK_MSG(initial_.empty() || initial_.back().first < addr,
+                 "CaptureInitial out of address order");
+  initial_.emplace_back(addr, value);
 }
 
 void PartitionDurability::SealInitialCheckpoint() {
   TM2C_CHECK(checkpoints_.empty() && wal_.appended_records() == 0);
-  checkpoints_.push_back(CheckpointImage{0, 0, {initial_.begin(), initial_.end()}});
-  initial_.clear();
+  checkpoints_.push_back(CheckpointImage{0, 0, std::move(initial_)});
+  initial_ = {};
 }
 
 bool PartitionDurability::LogCommit(uint32_t core, uint64_t epoch,

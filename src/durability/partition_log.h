@@ -67,10 +67,13 @@ class PartitionDurability {
   void set_trace(TxTraceSink* trace) { trace_ = trace; }
 
   // Load-phase capture of one owned word (before SealInitialCheckpoint).
+  // Words arrive in ascending address order, as TmSystem's walk of the
+  // sorted ownership directory yields them; a capture out of order is a
+  // checked error.
   void CaptureInitial(uint64_t addr, uint64_t value);
 
-  // Freezes the captured image as checkpoint 0 (no trace event: it is the
-  // pre-run baseline, not a runtime durability action).
+  // Moves the captured words, already sorted, into checkpoint 0 (no trace
+  // event: it is the pre-run baseline, not a runtime durability action).
   void SealInitialCheckpoint();
 
   // Appends one commit record (emits OnWalAppend). Returns true when a
@@ -118,8 +121,9 @@ class PartitionDurability {
   Options options_;
   Wal wal_;
   TxTraceSink* trace_ = nullptr;
-  // Load-phase captures, sealed into checkpoint 0.
-  std::map<uint64_t, uint64_t> initial_;
+  // Load-phase captures in ascending address order, sealed into
+  // checkpoint 0.
+  std::vector<std::pair<uint64_t, uint64_t>> initial_;
   std::vector<CheckpointImage> checkpoints_;
 };
 

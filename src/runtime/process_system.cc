@@ -71,16 +71,15 @@ bool Answers(const Message& req, const Message& reply) {
   }
 }
 
-// Retires the oldest of `core`'s requests in `ledger` that `reply` answers.
-// Returns false for an answer that matches none; unsolicited notifications
-// answer nothing and always return true.
-template <typename Ledger>
-bool Retire(Ledger* ledger, uint32_t core, const Message& reply) {
+// Retires the oldest of one core's requests in `ledger` that `reply`
+// answers. Returns false for an answer that matches none; unsolicited
+// notifications answer nothing and always return true.
+bool Retire(std::deque<Message>* ledger, const Message& reply) {
   if (reply.type == MsgType::kAbortNotify || reply.type == MsgType::kOwnershipUpdate) {
     return true;
   }
   for (auto it = ledger->begin(); it != ledger->end(); ++it) {
-    if (it->src == core && Answers(it->request, reply)) {
+    if (Answers(*it, reply)) {
       ledger->erase(it);
       return true;
     }
@@ -117,7 +116,7 @@ ProcessSystem::ProcessSystem(ProcessSystemConfig config)
   }
   gen_view_.assign(static_cast<size_t>(config_.num_cores) * config_.num_service, 0);
   for (uint32_t p = 0; p < config_.num_service; ++p) {
-    parts_.push_back(std::make_unique<Partition>());
+    parts_.push_back(std::make_unique<Partition>(config_.num_cores));
   }
 }
 
@@ -227,7 +226,7 @@ SimTime ProcessSystem::Run(SimTime /*until*/) {
   }
   for (uint32_t p = 0; p < config_.num_service; ++p) {
     Command(parts_[p]->servers[0], 'p');
-    parts_[p]->up = true;
+    parts_[p]->up.store(true, std::memory_order_relaxed);
     parts_[p]->router = std::thread([this, p]() { RouterLoop(p); });
   }
 
@@ -258,7 +257,7 @@ void ProcessSystem::RequestShutdown(uint32_t core) {
   if (shared_.plan.IsService(core)) {
     Partition& c = *parts_[shared_.plan.PartitionOf(core)];
     std::unique_lock<std::mutex> lock(c.mu);
-    while (!c.up) {
+    while (!c.up.load(std::memory_order_relaxed)) {
       c.cv.wait(lock);  // a restart in flight finishes first
     }
     c.shutdown_sent = true;
@@ -270,7 +269,7 @@ void ProcessSystem::KillPartition(uint32_t partition) {
   TM2C_CHECK(partition < parts_.size());
   Partition& c = *parts_[partition];
   std::unique_lock<std::mutex> lock(c.mu);
-  while (!c.up) {
+  while (!c.up.load(std::memory_order_relaxed)) {
     c.cv.wait(lock);  // serialize with an in-flight restart
   }
   TM2C_CHECK_MSG(!c.shutdown_sent, "KillPartition after shutdown");
@@ -287,18 +286,26 @@ uint32_t ProcessSystem::restarts(uint32_t partition) {
 
 void ProcessSystem::Send(uint32_t src, uint32_t service, const Message& msg) {
   Partition& c = *parts_[shared_.plan.PartitionOf(service)];
+  CoreLedger& ledger = c.ledgers[src];
   uint32_t generation;
   {
-    std::unique_lock<std::mutex> lock(c.mu);
+    std::unique_lock<std::mutex> lock(ledger.mu);
     if (CarriesEpoch(msg.type)) {
-      uint64_t& last = c.last_epoch[src];
-      last = std::max(last, msg.w1);
+      ledger.last_epoch = ledger.quoted ? std::max(ledger.last_epoch, msg.w1) : msg.w1;
+      ledger.quoted = true;
     }
-    while (!c.up) {
-      c.cv.wait(lock);  // the partition is restarting; all traffic stalls
+    while (!c.up.load(std::memory_order_relaxed)) {
+      // The partition is down; all traffic stalls. The router takes this
+      // lock after the partition mutex, so the wait at the gate holds none.
+      lock.unlock();
+      {
+        std::unique_lock<std::mutex> gate(c.mu);
+        c.cv.wait(gate, [&c] { return c.up.load(std::memory_order_relaxed); });
+      }
+      lock.lock();
     }
     if (ExpectsReply(msg.type)) {
-      c.outstanding.push_back(Outstanding{src, msg});
+      ledger.outstanding.push_back(msg);
     }
     generation = c.generation.load(std::memory_order_relaxed);
   }
@@ -313,6 +320,7 @@ void ProcessSystem::Send(uint32_t src, uint32_t service, const Message& msg) {
 bool ProcessSystem::TryRecv(uint32_t core, uint32_t service, Message* out) {
   const uint32_t partition = shared_.plan.PartitionOf(service);
   Partition& c = *parts_[partition];
+  CoreLedger& ledger = c.ledgers[core];
   uint32_t& generation = gen_view_[core * config_.num_service + partition];
   for (;;) {
     SpscChannel& ring = shared_.ring(generation, service, core);
@@ -320,9 +328,9 @@ bool ProcessSystem::TryRecv(uint32_t core, uint32_t service, Message* out) {
       {
         // Pop and retire in one critical section, so the router can tell
         // answered requests from unanswered ones once the server dies.
-        std::lock_guard<std::mutex> lock(c.mu);
+        std::lock_guard<std::mutex> lock(ledger.mu);
         TM2C_CHECK(ring.TryPop(out));
-        TM2C_CHECK_MSG(Retire(&c.outstanding, core, *out),
+        TM2C_CHECK_MSG(Retire(&ledger.outstanding, *out),
                        "partition server reply matches no outstanding request");
       }
       // Host records the server wrote before this reply reach the sink
@@ -336,8 +344,9 @@ bool ProcessSystem::TryRecv(uint32_t core, uint32_t service, Message* out) {
     }
     // The server died, and the router appended all it owes this core to
     // the dead ring before advancing the generation: once that ring is
-    // empty, the successor's take over.
-    std::lock_guard<std::mutex> lock(c.mu);
+    // empty, the successor's take over. The router holds this core's
+    // ledger lock until the restart is done.
+    std::lock_guard<std::mutex> lock(ledger.mu);
     if (ring.EmptyHint()) {
       ++generation;
     }
@@ -388,26 +397,45 @@ void ProcessSystem::RouterLoop(uint32_t partition) {
       continue;
     }
     DrainLane(partition, live);  // its last trace events
-    std::lock_guard<std::mutex> lock(c.mu);
+    const auto held = LockLedgers(partition);
     TM2C_CHECK_MSG(Unanswered(partition).empty(),
                    "partition server exited with requests pending");
-    c.up = false;
+    c.up.store(false, std::memory_order_relaxed);
     return;
   }
 }
 
-std::deque<ProcessSystem::Outstanding> ProcessSystem::Unanswered(uint32_t partition) {
-  // Under the partition mutex: nobody pops meanwhile. A reply still
-  // unconsumed in any generation's rings answers its request.
+std::vector<std::unique_lock<std::mutex>> ProcessSystem::LockLedgers(uint32_t partition) {
+  Partition& c = *parts_[partition];
+  std::vector<std::unique_lock<std::mutex>> held;
+  held.reserve(1 + shared_.plan.num_app());
+  held.emplace_back(c.mu);
+  for (uint32_t core : shared_.plan.app_cores()) {
+    held.emplace_back(c.ledgers[core].mu);
+  }
+  return held;
+}
+
+std::vector<ProcessSystem::Outstanding> ProcessSystem::Unanswered(uint32_t partition) {
+  // Under every ledger lock: nobody pops meanwhile. A reply still
+  // unconsumed in any generation's rings answers its request. Each core's
+  // requests stay in send order. Across cores no order is kept, and none
+  // is needed: the successor serves its rings round-robin, and two
+  // unacknowledged commit records never share a word, since each
+  // committer holds its write locks until its ack.
   const Partition& c = *parts_[partition];
-  std::deque<Outstanding> left = c.outstanding;
   const uint32_t service = shared_.plan.ServiceCore(partition);
-  for (uint32_t g = 0; g <= c.generation.load(std::memory_order_relaxed); ++g) {
-    for (uint32_t core : shared_.plan.app_cores()) {
-      shared_.ring(g, service, core).ForEachUnread([&](const Message& reply) {
-        TM2C_CHECK_MSG(Retire(&left, core, reply),
+  std::vector<Outstanding> left;
+  for (uint32_t core : shared_.plan.app_cores()) {
+    std::deque<Message> mine = c.ledgers[core].outstanding;
+    for (uint32_t g = 0; g <= c.generation.load(std::memory_order_relaxed); ++g) {
+      shared_.ring(g, service, core).ForEachUnread([&mine](const Message& reply) {
+        TM2C_CHECK_MSG(Retire(&mine, reply),
                        "partition server reply matches no outstanding request");
       });
+    }
+    for (const Message& request : mine) {
+      left.push_back(Outstanding{core, request});
     }
   }
   return left;
@@ -443,9 +471,10 @@ Message ProcessSystem::SynthesizeRefusal(uint32_t service_core, const Message& r
 
 void ProcessSystem::DeliverAfterDeath(uint32_t generation, uint32_t service, uint32_t core,
                                       const Message& msg) {
-  // Never waits: the core may be blocked at the closed gate. The ring has
-  // room: the dead server left at most a reply per outstanding request (64
-  // pipelined batches at most) and a notification per attempt.
+  // Never waits: the core may be blocked on its ledger lock, which the
+  // router holds. The ring has room: the dead server left at most a reply
+  // per outstanding request (64 pipelined batches at most) and a
+  // notification per attempt.
   TM2C_CHECK_MSG(shared_.ring(generation, service, core).TryPush(msg),
                  "no room for a dead partition server's refusals");
   shared_.bell(core).Ring();
@@ -460,8 +489,9 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
   c.dead.store(dead + 1, std::memory_order_release);
   DrainLane(partition, dead);
 
-  std::unique_lock<std::mutex> lock(c.mu);
-  c.up = false;
+  // Until the gate reopens, no core pops, retires or records.
+  auto held = LockLedgers(partition);
+  c.up.store(false, std::memory_order_relaxed);
   TM2C_CHECK_MSG(dead + 1 < kGenerations,
                  "partition server died twice (one cold standby per partition)");
 
@@ -469,7 +499,7 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
   // records are retransmitted to the successor below (the durability
   // contract); the rest are refused as kOverload, since any lock they got
   // died with the lock table. A refusal retires its entry when popped.
-  const std::deque<Outstanding> unanswered = Unanswered(partition);
+  const std::vector<Outstanding> unanswered = Unanswered(partition);
   for (const Outstanding& o : unanswered) {
     if (o.request.type != MsgType::kCommitLog) {
       DeliverAfterDeath(dead, service, o.src, SynthesizeRefusal(service, o.request));
@@ -477,15 +507,21 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
   }
 
   // Death fence: every lock the dead server had granted is implicitly
-  // revoked, so publish a revocation to every core that ever quoted an
-  // epoch here — abort-status word first (catches transactions up to their
-  // commit point, like a contention-manager revocation), kAbortNotify
-  // second (wakes the ones parked in Recv). Stale epochs are harmless: the
-  // status check compares for equality with the current attempt. Committers
-  // already past their commit point ignore both; their retransmitted
-  // kCommitLog completes the commit against the successor. PublishWord
-  // waits out a committer that has latched its word for the persist.
-  for (const auto& [core, epoch] : c.last_epoch) {
+  // revoked, so publish a revocation, in core order, to every core that
+  // ever quoted an epoch here — abort-status word first (catches
+  // transactions up to their commit point, like a contention-manager
+  // revocation), kAbortNotify second (wakes the ones parked in Recv). Stale
+  // epochs are harmless: the status check compares for equality with the
+  // current attempt. Committers already past their commit point ignore
+  // both; their retransmitted kCommitLog completes the commit against the
+  // successor. PublishWord waits out a committer that has latched its word
+  // for the persist.
+  for (uint32_t core : shared_.plan.app_cores()) {
+    const CoreLedger& ledger = c.ledgers[core];
+    if (!ledger.quoted) {
+      continue;
+    }
+    const uint64_t epoch = ledger.last_epoch;
     if (abort_status_base_ != ~uint64_t{0}) {
       shared_.shmem->PublishWord(abort_status_base_ + core * kWordBytes, epoch);
     }
@@ -520,8 +556,8 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
       backoff.Pause();
     }
   }
-  c.up = true;
-  lock.unlock();
+  c.up.store(true, std::memory_order_relaxed);
+  held.clear();
   c.cv.notify_all();
   // App cores parked on a reply from the dead server find it (or its
   // refusal) in the dead ring, then step to the successor.

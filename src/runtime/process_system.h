@@ -23,20 +23,29 @@
 // trace event before the reply it precedes, so the event reaches the sink
 // first, as the crash-restart oracle's commit-before-ack check requires.
 //
+// Each app core keeps its own crash ledger per partition: the requests it
+// sent that await a reply, and the newest epoch it quoted there. A send
+// records into it and a pop from the partition's rings retires from it,
+// each under that core's ledger lock alone, which no other app core takes.
+// Only the router takes them all: after the partition mutex, in core
+// order. A sender that finds the partition down waits at the gate holding
+// no ledger lock.
+//
 // KillPartition SIGKILLs a server mid-run. The partition's router thread
-// sees the EOF and, holding the partition mutex (under which every pop
-// from the partition's rings retires its ledger entry), tells answered
-// requests from unanswered ones exactly: a reply still unconsumed in the
-// dead rings answers its request. After those replies it appends a
-// ConflictKind::kOverload refusal (the runtime's back-off-and-retry path)
-// for each unanswered request, then the revocation fence for every
-// transaction that quoted an epoch at the partition: its locks died with
-// the lock table. Committers past their commit point ignore the fence, as
-// with contention-manager revocations. The standby then recovers the WAL
-// from disk (truncating the torn tail); the router pushes the in-doubt
-// commit records into its rings and reopens the partition's gate only once
-// it has taken them, so they reach its WAL before any new write. App cores
-// move to the successor's rings once they have drained the dead ones.
+// sees the EOF and takes the partition mutex, then every ledger lock in
+// core order, so no core pops, retires or records while it works. It
+// tells answered requests from unanswered ones exactly: a reply still
+// unconsumed in the dead rings answers its request. After those replies
+// it appends a ConflictKind::kOverload refusal (the runtime's
+// back-off-and-retry path) for each unanswered request, then the
+// revocation fence for every core that quoted an epoch at the partition:
+// its locks died with the lock table. Committers past their commit point
+// ignore the fence, as with contention-manager revocations. The standby
+// then recovers the WAL from disk (truncating the torn tail); the router
+// pushes the in-doubt commit records into its rings and reopens the
+// partition's gate only once it has taken them, so they reach its WAL
+// before any new write. App cores move to the successor's rings once they
+// have drained the dead ones.
 #ifndef TM2C_SRC_RUNTIME_PROCESS_SYSTEM_H_
 #define TM2C_SRC_RUNTIME_PROCESS_SYSTEM_H_
 
@@ -51,7 +60,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/shared_mapping.h"
@@ -143,29 +151,43 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
     int fd = -1;
     bool reaped = false;
   };
-  // A request the server has not answered yet. Kept host-side so a killed
-  // server's obligations are explicit: commit records are retransmitted to
+  // A request the server has not answered yet, as the router collects
+  // them from the ledgers at a death: commit records are retransmitted to
   // the successor, everything else is refused back to the requester.
   struct Outstanding {
     uint32_t src = 0;
     Message request;
   };
-  // One partition's gate, ledger and server generations. Senders block on
-  // `cv` while the partition is down.
+  // One app core's crash ledger at one partition. Its lock is taken by the
+  // core's own sends and pops, and by the router (after the partition
+  // mutex), so while the partition is up no other thread contends for it.
+  struct alignas(kCacheLineBytes) CoreLedger {
+    std::mutex mu;
+    // Requests the server has not answered yet, in send order.
+    std::deque<Message> outstanding;
+    // Newest epoch the core quoted at the partition, once `quoted`: the
+    // revocation fence published when the server dies.
+    uint64_t last_epoch = 0;
+    bool quoted = false;
+  };
+  // One partition's gate, ledgers and server generations. Lock order: `mu`,
+  // then the ledger locks in core order. Senders wait on `cv`, holding no
+  // ledger lock, while the partition is down.
   struct Partition {
+    explicit Partition(uint32_t num_cores) : ledgers(num_cores) {}
+
     std::mutex mu;
     std::condition_variable cv;
-    bool up = false;
+    // Written only by the router (and by Run before it starts), holding
+    // `mu` and every ledger lock, so a core reads it under either.
+    std::atomic<bool> up{false};
     bool shutdown_sent = false;
     // The live server's generation; the router advances it under `mu`.
     std::atomic<uint32_t> generation{0};
     // Generations below this one died: pushes into their rings give up.
     std::atomic<uint32_t> dead{0};
     std::vector<Server> servers;
-    std::deque<Outstanding> outstanding;
-    // Newest epoch each app core quoted at this partition — the revocation
-    // fence published when the server dies.
-    std::unordered_map<uint32_t, uint64_t> last_epoch;
+    std::vector<CoreLedger> ledgers;  // indexed by core id; app cores only
     // Serializes each generation's host-lane drainers.
     std::mutex lane_mu[kGenerations];
     std::thread router;
@@ -184,7 +206,8 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   void DismissServers();
   void RouterLoop(uint32_t partition);
   void DrainLane(uint32_t partition, uint32_t generation);
-  std::deque<Outstanding> Unanswered(uint32_t partition);
+  std::vector<std::unique_lock<std::mutex>> LockLedgers(uint32_t partition);
+  std::vector<Outstanding> Unanswered(uint32_t partition);
   void RestartPartition(uint32_t partition);
   void DeliverAfterDeath(uint32_t generation, uint32_t service, uint32_t core, const Message& msg);
   static Message SynthesizeRefusal(uint32_t service_core, const Message& req);

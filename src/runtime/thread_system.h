@@ -105,7 +105,8 @@ class Backoff {
 };
 
 // Traffic with service cores that the processes backend routes itself
-// (partition gate, ledger, server generations).
+// (partition gate, the sending core's own crash ledger, server
+// generations).
 class ServiceLinks {
  public:
   virtual ~ServiceLinks() = default;

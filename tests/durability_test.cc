@@ -252,6 +252,43 @@ TEST(PartitionLog, CheckpointCadenceAndShadowContents) {
   EXPECT_EQ(dur.Flush(), 0u);  // nothing new: no event, no progress
 }
 
+TEST(PartitionLog, CheckpointZeroIsTheLoadedSlabWordForWord) {
+  TmSystemConfig cfg;
+  cfg.sim.platform = PlatformByName("scc");
+  cfg.sim.num_cores = 4;
+  cfg.sim.num_service = 2;
+  cfg.sim.shmem_bytes = 2 << 20;
+  cfg.tm.durability = DurabilityMode::kBuffered;
+  TmSystem sys(cfg);
+  KvStoreConfig kv;
+  kv.buckets_per_partition = 4;
+  kv.capacity_per_partition = 32;
+  KvStore store(sys.allocator(), sys.shmem(), sys.address_map(), sys.deployment(), kv);
+  for (uint64_t key = 1; key <= 12; ++key) {
+    const uint64_t value = key * 1000 + 7;
+    store.HostPut(key, &value);
+  }
+  sys.CaptureDurableCheckpoint0();
+
+  for (uint32_t p = 0; p < store.num_partitions(); ++p) {
+    const auto [base, bytes] = store.SlabRange(p);
+    std::vector<std::pair<uint64_t, uint64_t>> slab;
+    for (uint64_t addr = base; addr < base + bytes; addr += kWordBytes) {
+      slab.emplace_back(addr, sys.shmem().LoadWord(addr));
+    }
+    const std::vector<CheckpointImage>& checkpoints = sys.DurabilityAt(p).checkpoints();
+    ASSERT_EQ(checkpoints.size(), 1u) << "partition " << p;
+    EXPECT_EQ(checkpoints[0].pairs, slab) << "partition " << p;
+  }
+}
+
+TEST(PartitionLogDeathTest, CaptureOutOfAddressOrderIsChecked) {
+  PartitionDurability dur(0, PartitionDurability::Options{});
+  dur.CaptureInitial(0x108, 1);
+  EXPECT_DEATH(dur.CaptureInitial(0x100, 2), "out of address order");
+  EXPECT_DEATH(dur.CaptureInitial(0x108, 2), "out of address order");
+}
+
 // ---------------------------------------------------------------------------
 // KvStore recovery
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/check/process_kill.h"
 #include "src/common/rng.h"
@@ -57,10 +59,14 @@ void DumpOnFailure(const ProcessKillConfig& cfg, const ProcessKillResult& result
   ADD_FAILURE() << "history dumped to " << path;
 }
 
-TEST(ProcessKill, KilledPartitionRecoversAcrossFiveSeeds) {
+// Kills partition 0's server on seeds 1-5 of the harness's workload at a
+// deployment of `cores` cores, `service` of them partitions.
+void ExpectFiveSeedsRecover(uint32_t cores, uint32_t service) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     const ScopedRunDir dir("kill_s" + std::to_string(seed));
     ProcessKillConfig cfg;
+    cfg.num_cores = cores;
+    cfg.num_service = service;
     cfg.seed = seed;
     cfg.run_dir = dir.path();
     const ProcessKillResult result = RunProcessKillWorkload(cfg);
@@ -74,6 +80,22 @@ TEST(ProcessKill, KilledPartitionRecoversAcrossFiveSeeds) {
     }
     DumpOnFailure(cfg, result);
   }
+}
+
+TEST(ProcessKill, KilledPartitionRecoversAcrossFiveSeeds) {
+  const ProcessKillConfig defaults;
+  ExpectFiveSeedsRecover(defaults.num_cores, defaults.num_service);
+}
+
+// Every app core on the one partition, as in the benchmark's kv-durable
+// (two app cores) and wider: each core's ledger at the partition is
+// refused, fenced and retransmitted from at the kill.
+TEST(ProcessKill, OnePartitionServingTwoAppCoresRecoversAcrossFiveSeeds) {
+  ExpectFiveSeedsRecover(3, 1);
+}
+
+TEST(ProcessKill, OnePartitionServingFiveAppCoresRecoversAcrossFiveSeeds) {
+  ExpectFiveSeedsRecover(6, 1);
 }
 
 TEST(ProcessKill, KillingTheOtherPartitionRecoversToo) {
@@ -322,6 +344,143 @@ TEST(ProcessKill, KillWakesEveryAppCoreParkedOnAReply) {
     EXPECT_EQ(fence.w2, static_cast<uint64_t>(ConflictKind::kOverload)) << "core " << app;
     EXPECT_EQ(seen[app][2].type, MsgType::kLockGranted) << "core " << app;
   }
+}
+
+TEST(ProcessKill, BackToBackSenderCrossesTheKillWhileAnotherCoreIsParked) {
+  // Two app cores share the one partition, as kv-durable's do. One parks on
+  // a lock request the primary never answers. The other sends echo
+  // requests back to back, a window at a time, before, across and after
+  // the kill, so its sends meet the router, which holds every ledger lock
+  // for the whole restart. The run must finish: a sender that held its
+  // ledger lock while it waited at the gate would deadlock the router. And
+  // every echo must come back exactly once and in send order: the
+  // primary's replies, then the router's refusals of what the corpse left
+  // unanswered, then the successor's replies (the router checks at the
+  // successor's exit that nothing is left over).
+  constexpr uint32_t kWindow = 8;
+  constexpr uint32_t kRoundsAfterKill = 100;
+  const ScopedRunDir dir("back_to_back_kill");
+  ProcessSystemConfig cfg;
+  cfg.platform = MakeSccPlatform(0);
+  cfg.num_cores = 3;
+  cfg.num_service = 1;
+  cfg.shmem_bytes = 1 << 16;
+  cfg.run_dir = dir.path();
+  ProcessSystem sys(cfg);
+  const uint32_t service = sys.deployment().ServiceCore(0);
+  const uint32_t parker = sys.deployment().app_cores()[0];
+  const uint32_t sender = sys.deployment().app_cores()[1];
+
+  // Echo replies carry the server's generation plus one in w1; the
+  // router's refusals carry 0.
+  uint64_t generation = 0;  // set in the server process itself
+  sys.SetChildStart([&generation](uint32_t, bool is_restart, CoreEnv&) {
+    generation = is_restart ? 1 : 0;
+  });
+  sys.SetCoreMain(service, [&generation](CoreEnv& env) {
+    for (;;) {
+      Message m = env.Recv();
+      if (m.type == MsgType::kShutdown) {
+        return;
+      }
+      Message rsp;
+      rsp.w0 = m.w0;
+      if (m.type == MsgType::kEcho) {
+        rsp.type = MsgType::kEchoRsp;
+        rsp.w1 = generation + 1;
+      } else if (generation == 1 && m.type == MsgType::kReadLockReq) {
+        rsp.type = MsgType::kLockGranted;
+        rsp.w1 = m.w1;
+      } else {
+        continue;
+      }
+      env.Send(m.src, std::move(rsp));
+    }
+  });
+
+  std::atomic<bool> parked{false};
+  std::atomic<uint32_t> finished{0};
+  const auto finish = [&] {
+    if (finished.fetch_add(1) + 1 == 2) {
+      sys.RequestShutdown(service);
+    }
+  };
+  std::vector<Message> parker_seen;
+  sys.SetCoreMain(parker, [&](CoreEnv& env) {
+    auto request = [&] {
+      Message req;
+      req.type = MsgType::kReadLockReq;
+      req.w0 = 0x40;
+      req.w1 = 100;
+      env.Send(service, std::move(req));
+    };
+    request();
+    parked.store(true);
+    parker_seen.push_back(env.Recv());  // the refusal, after the kill
+    parker_seen.push_back(env.Recv());  // the fence
+    request();
+    parker_seen.push_back(env.Recv());  // the successor's grant
+    finish();
+  });
+
+  std::atomic<uint64_t> sent{0};
+  uint64_t answered = 0;
+  uint64_t out_of_order = 0;
+  uint64_t from[3] = {0, 0, 0};  // replies by source: refusal, primary, successor
+  sys.SetCoreMain(sender, [&](CoreEnv& env) {
+    uint64_t source = 0;  // a reply's source only moves forward
+    uint32_t after_kill = 0;
+    while (after_kill < kRoundsAfterKill) {
+      if (sys.restarts(0) == 1) {
+        ++after_kill;
+      }
+      const uint64_t first = sent.load();
+      for (uint32_t i = 0; i < kWindow; ++i) {
+        Message req;
+        req.type = MsgType::kEcho;
+        req.w0 = first + i;
+        env.Send(service, std::move(req));
+      }
+      sent.store(first + kWindow);
+      for (uint32_t i = 0; i < kWindow; ++i) {
+        const Message reply = env.Recv();
+        const uint64_t rank = reply.w1 == 0 ? 1 : (reply.w1 == 1 ? 0 : 2);
+        if (reply.type != MsgType::kEchoRsp || reply.w0 != answered || rank < source) {
+          ++out_of_order;
+        }
+        source = std::max(source, rank);
+        ++from[reply.w1 < 3 ? reply.w1 : 0];
+        ++answered;
+      }
+    }
+    finish();
+  });
+
+  std::thread killer([&] {
+    while (!parked.load() || sent.load() == 0) {
+      std::this_thread::yield();
+    }
+    // Past the spin and yield budgets: the parked core is in FUTEX_WAIT.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    sys.KillPartition(0);
+  });
+  sys.Run(UINT64_MAX);
+  killer.join();
+
+  EXPECT_EQ(sys.restarts(0), 1u);
+  EXPECT_EQ(answered, sent.load());
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_GT(from[1], 0u);  // the primary answered before the kill
+  EXPECT_GE(from[2], uint64_t{kWindow} * (kRoundsAfterKill - 1));
+  std::printf("echoes: %llu from the primary, %llu refused, %llu from the successor\n",
+              static_cast<unsigned long long>(from[1]), static_cast<unsigned long long>(from[0]),
+              static_cast<unsigned long long>(from[2]));
+  ASSERT_EQ(parker_seen.size(), 3u);
+  EXPECT_EQ(parker_seen[0].type, MsgType::kLockConflict);
+  EXPECT_EQ(parker_seen[0].w2, static_cast<uint64_t>(ConflictKind::kOverload));
+  EXPECT_EQ(parker_seen[1].type, MsgType::kAbortNotify);
+  EXPECT_EQ(parker_seen[1].w1, 100u);
+  EXPECT_EQ(parker_seen[2].type, MsgType::kLockGranted);
 }
 
 }  // namespace
