@@ -13,6 +13,7 @@
 #define TM2C_BENCH_BENCH_UTIL_H_
 
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -62,13 +63,22 @@ struct RunSpec {
 
 // Fresh WAL directory for one process-backend TmSystem. Each system needs
 // its own: the partition servers keep their logs in it, and sequential
-// sweep points must not inherit a predecessor's files. Respects
-// TMPDIR so run_all.sh can point the dirs at its own cleanup-scoped scratch
-// space; otherwise they land under /tmp.
+// sweep points must not inherit a predecessor's files. It is made in
+// TMPDIR (else /tmp) and removed, with its files, when the bench exits.
 inline std::string FreshProcessRunDir() {
+  struct Reaper {
+    ~Reaper() {
+      for (const std::string& dir : dirs) {
+        std::filesystem::remove_all(dir);
+      }
+    }
+    std::vector<std::string> dirs;
+  };
+  static Reaper reaper;
   const char* tmp = std::getenv("TMPDIR");
   std::string templ = std::string(tmp != nullptr ? tmp : "/tmp") + "/tm2c_bench_XXXXXX";
   TM2C_CHECK(::mkdtemp(templ.data()) != nullptr);
+  reaper.dirs.push_back(templ);
   return templ;
 }
 

@@ -103,7 +103,8 @@ if [[ -n "$with_processes" ]]; then
     fi
     echo "=== $bench (processes) ==="
     # TMPDIR points the per-system WAL run dirs into our scratch
-    # space so the EXIT trap cleans them up with the JSON fragments.
+    # space: a bench removes its own when it exits, and the EXIT trap
+    # removes those of a bench that aborted.
     TMPDIR="$json_dir" "$build_dir/$bench" $smoke --backend=processes \
       --json "$json_dir/$bench.processes.json" ${extra[@]+"${extra[@]}"} \
       ${native_cores:+--cores "$native_cores"}

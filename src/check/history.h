@@ -6,7 +6,9 @@
 // number assigned in call order; because the simulator is single-threaded,
 // that order IS the real execution order, which lets the oracle reason
 // about "the last value stored before this read" exactly, without relying
-// on (possibly tied) simulated timestamps.
+// on (possibly tied) simulated timestamps. On threads and processes the
+// events arrive after the run, replayed from the per-core event logs in
+// stamp order (src/tm/trace.h).
 //
 // Service-side revocations are recorded too, for human-readable dumps and
 // replay context; the oracle itself derives everything from reads/persists.

@@ -8,7 +8,6 @@
 #include "src/durability/wal.h"
 #include "src/noc/platform.h"
 #include "src/tm/tm_system.h"
-#include "src/tm/trace.h"
 
 namespace tm2c {
 
@@ -52,8 +51,7 @@ ProcessKillResult RunProcessKillWorkload(const ProcessKillConfig& cfg) {
   }
 
   ProcessKillResult result;
-  MutexTraceSink sink(&result.history);
-  sys.AttachTrace(&sink);
+  sys.AttachTrace(&result.history);
   for (uint32_t p = 0; p < cfg.num_service; ++p) {
     for (uint64_t w = 0; w < words_per_slab; ++w) {
       result.history.RecordInitial(slab[p] + w * kWordBytes, 0);

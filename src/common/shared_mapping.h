@@ -1,8 +1,8 @@
 // An owned anonymous MAP_SHARED mapping: zero-filled, page-aligned, and
-// shared with every process forked after it is made. The processes
-// backend's host lanes and control plane (the ownership directory, each
-// service's counters) live in such mappings; inside one process it is
-// ordinary memory, so the other backends use the same objects unchanged.
+// shared with every process forked after it is made. The control plane
+// (the ownership directory, each service's counters) and the native
+// backends' per-core event logs live in such mappings; inside one process
+// it is ordinary memory, so every backend uses the same objects unchanged.
 #ifndef TM2C_SRC_COMMON_SHARED_MAPPING_H_
 #define TM2C_SRC_COMMON_SHARED_MAPPING_H_
 

@@ -62,11 +62,6 @@ enum class MsgType : uint8_t {
   kBarrier,   // runtime barrier token
   kShutdown,  // tells a service core to exit its loop
   kApp,       // application-defined payload
-
-  // Process-backend host frame (src/runtime/process_system.cc): a trace
-  // event a partition server addresses to the host itself (wire.h's
-  // kWireHostDst). It never appears in a CoreEnv inbox on any backend.
-  kTraceEvent,  // one TraceEvent, see src/tm/wire_trace.h for the layout
 };
 
 // Batch protocol (one request/response round trip per responsible node):

@@ -10,14 +10,9 @@
 #include <csignal>
 
 #include "src/common/check.h"
-#include "src/runtime/wire.h"
 
 namespace tm2c {
 namespace {
-
-// Host lane depth per partition server, in messages: app cores drain it
-// whenever they poll the partition, so it only absorbs bursts.
-constexpr uint32_t kLaneCapacity = 8192;
 
 // True for request types the server answers with exactly one reply.
 bool ExpectsReply(MsgType type) {
@@ -102,14 +97,8 @@ ThreadSystemConfig RingConfig(const ProcessSystemConfig& config) {
 
 ProcessSystem::ProcessSystem(ProcessSystemConfig config)
     : config_(std::move(config)),
-      shared_(RingConfig(config_), kGenerations, /*interprocess=*/true),
-      lanes_mem_(SpscChannel::PlacedBytes(kLaneCapacity) * config_.num_service * kGenerations) {
+      shared_(RingConfig(config_), kGenerations, /*interprocess=*/true) {
   shared_.barrier_parties = shared_.plan.num_app();
-  const size_t lane_bytes = SpscChannel::PlacedBytes(kLaneCapacity);
-  lanes_.reserve(config_.num_service * kGenerations);
-  for (uint32_t i = 0; i < config_.num_service * kGenerations; ++i) {
-    lanes_.emplace_back(static_cast<char*>(lanes_mem_.data()) + i * lane_bytes, kLaneCapacity);
-  }
   for (uint32_t c = 0; c < config_.num_cores; ++c) {
     ServiceLinks* links = shared_.plan.IsApp(c) ? this : nullptr;
     cores_.push_back(std::make_unique<NativeCore>(&shared_, c, links));
@@ -198,11 +187,10 @@ void ProcessSystem::ChildMain(uint32_t partition, uint32_t generation, int fd) {
   // `fd` stays open, unused, until _exit closes it: that close is the
   // host's death signal.
 
-  const uint32_t core = shared_.plan.ServiceCore(partition);
-  NativeCore& env = *cores_[core];
-  env.BindServer(generation, &lane(partition, generation));
-  if (child_start_) {
-    child_start_(partition, /*is_restart=*/cmd == 'r', env);
+  NativeCore& env = *cores_[shared_.plan.ServiceCore(partition)];
+  env.BindServer(generation);
+  if (cmd == 'r' && standby_start_) {
+    standby_start_(partition);
   }
   if (env.main) {
     env.main(env);
@@ -325,20 +313,14 @@ bool ProcessSystem::TryRecv(uint32_t core, uint32_t service, Message* out) {
   for (;;) {
     SpscChannel& ring = shared_.ring(generation, service, core);
     if (!ring.EmptyHint()) {
-      {
-        // Pop and retire in one critical section, so the router can tell
-        // answered requests from unanswered ones once the server dies.
-        std::lock_guard<std::mutex> lock(ledger.mu);
-        TM2C_CHECK(ring.TryPop(out));
-        TM2C_CHECK_MSG(Retire(&ledger.outstanding, *out),
-                       "partition server reply matches no outstanding request");
-      }
-      // Host records the server wrote before this reply reach the sink
-      // before the caller acts on it.
-      DrainLane(partition, generation);
+      // Pop and retire in one critical section, so the router can tell
+      // answered requests from unanswered ones once the server dies.
+      std::lock_guard<std::mutex> lock(ledger.mu);
+      TM2C_CHECK(ring.TryPop(out));
+      TM2C_CHECK_MSG(Retire(&ledger.outstanding, *out),
+                     "partition server reply matches no outstanding request");
       return true;
     }
-    DrainLane(partition, generation);  // keeps a full lane moving
     if (c.generation.load(std::memory_order_acquire) == generation) {
       return false;
     }
@@ -350,29 +332,6 @@ bool ProcessSystem::TryRecv(uint32_t core, uint32_t service, Message* out) {
     if (ring.EmptyHint()) {
       ++generation;
     }
-  }
-}
-
-void ProcessSystem::DrainLane(uint32_t partition, uint32_t generation) {
-  SpscChannel& host_lane = lane(partition, generation);
-  if (host_lane.EmptyHint()) {
-    return;
-  }
-  Partition& c = *parts_[partition];
-  std::lock_guard<std::mutex> lock(c.lane_mu[generation]);
-  // A record streamed by a server that died midway is abandoned.
-  const auto wait = [&c, generation] {
-    std::this_thread::yield();
-    return c.dead.load(std::memory_order_acquire) <= generation;
-  };
-  Message msg;
-  while (host_lane.TryPeek(&msg, wait)) {
-    if (host_frame_) {
-      host_frame_(partition, msg);
-    }
-    // Released only now: a drainer that finds the lane empty knows every
-    // record in it has reached the sink.
-    host_lane.Drop();
   }
 }
 
@@ -396,7 +355,6 @@ void ProcessSystem::RouterLoop(uint32_t partition) {
       RestartPartition(partition);
       continue;
     }
-    DrainLane(partition, live);  // its last trace events
     const auto held = LockLedgers(partition);
     TM2C_CHECK_MSG(Unanswered(partition).empty(),
                    "partition server exited with requests pending");
@@ -484,10 +442,8 @@ void ProcessSystem::RestartPartition(uint32_t partition) {
   Partition& c = *parts_[partition];
   const uint32_t service = shared_.plan.ServiceCore(partition);
   const uint32_t dead = c.generation.load(std::memory_order_relaxed);
-  // Pushes into the dead server's rings give up, and every host record it
-  // wrote reaches the sink before anything its death causes.
+  // Pushes into the dead server's rings give up.
   c.dead.store(dead + 1, std::memory_order_release);
-  DrainLane(partition, dead);
 
   // Until the gate reopens, no core pops, retires or records.
   auto held = LockLedgers(partition);

@@ -12,16 +12,9 @@
 // server's service core runs the same ring and doorbell code, and a lock
 // round trip enters the kernel only to wake a parked peer. Each server
 // generation (a partition's primary, then its cold standby) has rings of
-// its own plus a host lane, a ring carrying the trace events the server
-// addresses to the host (wire.h's kWireHostDst). Each server also holds one
-// end of a socket pair that carries no frames: the host sends one command
-// byte down it, and its EOF tells the host the server died.
-//
-// Ordering rule: an app core drains partition p's host lane into the host
-// handler before it acts on anything it popped from p, and drainers
-// release a lane record only after the handler returns. A server writes a
-// trace event before the reply it precedes, so the event reaches the sink
-// first, as the crash-restart oracle's commit-before-ack check requires.
+// its own. Each server also holds one end of a socket pair that carries no
+// frames: the host sends one command byte down it, and its EOF tells the
+// host the server died.
 //
 // Each app core keeps its own crash ledger per partition: the requests it
 // sent that await a reply, and the newest epoch it quoted there. A send
@@ -62,7 +55,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/shared_mapping.h"
 #include "src/runtime/backend.h"
 #include "src/runtime/core_env.h"
 #include "src/runtime/thread_system.h"
@@ -110,20 +102,11 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
 
   // --- process-specific surface (wired up by TmSystem before Run) ---
 
-  // Runs in the child process after its socket is connected and before its
-  // service main. `is_restart` marks a standby activated to replace a
-  // killed primary: the hook recovers the partition's WAL and primes the
-  // service's recovered-commit table. `env` is the only conduit back to
-  // the host: its kWireHostDst sends go to the partition's host lane.
-  void SetChildStart(std::function<void(uint32_t partition, bool is_restart, CoreEnv& env)> hook) {
-    child_start_ = std::move(hook);
-  }
-
-  // Receives every host-lane record (trace events), on whichever host
-  // thread drains the lane. The handler must be thread-safe — TmSystem
-  // feeds a MutexTraceSink.
-  void SetHostFrameHandler(std::function<void(uint32_t partition, const Message&)> handler) {
-    host_frame_ = std::move(handler);
+  // Runs in a standby's process once it is activated to replace a killed
+  // primary, before its service main: the hook recovers the partition's
+  // WAL and primes the service's recovered-commit table.
+  void SetStandbyStart(std::function<void(uint32_t partition)> hook) {
+    standby_start_ = std::move(hook);
   }
 
   // Base of the per-core abort-status words (TmConfig::abort_status_base)
@@ -188,8 +171,6 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
     std::atomic<uint32_t> dead{0};
     std::vector<Server> servers;
     std::vector<CoreLedger> ledgers;  // indexed by core id; app cores only
-    // Serializes each generation's host-lane drainers.
-    std::mutex lane_mu[kGenerations];
     std::thread router;
   };
 
@@ -197,15 +178,11 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   void Send(uint32_t src, uint32_t service, const Message& msg) override;
   bool TryRecv(uint32_t core, uint32_t service, Message* out) override;
 
-  SpscChannel& lane(uint32_t partition, uint32_t generation) {
-    return lanes_[partition * kGenerations + generation];
-  }
   Server ForkServer(uint32_t partition, uint32_t generation);
   [[noreturn]] void ChildMain(uint32_t partition, uint32_t generation, int fd);
   static void Command(const Server& server, char cmd);
   void DismissServers();
   void RouterLoop(uint32_t partition);
-  void DrainLane(uint32_t partition, uint32_t generation);
   std::vector<std::unique_lock<std::mutex>> LockLedgers(uint32_t partition);
   std::vector<Outstanding> Unanswered(uint32_t partition);
   void RestartPartition(uint32_t partition);
@@ -217,16 +194,13 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   // Shared memory (MAP_SHARED: real cross-process words) and the ring
   // transport, both mapped before the fork.
   NativeShared shared_;
-  SharedMapping lanes_mem_;
-  std::vector<SpscChannel> lanes_;  // per partition and generation
   std::vector<std::unique_ptr<NativeCore>> cores_;
   // Each app core's view of each partition's generation, indexed
   // core * num_service + partition; touched only by that core's thread.
   std::vector<uint32_t> gen_view_;
   std::vector<std::unique_ptr<Partition>> parts_;
 
-  std::function<void(uint32_t, bool, CoreEnv&)> child_start_;
-  std::function<void(uint32_t, const Message&)> host_frame_;
+  std::function<void(uint32_t)> standby_start_;
   uint64_t abort_status_base_ = ~uint64_t{0};
   pid_t host_pid_ = -1;
   bool started_ = false;

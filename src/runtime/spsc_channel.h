@@ -103,47 +103,22 @@ class SpscChannel {
   }
 
   // Consumer side. Moves the oldest record into `out` and returns true, or
-  // returns false when the ring is empty.
+  // returns false when the ring is empty. A streamed record's earlier
+  // pieces go back as they are read, and the consumer yields while the
+  // rest is unpublished.
   bool TryPop(Message* out) {
-    const auto yield = [] {
-      std::this_thread::yield();
-      return true;
-    };
-    if (!TryPeek(out, yield)) {
-      return false;
-    }
-    Drop();
-    return true;
-  }
-
-  // Consumer side. Decodes the oldest record into `out`, keeping it in the
-  // ring (EmptyHint() stays false) until Drop(). A streamed record's
-  // earlier pieces go back as they are read, and `wait()` runs while the
-  // rest is unpublished; if it returns false, so does TryPeek, leaving the
-  // ring mid-record.
-  template <typename Wait>
-  bool TryPeek(Message* out, Wait&& wait) {
     uint64_t pos = ix_->head.load(std::memory_order_relaxed);
     if (Available(pos) == 0) {
       return false;
     }
     uint64_t prologue[kWireFixedPayloadWords];
-    if (!ReadWords(&pos, prologue, kWireFixedPayloadWords, wait)) {
-      return false;
-    }
+    ReadWords(&pos, prologue, kWireFixedPayloadWords);
     out->extra.resize(DecodeWirePrologue(prologue, out));
-    if (!ReadWords(&pos, out->extra.data(), out->extra.size(), wait)) {
-      return false;
-    }
-    ix_->peeked_end = pos;
-    return true;
-  }
-
-  // Consumer side: releases the record TryPeek decoded.
-  void Drop() {
+    ReadWords(&pos, out->extra.data(), out->extra.size());
     ix_->popped.store(ix_->popped.load(std::memory_order_relaxed) + 1,
                       std::memory_order_release);
-    ix_->head.store(ix_->peeked_end, std::memory_order_release);
+    ix_->head.store(pos, std::memory_order_release);
+    return true;
   }
 
   // Decodes every published record in order without consuming any: for a
@@ -171,7 +146,7 @@ class SpscChannel {
     return ix_->head.load(std::memory_order_relaxed) == ix_->tail.load(std::memory_order_acquire);
   }
 
-  // Records pushed but not yet dropped (either side). A racy snapshot while
+  // Records pushed but not yet popped (either side). A racy snapshot while
   // both sides run: the admission controller's load signal.
   size_t ApproxSize() const {
     const uint64_t popped = ix_->popped.load(std::memory_order_acquire);
@@ -189,12 +164,11 @@ class SpscChannel {
     alignas(kCacheLineBytes) std::atomic<uint64_t> tail{0};
     std::atomic<uint64_t> pushed{0};
     uint64_t head_cache = 0;
-    // Consumer line: the release index in words, the records dropped, the
-    // consumer's stale view of tail and the end of the peeked record.
+    // Consumer line: the release index in words, the records popped and
+    // the consumer's stale view of tail.
     alignas(kCacheLineBytes) std::atomic<uint64_t> head{0};
     std::atomic<uint64_t> popped{0};
     uint64_t tail_cache = 0;
-    uint64_t peeked_end = 0;
   };
   static_assert(sizeof(Indexes) == 2 * kCacheLineBytes, "one cache line per side");
   static_assert(std::atomic<uint64_t>::is_always_lock_free,
@@ -238,23 +212,19 @@ class SpscChannel {
   }
 
   // Copies `n` words from *pos on. Only a streamed record runs dry midway;
-  // the words read so far then go back to the producer before waiting.
-  template <typename Wait>
-  bool ReadWords(uint64_t* pos, uint64_t* out, uint64_t n, Wait& wait) {
+  // the words read so far then go back to the producer before yielding.
+  void ReadWords(uint64_t* pos, uint64_t* out, uint64_t n) {
     for (uint64_t i = 0; i < n;) {
       const uint64_t avail = std::min(Available(*pos), n - i);
       if (avail == 0) {
         ix_->head.store(*pos, std::memory_order_release);
-        if (!wait()) {
-          return false;
-        }
+        std::this_thread::yield();
         continue;
       }
       for (const uint64_t end = i + avail; i < end; ++i, ++*pos) {
         out[i] = words_[*pos & mask_];
       }
     }
-    return true;
   }
 
   std::unique_ptr<void, decltype(&std::free)> owned_{nullptr, &std::free};

@@ -14,7 +14,6 @@
 #endif
 
 #include "src/common/check.h"
-#include "src/runtime/wire.h"
 
 namespace tm2c {
 namespace {
@@ -120,19 +119,6 @@ NativeShared::~NativeShared() { ::munmap(mapping_, mapping_bytes_); }
 
 void NativeCore::Send(uint32_t dst, Message msg) {
   msg.src = id_;
-  if (dst == kWireHostDst) {
-    TM2C_CHECK_MSG(host_lane_ != nullptr, "only a partition server sends to the host");
-    const auto wake_drainers = [this] {
-      // The drainers are the app cores: wake them to make room.
-      for (uint32_t app : shared_->plan.app_cores()) {
-        shared_->bell(app).Ring();
-      }
-      std::this_thread::yield();
-      return true;
-    };
-    host_lane_->Push(msg, wake_drainers);
-    return;
-  }
   TM2C_CHECK(dst < shared_->plan.num_cores());
   if (links_ != nullptr && shared_->plan.IsService(dst)) {
     links_->Send(id_, dst, msg);
@@ -217,7 +203,7 @@ void NativeCore::Compute(uint64_t core_cycles) {
 }
 
 void NativeCore::Barrier() {
-  TM2C_CHECK_MSG(host_lane_ == nullptr, "partition servers have no barrier");
+  TM2C_CHECK_MSG(!server_, "partition servers have no barrier");
   // Sense-reversing barrier: the last arrival resets the count, then bumps
   // the generation; everyone else spins on the generation flip.
   NativeShared& s = *shared_;

@@ -160,11 +160,10 @@ class alignas(2 * kCacheLineBytes) NativeCore : public CoreEnv {
   NativeCore(NativeShared* shared, uint32_t id, ServiceLinks* links = nullptr)
       : shared_(shared), id_(id), links_(links) {}
 
-  // In a forked partition server: serve that generation's rings, and send
-  // kWireHostDst records to `host_lane`.
-  void BindServer(uint32_t generation, SpscChannel* host_lane) {
+  // In a forked partition server: serve that generation's rings.
+  void BindServer(uint32_t generation) {
     generation_ = generation;
-    host_lane_ = host_lane;
+    server_ = true;
   }
 
   uint32_t core_id() const override { return id_; }
@@ -223,7 +222,7 @@ class alignas(2 * kCacheLineBytes) NativeCore : public CoreEnv {
   uint32_t id_;
   ServiceLinks* links_;
   uint32_t generation_ = 0;
-  SpscChannel* host_lane_ = nullptr;
+  bool server_ = false;
   uint32_t next_poll_ = 0;  // ring scan cursor, receiver thread only
 };
 

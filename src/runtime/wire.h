@@ -17,8 +17,8 @@
 //   [u32 payload_len_bytes][u32 crc32(payload)][payload: len/8 u64 words]
 //
 // so every frame is self-describing and at least kWireMinFrameBytes long.
-// kWireHostDst in the destination addresses the host itself rather than a
-// core (a partition server's trace events).
+// No backend sends frames: the codec stays for the benchmark harness
+// (bench/e2e), which times it.
 //
 // Frame decoding is strict: a frame is either accepted whole or rejected
 // whole (no partial apply). A short read is kNeedMore (wait for more
@@ -36,10 +36,6 @@
 
 namespace tm2c {
 
-// Destination value addressing the host process itself (trace frames from
-// a partition server) rather than a core inbox.
-constexpr uint32_t kWireHostDst = 0xFFFFFFFFu;
-
 // Framing overhead (length + CRC) and the fixed 7-word payload prologue.
 constexpr uint64_t kWireFrameOverheadBytes = 8;
 constexpr uint64_t kWireFixedPayloadWords = 7;
@@ -52,7 +48,7 @@ constexpr uint64_t kWireMinFrameBytes =
 constexpr uint64_t kWireMaxExtraWords = 1 << 20;
 
 // Last MsgType value a frame may carry; anything above is corruption.
-constexpr uint8_t kWireMaxMsgType = static_cast<uint8_t>(MsgType::kTraceEvent);
+constexpr uint8_t kWireMaxMsgType = static_cast<uint8_t>(MsgType::kApp);
 
 // The payload's fixed prologue (words 0-6) for (dst, msg).
 inline void EncodeWirePrologue(uint32_t dst, const Message& msg,

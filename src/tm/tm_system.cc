@@ -1,7 +1,6 @@
 #include "src/tm/tm_system.h"
 
 #include "src/common/check.h"
-#include "src/tm/wire_trace.h"
 
 namespace tm2c {
 namespace {
@@ -141,31 +140,11 @@ TmSystem::TmSystem(TmSystemConfig config)
 void TmSystem::WireProcessBackend() {
   auto* proc = static_cast<ProcessSystem*>(system_.get());
   proc->SetAbortStatusBase(config_.tm.abort_status_base);
-
-  // Runs inside the freshly forked (or restarted) partition server, which
-  // inherited attached_trace_ from the host: with no trace attached before
-  // Run the server emits nothing, and a trace event costs one branch. The
-  // sink is leaked deliberately: the child _exits, it never unwinds.
-  proc->SetChildStart([this](uint32_t partition, bool is_restart, CoreEnv& env) {
-    if (attached_trace_ != nullptr) {
-      services_[partition]->set_trace(new WireTraceSink(&env));
-    }
-    if (is_restart && !durability_.empty()) {
-      // The sink comes first so the recovery's OnWalTruncate reaches the
-      // host — the oracle's only evidence that the torn tail was dropped.
+  if (!durability_.empty()) {
+    proc->SetStandbyStart([this](uint32_t partition) {
       services_[partition]->SetRecoveredCommits(durability_[partition]->RecoverFromBackingFile());
-    }
-  });
-
-  // Server-side durability events arriving as kTraceEvent records on the
-  // partitions' host lanes, replayed into the attached sink by whichever
-  // host thread drains the lane (AttachTrace requires a MutexTraceSink
-  // here for exactly this reason).
-  proc->SetHostFrameHandler([this](uint32_t, const Message& msg) {
-    if (attached_trace_ != nullptr) {
-      attached_trace_->OnEvent(TraceEventFromMessage(msg));
-    }
-  });
+    });
+  }
 }
 
 void TmSystem::OnAppBodyDone() {
@@ -203,22 +182,18 @@ void TmSystem::SetAllAppBodies(const AppBody& body) {
 }
 
 void TmSystem::AttachTrace(TxTraceSink* trace) {
-  TM2C_CHECK_MSG(system_->is_simulated() || config_.backend == BackendKind::kProcesses,
-                 "execution traces: simulator (any sink) or process backend "
-                 "(MutexTraceSink only) — the thread backend has no ordered "
-                 "event stream to trace");
-  TM2C_CHECK_MSG(config_.backend != BackendKind::kProcesses || !ran_,
-                 "AttachTrace after Run on the process backend: the partition servers "
-                 "forked without a trace sink");
-  attached_trace_ = trace;
-  for (auto& rt : runtimes_) {
-    rt->set_trace(trace);
+  TM2C_CHECK_MSG(!ran_, "AttachTrace after Run: the run's events are gone");
+  const DeploymentPlan& plan = system_->deployment();
+  if (!system_->is_simulated()) {
+    logs_ = std::make_unique<EventLogs>(plan.num_cores(), trace);
   }
-  // Under processes this reaches only the host's pre-fork service images;
-  // the child-start hook replaces each child's sink with a WireTraceSink
-  // whose events come back over the host lane (see WireProcessBackend).
-  for (auto& service : services_) {
-    service->set_trace(trace);
+  const auto sink = [&](uint32_t core) { return logs_ != nullptr ? logs_->sink(core) : trace; };
+  const bool dedicated = plan.strategy() == DeployStrategy::kDedicated;
+  for (uint32_t i = 0; i < runtimes_.size(); ++i) {
+    runtimes_[i]->set_trace(sink(dedicated ? plan.app_cores()[i] : i));
+  }
+  for (uint32_t p = 0; p < services_.size(); ++p) {
+    services_[p]->set_trace(sink(dedicated ? plan.ServiceCore(p) : p));
   }
 }
 
@@ -255,6 +230,9 @@ SimTime TmSystem::Run(SimTime until) {
   // must not: a flush here would count in the servers' shared counters.
   for (auto& service : services_) {
     service->QuiesceFlush();
+  }
+  if (logs_ != nullptr) {
+    logs_->Replay();
   }
   return elapsed;
 }

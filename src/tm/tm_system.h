@@ -80,14 +80,12 @@ class TmSystem {
   bool AllLockTablesEmpty() const;
 
   // Attaches an execution-trace recorder (typically a check::History) to
-  // every runtime and service. Call before Run(); verification only.
-  // Simulator: any sink. Process backend: the sink MUST be wrapped in a
-  // MutexTraceSink (app threads and partition routers feed it
-  // concurrently); partition-server durability events arrive over the
-  // partitions' host lanes, which carry nothing else, as kTraceEvent
-  // records and are replayed into it here, and attaching after Run is a
-  // CHECK failure (the servers forked without a sink). Thread backend:
-  // unsupported (no per-event ordering to preserve them with).
+  // every runtime and service; verification only. Call before Run, on
+  // every backend: a processes run's servers fork with the trace they will
+  // write. The simulator calls the sink as events happen. On threads and
+  // processes each core appends to its own event log (trace.h's
+  // EventLogs), and Run replays the logs into the sink, merged by stamp,
+  // once every core has stopped.
   void AttachTrace(TxTraceSink* trace);
 
   // Backend-agnostic handles (work under sim and threads alike).
@@ -133,8 +131,8 @@ class TmSystem {
   // backend the last one shuts down the cores still blocked in Recv.
   void OnAppBodyDone();
 
-  // Installs the process backend's hooks (abort-status fence, child-side
-  // trace/recovery, host-side trace-frame replay).
+  // Installs the process backend's hooks: the abort-status fence, and the
+  // WAL recovery a standby runs when it replaces a killed primary.
   void WireProcessBackend();
 
   TmSystemConfig config_;
@@ -146,10 +144,8 @@ class TmSystem {
   std::vector<std::unique_ptr<TxRuntime>> runtimes_;    // per app core
   std::vector<AppBody> bodies_;                         // per app core
   std::atomic<uint32_t> apps_running_{0};
-  // Sink from AttachTrace, consulted by the process backend's host-lane
-  // replay and, through the fork, by its partition servers (set before
-  // Run, read by host threads during it).
-  TxTraceSink* attached_trace_ = nullptr;
+  // The native backends' per-core event logs (null when untraced).
+  std::unique_ptr<EventLogs> logs_;
   bool ran_ = false;
 };
 

@@ -7,23 +7,23 @@
 // here (tm layer) so the tm code does not depend on src/check/, whose
 // History implements it.
 //
-// The events are fully ordered only under the deterministic single-threaded
-// simulator backend: the recorder relies on call order being the real
-// execution order. Do not attach a bare sink under the std::thread
-// backend. The process backend records *durability* events through a
-// MutexTraceSink (below): a partition server's events reach it through
-// the partition's host lane in call order, and each ahead of any reply the
-// server sent after it (see src/runtime/process_system.h), which is what
-// the crash-restart oracle needs — the serializability oracle still
-// requires the simulator.
+// The simulator calls the attached sink at once, from its one host thread,
+// so call order is the real execution order. The native backends append
+// each core's events to that core's EventLogs log instead (below), and
+// TmSystem replays the logs, merged by stamp, into the sink after Run. The
+// stamp order keeps each core's program order and every message's send
+// before its receipt, which is what the crash-restart and migration
+// oracles need. The serializability oracle still requires the simulator:
+// a store's stamp can trail a read that already saw the stored value.
 #ifndef TM2C_SRC_TM_TRACE_H_
 #define TM2C_SRC_TM_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
+#include "src/common/shared_mapping.h"
 #include "src/runtime/message.h"
 #include "src/sim/time.h"
 
@@ -69,11 +69,6 @@ enum class TraceKind : uint8_t {
   kMigrationBegin,     // drain of [w1, w1 + w2) towards w0 target core began
   kMigrationComplete,  // as kMigrationBegin, w3 directory version after the flip
 };
-
-// The five kinds a partition server forwards to the host over its socket.
-inline bool IsDurabilityEvent(TraceKind kind) {
-  return kind >= TraceKind::kWalAppend && kind <= TraceKind::kWalTruncate;
-}
 
 struct TraceEvent {
   TraceKind kind = TraceKind::kTxBegin;
@@ -152,26 +147,65 @@ class TxTraceSink {
   }
 };
 
-// Serializes concurrent events onto an underlying sink with one mutex. The
-// process backend's app threads and partition-router threads all feed the
-// same History; this wrapper makes each event atomic and assigns it one
-// global sequence position. Cross-thread event order is whatever the lock
-// arbitration yields — fine for the crash-restart oracle (which only needs
-// per-partition durability order and per-core transaction order, both
-// preserved by their single-threaded sources), NOT fine for the
-// serializability oracle (which needs the simulator's total order).
-class MutexTraceSink : public TxTraceSink {
+// The native backends' trace: one append-only event log per core, all in
+// one SharedMapping made before Run, so a forked partition server writes
+// the very words the host replays. A record is
+//
+//   [stamp][kind | pairs << 8 | core << 32][w0][w1][w2][w3][addr, value]...
+//
+// and its stamp comes from one counter shared by every core (fetch_add):
+// a server stamps an event before it pushes the reply that follows it, and
+// the receiver stamps what it does after the pop. Each log has one writer
+// at a time. A record is written past the log's published length and
+// becomes visible with one release store of the new length, so a SIGKILLed
+// server leaves a clean published prefix, and its standby, which writes
+// the same core's log, appends after it.
+class EventLogs {
  public:
-  explicit MutexTraceSink(TxTraceSink* wrapped) : wrapped_(wrapped) {}
+  // Words in each core's log. The mapping's pages are backed only once
+  // written, so an unused tail costs address space, not memory.
+  static constexpr uint64_t kCapacityWords = uint64_t{1} << 21;
 
-  void OnEvent(const TraceEvent& event) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    wrapped_->OnEvent(event);
-  }
+  // Logs for cores [0, num_cores), replayed into `into`.
+  EventLogs(uint32_t num_cores, TxTraceSink* into);
+  EventLogs(const EventLogs&) = delete;
+  EventLogs& operator=(const EventLogs&) = delete;
+
+  // The sink that appends to `core`'s log.
+  TxTraceSink* sink(uint32_t core) { return &writers_[core]; }
+
+  // The two halves of an append, apart so a test can stop between them as
+  // a SIGKILL can: Write stores `event` past `core`'s published length and
+  // returns the length that publishes it, and Publish makes it visible.
+  // A full log is a CHECK failure that names the capacity.
+  uint64_t Write(uint32_t core, const TraceEvent& event);
+  void Publish(uint32_t core, uint64_t length);
+
+  // Replays every published event, in stamp order, into the sink given at
+  // construction, and empties the logs. Call with no writer running.
+  void Replay();
 
  private:
-  TxTraceSink* wrapped_;
-  std::mutex mu_;
+  class Writer : public TxTraceSink {
+   public:
+    Writer(EventLogs* logs, uint32_t core) : logs_(logs), core_(core) {}
+    void OnEvent(const TraceEvent& event) override {
+      logs_->Publish(core_, logs_->Write(core_, event));
+    }
+
+   private:
+    EventLogs* logs_;
+    uint32_t core_;
+  };
+
+  // Core `core`'s published length, and the words of its log.
+  std::atomic<uint64_t>& published(uint32_t core) const;
+  uint64_t* words(uint32_t core) const;
+
+  TxTraceSink* into_;
+  SharedMapping mapping_;
+  std::atomic<uint64_t>* stamp_;
+  std::vector<Writer> writers_;
 };
 
 }  // namespace tm2c

@@ -11,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 
 #include "src/apps/kvstore.h"
 #include "src/apps/ordered_index.h"
+#include "src/check/history.h"
+#include "src/check/oracle.h"
 #include "src/common/rng.h"
 #include "src/tm/tm_system.h"
 
@@ -103,15 +106,17 @@ TEST(BackendIdentity, SimAndThreadsCommitTheSameWorkload) {
 // its put/delete churn, and the shared keys receive only commutative
 // read-modify-write increments — so the final contents do not depend on
 // the interleaving, only on the protocol executing every operation exactly
-// once.
+// once. Every run is traced: the history holds each backend's grant and
+// migration events, the partition servers' included.
 struct KvRunResult {
   uint64_t commits = 0;
   uint64_t migrations_completed = 0;
   uint32_t slab0_partition = 0;
   std::map<uint64_t, std::vector<uint64_t>> contents;
+  History history;
 };
 
-KvRunResult RunKvWorkload(TmSystemConfig cfg, bool migrate = false) {
+KvRunResult RunKvWorkload(TmSystemConfig cfg, bool migrate = false, uint64_t seed = 0) {
   constexpr uint64_t kSharedKeys = 8;
   constexpr uint64_t kPrivateKeys = 8;  // per core, above the shared range
   constexpr int kOpsPerCore = 120;
@@ -130,9 +135,12 @@ KvRunResult RunKvWorkload(TmSystemConfig cfg, bool migrate = false) {
   // workload, while every core keeps operating on the store.
   const std::pair<uint64_t, uint64_t> slab0 = store.SlabRange(0);
   const uint32_t migrating_core = sys.deployment().app_cores()[0];
-  sys.SetAllAppBodies([&store, slab0, migrate, migrating_core](CoreEnv& env, TxRuntime& rt) {
+  KvRunResult result;
+  sys.AttachTrace(&result.history);
+  sys.SetAllAppBodies([&store, slab0, migrate, migrating_core, seed](CoreEnv& env,
+                                                                     TxRuntime& rt) {
     const uint64_t private_base = kSharedKeys + 1 + env.core_id() * kPrivateKeys;
-    Rng rng(env.core_id() * 131 + 7);
+    Rng rng(seed * 7919 + env.core_id() * 131 + 7);
     for (int k = 0; k < kOpsPerCore; ++k) {
       if (migrate && env.core_id() == migrating_core && k == kOpsPerCore / 2) {
         rt.RequestMigration(slab0.first, slab0.second, 1);
@@ -153,7 +161,6 @@ KvRunResult RunKvWorkload(TmSystemConfig cfg, bool migrate = false) {
     }
   });
   sys.Run();
-  KvRunResult result;
   result.commits = sys.MergedStats().commits;
   for (uint32_t p = 0; p < sys.deployment().num_service(); ++p) {
     result.migrations_completed += sys.ServiceStats(p).migrations_completed;
@@ -163,6 +170,26 @@ KvRunResult RunKvWorkload(TmSystemConfig cfg, bool migrate = false) {
     result.contents[key] = std::vector<uint64_t>(value, value + kv_cfg.value_words);
   });
   return result;
+}
+
+// A traced handoff: one drain begun and one completed, grants from both
+// partitions' service cores, and none that the migration oracle rejects.
+void ExpectOneCleanHandoff(const History& history) {
+  uint32_t begins = 0;
+  uint32_t completes = 0;
+  for (const History::MigrationEvent& m : history.migrations()) {
+    ++(m.kind == History::MigrationEvent::Kind::kBegin ? begins : completes);
+  }
+  EXPECT_EQ(begins, 1u);
+  EXPECT_EQ(completes, 1u);
+  std::set<uint32_t> granting;
+  for (const History::GrantEvent& g : history.grants()) {
+    granting.insert(g.service_core);
+  }
+  EXPECT_EQ(granting.size(), 2u);
+  OracleReport report;
+  CheckMigrationHistory(history, &report);
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST(BackendIdentity, KvStoreCommitsIdenticalFinalContents) {
@@ -200,6 +227,7 @@ TEST(BackendIdentity, KvStoreContentsIdenticalAcrossMidRunMigration) {
   // handoff must have completed and flipped the slab to partition 1.
   EXPECT_EQ(sim.migrations_completed, 1u);
   EXPECT_EQ(sim.slab0_partition, 1u);
+  ExpectOneCleanHandoff(sim.history);
 
   TmSystemConfig thr_cfg = BaseConfig();
   thr_cfg.backend = BackendKind::kThreads;
@@ -211,15 +239,36 @@ TEST(BackendIdentity, KvStoreContentsIdenticalAcrossMidRunMigration) {
   // end of a fixed-work run.
   EXPECT_EQ(thr.migrations_completed, 1u);
   EXPECT_EQ(thr.slab0_partition, 1u);
+  ExpectOneCleanHandoff(thr.history);
 
   // Processes: partition 0's server flips the directory in the shared
-  // mapping the host runtimes route by, and its counters reach the host
-  // through the same kind of mapping.
+  // mapping the host runtimes route by, and its counters and events reach
+  // the host through the same kind of mapping.
   const KvRunResult proc = RunKvWorkload(ProcessConfig(), /*migrate=*/true);
   EXPECT_EQ(proc.commits, sim.commits);
   EXPECT_EQ(proc.contents, sim.contents);
   EXPECT_EQ(proc.migrations_completed, 1u);
   EXPECT_EQ(proc.slab0_partition, 1u);
+  ExpectOneCleanHandoff(proc.history);
+}
+
+// The planted fault: partition 0's server opens the drain window and keeps
+// granting in it. Its grant and migration events reach the host from the
+// forked server, and the migration oracle flags every seed.
+TEST(BackendIdentity, GrantDuringMigrationIsFlaggedOnProcesses) {
+  TmSystemConfig cfg = ProcessConfig();
+  cfg.tm.fault = FaultMode::kGrantDuringMigration;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const KvRunResult proc = RunKvWorkload(cfg, /*migrate=*/true, seed);
+    EXPECT_EQ(proc.migrations_completed, 0u) << "seed " << seed;
+    OracleReport report;
+    CheckMigrationHistory(proc.history, &report);
+    bool flagged = false;
+    for (const OracleViolation& v : report.violations) {
+      flagged = flagged || v.kind == "grant-during-migration";
+    }
+    EXPECT_TRUE(flagged) << "seed " << seed << ": " << report.Summary();
+  }
 }
 
 // AllLockTablesEmpty is the end-of-run leak check, so it must be able to

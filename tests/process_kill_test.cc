@@ -279,7 +279,7 @@ TEST(ProcessKill, KillWakesEveryAppCoreParkedOnAReply) {
   const uint32_t num_app = sys.deployment().num_app();
 
   bool successor = false;  // set in the server process itself
-  sys.SetChildStart([&successor](uint32_t, bool is_restart, CoreEnv&) { successor = is_restart; });
+  sys.SetStandbyStart([&successor](uint32_t) { successor = true; });
   sys.SetCoreMain(service, [&successor](CoreEnv& env) {
     for (;;) {
       Message m = env.Recv();
@@ -374,9 +374,7 @@ TEST(ProcessKill, BackToBackSenderCrossesTheKillWhileAnotherCoreIsParked) {
   // Echo replies carry the server's generation plus one in w1; the
   // router's refusals carry 0.
   uint64_t generation = 0;  // set in the server process itself
-  sys.SetChildStart([&generation](uint32_t, bool is_restart, CoreEnv&) {
-    generation = is_restart ? 1 : 0;
-  });
+  sys.SetStandbyStart([&generation](uint32_t) { generation = 1; });
   sys.SetCoreMain(service, [&generation](CoreEnv& env) {
     for (;;) {
       Message m = env.Recv();

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "src/check/history.h"
 #include "src/runtime/process_system.h"
 #include "src/tm/tm_system.h"
 
@@ -277,8 +278,8 @@ TEST_F(ProcessTransport, ShutdownArrivesAfterPendingRingTraffic) {
   EXPECT_EQ(sys->shmem().LoadWord(drained_addr), 100u);
 }
 
-// The partition servers inherit the trace sink at fork time, so a trace
-// attached after Run could never see their events: it is refused outright.
+// A trace attaches before Run on every backend (the partition servers fork
+// with the event logs they write), so a late one is refused outright.
 TEST(ProcessSystemDeathTest, AttachTraceAfterRunIsRejected) {
   std::string dir = ::testing::TempDir() + "tm2c_late_trace_XXXXXX";
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
@@ -291,8 +292,8 @@ TEST(ProcessSystemDeathTest, AttachTraceAfterRunIsRejected) {
   cfg.sim.shmem_bytes = 1 << 16;
   TmSystem sys(cfg);
   sys.Run();
-  MutexTraceSink sink(nullptr);
-  EXPECT_DEATH(sys.AttachTrace(&sink), "AttachTrace after Run");
+  History history;
+  EXPECT_DEATH(sys.AttachTrace(&history), "AttachTrace after Run");
   std::filesystem::remove_all(dir);
 }
 

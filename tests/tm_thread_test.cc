@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 
+#include "src/check/history.h"
+#include "src/check/oracle.h"
 #include "src/tm/tm_system.h"
 
 namespace tm2c {
@@ -39,6 +42,58 @@ TEST(ThreadTm, ConcurrentIncrementsExact) {
               static_cast<uint64_t>(sys.num_app_cores()) * kIncs)
         << "cm=" << CmKindName(cm);
   }
+}
+
+// A traced run: every core appends to its own event log, and Run replays
+// the logs into the History, merged by stamp. The counter workload of
+// backend_identity_test.
+TEST(ThreadTm, TracedCounterRunFillsTheHistory) {
+  constexpr uint32_t kAccounts = 16;
+  constexpr int kIncsPerCore = 200;
+  TmSystem sys(ThreadConfig(4, 2, CmKind::kFairCm));
+  const uint64_t base = sys.allocator().AllocGlobal(kAccounts * kWordBytes);
+  History history;
+  for (uint32_t a = 0; a < kAccounts; ++a) {
+    sys.shmem().StoreWord(base + a * kWordBytes, 0);
+    history.RecordInitial(base + a * kWordBytes, 0);
+  }
+  sys.AttachTrace(&history);
+  sys.SetAllAppBodies([base](CoreEnv& env, TxRuntime& rt) {
+    Rng rng(env.core_id() * 97 + 13);
+    for (int k = 0; k < kIncsPerCore; ++k) {
+      const uint64_t addr = base + rng.NextBelow(kAccounts) * kWordBytes;
+      rt.Execute([addr](Tx& tx) { tx.Write(addr, tx.Read(addr) + 1); });
+    }
+  });
+  sys.Run();
+
+  // Program order per core: attempts in epoch order, and each attempt's
+  // reads and stores after the previous attempt's outcome and before its
+  // own.
+  uint64_t committed = 0;
+  std::map<uint32_t, const History::Tx*> previous;
+  for (const History::Tx& tx : history.transactions()) {
+    EXPECT_TRUE(tx.finished) << tx.Name();
+    committed += tx.committed ? 1 : 0;
+    uint64_t after = 0;
+    if (previous.count(tx.core) != 0) {
+      EXPECT_GT(tx.epoch, previous[tx.core]->epoch) << tx.Name();
+      after = previous[tx.core]->end_seq;
+    }
+    for (const History::Read& r : tx.reads) {
+      EXPECT_TRUE(r.seq > after && r.seq < tx.end_seq) << tx.Name();
+    }
+    for (const History::Write& w : tx.writes) {
+      EXPECT_TRUE(w.seq > after && w.seq < tx.end_seq) << tx.Name();
+    }
+    previous[tx.core] = &tx;
+  }
+  EXPECT_EQ(previous.size(), sys.num_app_cores());
+  EXPECT_EQ(committed, sys.MergedStats().commits);
+  EXPECT_EQ(committed, uint64_t{sys.num_app_cores()} * kIncsPerCore);
+  OracleReport report;
+  CheckFinalState(history, [&sys](uint64_t addr) { return sys.shmem().LoadWord(addr); }, &report);
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST(ThreadTm, BankTransfersConserveTotal) {

@@ -14,7 +14,6 @@
 #include "src/durability/wal.h"  // Crc32: the shared framing discipline
 #include "src/runtime/message.h"
 #include "src/runtime/wire.h"
-#include "src/tm/wire_trace.h"
 
 namespace tm2c {
 namespace {
@@ -68,62 +67,8 @@ TEST(Wire, RoundTripsEveryMessageKind) {
   }
 }
 
-TEST(Wire, HostDstRoundTrips) {
-  Message m;
-  m.type = MsgType::kTraceEvent;
-  m.src = 3;
-  m.w0 = 17;
-  m.w1 = 2048;
-  m.extra = {static_cast<uint64_t>(TraceKind::kWalFlush), 1};
-  const std::vector<uint8_t> bytes = EncodeMessage(kWireHostDst, m);
-  uint32_t dst = 0;
-  Message got;
-  uint64_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(bytes, &dst, &got, &consumed), WireDecodeStatus::kOk);
-  EXPECT_EQ(dst, kWireHostDst);
-  ExpectEqual(got, m);
-}
-
-// The decoder's type bound is the one host-bound frame type, the last
-// message type, so it admits every core-bound type too.
-static_assert(kWireMaxMsgType == static_cast<uint8_t>(MsgType::kTraceEvent));
-static_assert(static_cast<uint8_t>(MsgType::kApp) < kWireMaxMsgType);
-
-// The five durability kinds a partition server forwards, as TraceEvent ->
-// kTraceEvent message -> wire frame -> message -> TraceEvent. The WAL
-// append carries an empty and a batch-sized pair list.
-TEST(Wire, DurabilityTraceEventsRoundTrip) {
-  std::vector<TraceEvent> events;
-  for (uint32_t num_pairs : {0u, 64u}) {
-    TraceEvent append{TraceKind::kWalAppend, 2, 5, 0x9e3779b97f4a7c15ull, 41, 0, {}};
-    for (uint32_t i = 0; i < num_pairs; ++i) {
-      append.pairs.emplace_back(0x1000 + 8 * i, ~uint64_t{i});
-    }
-    events.push_back(append);
-  }
-  events.push_back(TraceEvent{TraceKind::kCommitLogAck, 1, 3, uint64_t{7} << 40, 41, 0, {}});
-  events.push_back(TraceEvent{TraceKind::kWalFlush, 3, 42, 4096, 0, 0, {}});
-  events.push_back(TraceEvent{TraceKind::kCheckpoint, 0, 2, 40, 0, 0, {}});
-  events.push_back(TraceEvent{TraceKind::kWalTruncate, 1, 39, 3900, 0, 0, {}});
-  for (const TraceEvent& ev : events) {
-    ASSERT_TRUE(IsDurabilityEvent(ev.kind));
-    const std::vector<uint8_t> bytes = EncodeMessage(kWireHostDst, TraceEventToMessage(ev));
-    uint32_t dst = 0;
-    Message msg;
-    uint64_t consumed = 0;
-    ASSERT_EQ(DecodeFrame(bytes, &dst, &msg, &consumed), WireDecodeStatus::kOk);
-    EXPECT_EQ(dst, kWireHostDst);
-    const TraceEvent got = TraceEventFromMessage(msg);
-    const int kind = static_cast<int>(ev.kind);
-    EXPECT_EQ(got.kind, ev.kind) << kind;
-    EXPECT_EQ(got.core, ev.core) << kind;
-    EXPECT_EQ(got.w0, ev.w0) << kind;
-    EXPECT_EQ(got.w1, ev.w1) << kind;
-    EXPECT_EQ(got.w2, ev.w2) << kind;
-    EXPECT_EQ(got.w3, ev.w3) << kind;
-    EXPECT_EQ(got.pairs, ev.pairs) << kind;
-  }
-}
+// The decoder's type bound is the last message type.
+static_assert(kWireMaxMsgType == static_cast<uint8_t>(MsgType::kApp));
 
 // The stream decoder reassembles frames from arbitrary chunkings: feeding
 // one byte at a time must yield exactly the encoded sequence, in order.

@@ -24,6 +24,7 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -255,7 +256,9 @@ int Main(int argc, char** argv) {
       if (verbose || !ok) {
         std::printf("%-48s %s\n", cfg.Name().c_str(), ok ? "ok" : "VIOLATION");
       }
-      if (!ok) {
+      if (ok) {
+        std::filesystem::remove_all(run_dir);  // its WAL files showed nothing
+      } else {
         ++failures;
         for (const OracleViolation& v : result.report.violations) {
           std::printf("  [%s] %s\n", v.kind.c_str(), v.detail.c_str());
@@ -272,6 +275,7 @@ int Main(int argc, char** argv) {
         } else {
           std::fprintf(stderr, "  could not write %s\n", path.c_str());
         }
+        std::printf("  WAL files kept in %s\n", run_dir.c_str());
       }
     }
     std::printf("tm2c_check: %llu process-kill runs, %llu with violations (partition %d)\n",
