@@ -10,7 +10,6 @@ KvStore::KvStore(ShmAllocator& allocator, SharedMemory& mem, AddressMap& map,
                  const DeploymentPlan& plan, KvStoreConfig cfg)
     : mem_(&mem),
       cfg_(cfg),
-      plan_(&plan),
       pool_(allocator, mem, map, plan, cfg.buckets_per_partition, node_words(),
             cfg.capacity_per_partition) {
   TM2C_CHECK(cfg_.buckets_per_partition >= 1);
@@ -31,10 +30,6 @@ uint64_t KvStore::Hash(uint64_t key) {
 
 uint32_t KvStore::PartitionOfKey(uint64_t key) const {
   return static_cast<uint32_t>(Hash(key)) % num_partitions();
-}
-
-uint32_t KvStore::OwnerCore(uint64_t key) const {
-  return plan_->ServiceCore(PartitionOfKey(key));
 }
 
 uint32_t KvStore::BucketIndexOf(uint64_t key) const {

@@ -160,7 +160,6 @@ class KvStore : public TxStoreApi {
 
   // -- Introspection -------------------------------------------------------
   uint32_t PartitionOfKey(uint64_t key) const;
-  uint32_t OwnerCore(uint64_t key) const;  // service core of the partition
   uint32_t num_partitions() const override { return pool_.num_partitions(); }
   uint32_t value_words() const override { return cfg_.value_words; }
   uint32_t buckets_per_partition() const { return cfg_.buckets_per_partition; }
@@ -198,7 +197,6 @@ class KvStore : public TxStoreApi {
 
   SharedMemory* mem_;
   KvStoreConfig cfg_;
-  const DeploymentPlan* plan_;
   NodePool pool_;
 };
 

@@ -33,7 +33,6 @@ OrderedIndex::OrderedIndex(ShmAllocator& allocator, SharedMemory& mem, AddressMa
                            const DeploymentPlan& plan, OrderedIndexConfig cfg)
     : mem_(&mem),
       cfg_(cfg),
-      plan_(&plan),
       pool_(allocator, mem, map, plan, /*header_words=*/1, node_words(),
             cfg_.capacity_per_partition) {
   TM2C_CHECK(cfg_.key_min >= 1);  // 0 is the null pointer everywhere
@@ -77,10 +76,6 @@ uint32_t OrderedIndex::PartitionOfKey(uint64_t key) const {
     --p;
   }
   return p;
-}
-
-uint32_t OrderedIndex::OwnerCore(uint64_t key) const {
-  return plan_->ServiceCore(PartitionOfKey(key));
 }
 
 std::pair<uint64_t, uint64_t> OrderedIndex::SlabRange(uint32_t partition) const {

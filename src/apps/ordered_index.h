@@ -208,7 +208,6 @@ class OrderedIndex : public TxStoreApi {
 
   // -- Introspection -------------------------------------------------------
   uint32_t PartitionOfKey(uint64_t key) const;
-  uint32_t OwnerCore(uint64_t key) const;  // service core of the partition
   // First key of a partition's contiguous sub-range.
   uint64_t PartitionMinKey(uint32_t partition) const;
   // Tree height of a partition (1 = the root is a leaf). Host-side; the
@@ -328,7 +327,6 @@ class OrderedIndex : public TxStoreApi {
 
   SharedMemory* mem_;
   OrderedIndexConfig cfg_;
-  const DeploymentPlan* plan_;
   NodePool pool_;
 };
 

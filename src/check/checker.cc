@@ -252,11 +252,9 @@ void RunKvCrashRestart(const CheckRunConfig& cfg, TmSystem& sys, KvStore& store,
     std::vector<uint8_t> surviving(image.begin(),
                                    image.begin() + static_cast<size_t>(durable_bytes));
     if (image.size() > durable_bytes) {
-      const uint32_t payload_len =
-          static_cast<uint32_t>(image[durable_bytes]) |
-          (static_cast<uint32_t>(image[durable_bytes + 1]) << 8) |
-          (static_cast<uint32_t>(image[durable_bytes + 2]) << 16) |
-          (static_cast<uint32_t>(image[durable_bytes + 3]) << 24);
+      uint64_t payload_len = 0;
+      TM2C_CHECK(CheckFrame(image.data() + durable_bytes, image.size() - durable_bytes,
+                            kWordBytes, UINT32_MAX, &payload_len) == FrameState::kComplete);
       const uint64_t frame = kWalFrameOverheadBytes + payload_len;
       const uint64_t torn = 1 + rng.NextBelow(frame - 1);
       surviving.insert(surviving.end(), image.begin() + static_cast<size_t>(durable_bytes),

@@ -70,7 +70,7 @@ ProcessKillResult RunProcessKillWorkload(const ProcessKillConfig& cfg) {
     Rng rng(cfg.seed * 1299721 + env.core_id() * 7919 + 1);
     for (uint32_t k = 0; k < cfg.ops_per_core; ++k) {
       if (app_index == 0 && k == cfg.ops_per_core / 2) {
-        sys.KillPartition(cfg.kill_partition);
+        sys.system().KillPartition(cfg.kill_partition);
       }
       const uint32_t p = static_cast<uint32_t>(rng.NextBelow(cfg.num_service));
       if (rng.NextBelow(10) < 6) {
@@ -97,7 +97,7 @@ ProcessKillResult RunProcessKillWorkload(const ProcessKillConfig& cfg) {
 
   result.commits = sys.MergedStats().commits;
   result.expected_commits = uint64_t{num_app} * cfg.ops_per_core;
-  result.restarts = sys.process().restarts(cfg.kill_partition);
+  result.restarts = sys.system().restarts(cfg.kill_partition);
   result.tables_empty = sys.AllLockTablesEmpty();
   if (result.commits != result.expected_commits) {
     result.report.violations.push_back(OracleViolation{
@@ -146,9 +146,8 @@ ProcessKillResult RunProcessKillWorkload(const ProcessKillConfig& cfg) {
       AnalyzeCrashCut(result.history, result.history.num_events(), cfg.num_service);
   std::vector<std::vector<CommitRecord>> durable_log(cfg.num_service);
   for (uint32_t p = 0; p < cfg.num_service; ++p) {
-    durable_log[p] =
-        DurableLogFromWal(ReadWalFile(cfg.run_dir + "/part" + std::to_string(p) + ".wal"), p,
-                          "on-disk WAL fails to parse", &result.report);
+    durable_log[p] = DurableLogFromWal(ReadWalFile(sys.system().LogPath(p)), p,
+                                       "on-disk WAL fails to parse", &result.report);
   }
   CheckCrashRestartHistory(
       result.history, cut, durable_log,

@@ -27,16 +27,6 @@ size_t NearestRank(double q, size_t n) {
 
 }  // namespace
 
-double LatencySampler::Percentile(double q) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  const size_t rank = NearestRank(q, samples_.size());
-  std::vector<double> sorted = samples_;
-  std::nth_element(sorted.begin(), sorted.begin() + (rank - 1), sorted.end());
-  return sorted[rank - 1];
-}
-
 std::vector<double> LatencySampler::Percentiles(const std::vector<double>& qs) const {
   if (samples_.empty()) {
     return std::vector<double>(qs.size(), 0.0);
@@ -49,33 +39,6 @@ std::vector<double> LatencySampler::Percentiles(const std::vector<double>& qs) c
     out.push_back(sorted[NearestRank(q, sorted.size()) - 1]);
   }
   return out;
-}
-
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  if (q < 0.0) {
-    q = 0.0;
-  }
-  if (q > 1.0) {
-    q = 1.0;
-  }
-  // Nearest rank, at least 1: a target of 0 would otherwise report the
-  // midpoint of bucket 0 even when every sample sits in a higher bucket.
-  auto target = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total_)));
-  if (target == 0) {
-    target = 1;
-  }
-  uint64_t seen = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) {
-      // Midpoint of the bucket is a reasonable point estimate.
-      return (static_cast<double>(i) + 0.5) * bucket_width_;
-    }
-  }
-  return static_cast<double>(counts_.size()) * bucket_width_;
 }
 
 }  // namespace tm2c

@@ -81,14 +81,11 @@ class LatencySampler {
     samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
   }
 
-  // Nearest-rank percentile, q in [0,1]: the smallest sample such that at
-  // least ceil(q * count) samples are <= it. Percentile(0) is the minimum,
-  // Percentile(1) the maximum; 0.0 when no samples were recorded.
-  double Percentile(double q) const;
-
-  // Several percentiles from one sort of one copy — what the bench
-  // reporter uses for p50/p95/p99 so large sample sets are not re-copied
-  // per quantile.
+  // Nearest-rank percentiles, each q in [0,1] (clamped): the smallest
+  // sample such that at least ceil(q * count) samples are <= it. q = 0 is
+  // the minimum, q = 1 the maximum; 0.0 when no samples were recorded.
+  // One sort of one copy serves every q, so the bench reporter's
+  // p50/p95/p99 do not re-copy large sample sets.
   std::vector<double> Percentiles(const std::vector<double>& qs) const;
 
   uint64_t count() const { return acc_.count(); }
@@ -100,35 +97,6 @@ class LatencySampler {
  private:
   StatAccumulator acc_;
   std::vector<double> samples_;
-};
-
-// Fixed-bucket histogram over [0, bucket_width * num_buckets); out-of-range
-// samples land in the last (overflow) bucket.
-class Histogram {
- public:
-  Histogram(double bucket_width, size_t num_buckets)
-      : bucket_width_(bucket_width), counts_(num_buckets + 1, 0) {}
-
-  void Add(double x) {
-    size_t idx = x < 0 ? 0 : static_cast<size_t>(x / bucket_width_);
-    if (idx >= counts_.size() - 1) {
-      idx = counts_.size() - 1;
-    }
-    ++counts_[idx];
-    ++total_;
-  }
-
-  // Value below which `q` (in [0,1]) of the samples fall; linear in buckets.
-  double Quantile(double q) const;
-
-  uint64_t total() const { return total_; }
-  const std::vector<uint64_t>& counts() const { return counts_; }
-  double bucket_width() const { return bucket_width_; }
-
- private:
-  double bucket_width_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 }  // namespace tm2c

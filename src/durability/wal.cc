@@ -24,28 +24,64 @@ uint32_t LoadU32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = v << 8 | p[i];
+void StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
   }
-  return v;
 }
 
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+void StoreWords(const uint64_t* words, uint64_t n, uint8_t* p) {
+  for (uint64_t w = 0; w < n; ++w, p += sizeof(uint64_t)) {
+    for (int i = 0; i < 8; ++i) {
+      p[i] = static_cast<uint8_t>(words[w] >> (8 * i));
+    }
   }
 }
 
 }  // namespace
+
+void AppendFrame(const uint64_t* head, uint64_t head_words, const uint64_t* tail,
+                 uint64_t tail_words, std::vector<uint8_t>* out) {
+  const uint64_t len = (head_words + tail_words) * sizeof(uint64_t);
+  TM2C_CHECK(len > 0 && len <= UINT32_MAX);
+  const size_t start = out->size();
+  out->resize(start + kWalFrameOverheadBytes + len);
+  uint8_t* frame = out->data() + start;
+  uint8_t* payload = frame + kWalFrameOverheadBytes;
+  StoreWords(head, head_words, payload);
+  StoreWords(tail, tail_words, payload + head_words * sizeof(uint64_t));
+  StoreU32(frame, static_cast<uint32_t>(len));
+  StoreU32(frame + 4, Crc32(payload, len));
+}
+
+FrameState CheckFrame(const uint8_t* bytes, uint64_t size, uint64_t min_len, uint64_t max_len,
+                      uint64_t* payload_len) {
+  if (size < kWalFrameOverheadBytes) {
+    return FrameState::kShort;
+  }
+  const uint64_t len = LoadU32(bytes);
+  if (len < min_len || len > max_len || len % sizeof(uint64_t) != 0) {
+    // A complete header with an impossible length: corruption, not a torn
+    // append (the writer never frames such a payload).
+    return FrameState::kCorrupt;
+  }
+  *payload_len = len;
+  if (size < kWalFrameOverheadBytes + len) {
+    return FrameState::kShort;
+  }
+  return Crc32(bytes + kWalFrameOverheadBytes, len) == LoadU32(bytes + 4) ? FrameState::kComplete
+                                                                          : FrameState::kCorrupt;
+}
+
+void LoadFrameWords(const uint8_t* bytes, uint64_t n, uint64_t* out) {
+  for (uint64_t w = 0; w < n; ++w, bytes += sizeof(uint64_t)) {
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) {
+      v = v << 8 | bytes[i];
+    }
+    out[w] = v;
+  }
+}
 
 uint32_t Crc32(const uint8_t* data, uint64_t size) {
   // Table-driven CRC-32 (IEEE, reflected polynomial 0xEDB88320).
@@ -112,9 +148,7 @@ WalRecord WalRecords::Iterator::operator*() const {
   const uint8_t* bytes = chunk_.data() + (offset_ + kWalFrameOverheadBytes - chunk_start_);
   WalRecord record;
   record.payload.resize(payload_ / sizeof(uint64_t));
-  for (uint64_t w = 0; w < record.payload.size(); ++w) {
-    record.payload[w] = LoadU64(bytes + w * sizeof(uint64_t));
-  }
+  LoadFrameWords(bytes, record.payload.size(), record.payload.data());
   return record;
 }
 
@@ -136,24 +170,17 @@ WalReadResult WalRecords::Scan(WalRecords source, uint64_t size) {
   Iterator frame(&source, kWalHeaderBytes);
   while (frame.offset_ < size) {
     const uint64_t remaining = size - frame.offset_;
-    if (remaining < kWalFrameOverheadBytes) {
-      result.torn_tail = true;
-      break;
+    // The header first: its length tells how far the frame reaches.
+    uint64_t len = 0;
+    const uint64_t head = std::min(remaining, kWalFrameOverheadBytes);
+    FrameState state = CheckFrame(frame.Fill(head, size), head, sizeof(uint64_t), UINT32_MAX, &len);
+    if (state == FrameState::kShort && remaining >= kWalFrameOverheadBytes + len) {
+      const uint64_t whole = kWalFrameOverheadBytes + len;
+      state = CheckFrame(frame.Fill(whole, size), whole, sizeof(uint64_t), UINT32_MAX, &len);
     }
-    const uint64_t len = LoadU32(frame.Fill(kWalFrameOverheadBytes, size));
-    if (len == 0 || len % sizeof(uint64_t) != 0) {
-      // A complete header with an impossible length: corruption, not a
-      // torn append (the writer never frames such a payload).
-      result.crc_mismatch = true;
-      break;
-    }
-    if (remaining < kWalFrameOverheadBytes + len) {
-      result.torn_tail = true;
-      break;
-    }
-    const uint8_t* bytes = frame.Fill(kWalFrameOverheadBytes + len, size);
-    if (Crc32(bytes + kWalFrameOverheadBytes, len) != LoadU32(bytes + 4)) {
-      result.crc_mismatch = true;
+    if (state != FrameState::kComplete) {
+      result.torn_tail = state == FrameState::kShort;
+      result.crc_mismatch = state == FrameState::kCorrupt;
       break;
     }
     ++source.count_;
@@ -254,26 +281,14 @@ Wal::~Wal() {
 }
 
 uint64_t Wal::Append(const uint64_t* payload, uint64_t words) {
-  TM2C_CHECK(words > 0);
-  std::vector<uint8_t> frame;
-  frame.reserve(kWalFrameOverheadBytes + words * sizeof(uint64_t));
-  AppendU32(&frame, static_cast<uint32_t>(words * sizeof(uint64_t)));
-  frame.resize(kWalFrameOverheadBytes);  // CRC patched below
-  for (uint64_t w = 0; w < words; ++w) {
-    AppendU64(&frame, payload[w]);
+  bytes_ += kWalFrameOverheadBytes + words * sizeof(uint64_t);
+  if (file_ == nullptr) {
+    AppendFrame(payload, words, nullptr, 0, &image_);
+    return appended_records_++;
   }
-  const uint32_t crc =
-      Crc32(frame.data() + kWalFrameOverheadBytes, words * sizeof(uint64_t));
-  frame[4] = static_cast<uint8_t>(crc);
-  frame[5] = static_cast<uint8_t>(crc >> 8);
-  frame[6] = static_cast<uint8_t>(crc >> 16);
-  frame[7] = static_cast<uint8_t>(crc >> 24);
-  if (file_ != nullptr) {
-    TM2C_CHECK(std::fwrite(frame.data(), 1, frame.size(), file_) == frame.size());
-  } else {
-    image_.insert(image_.end(), frame.begin(), frame.end());
-  }
-  bytes_ += frame.size();
+  frame_.clear();
+  AppendFrame(payload, words, nullptr, 0, &frame_);
+  TM2C_CHECK(std::fwrite(frame_.data(), 1, frame_.size(), file_) == frame_.size());
   return appended_records_++;
 }
 

@@ -5,6 +5,10 @@
 //
 //   [u32 payload_len_bytes][u32 crc32(payload)][payload: len/8 u64 words]
 //
+// all little-endian. AppendFrame and CheckFrame below are the one codec
+// for this frame: the WAL's records and the wire codec's messages
+// (src/runtime/wire.h) are both framed by them.
+//
 // The writer (Wal) keeps the image in memory, or, given a backing file,
 // only in that file: a file-backed log's memory does not grow with it.
 // Flush() advances the durable watermark (durable_records / durable_bytes):
@@ -41,6 +45,26 @@ constexpr uint64_t kWalFrameOverheadBytes = 8;
 
 // CRC-32 (IEEE 802.3 polynomial, reflected), over a byte range.
 uint32_t Crc32(const uint8_t* data, uint64_t size);
+
+// Appends one frame to `out` whose payload is the `head_words` words at
+// `head`, then the `tail_words` words at `tail`.
+void AppendFrame(const uint64_t* head, uint64_t head_words, const uint64_t* tail,
+                 uint64_t tail_words, std::vector<uint8_t>* out);
+
+enum class FrameState : uint8_t {
+  kComplete,  // the whole frame is there and its CRC matches
+  kShort,     // the bytes end inside the frame: a torn tail, or more to come
+  kCorrupt,   // a length outside the caller's bounds or not whole words, or a bad CRC
+};
+
+// Checks the frame at the start of `bytes`, of which `size` are readable,
+// against the caller's bounds on its payload length. Sets *payload_len as
+// soon as the length word is readable and in bounds.
+FrameState CheckFrame(const uint8_t* bytes, uint64_t size, uint64_t min_len, uint64_t max_len,
+                      uint64_t* payload_len);
+
+// Reads `n` words from a frame's payload bytes.
+void LoadFrameWords(const uint8_t* bytes, uint64_t n, uint64_t* out);
 
 struct WalRecord {
   std::vector<uint64_t> payload;
@@ -174,6 +198,7 @@ class Wal {
   WalReadResult Init();
   Options options_;
   std::vector<uint8_t> image_;
+  std::vector<uint8_t> frame_;  // a file-backed Append's frame, reused
   std::FILE* file_ = nullptr;
   uint64_t bytes_ = kWalHeaderBytes;  // appended, header included
   uint64_t appended_records_ = 0;

@@ -5,13 +5,15 @@
 // same surface —
 // install per-core mains, run them, and hand out CoreEnv/shared-memory
 // handles — so everything above the transport (TmSystem, the benches, the
-// examples) can be written once and pointed at either. SystemBackend is
-// that surface. The simulator reports simulated time; the thread backend
-// reports wall-clock time, which is what makes native bench rows directly
-// comparable to real hardware.
+// examples) can be written once and pointed at any of them. SystemBackend
+// is that surface. The simulator reports simulated time; the native
+// backends report wall-clock time, which is what makes native bench rows
+// directly comparable to real hardware. Its partition hooks default to a
+// backend that never restarts a partition; only processes overrides them.
 #ifndef TM2C_SRC_RUNTIME_BACKEND_H_
 #define TM2C_SRC_RUNTIME_BACKEND_H_
 
+#include <functional>
 #include <string>
 
 #include "src/common/check.h"
@@ -75,9 +77,41 @@ class SystemBackend {
   virtual SharedMemory& shmem() = 0;
   virtual ShmAllocator& allocator() = 0;
 
+  virtual BackendKind kind() const = 0;
   // True for the simulator: time is modelled, runs are deterministic, and
   // one host thread runs everything.
-  virtual bool is_simulated() const = 0;
+  bool is_simulated() const { return kind() == BackendKind::kSim; }
+
+  // --- Partition restarts: set up before Run ---
+
+  // Base of the per-core abort-status words (TmConfig::abort_status_base),
+  // where a restart's fence publishes its revocations.
+  virtual void SetAbortStatusBase(uint64_t base) { (void)base; }
+
+  // Runs in a standby server once it replaces a killed one, before its
+  // service main: recovers the partition's log.
+  virtual void SetStandbyStart(std::function<void(uint32_t partition)> hook) { (void)hook; }
+
+  // The partition's write-ahead log file, or empty to keep the log in
+  // memory: a log outlives its server only on disk.
+  virtual std::string LogPath(uint32_t partition) const {
+    (void)partition;
+    return {};
+  }
+
+  // Kills the partition's server mid-run; its standby takes over.
+  virtual void KillPartition(uint32_t partition) {
+    (void)partition;
+    const std::string msg = std::string("KillPartition: the ") + BackendKindName(kind()) +
+                            " backend never restarts a partition (processes does)";
+    TM2C_FATAL(msg.c_str());
+  }
+
+  // Times the partition's server was replaced so far.
+  virtual uint32_t restarts(uint32_t partition) {
+    (void)partition;
+    return 0;
+  }
 };
 
 }  // namespace tm2c

@@ -268,6 +268,11 @@ void ProcessSystem::KillPartition(uint32_t partition) {
   // death protocol.
 }
 
+std::string ProcessSystem::LogPath(uint32_t partition) const {
+  TM2C_CHECK_MSG(!config_.run_dir.empty(), "durable processes need run_dir");
+  return config_.run_dir + "/part" + std::to_string(partition) + ".wal";
+}
+
 uint32_t ProcessSystem::restarts(uint32_t partition) {
   return parts_[partition]->generation.load(std::memory_order_acquire);
 }

@@ -66,8 +66,9 @@ struct ProcessSystemConfig {
   uint32_t num_cores = 4;
   uint32_t num_service = 2;
   uint64_t shmem_bytes = 4ull << 20;
-  // Unused: the servers' sockets are anonymous pairs. The field stays only
-  // because the benchmark harness (bench/e2e) still assigns it.
+  // Directory of the partitions' WAL files (LogPath): required once a log
+  // is asked for, and unused without one. The servers' sockets are
+  // anonymous pairs.
   std::string run_dir;
 };
 
@@ -97,31 +98,33 @@ class ProcessSystem : public SystemBackend, private ServiceLinks {
   const DeploymentPlan& deployment() const override { return shared_.plan; }
   SharedMemory& shmem() override { return *shared_.shmem; }
   ShmAllocator& allocator() override { return *shared_.allocator; }
-  bool is_simulated() const override { return false; }
+  BackendKind kind() const override { return BackendKind::kProcesses; }
   const ProcessSystemConfig& config() const { return config_; }
 
-  // --- process-specific surface (wired up by TmSystem before Run) ---
+  // --- Partition restarts (set up by TmSystem before Run) ---
+
+  // The restart fence publishes revocations in these words the way
+  // contention managers do. Unset: it relies on kAbortNotify alone.
+  void SetAbortStatusBase(uint64_t base) override { abort_status_base_ = base; }
 
   // Runs in a standby's process once it is activated to replace a killed
   // primary, before its service main: the hook recovers the partition's
   // WAL and primes the service's recovered-commit table.
-  void SetStandbyStart(std::function<void(uint32_t partition)> hook) {
+  void SetStandbyStart(std::function<void(uint32_t partition)> hook) override {
     standby_start_ = std::move(hook);
   }
 
-  // Base of the per-core abort-status words (TmConfig::abort_status_base)
-  // so the restart fence can publish revocations the same way contention
-  // managers do. Unset: the fence relies on kAbortNotify delivery alone.
-  void SetAbortStatusBase(uint64_t base) { abort_status_base_ = base; }
+  // run_dir/part<p>.wal: the standby recovers the log its primary wrote.
+  std::string LogPath(uint32_t partition) const override;
 
   // SIGKILLs the partition's current server process mid-run. The partition
   // router detects the death, activates the cold standby, and resumes; a
   // second kill of the same partition is fatal (one standby each).
-  void KillPartition(uint32_t partition);
+  void KillPartition(uint32_t partition) override;
 
   // Times the partition's server was killed and replaced so far (its
   // generation: one standby each).
-  uint32_t restarts(uint32_t partition);
+  uint32_t restarts(uint32_t partition) override;
 
  private:
   // Server generations per partition: the primary and one cold standby.

@@ -69,7 +69,7 @@ class SimSystem : public SystemBackend {
   SharedMemory& shmem() override { return *shmem_; }
   ShmAllocator& allocator() override { return *allocator_; }
   const SimSystemConfig& config() const { return config_; }
-  bool is_simulated() const override { return true; }
+  BackendKind kind() const override { return BackendKind::kSim; }
 
  private:
   class Core;  // CoreEnv implementation

@@ -233,12 +233,13 @@ void ThreadSystem::SetCoreMain(uint32_t core, CoreMain main) {
   cores_[core]->main = std::move(main);
 }
 
-void ThreadSystem::SendShutdown(uint32_t core) {
+void ThreadSystem::RequestShutdown(uint32_t core) {
   TM2C_CHECK(core < cores_.size());
   shared_.bell(core).RaiseShutdown();
 }
 
-void ThreadSystem::RunToCompletion() {
+SimTime ThreadSystem::Run(SimTime /*until*/) {
+  const SimTime start = HostNowPs();
   std::vector<std::thread> threads;
   threads.reserve(cores_.size());
   for (auto& core : cores_) {
@@ -264,11 +265,6 @@ void ThreadSystem::RunToCompletion() {
   for (auto& t : threads) {
     t.join();
   }
-}
-
-SimTime ThreadSystem::Run(SimTime /*until*/) {
-  const SimTime start = HostNowPs();
-  RunToCompletion();
   return HostNowPs() - start;
 }
 

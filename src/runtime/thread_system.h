@@ -237,26 +237,21 @@ class ThreadSystem : public SystemBackend {
   void SetCoreMain(uint32_t core, CoreMain main) override;
 
   // Spawns one thread per core, runs every core's main to completion, and
-  // joins. Mains that loop forever (service loops) must exit on a
-  // kShutdown message; SendShutdown() delivers those.
-  void RunToCompletion();
-
-  // SystemBackend: RunToCompletion measured on the host clock. `until` is
-  // ignored — thread mains bound their own work.
+  // joins; returns the wall-clock picoseconds that took. `until` is
+  // ignored — thread mains bound their own work. Mains that loop forever
+  // (service loops) must exit on a kShutdown message; RequestShutdown
+  // delivers those.
   SimTime Run(SimTime until) override;
 
-  // Delivers kShutdown to the given core (typically service cores, after
-  // the app cores' mains have returned). Callable from any thread: it
-  // raises the core's shutdown word, not a ring, so it never violates
-  // their single-producer contract.
-  void SendShutdown(uint32_t core);
-  void RequestShutdown(uint32_t core) override { SendShutdown(core); }
+  // Callable from any thread: it raises the core's shutdown word, not a
+  // ring, so it never violates the rings' single-producer contract.
+  void RequestShutdown(uint32_t core) override;
 
   CoreEnv& env(uint32_t core) override;
   const DeploymentPlan& deployment() const override { return shared_.plan; }
   SharedMemory& shmem() override { return *shared_.shmem; }
   ShmAllocator& allocator() override { return *shared_.allocator; }
-  bool is_simulated() const override { return false; }
+  BackendKind kind() const override { return BackendKind::kThreads; }
   const ThreadSystemConfig& config() const { return config_; }
 
  private:

@@ -12,7 +12,8 @@
 // spsc_channel.h) store exactly these words: shared memory neither tears
 // nor reorders them, so a ring record needs no framing. The byte-stream
 // frame codec below wraps the same payload, as little-endian bytes, in the
-// WAL framing discipline (and its CRC-32) from src/durability/wal.cc:
+// WAL's frame, written and checked by the WAL's own codec
+// (src/durability/wal.h's AppendFrame and CheckFrame):
 //
 //   [u32 payload_len_bytes][u32 crc32(payload)][payload: len/8 u64 words]
 //
@@ -76,9 +77,6 @@ inline uint64_t DecodeWirePrologue(const uint64_t in[kWireFixedPayloadWords], Me
 
 // Appends the encoded frame for (dst, msg) to `out`.
 void EncodeFrame(uint32_t dst, const Message& msg, std::vector<uint8_t>* out);
-
-// Convenience: one message as its own byte vector.
-std::vector<uint8_t> EncodeMessage(uint32_t dst, const Message& msg);
 
 enum class WireDecodeStatus : uint8_t {
   kOk = 0,        // one frame decoded

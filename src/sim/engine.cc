@@ -7,7 +7,6 @@ namespace tm2c {
 size_t SimEngine::AddActor(std::function<void()> body, size_t stack_size) {
   TM2C_CHECK_MSG(!started_, "AddActor after Run()");
   auto actor = std::make_unique<Actor>();
-  actor->index = actors_.size();
   actor->fiber = std::make_unique<Fiber>(std::move(body), stack_size);
   actors_.push_back(std::move(actor));
   return actors_.size() - 1;
@@ -96,11 +95,6 @@ bool SimEngine::ActorBlocked(size_t idx) const {
   TM2C_CHECK(idx < actors_.size());
   const Actor* actor = actors_[idx].get();
   return actor->blocked && !actor->wake_pending;
-}
-
-size_t SimEngine::CurrentActor() const {
-  TM2C_CHECK_MSG(running_ != nullptr, "CurrentActor outside an actor fiber");
-  return running_->index;
 }
 
 }  // namespace tm2c

@@ -100,9 +100,6 @@ class SimEngine {
   // is already in flight.
   bool ActorBlocked(size_t idx) const;
 
-  // Index of the actor currently executing; checked error outside fibers.
-  size_t CurrentActor() const;
-
   SimTime now() const { return now_; }
   size_t num_actors() const { return actors_.size(); }
   uint64_t events_executed() const { return events_executed_; }
@@ -117,7 +114,6 @@ class SimEngine {
     std::unique_ptr<Fiber> fiber;
     bool blocked = false;        // parked in BlockCurrent
     bool wake_pending = false;   // a wake event is in flight
-    size_t index = 0;
   };
 
   struct Event {

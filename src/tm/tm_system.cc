@@ -1,6 +1,7 @@
 #include "src/tm/tm_system.h"
 
 #include "src/common/check.h"
+#include "src/runtime/process_system.h"
 
 namespace tm2c {
 namespace {
@@ -9,6 +10,8 @@ std::unique_ptr<SystemBackend> MakeBackend(const TmSystemConfig& config) {
   if (config.backend == BackendKind::kSim) {
     return std::make_unique<SimSystem>(config.sim);
   }
+  TM2C_CHECK_MSG(!config.sim.chaos.any(),
+                 "sim.chaos perturbs the simulator's schedule; native backends have none");
   if (config.backend == BackendKind::kProcesses) {
     TM2C_CHECK_MSG(config.sim.strategy == DeployStrategy::kDedicated,
                    "the process backend is dedicated-only (a partition server "
@@ -18,6 +21,7 @@ std::unique_ptr<SystemBackend> MakeBackend(const TmSystemConfig& config) {
     pcfg.num_cores = config.sim.num_cores;
     pcfg.num_service = config.sim.num_service;
     pcfg.shmem_bytes = config.sim.shmem_bytes;
+    pcfg.run_dir = config.run_dir;
     return std::make_unique<ProcessSystem>(pcfg);
   }
   ThreadSystemConfig tcfg;
@@ -49,6 +53,7 @@ TmSystem::TmSystem(TmSystemConfig config)
       system_->shmem().StoreWord(config_.tm.abort_status_base + c * kWordBytes, 0);
     }
   }
+  system_->SetAbortStatusBase(config_.tm.abort_status_base);
   bodies_.resize(plan.num_app());
   apps_running_.store(plan.num_app(), std::memory_order_relaxed);
 
@@ -66,12 +71,7 @@ TmSystem::TmSystem(TmSystemConfig config)
         PartitionDurability::Options opts;
         opts.mode = config_.tm.durability;
         opts.checkpoint_every_records = config_.tm.checkpoint_every_records;
-        if (config_.backend == BackendKind::kProcesses) {
-          // The log must survive the server process: back it with a file
-          // in the run directory so a restarted standby can recover it.
-          TM2C_CHECK_MSG(!config_.run_dir.empty(), "durable processes need run_dir");
-          opts.path = config_.run_dir + "/part" + std::to_string(p) + ".wal";
-        }
+        opts.path = system_->LogPath(p);
         durability_.push_back(std::make_unique<PartitionDurability>(p, opts));
         service->AttachDurability(durability_.back().get());
       }
@@ -92,8 +92,11 @@ TmSystem::TmSystem(TmSystemConfig config)
         OnAppBodyDone();
       });
     }
-    if (config_.backend == BackendKind::kProcesses) {
-      WireProcessBackend();
+    if (!durability_.empty()) {
+      system_->SetStandbyStart([this](uint32_t partition) {
+        services_[partition]->SetRecoveredCommits(
+            durability_[partition]->RecoverFromBackingFile());
+      });
     }
     return;
   }
@@ -133,16 +136,6 @@ TmSystem::TmSystem(TmSystemConfig config)
         }
         TM2C_CHECK(services_[i]->HandleMessage(msg));
       }
-    });
-  }
-}
-
-void TmSystem::WireProcessBackend() {
-  auto* proc = static_cast<ProcessSystem*>(system_.get());
-  proc->SetAbortStatusBase(config_.tm.abort_status_base);
-  if (!durability_.empty()) {
-    proc->SetStandbyStart([this](uint32_t partition) {
-      services_[partition]->SetRecoveredCommits(durability_[partition]->RecoverFromBackingFile());
     });
   }
 }
@@ -235,12 +228,6 @@ SimTime TmSystem::Run(SimTime until) {
     logs_->Replay();
   }
   return elapsed;
-}
-
-ProcessSystem& TmSystem::process() {
-  TM2C_CHECK_MSG(config_.backend == BackendKind::kProcesses,
-                 "process() is only valid on the process backend");
-  return static_cast<ProcessSystem&>(*system_);
 }
 
 DtmServiceStats TmSystem::ServiceStats(uint32_t partition) const {

@@ -20,7 +20,6 @@
 
 #include "src/durability/partition_log.h"
 #include "src/runtime/backend.h"
-#include "src/runtime/process_system.h"
 #include "src/runtime/sim_system.h"
 #include "src/runtime/thread_system.h"
 #include "src/tm/address_map.h"
@@ -42,9 +41,9 @@ struct TmSystemConfig {
   // harness (bench/e2e/workloads.cc) assigns it.
   ChannelKind channel = ChannelKind::kSpscRing;
   bool pin_threads = false;
-  // Process backend with durability on: directory for the per-partition
-  // WAL backing files. Required there, ignored elsewhere. Pass a fresh
-  // per-run (temp) directory.
+  // Directory for the per-partition WAL files of a backend whose logs
+  // outlive their servers (SystemBackend::LogPath): required by durable
+  // processes, ignored elsewhere. Pass a fresh per-run (temp) directory.
   std::string run_dir;
 };
 
@@ -88,20 +87,13 @@ class TmSystem {
   // once every core has stopped.
   void AttachTrace(TxTraceSink* trace);
 
-  // Backend-agnostic handles (work under sim and threads alike).
+  // Backend-agnostic handles (work on every backend). Partition restarts
+  // go through system(): KillPartition, restarts.
   SystemBackend& system() { return *system_; }
   const DeploymentPlan& deployment() const { return system_->deployment(); }
   SharedMemory& shmem() { return system_->shmem(); }
   ShmAllocator& allocator() { return system_->allocator(); }
   BackendKind backend() const { return config_.backend; }
-
-  // Process-specific handle (kill/restart chaos). Checked: only valid when
-  // backend() == BackendKind::kProcesses.
-  ProcessSystem& process();
-
-  // SIGKILLs the partition's server process mid-run (process backend
-  // only); its cold standby recovers the partition from the WAL.
-  void KillPartition(uint32_t partition) { process().KillPartition(partition); }
 
   // Post-run service-side counters: ServiceAt(p).stats(), read from the
   // block the partition's service core writes (src/tm/dtm_service.h) on
@@ -130,10 +122,6 @@ class TmSystem {
   // Called by every app core main after its body returns; under the thread
   // backend the last one shuts down the cores still blocked in Recv.
   void OnAppBodyDone();
-
-  // Installs the process backend's hooks: the abort-status fence, and the
-  // WAL recovery a standby runs when it replaces a killed primary.
-  void WireProcessBackend();
 
   TmSystemConfig config_;
   std::unique_ptr<SystemBackend> system_;

@@ -10,9 +10,11 @@
 // deliberately NOT part of the TSan-labelled suites.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/apps/kvstore.h"
 #include "src/apps/ordered_index.h"
@@ -28,13 +30,19 @@ struct RunResult {
   uint64_t commits = 0;
   uint64_t counter_sum = 0;
   bool tables_empty = false;
+  uint64_t batch_messages = 0;
+  // With `privatize`: the counter sum each app core read, indexed by app.
+  std::vector<uint64_t> private_sums;
 };
 
 // Fixed work per app core: every core performs kIncsPerCore transactional
 // increments spread over kAccounts shared words. Commit count is workload-
 // determined (every increment eventually commits), so it must match across
-// backends exactly; the final memory state likewise.
-RunResult RunCounterWorkload(TmSystemConfig cfg) {
+// backends exactly; the final memory state likewise. With `privatize`,
+// each increment first prefetches its word (Tx::Prefetch), and each core
+// then meets the others at a PrivatizationBarrier and reads the counters
+// without a transaction.
+RunResult RunCounterWorkload(TmSystemConfig cfg, bool privatize = false) {
   constexpr uint32_t kAccounts = 16;
   constexpr int kIncsPerCore = 200;
   TmSystem sys(cfg);
@@ -42,16 +50,34 @@ RunResult RunCounterWorkload(TmSystemConfig cfg) {
   for (uint32_t a = 0; a < kAccounts; ++a) {
     sys.shmem().StoreWord(base + a * kWordBytes, 0);
   }
-  sys.SetAllAppBodies([base](CoreEnv& env, TxRuntime& rt) {
-    Rng rng(env.core_id() * 97 + 13);
-    for (int k = 0; k < kIncsPerCore; ++k) {
-      const uint64_t addr = base + rng.NextBelow(kAccounts) * kWordBytes;
-      rt.Execute([addr](Tx& tx) { tx.Write(addr, tx.Read(addr) + 1); });
-    }
-  });
-  sys.Run();
   RunResult result;
+  result.private_sums.assign(privatize ? sys.num_app_cores() : 0, 0);
+  for (uint32_t i = 0; i < sys.num_app_cores(); ++i) {
+    sys.SetAppBody(i, [base, privatize, i, &result](CoreEnv& env, TxRuntime& rt) {
+      Rng rng(env.core_id() * 97 + 13);
+      for (int k = 0; k < kIncsPerCore; ++k) {
+        const uint64_t addr = base + rng.NextBelow(kAccounts) * kWordBytes;
+        rt.Execute([addr, privatize](Tx& tx) {
+          if (privatize) {
+            tx.Prefetch({addr});
+          }
+          tx.Write(addr, tx.Read(addr) + 1);
+        });
+      }
+      if (privatize) {
+        rt.PrivatizationBarrier();
+        for (uint32_t a = 0; a < kAccounts; ++a) {
+          result.private_sums[i] += env.ShmemRead(base + a * kWordBytes);
+        }
+      }
+    });
+  }
+  if (sys.durability_enabled()) {
+    sys.CaptureDurableCheckpoint0();
+  }
+  sys.Run();
   result.commits = sys.MergedStats().commits;
+  result.batch_messages = sys.MergedStats().batch_messages;
   for (uint32_t a = 0; a < kAccounts; ++a) {
     result.counter_sum += sys.shmem().LoadWord(base + a * kWordBytes);
   }
@@ -252,23 +278,33 @@ TEST(BackendIdentity, KvStoreContentsIdenticalAcrossMidRunMigration) {
   ExpectOneCleanHandoff(proc.history);
 }
 
-// The planted fault: partition 0's server opens the drain window and keeps
-// granting in it. Its grant and migration events reach the host from the
-// forked server, and the migration oracle flags every seed.
-TEST(BackendIdentity, GrantDuringMigrationIsFlaggedOnProcesses) {
-  TmSystemConfig cfg = ProcessConfig();
+// The planted fault: partition 0's service opens the drain window and keeps
+// granting in it, and the migration oracle flags every seed.
+void ExpectGrantDuringMigrationFlagged(TmSystemConfig cfg) {
   cfg.tm.fault = FaultMode::kGrantDuringMigration;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    const KvRunResult proc = RunKvWorkload(cfg, /*migrate=*/true, seed);
-    EXPECT_EQ(proc.migrations_completed, 0u) << "seed " << seed;
+    const KvRunResult run = RunKvWorkload(cfg, /*migrate=*/true, seed);
+    EXPECT_EQ(run.migrations_completed, 0u) << "seed " << seed;
     OracleReport report;
-    CheckMigrationHistory(proc.history, &report);
+    CheckMigrationHistory(run.history, &report);
     bool flagged = false;
     for (const OracleViolation& v : report.violations) {
       flagged = flagged || v.kind == "grant-during-migration";
     }
     EXPECT_TRUE(flagged) << "seed " << seed << ": " << report.Summary();
   }
+}
+
+// The server's grant and migration events reach the host from the forked
+// process.
+TEST(BackendIdentity, GrantDuringMigrationIsFlaggedOnProcesses) {
+  ExpectGrantDuringMigrationFlagged(ProcessConfig());
+}
+
+TEST(BackendIdentity, GrantDuringMigrationIsFlaggedOnThreads) {
+  TmSystemConfig cfg = BaseConfig();
+  cfg.backend = BackendKind::kThreads;
+  ExpectGrantDuringMigrationFlagged(cfg);
 }
 
 // AllLockTablesEmpty is the end-of-run leak check, so it must be able to
@@ -400,6 +436,109 @@ TEST(BackendIdentity, OrderedIndexIdenticalContentsAcrossAllThreeBackends) {
   EXPECT_TRUE(proc.structure_problems.empty());
 }
 
+// Tx::Prefetch's pipelined batches and the Section 8 privatization
+// barrier, which app cores reach by messaging each other, on every
+// backend: past the barrier, each core reads every core's increments.
+TEST(BackendIdentity, PrefetchAndPrivatizationBarrierRunOnEveryBackend) {
+  for (const BackendKind backend :
+       {BackendKind::kSim, BackendKind::kThreads, BackendKind::kProcesses}) {
+    TmSystemConfig cfg = BaseConfig();
+    cfg.backend = backend;
+    cfg.tm.max_batch = 8;
+    cfg.tm.pipeline_depth = 4;
+    const RunResult run = RunCounterWorkload(cfg, /*privatize=*/true);
+    const char* name = BackendKindName(backend);
+    EXPECT_EQ(run.commits, 2u * 200) << name;
+    EXPECT_EQ(run.counter_sum, 2u * 200) << name;
+    EXPECT_EQ(run.private_sums, (std::vector<uint64_t>{400, 400})) << name;
+    EXPECT_GT(run.batch_messages, 0u) << name;
+    EXPECT_TRUE(run.tables_empty) << name;
+  }
+}
+
+// Each TmSystemConfig knob the native backends honour, through the counter
+// workload: on threads and on processes a variant commits what it commits
+// on the simulator, once per increment. The multitasked deployment is the
+// simulator's and the threads backend's alone, and durable processes need
+// a run directory (the ProcessKill suite runs them). Without a contention
+// manager this workload livelocks on the simulator, as
+// TmConcurrency.NoCmLivelocksUnderSymmetricContention shows, so it is
+// left out.
+TEST(BackendIdentity, ConfigVariantsCommitTheSameCounters) {
+  struct Variant {
+    const char* name;
+    std::function<void(TmSystemConfig*)> set;
+  };
+  const std::vector<Variant> variants = {
+      {"backoff-retry", [](TmSystemConfig* c) { c->tm.cm = CmKind::kBackoffRetry; }},
+      {"offset-greedy", [](TmSystemConfig* c) { c->tm.cm = CmKind::kOffsetGreedy; }},
+      {"wholly", [](TmSystemConfig* c) { c->tm.cm = CmKind::kWholly; }},
+      {"eager", [](TmSystemConfig* c) { c->tm.write_acquire = WriteAcquire::kEager; }},
+      {"elastic-early",
+       [](TmSystemConfig* c) {
+         c->tm.tx_mode = TxMode::kElasticEarly;
+         c->tm.elastic_window = 1;
+       }},
+      {"elastic-read", [](TmSystemConfig* c) { c->tm.tx_mode = TxMode::kElasticRead; }},
+      {"stripe-64", [](TmSystemConfig* c) { c->tm.stripe_bytes = 64; }},
+      {"batched", [](TmSystemConfig* c) { c->tm.max_batch = 8; }},
+      {"admission", [](TmSystemConfig* c) { c->tm.overload_high_water = 1; }},
+      {"pinned", [](TmSystemConfig* c) { c->pin_threads = true; }},
+      {"durable",
+       [](TmSystemConfig* c) {
+         c->tm.durability = DurabilityMode::kBuffered;
+         c->tm.group_commit_txs = 4;
+         c->tm.checkpoint_every_records = 16;
+       }},
+      {"multitasked-fast-path",
+       [](TmSystemConfig* c) {
+         c->sim.strategy = DeployStrategy::kMultitasked;
+         c->sim.num_service = 0;
+         c->tm.local_fast_path = true;
+       }},
+  };
+  for (const Variant& v : variants) {
+    TmSystemConfig cfg = BaseConfig();
+    v.set(&cfg);
+    const RunResult sim = RunCounterWorkload(cfg);
+    EXPECT_EQ(sim.counter_sum, sim.commits) << v.name;
+    for (const BackendKind backend : {BackendKind::kThreads, BackendKind::kProcesses}) {
+      if (backend == BackendKind::kProcesses &&
+          (cfg.sim.strategy == DeployStrategy::kMultitasked ||
+           cfg.tm.durability != DurabilityMode::kOff)) {
+        continue;
+      }
+      cfg.backend = backend;
+      const RunResult native = RunCounterWorkload(cfg);
+      const std::string where = std::string(v.name) + " on " + BackendKindName(backend);
+      EXPECT_EQ(native.commits, sim.commits) << where;
+      EXPECT_EQ(native.counter_sum, sim.counter_sum) << where;
+      EXPECT_TRUE(native.tables_empty) << where;
+    }
+  }
+}
+
+// The migration policy loop (migrate_check_every, migrate_hot_threshold)
+// moves hot slabs on its own, at points the timing picks; the store's
+// contents come out as on an unmigrated simulator run.
+TEST(BackendIdentity, KvStoreContentsIdenticalUnderTheMigrationPolicy) {
+  const KvRunResult plain = RunKvWorkload(BaseConfig());
+  for (const BackendKind backend :
+       {BackendKind::kSim, BackendKind::kThreads, BackendKind::kProcesses}) {
+    TmSystemConfig cfg = BaseConfig();
+    cfg.backend = backend;
+    cfg.tm.migrate_check_every = 16;
+    cfg.tm.migrate_hot_threshold = 8;
+    const KvRunResult run = RunKvWorkload(cfg);
+    EXPECT_GE(run.migrations_completed, 1u) << BackendKindName(backend);
+    EXPECT_EQ(run.commits, plain.commits) << BackendKindName(backend);
+    EXPECT_EQ(run.contents, plain.contents) << BackendKindName(backend);
+    OracleReport report;
+    CheckMigrationHistory(run.history, &report);
+    EXPECT_TRUE(report.ok()) << BackendKindName(backend) << ": " << report.Summary();
+  }
+}
+
 TEST(BackendIdentity, ThreadBackendRunReturnsWallClock) {
   TmSystemConfig cfg = BaseConfig();
   cfg.backend = BackendKind::kThreads;
@@ -419,6 +558,55 @@ TEST(BackendIdentity, MultitaskedStrategyRunsOnThreads) {
   const RunResult result = RunCounterWorkload(cfg);
   EXPECT_EQ(result.commits, 4ull * 200);  // all 4 cores are app cores
   EXPECT_EQ(result.counter_sum, 4ull * 200);
+}
+
+// A configuration a backend cannot run is refused when the system is
+// built, and a partition kill where no partition restarts, each with an
+// error that says why.
+TEST(BackendCapabilityDeathTest, MultitaskedDeploymentOnProcessesIsRejected) {
+  TmSystemConfig cfg = ProcessConfig();
+  cfg.sim.strategy = DeployStrategy::kMultitasked;
+  cfg.sim.num_service = 0;
+  EXPECT_DEATH(TmSystem sys(cfg), "the process backend is dedicated-only");
+}
+
+TEST(BackendCapabilityDeathTest, DurabilityUnderMultitaskedIsRejected) {
+  for (const BackendKind backend : {BackendKind::kSim, BackendKind::kThreads}) {
+    TmSystemConfig cfg = BaseConfig();
+    cfg.backend = backend;
+    cfg.sim.strategy = DeployStrategy::kMultitasked;
+    cfg.sim.num_service = 0;
+    cfg.tm.durability = DurabilityMode::kBuffered;
+    EXPECT_DEATH(TmSystem sys(cfg), "durability requires the dedicated deployment")
+        << BackendKindName(backend);
+  }
+}
+
+TEST(BackendCapabilityDeathTest, DurableProcessesWithoutRunDirAreRejected) {
+  TmSystemConfig cfg = ProcessConfig();
+  cfg.tm.durability = DurabilityMode::kBuffered;
+  EXPECT_DEATH(TmSystem sys(cfg), "durable processes need run_dir");
+}
+
+TEST(BackendCapabilityDeathTest, KillPartitionOffProcessesIsRejected) {
+  TmSystemConfig cfg = BaseConfig();
+  cfg.backend = BackendKind::kSim;
+  TmSystem sim(cfg);
+  EXPECT_DEATH(sim.system().KillPartition(0), "KillPartition: the sim backend never restarts");
+  cfg.backend = BackendKind::kThreads;
+  TmSystem threads(cfg);
+  EXPECT_DEATH(threads.system().KillPartition(0),
+               "KillPartition: the threads backend never restarts");
+  EXPECT_EQ(threads.system().restarts(0), 0u);
+}
+
+TEST(BackendCapabilityDeathTest, SimChaosOnNativeBackendsIsRejected) {
+  for (const BackendKind backend : {BackendKind::kThreads, BackendKind::kProcesses}) {
+    TmSystemConfig cfg = BaseConfig();
+    cfg.backend = backend;
+    cfg.sim.chaos.shuffle_ties = true;
+    EXPECT_DEATH(TmSystem sys(cfg), "sim.chaos perturbs the simulator") << BackendKindName(backend);
+  }
 }
 
 }  // namespace

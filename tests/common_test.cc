@@ -155,17 +155,17 @@ TEST(StatAccumulator, MergeOfSingletonsMatchesSequential) {
 TEST(LatencySampler, EmptyIsAllZero) {
   const LatencySampler lat;
   EXPECT_EQ(lat.count(), 0u);
-  EXPECT_DOUBLE_EQ(lat.Percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(lat.Percentile(0.99), 0.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({0.5})[0], 0.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({0.99})[0], 0.0);
   EXPECT_DOUBLE_EQ(lat.mean(), 0.0);
 }
 
 TEST(LatencySampler, SingleSampleIsEveryPercentile) {
   LatencySampler lat;
   lat.Add(7.5);
-  EXPECT_DOUBLE_EQ(lat.Percentile(0.0), 7.5);
-  EXPECT_DOUBLE_EQ(lat.Percentile(0.5), 7.5);
-  EXPECT_DOUBLE_EQ(lat.Percentile(1.0), 7.5);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({0.0})[0], 7.5);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({0.5})[0], 7.5);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({1.0})[0], 7.5);
 }
 
 TEST(LatencySampler, NearestRankPercentiles) {
@@ -182,14 +182,14 @@ TEST(LatencySampler, NearestRankPercentiles) {
   for (const double v : values) {
     lat.Add(v);
   }
-  EXPECT_DOUBLE_EQ(lat.Percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(lat.Percentile(0.50), 50.0);
-  EXPECT_DOUBLE_EQ(lat.Percentile(0.95), 95.0);
-  EXPECT_DOUBLE_EQ(lat.Percentile(0.99), 99.0);
-  EXPECT_DOUBLE_EQ(lat.Percentile(1.0), 100.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({0.0})[0], 1.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({0.50})[0], 50.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({0.95})[0], 95.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({0.99})[0], 99.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({1.0})[0], 100.0);
   // Out-of-range q clamps instead of reading out of bounds.
-  EXPECT_DOUBLE_EQ(lat.Percentile(-1.0), 1.0);
-  EXPECT_DOUBLE_EQ(lat.Percentile(2.0), 100.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({-1.0})[0], 1.0);
+  EXPECT_DOUBLE_EQ(lat.Percentiles({2.0})[0], 100.0);
 }
 
 TEST(LatencySampler, PercentilesMatchesPercentile) {
@@ -202,7 +202,7 @@ TEST(LatencySampler, PercentilesMatchesPercentile) {
   const std::vector<double> batch = lat.Percentiles(qs);
   ASSERT_EQ(batch.size(), qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], lat.Percentile(qs[i]));
+    EXPECT_DOUBLE_EQ(batch[i], lat.Percentiles({qs[i]})[0]);
   }
   const LatencySampler empty;
   EXPECT_EQ(empty.Percentiles({0.5, 0.99}), (std::vector<double>{0.0, 0.0}));
@@ -218,24 +218,8 @@ TEST(LatencySampler, MergeCombinesSamplesAndMoments) {
   a.Merge(b);
   EXPECT_EQ(a.count(), 4u);
   EXPECT_DOUBLE_EQ(a.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(a.Percentile(1.0), 4.0);
-  EXPECT_DOUBLE_EQ(a.Percentile(0.5), 2.0);
-}
-
-TEST(Histogram, QuantileOrdering) {
-  Histogram h(1.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(static_cast<double>(i));
-  }
-  EXPECT_LT(h.Quantile(0.1), h.Quantile(0.9));
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 2.0);
-}
-
-TEST(Histogram, OverflowBucketCatchesLargeSamples) {
-  Histogram h(1.0, 4);
-  h.Add(1000.0);
-  EXPECT_EQ(h.total(), 1u);
-  EXPECT_EQ(h.counts().back(), 1u);
+  EXPECT_DOUBLE_EQ(a.Percentiles({1.0})[0], 4.0);
+  EXPECT_DOUBLE_EQ(a.Percentiles({0.5})[0], 2.0);
 }
 
 TEST(CoreSet, InsertEraseContains) {
@@ -286,32 +270,6 @@ TEST(CoreSet, ForEachVisitsAscending) {
   std::vector<uint32_t> visited;
   s.ForEach([&visited](uint32_t c) { visited.push_back(c); });
   EXPECT_EQ(visited, (std::vector<uint32_t>{1, 40, 64, 99}));
-}
-
-TEST(Histogram, EmptyQuantileIsZero) {
-  const Histogram h(1.0, 10);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 0.0);
-}
-
-// Regression: a low quantile used to report the midpoint of bucket 0 even
-// when every sample sat in a higher bucket (target rank of 0 was satisfied
-// by the empty prefix).
-TEST(Histogram, LowQuantileSkipsEmptyLeadingBuckets) {
-  Histogram h(1.0, 10);
-  h.Add(7.2);
-  h.Add(7.3);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 7.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.01), 7.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 7.5);
-}
-
-TEST(Histogram, QuantileClampsOutOfRangeQ) {
-  Histogram h(1.0, 10);
-  h.Add(2.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(-0.5), 2.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.5), 2.5);
 }
 
 TEST(TextTable, NumFormatsPrecision) {

@@ -190,7 +190,7 @@ SlabRun RunSlabs(const TmSystemConfig& cfg, bool kill, bool migrate) {
         if (migrate) {
           rt.RequestMigration(slab[0], kSlabBytes, 1);
         }
-        sys.KillPartition(0);
+        sys.system().KillPartition(0);
       }
       const uint64_t addr = slab[rng.NextBelow(slab.size())] + rng.NextBelow(8) * kWordBytes;
       const uint64_t add = (uint64_t{env.core_id()} << 32) | (k + 1);
@@ -267,13 +267,11 @@ TEST(ProcessKill, KillWakesEveryAppCoreParkedOnAReply) {
   // cleanly (the router checks at the successor's exit that every request
   // got exactly one answer).
   constexpr uint32_t kCores = 3;
-  const ScopedRunDir dir("parked_kill");
   ProcessSystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = kCores;
   cfg.num_service = 1;
   cfg.shmem_bytes = 1 << 16;
-  cfg.run_dir = dir.path();
   ProcessSystem sys(cfg);
   const uint32_t service = sys.deployment().ServiceCore(0);
   const uint32_t num_app = sys.deployment().num_app();
@@ -359,13 +357,11 @@ TEST(ProcessKill, BackToBackSenderCrossesTheKillWhileAnotherCoreIsParked) {
   // successor's exit that nothing is left over).
   constexpr uint32_t kWindow = 8;
   constexpr uint32_t kRoundsAfterKill = 100;
-  const ScopedRunDir dir("back_to_back_kill");
   ProcessSystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = 3;
   cfg.num_service = 1;
   cfg.shmem_bytes = 1 << 16;
-  cfg.run_dir = dir.path();
   ProcessSystem sys(cfg);
   const uint32_t service = sys.deployment().ServiceCore(0);
   const uint32_t parker = sys.deployment().app_cores()[0];

@@ -4,13 +4,10 @@
 // boundary. Forks real processes, so it carries the `processes` ctest label
 // and stays out of the TSan job.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
-#include <string>
 #include <thread>
 
 #include "src/check/history.h"
@@ -44,14 +41,11 @@ void TimeCostModel(CoreEnv& env, int64_t* charge_ns, int64_t* compute_ns) {
 // The service core times itself in the server process and reports back in
 // an echo reply.
 TEST(ProcessSystem, ChargeModelledIsFreeAndComputeTakesItsTimeOnBothCoreKinds) {
-  std::string dir = ::testing::TempDir() + "tm2c_cost_model_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
   ProcessSystemConfig cfg;
   cfg.platform = MakeSccPlatform(0);
   cfg.num_cores = 2;
   cfg.num_service = 1;
   cfg.shmem_bytes = 1 << 16;
-  cfg.run_dir = dir;
   ProcessSystem sys(cfg);
   const uint32_t service = sys.deployment().ServiceCore(0);
   const uint32_t app = sys.deployment().app_cores()[0];
@@ -86,7 +80,6 @@ TEST(ProcessSystem, ChargeModelledIsFreeAndComputeTakesItsTimeOnBothCoreKinds) {
     sys.RequestShutdown(service);
   });
   sys.Run(UINT64_MAX);
-  std::filesystem::remove_all(dir);
 
   const auto modelled_ns =
       static_cast<int64_t>(cfg.platform.CoreCyclesToPs(kComputeCycles) / kPicosPerNano);
@@ -103,27 +96,17 @@ TEST(ProcessSystem, ChargeModelledIsFreeAndComputeTakesItsTimeOnBothCoreKinds) {
   EXPECT_GE(service_compute_ns, modelled_ns);
 }
 
-// A fresh run directory and a process system of `cores` cores (one
-// partition), removed again at scope exit.
+// A process system of `cores` cores (one partition).
 class ProcessTransport : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "tm2c_transport_XXXXXX";
-    ASSERT_NE(::mkdtemp(dir_.data()), nullptr);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::unique_ptr<ProcessSystem> Make(uint32_t cores) {
     ProcessSystemConfig cfg;
     cfg.platform = MakeSccPlatform(0);
     cfg.num_cores = cores;
     cfg.num_service = 1;
     cfg.shmem_bytes = 1 << 16;
-    cfg.run_dir = dir_;
     return std::make_unique<ProcessSystem>(cfg);
   }
-
-  std::string dir_;
 };
 
 TEST_F(ProcessTransport, PingPongAcrossTheProcessBoundary) {
@@ -281,11 +264,8 @@ TEST_F(ProcessTransport, ShutdownArrivesAfterPendingRingTraffic) {
 // A trace attaches before Run on every backend (the partition servers fork
 // with the event logs they write), so a late one is refused outright.
 TEST(ProcessSystemDeathTest, AttachTraceAfterRunIsRejected) {
-  std::string dir = ::testing::TempDir() + "tm2c_late_trace_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
   TmSystemConfig cfg;
   cfg.backend = BackendKind::kProcesses;
-  cfg.run_dir = dir;
   cfg.sim.platform = MakeSccPlatform(0);
   cfg.sim.num_cores = 2;
   cfg.sim.num_service = 1;
@@ -294,7 +274,6 @@ TEST(ProcessSystemDeathTest, AttachTraceAfterRunIsRejected) {
   sys.Run();
   History history;
   EXPECT_DEATH(sys.AttachTrace(&history), "AttachTrace after Run");
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -190,6 +190,21 @@ TEST(SimSystem, LocalClockSkewIsStable) {
   EXPECT_EQ(offset_a, offset_b);  // constant skew, no drift by default
 }
 
+TEST(SimSystem, ClockDriftMovesTheSkewOverTime) {
+  SimSystemConfig cfg = SmallConfig();
+  cfg.clock_drift_ppm = 1000.0;
+  SimSystem sys(cfg);
+  SimTime offset_a = 0;
+  SimTime offset_b = 0;
+  sys.SetCoreMain(0, [&](CoreEnv& env) {
+    offset_a = env.LocalNow() - env.GlobalNow();
+    env.Compute(100000);
+    offset_b = env.LocalNow() - env.GlobalNow();
+  });
+  sys.Run();
+  EXPECT_NE(offset_a, offset_b);
+}
+
 TEST(SimSystem, ShmemReadWriteThroughEnv) {
   SimSystem sys(SmallConfig());
   uint64_t read_back = 0;

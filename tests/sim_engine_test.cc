@@ -122,16 +122,6 @@ TEST(SimEngine, ActorBlockedReflectsState) {
   EXPECT_FALSE(engine.ActorBlocked(sleeper));
 }
 
-TEST(SimEngine, CurrentActorIdentifiesCaller) {
-  SimEngine engine;
-  std::vector<size_t> seen;
-  for (int i = 0; i < 3; ++i) {
-    engine.AddActor([&engine, &seen]() { seen.push_back(engine.CurrentActor()); });
-  }
-  engine.Run();
-  EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2}));
-}
-
 TEST(SimEngine, RequestStopHaltsLoop) {
   SimEngine engine;
   int ticks = 0;

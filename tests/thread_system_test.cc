@@ -44,7 +44,7 @@ TEST(ThreadSystem, PingPongAcrossRealThreads) {
     env.Send(0, std::move(m));
     answer = env.Recv().w0;
   });
-  sys.RunToCompletion();
+  sys.Run(UINT64_MAX);
   EXPECT_EQ(answer.load(), 42u);
 }
 
@@ -76,12 +76,12 @@ TEST(ThreadSystem, FifoPerSenderReceiverPairUnderLoad) {
       next_from[m.src] = m.w0 + 1;
     }
   });
-  sys.RunToCompletion();
+  sys.Run(UINT64_MAX);
   EXPECT_EQ(violations.load(), 0u);
 }
 
 TEST(ThreadSystem, ShutdownWakesReceiverBlockedInRecv) {
-  // The receiver parks in Recv with nothing in flight; SendShutdown from
+  // The receiver parks in Recv with nothing in flight; RequestShutdown from
   // the harness thread (outside any core) must wake it. Covers the SPSC
   // injection lane and its eventcount wake.
   ThreadSystemConfig cfg = SmallConfig(2);
@@ -107,9 +107,9 @@ TEST(ThreadSystem, ShutdownWakesReceiverBlockedInRecv) {
       std::this_thread::yield();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    sys.SendShutdown(0);
+    sys.RequestShutdown(0);
   });
-  sys.RunToCompletion();
+  sys.Run(UINT64_MAX);
   harness.join();
   EXPECT_TRUE(got_shutdown.load());
 }
@@ -134,7 +134,7 @@ TEST(ThreadSystem, ShutdownArrivesAfterPendingRingTraffic) {
     while (!sender_done.load()) {
       std::this_thread::yield();
     }
-    sys.SendShutdown(0);
+    sys.RequestShutdown(0);
   });
   sys.SetCoreMain(0, [&](CoreEnv& env) {
     // Do not touch the inbox until both the traffic and the shutdown are
@@ -152,7 +152,7 @@ TEST(ThreadSystem, ShutdownArrivesAfterPendingRingTraffic) {
       drained.fetch_add(1);
     }
   });
-  sys.RunToCompletion();
+  sys.Run(UINT64_MAX);
   harness.join();
   EXPECT_EQ(drained.load(), 100u);
 }
@@ -171,7 +171,7 @@ TEST(ThreadSystem, BarrierAndShmem) {
       env.ShmemWrite((4 + c) * 8, sum);
     });
   }
-  sys.RunToCompletion();
+  sys.Run(UINT64_MAX);
   for (uint32_t c = 0; c < 4; ++c) {
     EXPECT_EQ(sys.shmem().LoadWord((4 + c) * 8), 10u);
   }
@@ -199,7 +199,7 @@ TEST(ThreadSystem, BarrierStressManyGenerations) {
       }
     });
   }
-  sys.RunToCompletion();
+  sys.Run(UINT64_MAX);
   EXPECT_EQ(violations.load(), 0u);
 }
 
@@ -226,7 +226,7 @@ TEST(ThreadSystem, TestAndSetIsExclusive) {
       env.ShmemWrite(wins_base + c * 8, wins);
     });
   }
-  sys.RunToCompletion();
+  sys.Run(UINT64_MAX);
   uint64_t total_wins = 0;
   for (uint32_t c = 0; c < kCores; ++c) {
     total_wins += sys.shmem().LoadWord(wins_base + c * 8);
@@ -257,7 +257,7 @@ TEST(ThreadSystem, ChargeModelledIsFreeAndComputeTakesItsTime) {
       compute_ns[c] = nanos_since(start);
     });
   }
-  sys.RunToCompletion();
+  sys.Run(UINT64_MAX);
   const auto modelled_ns = static_cast<int64_t>(
       sys.env(0).platform().CoreCyclesToPs(kComputeCycles) / kPicosPerNano);
   for (uint32_t c = 0; c < 2; ++c) {

@@ -1,7 +1,9 @@
 // End-to-end protocol tests of TM2C on the simulated many-core.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <vector>
 
 #include "src/tm/tm_system.h"
 
@@ -556,6 +558,60 @@ TEST(TmProgress, WhollyStarvationFree) {
   }
   sys.Run(kTestHorizon);
   EXPECT_TRUE(scanner_ok);
+}
+
+// The modelled-cost knobs are charged on the simulator: raising one makes
+// a fixed run take longer in simulated time. The native backends pay the
+// real costs instead (ThreadSystem.ChargeModelledIsFreeAndComputeTakesItsTime).
+TEST(TmCostModel, RaisingAModelledCostLengthensTheRun) {
+  using Setup = std::function<void(TmSystemConfig*)>;
+  const auto elapsed = [](const Setup& deployment, const Setup& raise) {
+    TmSystemConfig cfg = BaseConfig(4, 2);
+    deployment(&cfg);
+    raise(&cfg);
+    TmSystem sys(cfg);
+    const uint64_t counter = sys.allocator().AllocGlobal(kWordBytes);
+    sys.shmem().StoreWord(counter, 0);
+    if (sys.durability_enabled()) {
+      sys.CaptureDurableCheckpoint0();
+    }
+    sys.SetAllAppBodies([counter](CoreEnv&, TxRuntime& rt) {
+      for (int k = 0; k < 20; ++k) {
+        rt.Execute([counter](Tx& tx) { tx.Write(counter, tx.Read(counter) + 1); });
+      }
+    });
+    return sys.Run(kTestHorizon);
+  };
+  const Setup dedicated = [](TmSystemConfig*) {};
+  const Setup multitasked = [](TmSystemConfig* c) {
+    c->sim.strategy = DeployStrategy::kMultitasked;
+    c->sim.num_service = 0;
+  };
+  const Setup buffered = [](TmSystemConfig* c) { c->tm.durability = DurabilityMode::kBuffered; };
+  const Setup fsync = [](TmSystemConfig* c) { c->tm.durability = DurabilityMode::kFsync; };
+  struct Knob {
+    const char* name;
+    Setup deployment;
+    Setup raise;
+  };
+  const std::vector<Knob> knobs = {
+      {"service_base_cycles", dedicated,
+       [](TmSystemConfig* c) { c->tm.service_base_cycles *= 100; }},
+      {"service_per_item_cycles", dedicated,
+       [](TmSystemConfig* c) { c->tm.service_per_item_cycles *= 100; }},
+      {"multitask_switch_cycles", multitasked,
+       [](TmSystemConfig* c) { c->tm.multitask_switch_cycles *= 100; }},
+      {"log_append_cycles_per_word", buffered,
+       [](TmSystemConfig* c) { c->tm.log_append_cycles_per_word *= 100; }},
+      {"log_flush_buffered_cycles", buffered,
+       [](TmSystemConfig* c) { c->tm.log_flush_buffered_cycles *= 100; }},
+      {"log_flush_fsync_cycles", fsync,
+       [](TmSystemConfig* c) { c->tm.log_flush_fsync_cycles *= 100; }},
+  };
+  for (const Knob& knob : knobs) {
+    EXPECT_GT(elapsed(knob.deployment, knob.raise), elapsed(knob.deployment, dedicated))
+        << knob.name;
+  }
 }
 
 TEST(TmStats, AbortsAndConflictsAreCounted) {

@@ -54,7 +54,8 @@ void ExpectEqual(const Message& a, const Message& b) {
 
 TEST(Wire, RoundTripsEveryMessageKind) {
   for (const auto& [dst, msg] : AllKindsCorpus()) {
-    const std::vector<uint8_t> bytes = EncodeMessage(dst, msg);
+    std::vector<uint8_t> bytes;
+    EncodeFrame(dst, msg, &bytes);
     ASSERT_GE(bytes.size(), kWireMinFrameBytes);
     uint32_t got_dst = 0;
     Message got;
@@ -106,7 +107,8 @@ TEST(Wire, TruncatedFrameIsNeedMoreAtEveryCut) {
   m.w1 = 7;
   m.w3 = 0b1011;
   m.extra = {0x1000, 0x2000, 0x3000, 0x4000};
-  const std::vector<uint8_t> bytes = EncodeMessage(2, m);
+  std::vector<uint8_t> bytes;
+  EncodeFrame(2, m, &bytes);
   for (uint64_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<uint8_t> torn(bytes.begin(), bytes.begin() + cut);
     uint32_t dst = 0;
@@ -126,7 +128,8 @@ TEST(Wire, BitFlipAnywhereIsCaught) {
   m.src = 9;
   m.w1 = (uint64_t{9} << 32) | 4;
   m.extra = {0x100, 42, 0x108, 43};
-  const std::vector<uint8_t> clean = EncodeMessage(3, m);
+  std::vector<uint8_t> clean;
+  EncodeFrame(3, m, &clean);
   for (uint64_t off = 0; off < clean.size(); ++off) {
     for (int bit = 0; bit < 8; bit += 3) {
       std::vector<uint8_t> bytes = clean;
@@ -206,7 +209,8 @@ TEST(Wire, DuplicatedFrameDecodesTwice) {
 TEST(Wire, ImpossibleFramesAreCorrupt) {
   Message m;
   m.type = MsgType::kEcho;
-  const std::vector<uint8_t> clean = EncodeMessage(1, m);
+  std::vector<uint8_t> clean;
+  EncodeFrame(1, m, &clean);
 
   auto expect_corrupt = [](std::vector<uint8_t> bytes, const char* what) {
     uint32_t dst = 0;
@@ -254,7 +258,8 @@ TEST(Wire, ImpossibleFramesAreCorrupt) {
 
   // Extra count word disagreeing with the frame length, CRC made valid.
   {
-    std::vector<uint8_t> bad_count = EncodeMessage(1, m);
+    std::vector<uint8_t> bad_count;
+    EncodeFrame(1, m, &bad_count);
     bad_count[kWireFrameOverheadBytes + 6 * 8] = 5;
     const uint64_t payload_len = bad_count.size() - kWireFrameOverheadBytes;
     const uint32_t crc = Crc32(bad_count.data() + kWireFrameOverheadBytes, payload_len);
